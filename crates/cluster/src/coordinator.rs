@@ -25,12 +25,13 @@
 //! same total number of applications as an uninterrupted run.
 //!
 //! Client ops (`submit`, `query`, `status`, `wait`, …) ride the same
-//! framed socket, reuse the service wire vocabulary via
-//! [`parse_request`], and pass through the same admission gate
-//! ([`apply_admission_gate`]) and structured rejections as the
-//! single-process service. Queries are served from the freshest
-//! checkpoint snapshot of whichever worker holds (or held) the lease,
-//! through the same [`SnapshotCache`] ring/terminal semantics as
+//! framed socket and are answered by the service's shared request
+//! handler ([`handle`]), with the job table as its [`Backend`]: the same
+//! spec construction, admission gate ([`apply_admission_gate`]) and
+//! structured rejections as the single-process service. Queries are
+//! served from the freshest checkpoint snapshot of whichever worker
+//! holds (or held) the lease, through the same [`SnapshotCache`]
+//! ring/terminal semantics and query path ([`answer_snapshot`]) as
 //! `treechase serve`.
 
 use std::collections::{BTreeMap, HashMap};
@@ -41,13 +42,15 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use chase_homomorphism::SearchBudget;
-use chase_query::{answer_kb, answer_view, Snapshot, SnapshotCache};
-use treechase_service::protocol::{analysis_to_json, status_name};
+use chase_core::KnowledgeBase;
+use chase_engine::ChaseConfig;
+use chase_query::{Snapshot, SnapshotCache};
+use treechase_service::handler::{error, job_field};
+use treechase_service::protocol::status_name;
 use treechase_service::{
-    apply_admission_gate, named_kb, parse_request, query_reply_to_json, rejection_to_json,
-    Checkpoint, CheckpointStore, JobId, JobSpec, JobStatus, Json, QueryReply, RejectReason,
-    Rejection, Request, ServiceConfig,
+    answer_adhoc, answer_snapshot, apply_admission_gate, handle, parse_request, query_budget,
+    Admission, Backend, Checkpoint, CheckpointStore, Fields, JobId, JobSpec, JobStatus, Json,
+    QueryError, QueryReply, Refusal, RejectReason, Rejection, ServiceConfig,
 };
 
 use crate::wire::{read_frame, write_frame, FrameRead};
@@ -136,9 +139,8 @@ impl JobState {
 
 /// One entry in the coordinator's job table.
 struct ClusterJob {
-    name: String,
     /// The freshest durable checkpoint — the unit of dispatch: granted
-    /// on lease, replayed on reschedule.
+    /// on lease, replayed on reschedule. Its name is the job's name.
     checkpoint: Checkpoint,
     state: JobState,
     /// Last granted fencing token (bumped on every grant).
@@ -149,6 +151,53 @@ struct ClusterJob {
     queries: Vec<(String, String)>,
 }
 
+impl ClusterJob {
+    /// A job entered from `checkpoint` that was never granted.
+    fn new(checkpoint: Checkpoint, state: JobState) -> ClusterJob {
+        ClusterJob {
+            checkpoint,
+            state,
+            epoch: 0,
+            reschedules: 0,
+            queries: Vec::new(),
+        }
+    }
+
+    /// Pushes a live lease's deadline one lease length into the future.
+    fn extend_lease(&mut self, lease: Duration) {
+        if let JobState::Leased { deadline, .. } = &mut self.state {
+            *deadline = Instant::now() + lease;
+        }
+    }
+}
+
+/// The lease a worker message claims: which worker, on which job,
+/// under which fencing token.
+struct LeaseKey {
+    worker: String,
+    job: JobId,
+    epoch: u64,
+}
+
+impl LeaseKey {
+    fn parse(msg: &Json) -> Result<LeaseKey, String> {
+        Ok(LeaseKey {
+            worker: msg.require_str("worker")?.to_string(),
+            job: msg.require_u64("job")?,
+            epoch: msg.require_u64("epoch")?,
+        })
+    }
+
+    /// True iff this key still holds the live lease on `job` — the
+    /// fencing check every worker-originated message must pass.
+    fn holds(&self, job: &ClusterJob) -> bool {
+        matches!(
+            &job.state,
+            JobState::Leased { worker, epoch, .. } if *worker == self.worker && *epoch == self.epoch
+        )
+    }
+}
+
 struct CoordState {
     jobs: BTreeMap<JobId, ClusterJob>,
     next_id: JobId,
@@ -156,6 +205,37 @@ struct CoordState {
     /// heartbeat, checkpoint).
     workers: HashMap<String, Instant>,
     draining: bool,
+}
+
+impl CoordState {
+    /// Sheds every admitting op (`submit`, `resume`, `query`) once the
+    /// coordinator drains.
+    fn admitting(&self) -> Result<(), Rejection> {
+        if self.draining {
+            return Err(Rejection {
+                reason: RejectReason::Draining,
+                message: "coordinator is draining".to_string(),
+                retry_after: None,
+            });
+        }
+        Ok(())
+    }
+
+    /// The job `key` still holds the live lease on, if any.
+    fn leased(&mut self, key: &LeaseKey) -> Option<&mut ClusterJob> {
+        self.jobs.get_mut(&key.job).filter(|job| key.holds(job))
+    }
+
+    /// How many jobs are queued and how many are leased.
+    fn queued_and_leased(&self) -> (usize, usize) {
+        self.jobs
+            .values()
+            .fold((0, 0), |(queued, leased), j| match j.state {
+                JobState::Queued => (queued + 1, leased),
+                JobState::Leased { .. } => (queued, leased + 1),
+                _ => (queued, leased),
+            })
+    }
 }
 
 struct Inner {
@@ -183,6 +263,22 @@ impl Inner {
         if self.cfg.announce {
             println!("{line}");
         }
+    }
+
+    /// Announces `{"op":<op>,"job":…,"worker":…}` followed by `extra`.
+    fn announce_lease(
+        &self,
+        op: &str,
+        key: &LeaseKey,
+        extra: impl IntoIterator<Item = (&'static str, Json)>,
+    ) {
+        let mut fields = vec![
+            ("op".to_string(), Json::str(op)),
+            ("job".to_string(), Json::Int(key.job as i64)),
+            ("worker".to_string(), Json::str(&key.worker)),
+        ];
+        fields.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
+        self.announce(&Json::Obj(fields));
     }
 
     /// Publishes a query snapshot materialized from a checkpoint. The
@@ -214,25 +310,20 @@ impl Inner {
     /// Inserts a spec as a new job: capture its base checkpoint, make
     /// it durable, publish the base snapshot, enqueue. Fresh submits,
     /// resumes and recovered checkpoints all funnel through here, which
-    /// is what makes dispatch/reschedule/resume one code path.
-    fn enqueue(&self, spec: &JobSpec) -> Result<JobId, String> {
-        let ck = Checkpoint::capture(spec, &spec.kb.vocab, &spec.kb.facts, spec.base_stats);
+    /// is what makes dispatch/reschedule/resume one code path. An
+    /// unnamed job is named `job-<id>` under the same lock that mints
+    /// its id, so concurrent submits can never share a default name.
+    fn enqueue(&self, mut spec: JobSpec) -> Result<JobId, String> {
         let mut st = self.lock();
         let id = st.next_id;
         st.next_id += 1;
+        if spec.name.is_empty() {
+            spec.name = format!("job-{id}");
+        }
+        let ck = Checkpoint::capture(&spec, &spec.kb.vocab, &spec.kb.facts, spec.base_stats);
         self.store.save(id, &ck, None)?;
         self.publish_snapshot(id, &ck, false)?;
-        st.jobs.insert(
-            id,
-            ClusterJob {
-                name: spec.name.clone(),
-                checkpoint: ck,
-                state: JobState::Queued,
-                epoch: 0,
-                reschedules: 0,
-                queries: Vec::new(),
-            },
-        );
+        st.jobs.insert(id, ClusterJob::new(ck, JobState::Queued));
         drop(st);
         self.announce(&Json::obj([
             ("op", Json::str("queued")),
@@ -241,15 +332,6 @@ impl Inner {
         ]));
         Ok(id)
     }
-}
-
-/// True iff `(worker, epoch)` still holds the live lease on `job` —
-/// the fencing check every worker-originated message must pass.
-fn holds_lease(job: &ClusterJob, worker: &str, epoch: u64) -> bool {
-    matches!(
-        &job.state,
-        JobState::Leased { worker: w, epoch: e, .. } if w == worker && *e == epoch
-    )
 }
 
 /// A coordinator bound to a listening socket. [`Coordinator::run`]
@@ -294,17 +376,7 @@ impl Coordinator {
                     },
                 };
                 st.next_id = st.next_id.max(id + 1);
-                st.jobs.insert(
-                    id,
-                    ClusterJob {
-                        name: ck.name.clone(),
-                        checkpoint: ck,
-                        state,
-                        epoch: 0,
-                        reschedules: 0,
-                        queries: Vec::new(),
-                    },
-                );
+                st.jobs.insert(id, ClusterJob::new(ck, state));
             }
             drop(st);
             for err in bad {
@@ -323,6 +395,12 @@ impl Coordinator {
         self.listener
             .local_addr()
             .map_err(|e| format!("local addr: {e}"))
+    }
+
+    /// The job table as a request [`Backend`]: what the TCP transport
+    /// hands client ops to, for in-process callers.
+    pub fn backend(&self) -> &dyn Backend {
+        &*self.inner
     }
 
     /// A handle that makes [`Coordinator::run`] return; safe to call
@@ -498,13 +576,6 @@ fn handle_conn(inner: &Inner, mut stream: TcpStream) {
     }
 }
 
-fn error_json(message: &str) -> Json {
-    Json::obj([
-        ("type", Json::str("error")),
-        ("message", Json::str(message)),
-    ])
-}
-
 fn ack() -> Json {
     Json::obj([("op", Json::str("ack"))])
 }
@@ -514,7 +585,8 @@ fn fenced(job: JobId) -> Json {
 }
 
 /// Routes one frame. Worker ops are handled directly; anything else is
-/// treated as a client request in the service wire vocabulary.
+/// a client request in the service wire vocabulary, answered by the
+/// shared [`handle`].
 fn dispatch(inner: &Inner, msg: &Json) -> Json {
     let op = msg.get("op").and_then(Json::as_str).unwrap_or("");
     let out = match op {
@@ -528,19 +600,9 @@ fn dispatch(inner: &Inner, msg: &Json) -> Json {
         "release" => worker_release(inner, msg),
         "event" => worker_event(inner, msg),
         "bye" => worker_bye(inner, msg),
-        _ => match parse_request(msg) {
-            Ok(req) => handle_client(inner, req),
-            Err(e) => Err(e),
-        },
+        _ => parse_request(msg).map(|req| handle(inner, req)),
     };
-    out.unwrap_or_else(|e| error_json(&e))
-}
-
-fn msg_lease_key(msg: &Json) -> Result<(String, JobId, u64), String> {
-    let worker = msg.require_str("worker")?.to_string();
-    let job = msg.require_u64("job")?;
-    let epoch = msg.require_u64("epoch")?;
-    Ok((worker, job, epoch))
+    out.unwrap_or_else(|e| error(&e))
 }
 
 fn worker_hello(inner: &Inner, msg: &Json) -> Result<Json, String> {
@@ -599,7 +661,7 @@ fn worker_pull(inner: &Inner, msg: &Json) -> Result<Json, String> {
     let reply = Json::obj([
         ("op", Json::str("lease")),
         ("job", Json::Int(id as i64)),
-        ("name", Json::str(&job.name)),
+        ("name", Json::str(&job.checkpoint.name)),
         ("epoch", Json::Int(epoch as i64)),
         ("lease_ms", Json::Int(inner.cfg.lease.as_millis() as i64)),
         ("checkpoint", job.checkpoint.to_json()),
@@ -620,11 +682,12 @@ fn worker_pull(inner: &Inner, msg: &Json) -> Result<Json, String> {
 }
 
 fn worker_heartbeat(inner: &Inner, msg: &Json) -> Result<Json, String> {
-    let (worker, id, epoch) = msg_lease_key(msg)?;
-    if !touch_lease(inner, &worker, id, epoch) {
-        return Ok(fenced(id));
-    }
-    Ok(ack())
+    let key = LeaseKey::parse(msg)?;
+    Ok(if touch_lease(inner, &key) {
+        ack()
+    } else {
+        fenced(key.job)
+    })
 }
 
 /// Fence-checks and extends a live lease in one short critical
@@ -635,30 +698,25 @@ fn worker_heartbeat(inner: &Inner, msg: &Json) -> Result<Json, String> {
 /// eats the lease from the inside — the holder is mid-roundtrip,
 /// unable to heartbeat, while the reaper requeues its job — which
 /// showed up as requeue/fenced churn on large instances.
-fn touch_lease(inner: &Inner, worker: &str, id: JobId, epoch: u64) -> bool {
+fn touch_lease(inner: &Inner, key: &LeaseKey) -> bool {
     let mut st = inner.lock();
-    st.workers.insert(worker.to_string(), Instant::now());
-    let Some(job) = st.jobs.get_mut(&id) else {
+    st.workers.insert(key.worker.clone(), Instant::now());
+    let Some(job) = st.leased(key) else {
         return false;
     };
-    if !holds_lease(job, worker, epoch) {
-        return false;
-    }
-    if let JobState::Leased { deadline, .. } = &mut job.state {
-        *deadline = Instant::now() + inner.cfg.lease;
-    }
+    job.extend_lease(inner.cfg.lease);
     true
 }
 
 /// A shipped checkpoint: fence-check, make durable, republish the
 /// query snapshot, extend the lease (progress is the best heartbeat).
 fn worker_checkpoint(inner: &Inner, msg: &Json) -> Result<Json, String> {
-    let (worker, id, epoch) = msg_lease_key(msg)?;
+    let key = LeaseKey::parse(msg)?;
     // Extend before touching the payload: parse + save + snapshot
     // materialization scale with the instance and can cost a real
     // fraction of the lease.
-    if !touch_lease(inner, &worker, id, epoch) {
-        return Ok(fenced(id));
+    if !touch_lease(inner, &key) {
+        return Ok(fenced(key.job));
     }
     let ck = Checkpoint::from_json(msg.require("checkpoint")?)?;
     // The durable save runs outside the state lock so pulls and status
@@ -666,30 +724,24 @@ fn worker_checkpoint(inner: &Inner, msg: &Json) -> Result<Json, String> {
     // materialization is queued to the publisher thread so the ack —
     // which doubles as the holder's heartbeat — returns promptly no
     // matter how large the instance has grown.
-    inner.store.save(id, &ck, None)?;
+    inner.store.save(key.job, &ck, None)?;
     let apps = ck.stats.applications;
     {
         let mut st = inner.lock();
-        let Some(job) = st.jobs.get_mut(&id) else {
-            return Ok(fenced(id));
+        // Requeued or cancelled while we persisted: the save is a
+        // harmless durable prefix; the holder must still stop.
+        let Some(job) = st.leased(&key) else {
+            return Ok(fenced(key.job));
         };
-        if !holds_lease(job, &worker, epoch) {
-            // Requeued or cancelled while we persisted. The save is a
-            // harmless durable prefix; the holder must still stop.
-            return Ok(fenced(id));
-        }
         job.checkpoint = ck.clone();
-        if let JobState::Leased { deadline, .. } = &mut job.state {
-            *deadline = Instant::now() + inner.cfg.lease;
-        }
+        job.extend_lease(inner.cfg.lease);
     }
-    inner.queue_publish(id, ck);
-    inner.announce(&Json::obj([
-        ("op", Json::str("checkpointed")),
-        ("job", Json::Int(id as i64)),
-        ("worker", Json::str(&worker)),
-        ("applications", Json::Int(apps as i64)),
-    ]));
+    inner.queue_publish(key.job, ck);
+    inner.announce_lease(
+        "checkpointed",
+        &key,
+        [("applications", Json::Int(apps as i64))],
+    );
     Ok(ack())
 }
 
@@ -698,23 +750,21 @@ fn worker_checkpoint(inner: &Inner, msg: &Json) -> Result<Json, String> {
 /// is removed; for a resumable budget stop the final checkpoint stays
 /// durable so a client can `checkpoint`/`resume` it later.
 fn worker_done(inner: &Inner, msg: &Json) -> Result<Json, String> {
-    let (worker, id, epoch) = msg_lease_key(msg)?;
+    let key = LeaseKey::parse(msg)?;
+    let id = key.job;
     let status = msg.require_str("status")?;
     // Extend immediately — the final checkpoint is the largest payload
     // a worker ever ships, and a reaper requeue while it is being
     // parsed would re-run a job that already finished. The remaining
     // processing holds the state lock, which the reaper also needs, so
     // after this touch the done report races nothing.
-    if !touch_lease(inner, &worker, id, epoch) {
+    if !touch_lease(inner, &key) {
         return Ok(fenced(id));
     }
     let mut st = inner.lock();
-    let Some(job) = st.jobs.get_mut(&id) else {
+    let Some(job) = st.leased(&key) else {
         return Ok(fenced(id));
     };
-    if !holds_lease(job, &worker, epoch) {
-        return Ok(fenced(id));
-    }
     if status != "ok" {
         let message = msg
             .get("message")
@@ -725,12 +775,7 @@ fn worker_done(inner: &Inner, msg: &Json) -> Result<Json, String> {
             message: message.clone(),
         };
         drop(st);
-        inner.announce(&Json::obj([
-            ("op", Json::str("job-failed")),
-            ("job", Json::Int(id as i64)),
-            ("worker", Json::str(&worker)),
-            ("message", Json::str(&message)),
-        ]));
+        inner.announce_lease("job-failed", &key, [("message", Json::str(&message))]);
         return Ok(ack());
     }
     let outcome = msg.require_str("outcome")?.to_string();
@@ -767,14 +812,15 @@ fn worker_done(inner: &Inner, msg: &Json) -> Result<Json, String> {
         inner.store.save(id, &ck, None)?;
     }
     drop(st);
-    inner.announce(&Json::obj([
-        ("op", Json::str("job-done")),
-        ("job", Json::Int(id as i64)),
-        ("worker", Json::str(&worker)),
-        ("outcome", Json::str(&outcome)),
-        ("terminated", Json::Bool(terminated)),
-        ("applications", Json::Int(ck.stats.applications as i64)),
-    ]));
+    inner.announce_lease(
+        "job-done",
+        &key,
+        [
+            ("outcome", Json::str(&outcome)),
+            ("terminated", Json::Bool(terminated)),
+            ("applications", Json::Int(ck.stats.applications as i64)),
+        ],
+    );
     Ok(ack())
 }
 
@@ -782,34 +828,26 @@ fn worker_done(inner: &Inner, msg: &Json) -> Result<Json, String> {
 /// checkpoint, so the job requeues immediately instead of waiting for
 /// the lease clock.
 fn worker_release(inner: &Inner, msg: &Json) -> Result<Json, String> {
-    let (worker, id, epoch) = msg_lease_key(msg)?;
+    let key = LeaseKey::parse(msg)?;
     // Same pre-parse extension as `checkpoint`/`done`: the release may
     // carry a large final checkpoint.
-    if !touch_lease(inner, &worker, id, epoch) {
-        return Ok(fenced(id));
+    if !touch_lease(inner, &key) {
+        return Ok(fenced(key.job));
     }
     let mut st = inner.lock();
-    let Some(job) = st.jobs.get_mut(&id) else {
-        return Ok(fenced(id));
+    let Some(job) = st.leased(&key) else {
+        return Ok(fenced(key.job));
     };
-    if !holds_lease(job, &worker, epoch) {
-        return Ok(fenced(id));
-    }
     if let Some(v) = msg.get("checkpoint") {
         let ck = Checkpoint::from_json(v)?;
-        inner.store.save(id, &ck, None)?;
-        inner.publish_snapshot(id, &ck, false)?;
+        inner.store.save(key.job, &ck, None)?;
+        inner.publish_snapshot(key.job, &ck, false)?;
         job.checkpoint = ck;
     }
     job.state = JobState::Queued;
     let apps = job.checkpoint.stats.applications;
     drop(st);
-    inner.announce(&Json::obj([
-        ("op", Json::str("released")),
-        ("job", Json::Int(id as i64)),
-        ("worker", Json::str(&worker)),
-        ("applications", Json::Int(apps as i64)),
-    ]));
+    inner.announce_lease("released", &key, [("applications", Json::Int(apps as i64))]);
     Ok(ack())
 }
 
@@ -817,8 +855,8 @@ fn worker_release(inner: &Inner, msg: &Json) -> Result<Json, String> {
 fn worker_event(inner: &Inner, msg: &Json) -> Result<Json, String> {
     // A streamed event is also proof of life: extend the lease so a
     // long burst of event forwarding can never starve the heartbeat.
-    if let Ok((worker, id, epoch)) = msg_lease_key(msg) {
-        let _ = touch_lease(inner, &worker, id, epoch);
+    if let Ok(key) = LeaseKey::parse(msg) {
+        touch_lease(inner, &key);
     }
     inner.announce(msg);
     Ok(ack())
@@ -836,298 +874,6 @@ fn worker_bye(inner: &Inner, msg: &Json) -> Result<Json, String> {
     Ok(Json::obj([("op", Json::str("goodbye"))]))
 }
 
-fn response(op: &str, fields: Vec<(String, Json)>) -> Json {
-    let mut obj = vec![
-        ("type".to_string(), Json::str("response")),
-        ("op".to_string(), Json::str(op)),
-    ];
-    obj.extend(fields);
-    Json::Obj(obj)
-}
-
-/// Client ops in the service wire vocabulary, served against the
-/// cluster job table.
-fn handle_client(inner: &Inner, req: Request) -> Result<Json, String> {
-    match req {
-        Request::Submit { .. } => client_submit(inner, req),
-        Request::Resume {
-            checkpoint,
-            max_applications,
-            max_wall_ms,
-        } => client_resume(inner, &checkpoint, max_applications, max_wall_ms),
-        Request::Query {
-            job,
-            kb,
-            source,
-            query,
-            config,
-            node_limit,
-            timeout_ms,
-        } => client_query(
-            inner,
-            job,
-            kb.as_deref(),
-            source.as_deref(),
-            &query,
-            &config,
-            node_limit,
-            timeout_ms,
-        ),
-        Request::Status { job } => client_status(inner, job),
-        Request::Wait { job, timeout_ms } => client_wait(inner, job, timeout_ms),
-        Request::Checkpoint { job } => {
-            let st = inner.lock();
-            let jb = st
-                .jobs
-                .get(&job)
-                .ok_or_else(|| format!("unknown job {job}"))?;
-            Ok(response(
-                "checkpoint",
-                vec![
-                    ("job".to_string(), Json::Int(job as i64)),
-                    ("checkpoint".to_string(), jb.checkpoint.to_json()),
-                ],
-            ))
-        }
-        Request::Cancel { job } => client_cancel(inner, job),
-        Request::List => client_list(inner),
-        Request::Drain => {
-            let mut st = inner.lock();
-            st.draining = true;
-            let queued = st
-                .jobs
-                .values()
-                .filter(|j| matches!(j.state, JobState::Queued))
-                .count();
-            let leased = st
-                .jobs
-                .values()
-                .filter(|j| matches!(j.state, JobState::Leased { .. }))
-                .count();
-            Ok(response(
-                "drain",
-                vec![
-                    ("queued".to_string(), Json::Int(queued as i64)),
-                    ("leased".to_string(), Json::Int(leased as i64)),
-                ],
-            ))
-        }
-        Request::Shutdown => {
-            inner.shutdown();
-            Ok(response("shutdown", Vec::new()))
-        }
-    }
-}
-
-/// The cluster submit path: same spec construction, admission gate and
-/// structured rejections as `treechase serve`, then enqueue-as-
-/// checkpoint instead of enqueue-in-process.
-fn client_submit(inner: &Inner, req: Request) -> Result<Json, String> {
-    let Request::Submit {
-        name,
-        source,
-        kb,
-        config,
-        tw_sample_interval,
-        progress_every,
-        checkpoint_every,
-        priority,
-        submitter,
-        auto_strategy,
-        auto_budgets,
-    } = req
-    else {
-        unreachable!("client_submit called with a non-submit request");
-    };
-    let mut spec = match (&source, &kb) {
-        (Some(src), None) => JobSpec::from_text(name.unwrap_or_default(), src, *config)?,
-        (None, Some(kb_name)) => {
-            let base = named_kb(kb_name)?;
-            let mut spec = JobSpec::from_kb(name.unwrap_or_else(|| kb_name.clone()), base, *config);
-            if spec.name.is_empty() {
-                spec.name = kb_name.clone();
-            }
-            spec
-        }
-        _ => return Err("submit takes exactly one of `source` / `kb`".to_string()),
-    };
-    if let Some(every) = tw_sample_interval {
-        spec = spec.with_tw_samples(every);
-    }
-    if let Some(every) = progress_every {
-        spec = spec.with_progress_every(every);
-    }
-    if let Some(every) = checkpoint_every {
-        spec = spec.with_checkpoint_every(every);
-    }
-    spec = spec.with_priority(priority);
-    spec.submitter = submitter;
-    spec.auto_strategy = auto_strategy;
-    spec.auto_budgets = auto_budgets;
-
-    {
-        let st = inner.lock();
-        if st.draining {
-            return Ok(rejection_to_json(
-                "submit",
-                &Rejection {
-                    reason: RejectReason::Draining,
-                    message: "coordinator is draining".to_string(),
-                    retry_after: None,
-                },
-            ));
-        }
-        if let Some(cap) = inner.cfg.max_queue {
-            let queued = st
-                .jobs
-                .values()
-                .filter(|j| matches!(j.state, JobState::Queued))
-                .count();
-            if queued >= cap {
-                return Ok(rejection_to_json(
-                    "submit",
-                    &Rejection {
-                        reason: RejectReason::QueueFull,
-                        message: format!("queue at capacity ({queued}/{cap})"),
-                        retry_after: Some(inner.cfg.lease),
-                    },
-                ));
-            }
-        }
-    }
-    // The gate runs the static analyzer + bounded probe; never under
-    // the state lock.
-    let admission = match apply_admission_gate(&mut spec, &inner.cfg.service) {
-        Ok(adm) => adm,
-        Err(rej) => return Ok(rejection_to_json("submit", &rej)),
-    };
-    if spec.name.is_empty() {
-        spec.name = format!("job-{}", inner.lock().next_id);
-    }
-    let rules = spec.kb.rules.clone();
-    let id = inner.enqueue(&spec)?;
-    let mut fields = vec![("job".to_string(), Json::Int(id as i64))];
-    if let Some(gate) = &admission.gate {
-        fields.push(("analysis".to_string(), analysis_to_json(gate, &rules)));
-        fields.push((
-            "strategy_applied".to_string(),
-            Json::Bool(admission.strategy_applied),
-        ));
-        fields.push((
-            "budgets_tightened".to_string(),
-            Json::Bool(admission.budgets_tightened),
-        ));
-    }
-    Ok(response("submit", fields))
-}
-
-fn client_resume(
-    inner: &Inner,
-    checkpoint: &Checkpoint,
-    max_applications: Option<usize>,
-    max_wall_ms: Option<u64>,
-) -> Result<Json, String> {
-    if inner.lock().draining {
-        return Ok(rejection_to_json(
-            "resume",
-            &Rejection {
-                reason: RejectReason::Draining,
-                message: "coordinator is draining".to_string(),
-                retry_after: None,
-            },
-        ));
-    }
-    let mut spec = checkpoint.into_spec()?;
-    if let Some(n) = max_applications {
-        spec.config.max_applications = n;
-    }
-    if let Some(ms) = max_wall_ms {
-        spec.config.max_wall = Some(Duration::from_millis(ms));
-        spec.config.consumed_wall = Duration::ZERO;
-    }
-    let id = inner.enqueue(&spec)?;
-    Ok(response(
-        "resume",
-        vec![
-            ("job".to_string(), Json::Int(id as i64)),
-            ("exact".to_string(), Json::Bool(checkpoint.exact())),
-        ],
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn client_query(
-    inner: &Inner,
-    job: Option<JobId>,
-    kb: Option<&str>,
-    source: Option<&str>,
-    query: &str,
-    config: &chase_engine::ChaseConfig,
-    node_limit: Option<usize>,
-    timeout_ms: Option<u64>,
-) -> Result<Json, String> {
-    if inner.lock().draining {
-        return Ok(rejection_to_json(
-            "query",
-            &Rejection {
-                reason: RejectReason::Draining,
-                message: "coordinator is draining".to_string(),
-                retry_after: None,
-            },
-        ));
-    }
-    let mut budget = SearchBudget::unlimited();
-    if let Some(n) = node_limit {
-        budget = budget.with_node_limit(n);
-    }
-    let timeout = timeout_ms
-        .map(Duration::from_millis)
-        .or(inner.cfg.service.op_deadline);
-    if let Some(t) = timeout {
-        budget = budget.with_deadline(Instant::now() + t);
-    }
-    let reply = if let Some(id) = job {
-        if !inner.lock().jobs.contains_key(&id) {
-            return Err(format!("unknown job {id}"));
-        }
-        let view = inner
-            .snapshots
-            .view(id)
-            .ok_or_else(|| format!("no snapshot for job {id} yet"))?;
-        let outcome = answer_view(&view, query, &budget).map_err(|e| e.to_string())?;
-        inner
-            .snapshots
-            .add_answers_served(outcome.answers.len() as u64);
-        QueryReply {
-            outcome,
-            job: Some(id),
-            sequence: Some(view.sequence),
-            applications: Some(view.applications),
-            snapshot_age_ms: Some(view.captured.elapsed().as_millis() as u64),
-            cache: inner.snapshots.stats(),
-        }
-    } else {
-        let base = match (kb, source) {
-            (Some(kb_name), None) => named_kb(kb_name)?,
-            (None, Some(src)) => JobSpec::from_text(String::new(), src, config.clone())?.kb,
-            _ => return Err("query takes exactly one of `job` / `kb` / `source`".to_string()),
-        };
-        let outcome = answer_kb(&base, query, config, &budget).map_err(|e| e.to_string())?;
-        inner
-            .snapshots
-            .add_answers_served(outcome.answers.len() as u64);
-        QueryReply {
-            outcome,
-            job: None,
-            sequence: None,
-            applications: None,
-            snapshot_age_ms: None,
-            cache: inner.snapshots.stats(),
-        }
-    };
-    Ok(query_reply_to_json(&reply))
-}
-
 /// The wire `status` label for a cluster job state, reusing the
 /// service spelling where the lifecycles coincide.
 fn wire_status(state: &JobState) -> &'static str {
@@ -1140,164 +886,228 @@ fn wire_status(state: &JobState) -> &'static str {
     }
 }
 
-fn client_status(inner: &Inner, job: JobId) -> Result<Json, String> {
-    let st = inner.lock();
-    let jb = st
-        .jobs
-        .get(&job)
-        .ok_or_else(|| format!("unknown job {job}"))?;
-    let mut fields = vec![
-        ("job".to_string(), Json::Int(job as i64)),
-        ("status".to_string(), Json::str(wire_status(&jb.state))),
-        ("state".to_string(), Json::str(jb.state.label())),
-        ("epoch".to_string(), Json::Int(jb.epoch as i64)),
-        ("reschedules".to_string(), Json::Int(jb.reschedules as i64)),
-        (
-            "applications".to_string(),
-            Json::Int(jb.checkpoint.stats.applications as i64),
-        ),
-    ];
-    match &jb.state {
-        JobState::Leased { worker, .. } => {
-            fields.push(("worker".to_string(), Json::str(worker)));
-        }
-        JobState::Done {
-            outcome,
-            terminated,
-        } => {
-            fields.push(("outcome".to_string(), Json::str(outcome)));
-            fields.push(("terminated".to_string(), Json::Bool(*terminated)));
-        }
-        JobState::Failed { message } => {
-            fields.push(("message".to_string(), Json::str(message)));
-        }
-        JobState::Queued | JobState::Cancelled => {}
-    }
-    if !jb.queries.is_empty() {
-        fields.push((
-            "queries".to_string(),
-            Json::Arr(
-                jb.queries
-                    .iter()
-                    .map(|(name, verdict)| {
-                        Json::obj([("name", Json::str(name)), ("verdict", Json::str(verdict))])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    Ok(response("status", fields))
+/// The coordinator's query errors keep their own spelling on the wire.
+fn query_failure(e: QueryError) -> Refusal {
+    Refusal::Failed(match e {
+        QueryError::NoSnapshot(id) => format!("no snapshot for job {id} yet"),
+        QueryError::Parse(e) => e.to_string(),
+        other => other.to_string(),
+    })
 }
 
-fn client_wait(inner: &Inner, job: JobId, timeout_ms: Option<u64>) -> Result<Json, String> {
-    let deadline = timeout_ms
-        .map(Duration::from_millis)
-        .or(inner.cfg.service.op_deadline)
-        .map(|t| Instant::now() + t);
-    loop {
+/// Client ops served against the cluster job table.
+impl Backend for Inner {
+    /// Same admission gate and structured rejections as `treechase
+    /// serve`, then enqueue-as-checkpoint instead of enqueue-in-process.
+    fn admit(&self, mut spec: JobSpec) -> Result<(JobId, Admission), Refusal> {
         {
-            let st = inner.lock();
-            let jb = st
-                .jobs
-                .get(&job)
-                .ok_or_else(|| format!("unknown job {job}"))?;
-            if jb.state.is_terminal() {
-                drop(st);
-                let mut status = client_status(inner, job)?;
-                if let Json::Obj(fields) = &mut status {
-                    for f in fields.iter_mut() {
-                        if f.0 == "op" {
-                            f.1 = Json::str("wait");
-                        }
-                    }
-                    fields.push(("timed_out".to_string(), Json::Bool(false)));
+            let st = self.lock();
+            st.admitting()?;
+            if let Some(cap) = self.cfg.max_queue {
+                let (queued, _) = st.queued_and_leased();
+                if queued >= cap {
+                    return Err(Refusal::Rejected(Rejection {
+                        reason: RejectReason::QueueFull,
+                        message: format!("queue at capacity ({queued}/{cap})"),
+                        retry_after: Some(self.cfg.lease),
+                    }));
                 }
-                return Ok(status);
             }
         }
-        let expired = deadline.is_some_and(|d| Instant::now() >= d);
-        if expired || inner.shutdown.load(Ordering::Acquire) {
-            let mut status = client_status(inner, job)?;
-            if let Json::Obj(fields) = &mut status {
-                for f in fields.iter_mut() {
-                    if f.0 == "op" {
-                        f.1 = Json::str("wait");
-                    }
-                }
-                fields.push(("timed_out".to_string(), Json::Bool(true)));
-            }
-            return Ok(status);
-        }
-        thread::sleep(Duration::from_millis(25));
+        // The gate runs the static analyzer + bounded probe; never under
+        // the state lock.
+        let admission = apply_admission_gate(&mut spec, &self.cfg.service)?;
+        Ok((self.enqueue(spec)?, admission))
     }
-}
 
-/// Cancel: a queued job is dropped outright; a leased job flips to
-/// `Cancelled`, which fails the fencing check — the holder learns at
-/// its next heartbeat and aborts locally. Terminal jobs are left as
-/// they finished.
-fn client_cancel(inner: &Inner, job: JobId) -> Result<Json, String> {
-    let mut st = inner.lock();
-    let Some(jb) = st.jobs.get_mut(&job) else {
-        return Err(format!("unknown job {job}"));
-    };
-    let cancelled = match &jb.state {
-        JobState::Queued | JobState::Leased { .. } => {
-            jb.state = JobState::Cancelled;
-            inner.store.remove(job)?;
-            inner.snapshots.evict(job);
-            true
+    fn resume(&self, spec: JobSpec) -> Result<JobId, Refusal> {
+        self.lock().admitting()?;
+        Ok(self.enqueue(spec)?)
+    }
+
+    /// A queued job is dropped outright; a leased job flips to
+    /// `Cancelled`, which fails the fencing check — the holder learns at
+    /// its next heartbeat and aborts locally. Terminal jobs are left as
+    /// they finished.
+    fn cancel_job(&self, job: JobId) -> Result<bool, String> {
+        let mut st = self.lock();
+        let jb = st
+            .jobs
+            .get_mut(&job)
+            .ok_or_else(|| format!("unknown job {job}"))?;
+        if !matches!(jb.state, JobState::Queued | JobState::Leased { .. }) {
+            return Ok(false);
         }
-        _ => false,
-    };
-    drop(st);
-    Ok(response(
-        "cancel",
-        vec![
-            ("job".to_string(), Json::Int(job as i64)),
-            ("cancelled".to_string(), Json::Bool(cancelled)),
-        ],
-    ))
-}
+        jb.state = JobState::Cancelled;
+        self.store.remove(job)?;
+        self.snapshots.evict(job);
+        Ok(true)
+    }
 
-fn client_list(inner: &Inner) -> Result<Json, String> {
-    let st = inner.lock();
-    let now = Instant::now();
-    let jobs = st
-        .jobs
-        .iter()
-        .map(|(&id, j)| {
-            Json::obj([
-                ("job", Json::Int(id as i64)),
-                ("name", Json::str(&j.name)),
-                ("status", Json::str(wire_status(&j.state))),
-                ("state", Json::str(j.state.label())),
-                ("reschedules", Json::Int(j.reschedules as i64)),
-                (
-                    "applications",
-                    Json::Int(j.checkpoint.stats.applications as i64),
+    fn checkpoint(&self, job: JobId) -> Result<Checkpoint, String> {
+        self.lock()
+            .jobs
+            .get(&job)
+            .map(|jb| jb.checkpoint.clone())
+            .ok_or_else(|| format!("unknown job {job}"))
+    }
+
+    fn answer_job(
+        &self,
+        job: JobId,
+        query: &str,
+        node_limit: Option<usize>,
+        timeout: Option<Duration>,
+    ) -> Result<QueryReply, Refusal> {
+        self.lock().admitting()?;
+        let budget = query_budget(node_limit, timeout.or(self.cfg.service.op_deadline));
+        if !self.lock().jobs.contains_key(&job) {
+            return Err(Refusal::Failed(format!("unknown job {job}")));
+        }
+        answer_snapshot(&self.snapshots, job, query, &budget).map_err(query_failure)
+    }
+
+    fn answer_kb(
+        &self,
+        kb: &KnowledgeBase,
+        cfg: &ChaseConfig,
+        query: &str,
+        node_limit: Option<usize>,
+        timeout: Option<Duration>,
+    ) -> Result<QueryReply, Refusal> {
+        self.lock().admitting()?;
+        let budget = query_budget(node_limit, timeout.or(self.cfg.service.op_deadline));
+        answer_adhoc(&self.snapshots, kb, cfg, query, &budget).map_err(query_failure)
+    }
+
+    fn status_reply(&self, job: JobId) -> Result<Fields, String> {
+        let st = self.lock();
+        let jb = st
+            .jobs
+            .get(&job)
+            .ok_or_else(|| format!("unknown job {job}"))?;
+        let mut fields = vec![
+            job_field(job),
+            ("status".to_string(), Json::str(wire_status(&jb.state))),
+            ("state".to_string(), Json::str(jb.state.label())),
+            ("epoch".to_string(), Json::Int(jb.epoch as i64)),
+            ("reschedules".to_string(), Json::Int(jb.reschedules as i64)),
+            (
+                "applications".to_string(),
+                Json::Int(jb.checkpoint.stats.applications as i64),
+            ),
+        ];
+        match &jb.state {
+            JobState::Leased { worker, .. } => {
+                fields.push(("worker".to_string(), Json::str(worker)));
+            }
+            JobState::Done {
+                outcome,
+                terminated,
+            } => {
+                fields.push(("outcome".to_string(), Json::str(outcome)));
+                fields.push(("terminated".to_string(), Json::Bool(*terminated)));
+            }
+            JobState::Failed { message } => {
+                fields.push(("message".to_string(), Json::str(message)));
+            }
+            JobState::Queued | JobState::Cancelled => {}
+        }
+        if !jb.queries.is_empty() {
+            fields.push((
+                "queries".to_string(),
+                Json::Arr(
+                    jb.queries
+                        .iter()
+                        .map(|(name, verdict)| {
+                            Json::obj([("name", Json::str(name)), ("verdict", Json::str(verdict))])
+                        })
+                        .collect(),
                 ),
-            ])
-        })
-        .collect();
-    let workers = st
-        .workers
-        .iter()
-        .map(|(name, seen)| {
-            Json::obj([
-                ("name", Json::str(name)),
-                (
-                    "seen_ms_ago",
-                    Json::Int(now.duration_since(*seen).as_millis() as i64),
-                ),
-            ])
-        })
-        .collect();
-    Ok(response(
-        "list",
+            ));
+        }
+        Ok(fields)
+    }
+
+    /// The `status` fields plus `timed_out`, once the job is terminal,
+    /// the deadline passes or the coordinator shuts down.
+    fn wait_reply(&self, job: JobId, timeout: Option<Duration>) -> Result<Fields, String> {
+        let deadline = timeout
+            .or(self.cfg.service.op_deadline)
+            .map(|t| Instant::now() + t);
+        loop {
+            let terminal = {
+                let st = self.lock();
+                let jb = st
+                    .jobs
+                    .get(&job)
+                    .ok_or_else(|| format!("unknown job {job}"))?;
+                jb.state.is_terminal()
+            };
+            let timed_out = !terminal
+                && (deadline.is_some_and(|d| Instant::now() >= d)
+                    || self.shutdown.load(Ordering::Acquire));
+            if terminal || timed_out {
+                let mut fields = self.status_reply(job)?;
+                fields.push(("timed_out".to_string(), Json::Bool(timed_out)));
+                return Ok(fields);
+            }
+            thread::sleep(Duration::from_millis(25));
+        }
+    }
+
+    fn list_reply(&self) -> Fields {
+        let st = self.lock();
+        let now = Instant::now();
+        let jobs = st
+            .jobs
+            .iter()
+            .map(|(&id, j)| {
+                Json::obj([
+                    ("job", Json::Int(id as i64)),
+                    ("name", Json::str(&j.checkpoint.name)),
+                    ("status", Json::str(wire_status(&j.state))),
+                    ("state", Json::str(j.state.label())),
+                    ("reschedules", Json::Int(j.reschedules as i64)),
+                    (
+                        "applications",
+                        Json::Int(j.checkpoint.stats.applications as i64),
+                    ),
+                ])
+            })
+            .collect();
+        let workers = st
+            .workers
+            .iter()
+            .map(|(name, seen)| {
+                Json::obj([
+                    ("name", Json::str(name)),
+                    (
+                        "seen_ms_ago",
+                        Json::Int(now.duration_since(*seen).as_millis() as i64),
+                    ),
+                ])
+            })
+            .collect();
         vec![
             ("jobs".to_string(), Json::Arr(jobs)),
             ("workers".to_string(), Json::Arr(workers)),
-        ],
-    ))
+        ]
+    }
+
+    /// Stops granting leases; the durable checkpoints already are the
+    /// drained state.
+    fn drain_reply(&self) -> Fields {
+        let mut st = self.lock();
+        st.draining = true;
+        let (queued, leased) = st.queued_and_leased();
+        vec![
+            ("queued".to_string(), Json::Int(queued as i64)),
+            ("leased".to_string(), Json::Int(leased as i64)),
+        ]
+    }
+
+    fn request_shutdown(&self) {
+        self.shutdown();
+    }
 }

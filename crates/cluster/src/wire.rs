@@ -10,11 +10,10 @@
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::TcpStream;
 
-use treechase_service::{parse_json, Json};
-
-/// Hard ceiling on one frame's payload, guarding both sides against a
-/// corrupt or hostile length header.
-pub const MAX_FRAME: usize = 64 << 20;
+// The frame ceiling is the service-wide request limit (a `serve` line
+// obeys the same one), guarding both sides against a corrupt or hostile
+// length header.
+use treechase_service::{parse_json, Json, MAX_FRAME};
 
 /// What one read attempt produced.
 #[derive(Debug)]

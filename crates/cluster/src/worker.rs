@@ -33,7 +33,9 @@ use std::time::{Duration, Instant};
 
 use chase_engine::ChaseOutcome;
 use treechase_service::protocol::{event_to_json, outcome_name, stats_to_json, verdict_name};
-use treechase_service::{Checkpoint, JobStatus, Json, Service, ServiceConfig, WaitResult};
+use treechase_service::{
+    Checkpoint, EventReceiver, JobId, JobSpec, JobStatus, Json, Service, ServiceConfig, WaitResult,
+};
 
 use crate::wire::roundtrip;
 
@@ -118,36 +120,66 @@ fn is_fenced(reply: &Json) -> bool {
     reply.get("op").and_then(Json::as_str) == Some("fenced")
 }
 
+/// One granted lease: the worker holding it and the fencing token the
+/// coordinator checks on every message about the job.
+struct Lease<'a> {
+    cfg: &'a WorkerConfig,
+    job: u64,
+    epoch: u64,
+}
+
+impl Lease<'_> {
+    /// `{"op":<op>,"worker":…,"job":…,"epoch":…}` followed by `extra`.
+    fn msg(&self, op: &str, extra: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+        let mut fields = vec![
+            ("op".to_string(), Json::str(op)),
+            ("worker".to_string(), Json::str(&self.cfg.name)),
+            ("job".to_string(), Json::Int(self.job as i64)),
+            ("epoch".to_string(), Json::Int(self.epoch as i64)),
+        ];
+        fields.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
+        Json::Obj(fields)
+    }
+
+    /// The `done` report of a run that cannot finish.
+    fn failed(&self, message: &str) -> Json {
+        self.msg(
+            "done",
+            [
+                ("status", Json::str("failed")),
+                ("message", Json::str(message)),
+            ],
+        )
+    }
+}
+
 /// Executes one leased job to completion, fencing, or drain.
 fn run_lease(
     conn: &mut TcpStream,
     cfg: &WorkerConfig,
     cadence: &Cadence,
-    lease: &Json,
+    grant: &Json,
     stop: &dyn Fn() -> bool,
 ) -> Result<(), String> {
-    let job = lease.require_u64("job")?;
-    let epoch = lease.require_u64("epoch")?;
-    let ck = Checkpoint::from_json(lease.require("checkpoint")?)?;
+    let lease = Lease {
+        cfg,
+        job: grant.require_u64("job")?,
+        epoch: grant.require_u64("epoch")?,
+    };
+    let ck = Checkpoint::from_json(grant.require("checkpoint")?)?;
     if cfg.announce {
-        println!(
-            "{}",
-            Json::obj([
-                ("op", Json::str("worker-lease")),
-                ("worker", Json::str(&cfg.name)),
-                ("job", Json::Int(job as i64)),
-                ("epoch", Json::Int(epoch as i64)),
-                ("applications", Json::Int(ck.stats.applications as i64),),
-            ])
-        );
+        let apps = Json::Int(ck.stats.applications as i64);
+        println!("{}", lease.msg("worker-lease", [("applications", apps)]));
     }
     // Every lease travels as a checkpoint; a spec that does not parse
     // is a permanent failure, not a reschedulable one.
     let mut spec = match ck.into_spec() {
         Ok(spec) => spec,
         Err(e) => {
-            let done = done_failed(cfg, job, epoch, &format!("checkpoint does not parse: {e}"));
-            roundtrip(conn, &done)?;
+            roundtrip(
+                conn,
+                &lease.failed(&format!("checkpoint does not parse: {e}")),
+            )?;
             return Ok(());
         }
     };
@@ -164,8 +196,7 @@ fn run_lease(
     let local = match svc.try_submit(spec) {
         Ok(id) => id,
         Err(rej) => {
-            let done = done_failed(cfg, job, epoch, &rej.message);
-            roundtrip(conn, &done)?;
+            roundtrip(conn, &lease.failed(&rej.message))?;
             return Ok(());
         }
     };
@@ -175,19 +206,16 @@ fn run_lease(
     // the local service's state lock — and the lease must stay alive
     // through all of it. The side channel also learns about fences
     // first, which the main loop checks every tick.
-    let hb = Heartbeater::spawn(cfg, cadence, job, epoch);
-    let mut shipped_apps = ck.stats.applications;
+    let hb = Heartbeater::spawn(&cfg.connect, lease.msg("heartbeat", []), cadence.heartbeat);
     let out = run_lease_loop(
         conn,
-        cfg,
+        &lease,
         cadence,
-        job,
-        epoch,
         &svc,
         &spec_for_capture,
         local,
         &events,
-        &mut shipped_apps,
+        ck.stats.applications,
         &hb,
         stop,
     );
@@ -204,12 +232,10 @@ struct Heartbeater {
 }
 
 impl Heartbeater {
-    fn spawn(cfg: &WorkerConfig, cadence: &Cadence, job: u64, epoch: u64) -> Heartbeater {
+    fn spawn(connect: &str, heartbeat: Json, interval: Duration) -> Heartbeater {
         let stop = Arc::new(AtomicBool::new(false));
         let fenced = Arc::new(AtomicBool::new(false));
-        let connect = cfg.connect.clone();
-        let name = cfg.name.clone();
-        let interval = cadence.heartbeat;
+        let connect = connect.to_string();
         let handle = {
             let stop = Arc::clone(&stop);
             let fenced = Arc::clone(&fenced);
@@ -218,14 +244,8 @@ impl Heartbeater {
                     return;
                 };
                 let _ = conn.set_read_timeout(Some(Duration::from_millis(250)));
-                let msg = Json::obj([
-                    ("op", Json::str("heartbeat")),
-                    ("worker", Json::str(&name)),
-                    ("job", Json::Int(job as i64)),
-                    ("epoch", Json::Int(epoch as i64)),
-                ]);
                 while !stop.load(Ordering::Acquire) {
-                    match roundtrip(&mut conn, &msg) {
+                    match roundtrip(&mut conn, &heartbeat) {
                         Ok(reply) if is_fenced(&reply) => {
                             fenced.store(true, Ordering::Release);
                             return;
@@ -264,15 +284,13 @@ impl Heartbeater {
 #[allow(clippy::too_many_arguments)]
 fn run_lease_loop(
     conn: &mut TcpStream,
-    cfg: &WorkerConfig,
+    lease: &Lease,
     cadence: &Cadence,
-    job: u64,
-    epoch: u64,
     svc: &Service,
-    spec_for_capture: &treechase_service::JobSpec,
-    local: treechase_service::JobId,
-    events: &treechase_service::EventReceiver,
-    shipped_apps: &mut usize,
+    spec_for_capture: &JobSpec,
+    local: JobId,
+    events: &EventReceiver,
+    mut shipped_apps: usize,
     hb: &Heartbeater,
     stop: &dyn Fn() -> bool,
 ) -> Result<(), String> {
@@ -283,75 +301,45 @@ fn run_lease_loop(
         }
         match svc.wait_timeout(local, Some(cadence.heartbeat)) {
             WaitResult::TimedOut(_) => {
-                forward_events(conn, cfg, job, epoch, events)?;
+                forward_events(conn, lease, events)?;
                 if stop() {
                     // Drain: the running slice checkpoints and halts;
                     // hand the lease back with that progress.
                     svc.drain(None);
-                    let mut release = vec![
-                        ("op".to_string(), Json::str("release")),
-                        ("worker".to_string(), Json::str(&cfg.name)),
-                        ("job".to_string(), Json::Int(job as i64)),
-                        ("epoch".to_string(), Json::Int(epoch as i64)),
-                    ];
-                    if let Some(cur) = svc.checkpoint_of(local) {
-                        release.push(("checkpoint".to_string(), cur.to_json()));
-                    }
-                    roundtrip(conn, &Json::Obj(release))?;
+                    let progress = svc
+                        .checkpoint_of(local)
+                        .map(|cur| ("checkpoint", cur.to_json()));
+                    roundtrip(conn, &lease.msg("release", progress))?;
                     return Ok(());
                 }
                 // Ship progress when there is any — a landed checkpoint
                 // extends the lease like a heartbeat would; otherwise
                 // heartbeat explicitly.
-                let reply = match svc.checkpoint_of(local) {
-                    Some(cur) if cur.stats.applications > *shipped_apps => {
-                        let apps = cur.stats.applications;
-                        let msg = Json::obj([
-                            ("op", Json::str("checkpoint")),
-                            ("worker", Json::str(&cfg.name)),
-                            ("job", Json::Int(job as i64)),
-                            ("epoch", Json::Int(epoch as i64)),
-                            ("checkpoint", cur.to_json()),
-                        ]);
-                        let reply = roundtrip(conn, &msg)?;
-                        *shipped_apps = apps;
-                        reply
+                let msg = match svc.checkpoint_of(local) {
+                    Some(cur) if cur.stats.applications > shipped_apps => {
+                        shipped_apps = cur.stats.applications;
+                        lease.msg("checkpoint", [("checkpoint", cur.to_json())])
                     }
-                    _ => {
-                        let msg = Json::obj([
-                            ("op", Json::str("heartbeat")),
-                            ("worker", Json::str(&cfg.name)),
-                            ("job", Json::Int(job as i64)),
-                            ("epoch", Json::Int(epoch as i64)),
-                        ]);
-                        roundtrip(conn, &msg)?
-                    }
+                    _ => lease.msg("heartbeat", []),
                 };
-                if is_fenced(&reply) {
+                if is_fenced(&roundtrip(conn, &msg)?) {
                     abort_local(svc, local);
                     return Ok(());
                 }
             }
             WaitResult::Terminal(status) => {
-                forward_events(conn, cfg, job, epoch, events)?;
+                forward_events(conn, lease, events)?;
                 let done = match status {
-                    JobStatus::Finished => {
-                        done_report(cfg, svc, spec_for_capture, job, epoch, local)
+                    JobStatus::Finished => done_report(lease, svc, spec_for_capture, local),
+                    other => {
+                        Some(lease.failed(&format!("local job ended {other:?} without a result")))
                     }
-                    other => Some(done_failed(
-                        cfg,
-                        job,
-                        epoch,
-                        &format!("local job ended {other:?} without a result"),
-                    )),
                 };
-                let done = done
-                    .unwrap_or_else(|| done_failed(cfg, job, epoch, "finished job has no result"));
-                let reply = roundtrip(conn, &done)?;
+                let done = done.unwrap_or_else(|| lease.failed("finished job has no result"));
                 // A fenced done means the lease was rescheduled while we
                 // finished: the other replay's report wins, ours is
                 // discarded — exactly the no-double-count guarantee.
-                let _ = reply;
+                roundtrip(conn, &done)?;
                 return Ok(());
             }
             WaitResult::Unknown => return Err(format!("local job {local} disappeared")),
@@ -362,40 +350,20 @@ fn run_lease_loop(
 /// Forwards buffered local job events upstream (observability only).
 fn forward_events(
     conn: &mut TcpStream,
-    cfg: &WorkerConfig,
-    job: u64,
-    epoch: u64,
-    events: &treechase_service::EventReceiver,
+    lease: &Lease,
+    events: &EventReceiver,
 ) -> Result<(), String> {
     while let Some(ev) = events.try_recv() {
-        let msg = Json::obj([
-            ("op", Json::str("event")),
-            ("worker", Json::str(&cfg.name)),
-            ("job", Json::Int(job as i64)),
-            ("epoch", Json::Int(epoch as i64)),
-            ("event", event_to_json(&ev)),
-        ]);
-        roundtrip(conn, &msg)?;
+        roundtrip(conn, &lease.msg("event", [("event", event_to_json(&ev))]))?;
     }
     Ok(())
 }
 
 /// Cancels the local run after a fence — whatever it would still
 /// derive no longer counts for anyone.
-fn abort_local(svc: &Service, local: treechase_service::JobId) {
+fn abort_local(svc: &Service, local: JobId) {
     svc.cancel(local);
     svc.wait_timeout(local, Some(Duration::from_secs(5)));
-}
-
-fn done_failed(cfg: &WorkerConfig, job: u64, epoch: u64, message: &str) -> Json {
-    Json::obj([
-        ("op", Json::str("done")),
-        ("worker", Json::str(&cfg.name)),
-        ("job", Json::Int(job as i64)),
-        ("epoch", Json::Int(epoch as i64)),
-        ("status", Json::str("failed")),
-        ("message", Json::str(message)),
-    ])
 }
 
 /// Builds the `done` report from the finished local job: outcome,
@@ -403,14 +371,7 @@ fn done_failed(cfg: &WorkerConfig, job: u64, epoch: u64, message: &str) -> Json 
 /// for a terminated run captured from the final instance (the
 /// coordinator serves `complete` queries from it), for a budget stop
 /// the runner's own resume checkpoint.
-fn done_report(
-    cfg: &WorkerConfig,
-    svc: &Service,
-    spec: &treechase_service::JobSpec,
-    job: u64,
-    epoch: u64,
-    local: treechase_service::JobId,
-) -> Option<Json> {
+fn done_report(lease: &Lease, svc: &Service, spec: &JobSpec, local: JobId) -> Option<Json> {
     svc.with_result(local, |r| {
         let terminated = r.outcome == ChaseOutcome::Terminated;
         let final_ck = r.checkpoint.clone().unwrap_or_else(|| {
@@ -426,29 +387,28 @@ fn done_report(
                 ])
             })
             .collect();
-        if cfg.announce {
+        if lease.cfg.announce {
             println!(
                 "{}",
                 Json::obj([
                     ("op", Json::str("worker-done")),
-                    ("worker", Json::str(&cfg.name)),
-                    ("job", Json::Int(job as i64)),
+                    ("worker", Json::str(&lease.cfg.name)),
+                    ("job", Json::Int(lease.job as i64)),
                     ("outcome", Json::str(outcome_name(r.outcome))),
-                    ("applications", Json::Int(r.stats.applications as i64),),
+                    ("applications", Json::Int(r.stats.applications as i64)),
                 ])
             );
         }
-        Json::obj([
-            ("op", Json::str("done")),
-            ("worker", Json::str(&cfg.name)),
-            ("job", Json::Int(job as i64)),
-            ("epoch", Json::Int(epoch as i64)),
-            ("status", Json::str("ok")),
-            ("outcome", Json::str(outcome_name(r.outcome))),
-            ("terminated", Json::Bool(terminated)),
-            ("stats", stats_to_json(&r.stats)),
-            ("queries", Json::Arr(queries)),
-            ("checkpoint", final_ck.to_json()),
-        ])
+        lease.msg(
+            "done",
+            [
+                ("status", Json::str("ok")),
+                ("outcome", Json::str(outcome_name(r.outcome))),
+                ("terminated", Json::Bool(terminated)),
+                ("stats", stats_to_json(&r.stats)),
+                ("queries", Json::Arr(queries)),
+                ("checkpoint", final_ck.to_json()),
+            ],
+        )
     })
 }

@@ -3,7 +3,7 @@
 use chase_atoms::{AtomSet, Vocabulary};
 use chase_core::KnowledgeBase;
 use chase_engine::{ChaseConfig, ChaseOutcome, ChaseStats, Derivation};
-use chase_parser::{parse_program, parse_program_trusted};
+use chase_parser::{parse_program, parse_program_trusted, Program};
 
 use crate::checkpoint::Checkpoint;
 
@@ -133,22 +133,7 @@ impl JobSpec {
         config: ChaseConfig,
     ) -> Result<Self, String> {
         let prog = parse_program(source).map_err(|e| e.to_string())?;
-        let (kb, queries) = KnowledgeBase::from_program(prog);
-        Ok(JobSpec {
-            name: name.into(),
-            kb,
-            queries,
-            config,
-            tw_sample_interval: None,
-            progress_every: 1,
-            checkpoint_every: None,
-            priority: Priority::default(),
-            submitter: None,
-            auto_strategy: false,
-            auto_budgets: false,
-            base_stats: ChaseStats::default(),
-            resumed_inexact: false,
-        })
+        Ok(JobSpec::from_program(name, prog, config))
     }
 
     /// Like [`JobSpec::from_text`], but for printer-produced checkpoint
@@ -159,22 +144,15 @@ impl JobSpec {
         config: ChaseConfig,
     ) -> Result<Self, String> {
         let prog = parse_program_trusted(source).map_err(|e| e.to_string())?;
+        Ok(JobSpec::from_program(name, prog, config))
+    }
+
+    fn from_program(name: impl Into<String>, prog: Program, config: ChaseConfig) -> Self {
         let (kb, queries) = KnowledgeBase::from_program(prog);
-        Ok(JobSpec {
-            name: name.into(),
-            kb,
+        JobSpec {
             queries,
-            config,
-            tw_sample_interval: None,
-            progress_every: 1,
-            checkpoint_every: None,
-            priority: Priority::default(),
-            submitter: None,
-            auto_strategy: false,
-            auto_budgets: false,
-            base_stats: ChaseStats::default(),
-            resumed_inexact: false,
-        })
+            ..JobSpec::from_kb(name, kb, config)
+        }
     }
 
     /// Builds a job from an in-memory knowledge base (the path used by

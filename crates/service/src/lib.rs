@@ -25,13 +25,15 @@
 //!   or injected via [`chase_engine::FaultPlan`] — are supervised with
 //!   bounded retries from the last checkpoint.
 //!
-//! The wire protocol lives in [`protocol`]; the hand-rolled JSON layer in
+//! The wire protocol lives in [`protocol`], and [`handler`] answers its
+//! client ops for every transport; the hand-rolled JSON layer in
 //! [`json`] keeps the crate dependency-free.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod handler;
 pub mod job;
 pub mod json;
 pub mod protocol;
@@ -39,6 +41,7 @@ pub mod runner;
 pub mod store;
 
 pub use checkpoint::Checkpoint;
+pub use handler::{handle, Backend, Fields, Refusal, MAX_FRAME};
 pub use job::{add_stats, JobId, JobResult, JobSpec, JobStatus, Priority, QueryVerdict};
 pub use json::{parse_json, Json};
 pub use protocol::{
@@ -46,8 +49,8 @@ pub use protocol::{
     rejection_to_json, Request,
 };
 pub use runner::{
-    apply_admission_gate, Admission, DrainReport, EventReceiver, JobEvent, JobEventKind,
-    JobSummary, QueryError, QueryReply, RejectReason, Rejection, Service, ServiceConfig,
-    WaitResult,
+    answer_adhoc, answer_snapshot, apply_admission_gate, query_budget, Admission, DrainReport,
+    EventReceiver, JobEvent, JobEventKind, JobSummary, QueryError, QueryReply, RejectReason,
+    Rejection, Service, ServiceConfig, WaitResult,
 };
 pub use store::{CheckpointStore, CorruptEntry};

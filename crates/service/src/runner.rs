@@ -427,6 +427,22 @@ impl EventHub {
         self.cv.notify_all();
     }
 
+    /// The `finished` event of a job cancelled before it ever ran.
+    fn emit_cancelled(&self, job: JobId, name: String) {
+        self.emit(JobEvent {
+            job,
+            name,
+            kind: JobEventKind::Finished {
+                status: JobStatus::Cancelled,
+                outcome: ChaseOutcome::Cancelled,
+                applications: 0,
+                atoms: 0,
+                resumable: false,
+                wall_ms: 0,
+            },
+        });
+    }
+
     fn close(&self) {
         self.state.lock().expect("event hub poisoned").closed = true;
         self.cv.notify_all();
@@ -507,6 +523,16 @@ struct State {
     /// Raised by [`Service::drain`]: nothing new is admitted and the
     /// workers stop picking (idle until shutdown).
     draining: bool,
+}
+
+impl State {
+    /// Jobs waiting for a worker.
+    fn queued(&self) -> usize {
+        self.jobs
+            .values()
+            .filter(|e| e.status == JobStatus::Queued)
+            .count()
+    }
 }
 
 struct Inner {
@@ -626,6 +652,64 @@ pub struct QueryReply {
     pub snapshot_age_ms: Option<u64>,
     /// Service-wide cache counters as of this reply.
     pub cache: CacheStats,
+}
+
+/// The budget every query runs under: the caller's node limit plus a
+/// deadline `timeout` from now (the explicit timeout, or else the
+/// operation deadline), so a query can never outlive its operation.
+pub fn query_budget(node_limit: Option<usize>, timeout: Option<Duration>) -> SearchBudget {
+    let mut budget = SearchBudget::unlimited();
+    if let Some(n) = node_limit {
+        budget = budget.with_node_limit(n);
+    }
+    if let Some(d) = timeout {
+        budget = budget.with_deadline(Instant::now() + d);
+    }
+    budget
+}
+
+/// Answers a CQ/UCQ from job `id`'s newest snapshot in `cache`: the
+/// read path of both the in-process service and the cluster
+/// coordinator. The snapshot is shared by `Arc`, so the read never
+/// blocks the writer publishing the next one.
+pub fn answer_snapshot(
+    cache: &SnapshotCache,
+    id: JobId,
+    query: &str,
+    budget: &SearchBudget,
+) -> Result<QueryReply, QueryError> {
+    let view = cache.view(id).ok_or(QueryError::NoSnapshot(id))?;
+    let outcome = answer_view(&view, query, budget).map_err(QueryError::Parse)?;
+    cache.add_answers_served(outcome.answers.len() as u64);
+    Ok(QueryReply {
+        outcome,
+        job: Some(id),
+        sequence: Some(view.sequence),
+        applications: Some(view.applications),
+        snapshot_age_ms: Some(view.captured.elapsed().as_millis() as u64),
+        cache: cache.stats(),
+    })
+}
+
+/// Answers a CQ/UCQ by a budgeted chase of an ad-hoc KB on the caller's
+/// thread, counting the answers served in `cache`.
+pub fn answer_adhoc(
+    cache: &SnapshotCache,
+    kb: &KnowledgeBase,
+    cfg: &ChaseConfig,
+    query: &str,
+    budget: &SearchBudget,
+) -> Result<QueryReply, QueryError> {
+    let outcome = answer_kb(kb, query, cfg, budget).map_err(QueryError::Parse)?;
+    cache.add_answers_served(outcome.answers.len() as u64);
+    Ok(QueryReply {
+        outcome,
+        job: None,
+        sequence: None,
+        applications: None,
+        snapshot_age_ms: None,
+        cache: cache.stats(),
+    })
 }
 
 impl Service {
@@ -750,6 +834,8 @@ impl Service {
 
     /// Inserts the job into the table and queue. Caller holds the lock;
     /// the `Queued` event is the caller's to emit after releasing it.
+    /// An unnamed job is named `job-<id>` here, where its id is minted,
+    /// so concurrent submits can never share a default name.
     fn enqueue_locked(&self, st: &mut State, mut spec: JobSpec) -> (JobId, String) {
         // No admitted job runs forever: jobs without their own wall
         // budget inherit the service-level deadline.
@@ -758,6 +844,9 @@ impl Service {
         }
         let id = st.next_id;
         st.next_id += 1;
+        if spec.name.is_empty() {
+            spec.name = format!("job-{id}");
+        }
         let name = spec.name.clone();
         let priority = spec.priority;
         let submitter = spec.submitter.clone();
@@ -808,11 +897,7 @@ impl Service {
                 retry_after: None,
             });
         }
-        let queued = st
-            .jobs
-            .values()
-            .filter(|e| e.status == JobStatus::Queued)
-            .count();
+        let queued = st.queued();
         if let Some(cap) = self.inner.cfg.max_queue {
             if queued >= cap {
                 // Backoff scales with the backlog so a retry storm
@@ -899,18 +984,7 @@ impl Service {
                 drop(st);
                 drop(spec);
                 self.inner.cv.notify_all();
-                self.inner.hub.emit(JobEvent {
-                    job: id,
-                    name,
-                    kind: JobEventKind::Finished {
-                        status: JobStatus::Cancelled,
-                        outcome: ChaseOutcome::Cancelled,
-                        applications: 0,
-                        atoms: 0,
-                        resumable: false,
-                        wall_ms: 0,
-                    },
-                });
+                self.inner.hub.emit_cancelled(id, name);
                 true
             }
             JobStatus::Running => {
@@ -1042,11 +1116,7 @@ impl Service {
             });
         }
         if let Some(cap) = self.inner.cfg.max_queue {
-            let queued = st
-                .jobs
-                .values()
-                .filter(|e| e.status == JobStatus::Queued)
-                .count();
+            let queued = st.queued();
             if queued >= cap {
                 let backoff = (100 * queued as u64).clamp(100, 5_000);
                 return Err(Rejection {
@@ -1059,25 +1129,6 @@ impl Service {
             }
         }
         Ok(())
-    }
-
-    /// The budget every query runs under: the caller's node limit plus a
-    /// deadline from the explicit timeout or the service's
-    /// `--op-deadline`, so a query can never outlive its operation
-    /// deadline.
-    fn query_search_budget(
-        &self,
-        node_limit: Option<usize>,
-        timeout: Option<Duration>,
-    ) -> SearchBudget {
-        let mut budget = SearchBudget::unlimited();
-        if let Some(n) = node_limit {
-            budget = budget.with_node_limit(n);
-        }
-        if let Some(d) = timeout.or(self.inner.cfg.op_deadline) {
-            budget = budget.with_deadline(Instant::now() + d);
-        }
-        budget
     }
 
     /// Answers a CQ/UCQ against a job's newest materialization snapshot
@@ -1102,30 +1153,15 @@ impl Service {
                 return Err(QueryError::UnknownJob(id));
             }
         }
-        let view = self
-            .inner
-            .snapshots
-            .view(id)
-            .ok_or(QueryError::NoSnapshot(id))?;
-        let budget = self.query_search_budget(node_limit, timeout);
-        let outcome = answer_view(&view, query, &budget).map_err(QueryError::Parse)?;
-        self.inner
-            .snapshots
-            .add_answers_served(outcome.answers.len() as u64);
+        let budget = query_budget(node_limit, timeout.or(self.inner.cfg.op_deadline));
+        let reply = answer_snapshot(&self.inner.snapshots, id, query, &budget)?;
         {
             let mut st = self.inner.state.lock().expect("state lock poisoned");
             if let Some(entry) = st.jobs.get_mut(&id) {
                 entry.queries_served += 1;
             }
         }
-        Ok(QueryReply {
-            outcome,
-            job: Some(id),
-            sequence: Some(view.sequence),
-            applications: Some(view.applications),
-            snapshot_age_ms: Some(view.captured.elapsed().as_millis() as u64),
-            cache: self.inner.snapshots.stats(),
-        })
+        Ok(reply)
     }
 
     /// Answers a CQ/UCQ against an ad-hoc knowledge base by running a
@@ -1140,19 +1176,8 @@ impl Service {
         timeout: Option<Duration>,
     ) -> Result<QueryReply, QueryError> {
         self.admit_query().map_err(QueryError::Rejected)?;
-        let budget = self.query_search_budget(node_limit, timeout);
-        let outcome = answer_kb(kb, query, cfg, &budget).map_err(QueryError::Parse)?;
-        self.inner
-            .snapshots
-            .add_answers_served(outcome.answers.len() as u64);
-        Ok(QueryReply {
-            outcome,
-            job: None,
-            sequence: None,
-            applications: None,
-            snapshot_age_ms: None,
-            cache: self.inner.snapshots.stats(),
-        })
+        let budget = query_budget(node_limit, timeout.or(self.inner.cfg.op_deadline));
+        answer_adhoc(&self.inner.snapshots, kb, cfg, query, &budget)
     }
 
     /// Service-wide query-cache counters.
@@ -1194,18 +1219,7 @@ impl Service {
         };
         self.inner.cv.notify_all();
         for (id, name) in &cancelled {
-            self.inner.hub.emit(JobEvent {
-                job: *id,
-                name: name.clone(),
-                kind: JobEventKind::Finished {
-                    status: JobStatus::Cancelled,
-                    outcome: ChaseOutcome::Cancelled,
-                    applications: 0,
-                    atoms: 0,
-                    resumable: false,
-                    wall_ms: 0,
-                },
-            });
+            self.inner.hub.emit_cancelled(*id, name.clone());
         }
 
         let deadline = Instant::now() + grace;

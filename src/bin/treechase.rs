@@ -42,9 +42,10 @@
 //! a flag passed to a subcommand that does not accept it is a usage
 //! error. All usage errors exit with status 2.
 
-use std::io::{BufRead, Write as _};
+use std::io::{BufRead, Read as _, Write as _};
 use std::process::ExitCode;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use treechase::analysis::{critical_instance_test, CriticalOutcome};
@@ -52,9 +53,11 @@ use treechase::core::{analyze_kb_with, ProbeConfig};
 use treechase::engine::dot::instance_dot;
 use treechase::homomorphism::SearchBudget;
 use treechase::prelude::*;
-use treechase::service::protocol::{self, event_to_json, parse_request, result_to_json, Request};
+use treechase::service::handler::{drain_fields, error};
+use treechase::service::protocol::{self, event_to_json, parse_request, Request};
 use treechase::service::{
-    parse_fault_plan, parse_json, Checkpoint, JobSpec, JobStatus, Json, Service, ServiceConfig,
+    handle, parse_fault_plan, parse_json, JobSpec, JobStatus, Json, Service, ServiceConfig,
+    MAX_FRAME,
 };
 
 /// Parsed command line: the subcommand's positional operands plus every
@@ -712,30 +715,13 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes one JSONL line to stdout under the shared lock (events from
-/// the forwarder thread interleave with responses from the request
-/// loop, but never mid-line).
-fn emit_line(lock: &Mutex<()>, line: &Json) {
-    let _guard = lock.lock().expect("stdout lock poisoned");
+/// Writes one JSONL line to stdout. Holding the stdout lock for the
+/// whole write keeps events from the forwarder thread and replies from
+/// the request loop from interleaving mid-line.
+fn emit_line(line: &Json) {
     let mut out = std::io::stdout().lock();
     let _ = writeln!(out, "{line}");
     let _ = out.flush();
-}
-
-fn response(op: &str, fields: Vec<(String, Json)>) -> Json {
-    let mut obj = vec![
-        ("type".to_string(), Json::str("response")),
-        ("op".to_string(), Json::str(op)),
-    ];
-    obj.extend(fields);
-    Json::Obj(obj)
-}
-
-fn error_response(message: &str) -> Json {
-    Json::obj([
-        ("type", Json::str("error")),
-        ("message", Json::str(message)),
-    ])
 }
 
 /// The supervision/persistence/overload configuration shared by `serve`
@@ -792,280 +778,14 @@ fn report_recovery(svc: &Service) -> Vec<treechase::service::JobId> {
     svc.recovered_jobs().to_vec()
 }
 
-/// Builds the spec for a `resume` request. By default the new slice
-/// continues the derivation's remaining budgets; an explicit budget on
-/// the request replaces the corresponding carry-over with a fresh one.
-fn resume_spec(
-    checkpoint: &Checkpoint,
-    max_applications: Option<usize>,
-    max_wall_ms: Option<u64>,
-) -> Result<JobSpec, String> {
-    let mut spec = checkpoint.into_spec()?;
-    if let Some(n) = max_applications {
-        spec.config.max_applications = n;
-    }
-    if let Some(ms) = max_wall_ms {
-        spec.config.max_wall = Some(Duration::from_millis(ms));
-        // A fresh wall budget starts from zero; without this the new
-        // slice would still be charged for the prefix's wall time.
-        spec.config.consumed_wall = Duration::ZERO;
-    }
-    Ok(spec)
-}
-
-fn handle_request(svc: &Service, args: &Args, req: Request) -> Result<Json, String> {
-    match req {
-        Request::Submit {
-            name,
-            source,
-            kb,
-            mut config,
-            tw_sample_interval,
-            progress_every,
-            checkpoint_every,
-            priority,
-            submitter,
-            auto_strategy,
-            auto_budgets,
-        } => {
-            apply_mem_defaults(&mut config, args);
-            let mut spec = match (&source, &kb) {
-                (Some(src), None) => JobSpec::from_text(name.unwrap_or_default(), src, *config)?,
-                (None, Some(kb_name)) => {
-                    let base = treechase::service::named_kb(kb_name)?;
-                    let mut spec =
-                        JobSpec::from_kb(name.unwrap_or_else(|| kb_name.clone()), base, *config);
-                    if spec.name.is_empty() {
-                        spec.name = kb_name.clone();
-                    }
-                    spec
-                }
-                // parse_request enforces exactly-one; keep a defensive
-                // error for in-process callers.
-                _ => return Err("submit takes exactly one of `source` / `kb`".to_string()),
-            };
-            if let Some(every) = tw_sample_interval {
-                spec = spec.with_tw_samples(every);
-            }
-            if let Some(every) = progress_every {
-                spec = spec.with_progress_every(every);
-            }
-            if let Some(every) = checkpoint_every {
-                spec = spec.with_checkpoint_every(every);
-            }
-            spec = spec.with_priority(priority);
-            spec.submitter = submitter;
-            spec.auto_strategy = auto_strategy;
-            spec.auto_budgets = auto_budgets;
-            if spec.name.is_empty() {
-                // Ids are minted densely from 1 and entries are never
-                // removed, so the next id is the table size plus one.
-                spec.name = format!("job-{}", svc.list().len() + 1);
-            }
-            let rules = spec.kb.rules.clone();
-            match svc.submit_analyzed(spec) {
-                Ok((id, admission)) => {
-                    let mut fields = vec![("job".to_string(), Json::Int(id as i64))];
-                    // Fully-pinned submits skip the gate; the reply then
-                    // carries no analysis block.
-                    if let Some(gate) = &admission.gate {
-                        fields.push((
-                            "analysis".to_string(),
-                            protocol::analysis_to_json(gate, &rules),
-                        ));
-                        fields.push((
-                            "strategy_applied".to_string(),
-                            Json::Bool(admission.strategy_applied),
-                        ));
-                        fields.push((
-                            "budgets_tightened".to_string(),
-                            Json::Bool(admission.budgets_tightened),
-                        ));
-                    }
-                    Ok(response("submit", fields))
-                }
-                Err(rej) => Ok(treechase::service::rejection_to_json("submit", &rej)),
-            }
-        }
-        Request::Resume {
-            checkpoint,
-            max_applications,
-            max_wall_ms,
-        } => {
-            let spec = resume_spec(&checkpoint, max_applications, max_wall_ms)?;
-            match svc.try_submit(spec) {
-                Ok(id) => Ok(response(
-                    "resume",
-                    vec![
-                        ("job".to_string(), Json::Int(id as i64)),
-                        ("exact".to_string(), Json::Bool(checkpoint.exact())),
-                    ],
-                )),
-                Err(rej) => Ok(treechase::service::rejection_to_json("resume", &rej)),
-            }
-        }
-        Request::Cancel { job } => {
-            let ok = svc.cancel(job);
-            Ok(response(
-                "cancel",
-                vec![
-                    ("job".to_string(), Json::Int(job as i64)),
-                    ("cancelled".to_string(), Json::Bool(ok)),
-                ],
-            ))
-        }
-        Request::Status { job } => {
-            let status = svc
-                .status(job)
-                .ok_or_else(|| format!("unknown job {job}"))?;
-            Ok(response(
-                "status",
-                vec![
-                    ("job".to_string(), Json::Int(job as i64)),
-                    (
-                        "status".to_string(),
-                        Json::str(protocol::status_name(&status)),
-                    ),
-                ],
-            ))
-        }
-        Request::Wait { job, timeout_ms } => {
-            // An explicit timeout wins; otherwise the service-level
-            // --op-deadline applies; with neither, blocks indefinitely.
-            let (status, timed_out) =
-                match svc.wait_timeout(job, timeout_ms.map(Duration::from_millis)) {
-                    treechase::service::WaitResult::Terminal(s) => (s, false),
-                    treechase::service::WaitResult::TimedOut(s) => (s, true),
-                    treechase::service::WaitResult::Unknown => {
-                        return Err(format!("unknown job {job}"))
-                    }
-                };
-            let name = svc
-                .list()
-                .into_iter()
-                .find(|r| r.id == job)
-                .map(|r| r.name)
-                .unwrap_or_default();
-            let mut fields = vec![
-                ("job".to_string(), Json::Int(job as i64)),
-                (
-                    "status".to_string(),
-                    Json::str(protocol::status_name(&status)),
-                ),
-                ("timed_out".to_string(), Json::Bool(timed_out)),
-            ];
-            if !timed_out {
-                if let Some(r) = svc.with_result(job, |r| result_to_json(job, &name, r)) {
-                    fields.push(("result".to_string(), r));
-                }
-            }
-            Ok(response("wait", fields))
-        }
-        Request::Checkpoint { job } => {
-            // Falls back from the final result's checkpoint to the last
-            // periodic capture, so even a job that crashed out past its
-            // retry budget hands back its durable progress.
-            let ck = svc
-                .checkpoint_of(job)
-                .ok_or_else(|| format!("job {job} has no checkpoint"))?;
-            Ok(response(
-                "checkpoint",
-                vec![
-                    ("job".to_string(), Json::Int(job as i64)),
-                    ("checkpoint".to_string(), ck.to_json()),
-                ],
-            ))
-        }
-        Request::Query {
-            job,
-            kb,
-            source,
-            query,
-            config,
-            node_limit,
-            timeout_ms,
-        } => {
-            let timeout = timeout_ms.map(Duration::from_millis);
-            let reply = if let Some(id) = job {
-                svc.query_job(id, &query, node_limit, timeout)
-            } else {
-                let base = match (&kb, &source) {
-                    (Some(kb_name), None) => treechase::service::named_kb(kb_name)?,
-                    (None, Some(src)) => {
-                        JobSpec::from_text(String::new(), src, (*config).clone())?.kb
-                    }
-                    // parse_request enforces exactly-one; keep a
-                    // defensive error for in-process callers.
-                    _ => {
-                        return Err("query takes exactly one of `job` / `kb` / `source`".to_string())
-                    }
-                };
-                svc.query_kb(&base, &config, &query, node_limit, timeout)
-            };
-            match reply {
-                Ok(r) => Ok(protocol::query_reply_to_json(&r)),
-                Err(treechase::service::QueryError::Rejected(rej)) => {
-                    Ok(treechase::service::rejection_to_json("query", &rej))
-                }
-                Err(e) => Err(e.to_string()),
-            }
-        }
-        Request::List => Ok(response(
-            "list",
-            vec![(
-                "jobs".to_string(),
-                Json::Arr(
-                    svc.list()
-                        .into_iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("job", Json::Int(r.id as i64)),
-                                ("name", Json::str(&r.name)),
-                                ("status", Json::str(protocol::status_name(&r.status))),
-                                ("events_dropped", Json::Int(r.events_dropped as i64)),
-                                ("queries_served", Json::Int(r.queries_served as i64)),
-                                (
-                                    "snapshot_age_ms",
-                                    r.snapshot_age_ms
-                                        .map_or(Json::Null, |ms| Json::Int(ms as i64)),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            )],
-        )),
-        Request::Drain => {
-            let report = svc.drain(None);
-            Ok(response("drain", drain_fields(&report)))
-        }
-        Request::Shutdown => Ok(response("shutdown", Vec::new())),
-    }
-}
-
-/// The wire rendering of a [`DrainReport`] (shared by the `drain` op
-/// response and the SIGTERM-driven `drained` line).
-fn drain_fields(report: &treechase::service::DrainReport) -> Vec<(String, Json)> {
-    vec![
-        (
-            "cancelled_queued".to_string(),
-            Json::Int(report.cancelled_queued as i64),
-        ),
-        (
-            "checkpointed".to_string(),
-            Json::Int(report.checkpointed as i64),
-        ),
-        ("timed_out".to_string(), Json::Int(report.timed_out as i64)),
-    ]
-}
-
-/// SIGTERM handling for graceful drain, without any external crate: the
-/// C handler only flips an atomic; a watcher thread polls it and runs
-/// the drain sequence outside signal context.
+/// SIGTERM handling without any external crate: the C handler only
+/// flips an atomic, which callers poll through [`sigterm::received`] or
+/// hand to [`sigterm::watch`] to act on outside signal context.
 #[cfg(unix)]
 #[allow(unsafe_code)] // the single vetted `signal(2)` registration below
 mod sigterm {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     static TERM: AtomicBool = AtomicBool::new(false);
 
@@ -1091,90 +811,140 @@ mod sigterm {
     pub fn received() -> bool {
         TERM.load(Ordering::Acquire)
     }
-}
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    validate_mem_flags(args)?;
-    let svc = std::sync::Arc::new(Service::with_config(args.workers, service_config(args))?);
-    let recovered = report_recovery(&svc);
-    let events = svc.events();
-    let lock = std::sync::Arc::new(Mutex::new(()));
-    if !recovered.is_empty() {
-        emit_line(
-            &lock,
-            &Json::obj([
-                ("type", Json::str("recovered")),
-                (
-                    "jobs",
-                    Json::Arr(recovered.iter().map(|id| Json::Int(*id as i64)).collect()),
-                ),
-            ]),
-        );
-    }
-    let event_lock = std::sync::Arc::clone(&lock);
-    let forwarder = std::sync::Arc::new(Mutex::new(Some(std::thread::spawn(move || {
-        for ev in events {
-            emit_line(&event_lock, &event_to_json(&ev));
-        }
-    }))));
-
-    // SIGTERM → graceful drain: stop admitting, checkpoint running
-    // slices, flush the event stream, exit 0. The watcher thread keeps
-    // the signal handler itself trivial.
-    #[cfg(unix)]
-    {
-        sigterm::install();
-        let svc = std::sync::Arc::clone(&svc);
-        let lock = std::sync::Arc::clone(&lock);
-        let forwarder = std::sync::Arc::clone(&forwarder);
-        std::thread::spawn(move || loop {
-            if sigterm::received() {
-                let report = svc.drain(None);
-                let mut fields = vec![("type".to_string(), Json::str("drained"))];
-                fields.extend(drain_fields(&report));
-                emit_line(&lock, &Json::Obj(fields));
-                svc.close_events();
-                let handle = forwarder.lock().ok().and_then(|mut g| g.take());
-                if let Some(h) = handle {
-                    let _ = h.join();
-                }
-                std::process::exit(0);
+    /// Installs the handler and runs `action` on a watcher thread once
+    /// SIGTERM arrives.
+    pub fn watch(action: impl FnOnce() + Send + 'static) {
+        install();
+        std::thread::spawn(move || {
+            while !received() {
+                std::thread::sleep(Duration::from_millis(25));
             }
-            std::thread::sleep(Duration::from_millis(25));
+            action();
         });
     }
+}
 
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("stdin: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = parse_json(&line)
-            .and_then(|v| parse_request(&v))
-            .and_then(|req| handle_request(&svc, args, req));
-        // `drain` and `shutdown` both end the serve loop; a drain has
-        // already checkpointed the running slices by the time its
-        // response is emitted.
-        let is_exit = matches!(
-            &reply,
-            Ok(Json::Obj(fields)) if fields.iter().any(|(k, v)| {
-                k == "op" && matches!(v.as_str(), Some("shutdown") | Some("drain"))
-            })
-        );
-        match reply {
-            Ok(json) => emit_line(&lock, &json),
-            Err(message) => emit_line(&lock, &error_response(&message)),
-        }
-        if is_exit {
-            break;
-        }
+/// Without SIGTERM there is nothing to watch.
+#[cfg(not(unix))]
+mod sigterm {
+    pub fn install() {}
+
+    pub fn received() -> bool {
+        false
     }
-    svc.shutdown();
+
+    pub fn watch(_action: impl FnOnce() + Send + 'static) {}
+}
+
+/// Discards input up to and including the next newline (or EOF).
+fn skip_line(input: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let buf = input.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        if let Some(i) = buf.iter().position(|&b| b == b'\n') {
+            input.consume(i + 1);
+            return Ok(());
+        }
+        let n = buf.len();
+        input.consume(n);
+    }
+}
+
+/// Joins the event forwarder, from whichever exit path gets there
+/// first: the end of the request loop or the SIGTERM drain.
+fn join_forwarder(forwarder: &Mutex<Option<JoinHandle<()>>>) {
     let handle = forwarder.lock().ok().and_then(|mut g| g.take());
     if let Some(h) = handle {
         let _ = h.join();
     }
+}
+
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    validate_mem_flags(args)?;
+    let svc = Arc::new(Service::with_config(args.workers, service_config(args))?);
+    let recovered = report_recovery(&svc);
+    let events = svc.events();
+    if !recovered.is_empty() {
+        emit_line(&Json::obj([
+            ("type", Json::str("recovered")),
+            (
+                "jobs",
+                Json::Arr(recovered.iter().map(|id| Json::Int(*id as i64)).collect()),
+            ),
+        ]));
+    }
+    let forwarder = Arc::new(Mutex::new(Some(std::thread::spawn(move || {
+        for ev in events {
+            emit_line(&event_to_json(&ev));
+        }
+    }))));
+
+    // SIGTERM → graceful drain: stop admitting, checkpoint running
+    // slices, flush the event stream, exit 0.
+    {
+        let svc = Arc::clone(&svc);
+        let forwarder = Arc::clone(&forwarder);
+        sigterm::watch(move || {
+            let mut fields = vec![("type".to_string(), Json::str("drained"))];
+            fields.extend(drain_fields(&svc.drain(None)));
+            emit_line(&Json::Obj(fields));
+            svc.close_events();
+            join_forwarder(&forwarder);
+            std::process::exit(0);
+        });
+    }
+
+    let mut stdin = std::io::stdin().lock();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // At most one byte past the limit is buffered, so an over-long
+        // line is answered without ever being held whole.
+        let read = (&mut stdin)
+            .take(MAX_FRAME as u64 + 1)
+            .read_until(b'\n', &mut line)
+            .map_err(|e| format!("stdin: {e}"))?;
+        if read == 0 {
+            break;
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_FRAME {
+            emit_line(&error(&format!("request line exceeds {MAX_FRAME} bytes")));
+            skip_line(&mut stdin).map_err(|e| format!("stdin: {e}"))?;
+            continue;
+        }
+        let text = std::str::from_utf8(&line).map_err(|e| format!("stdin: {e}"))?;
+        if text.trim().is_empty() {
+            continue;
+        }
+        let mut req = match parse_json(text).and_then(|v| parse_request(&v)) {
+            Ok(req) => req,
+            Err(message) => {
+                emit_line(&error(&message));
+                continue;
+            }
+        };
+        // `drain` and `shutdown` both end the serve loop; a drain has
+        // already checkpointed the running slices by the time its reply
+        // is written, and `shutdown` joins the workers only after.
+        let exit = matches!(req, Request::Drain | Request::Shutdown);
+        // The service-level memory ceilings fill in a fresh submit's
+        // config before the admission gate; a resume keeps the ceilings
+        // of its checkpoint.
+        if let Request::Submit { config, .. } = &mut req {
+            apply_mem_defaults(config, args);
+        }
+        emit_line(&handle(&*svc, req));
+        if exit {
+            break;
+        }
+    }
+    svc.shutdown();
+    join_forwarder(&forwarder);
     Ok(())
 }
 
@@ -1198,11 +968,9 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     let svc = Service::with_config(args.workers, service_config(args))?;
     let recovered = report_recovery(&svc);
     let events = svc.events();
-    let lock = std::sync::Arc::new(Mutex::new(()));
-    let event_lock = std::sync::Arc::clone(&lock);
     let forwarder = std::thread::spawn(move || {
         for ev in events {
-            emit_line(&event_lock, &event_to_json(&ev));
+            emit_line(&event_to_json(&ev));
         }
     });
 
@@ -1258,19 +1026,16 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     drop(svc);
     let _ = forwarder.join();
 
-    {
-        let _guard = lock.lock().expect("stdout lock poisoned");
-        for line in &summaries {
-            println!("{line}");
-        }
-        println!(
-            "batch: {} jobs, {} completed, {} failed ({} workers)",
-            ids.len(),
-            ids.len() - failed,
-            failed,
-            args.workers
-        );
+    for line in &summaries {
+        println!("{line}");
     }
+    println!(
+        "batch: {} jobs, {} completed, {} failed ({} workers)",
+        ids.len(),
+        ids.len() - failed,
+        failed,
+        args.workers
+    );
     if failed > 0 {
         return Err(format!("{failed} job(s) failed"));
     }
@@ -1307,18 +1072,8 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
         std::path::Path::new(state_dir),
         cluster_cfg,
     )?;
-    #[cfg(unix)]
-    {
-        sigterm::install();
-        let handle = coord.shutdown_handle();
-        std::thread::spawn(move || loop {
-            if sigterm::received() {
-                handle.shutdown();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        });
-    }
+    let handle = coord.shutdown_handle();
+    sigterm::watch(move || handle.shutdown());
     coord.run()
 }
 
@@ -1335,18 +1090,13 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
         .worker_name
         .clone()
         .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    #[cfg(unix)]
     sigterm::install();
-    #[cfg(unix)]
-    let stop = sigterm::received;
-    #[cfg(not(unix))]
-    let stop = || false;
     let cfg = treechase::cluster::WorkerConfig {
         connect,
         name,
         announce: true,
     };
-    treechase::cluster::run_worker(&cfg, &stop)
+    treechase::cluster::run_worker(&cfg, &sigterm::received)
 }
 
 /// `treechase cluster-client`: frames stdin JSONL requests to a

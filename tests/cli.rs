@@ -136,6 +136,44 @@ fn dot_export_writes_file() {
     assert!(dot.starts_with("digraph"));
 }
 
+/// A request line over the 64 MiB limit gets one error reply, its
+/// remainder is discarded, and the next request is still answered.
+#[test]
+fn serve_answers_over_long_line_with_error_and_keeps_serving() {
+    use std::io::Write as _;
+    use std::process::Stdio;
+
+    let mut child = bin()
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || {
+        let mut line = vec![b'x'; treechase::service::MAX_FRAME + 1];
+        line.push(b'\n');
+        stdin.write_all(&line).unwrap();
+        stdin.write_all(b"{\"op\":\"list\"}\n").unwrap();
+    });
+    let out = child.wait_with_output().expect("serve exits");
+    writer.join().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(
+        lines[0].starts_with(r#"{"type":"error""#) && lines[0].contains("exceeds"),
+        "{stdout}"
+    );
+    assert_eq!(lines[1], r#"{"type":"response","op":"list","jobs":[]}"#);
+}
+
 /// Runs `analyze <operand> --json` and parses the emitted report.
 fn analyze_json(operand: &str) -> treechase::service::Json {
     let out = bin()
