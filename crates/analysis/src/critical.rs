@@ -16,7 +16,7 @@
 //! `chase_core::classes` and incomparable to weak/joint acyclicity.
 
 use chase_atoms::{Atom, AtomSet, Term, Vocabulary};
-use chase_engine::{run_chase_controlled, ChaseConfig, ChaseVariant, RecordLevel, RuleSet};
+use chase_engine::{run_chase_controlled, ChaseConfig, ChaseVariant, RuleSet};
 use chase_homomorphism::SearchBudget;
 
 /// The critical instance of a ruleset: every atom `p(c₁, …, cₖ)` over
@@ -150,7 +150,6 @@ pub fn critical_instance_test(rules: &RuleSet, budget: &SearchBudget) -> Critica
     let cfg = ChaseConfig::variant(ChaseVariant::SemiOblivious)
         .with_max_applications(applications)
         .with_max_atoms(atom_cap(applications))
-        .with_record(RecordLevel::FinalOnly)
         .with_search_budget(budget.clone());
     let res = run_chase_controlled(&mut vocab, &facts, rules, &cfg, None, |_| {
         std::ops::ControlFlow::Continue(())

@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 
 use chase_atoms::{Atom, Term, Vocabulary};
-use chase_engine::{all_triggers, apply_trigger, RuleId, RuleSet};
+use chase_engine::{all_triggers, apply_trigger, fresh_pi_safe, RuleId, RuleSet};
 use chase_homomorphism::SearchBudget;
 
 use crate::critical::{atom_cap, critical_instance_capped};
@@ -105,15 +105,15 @@ pub fn kbounded_test(rules: &RuleSet, budget: &SearchBudget) -> KBoundedOutcome 
                 return KBoundedOutcome::BudgetExhausted { applications };
             }
             let rule = rules.get(tr.rule);
-            let app = apply_trigger(&mut vocab, rules, &instance, &tr);
+            let (pi_safe, _) = fresh_pi_safe(&mut vocab, rules, &tr);
+            apply_trigger(rules, &mut instance, &tr, &pi_safe);
             applications += 1;
             let out = rule
                 .head()
                 .iter()
-                .map(|atom| app.pi_safe.apply_atom(atom))
+                .map(|atom| pi_safe.apply_atom(atom))
                 .collect();
             outputs.insert(key, out);
-            instance = app.result;
             progressed = true;
         }
         if !progressed {

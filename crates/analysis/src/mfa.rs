@@ -24,7 +24,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use chase_atoms::{Term, VarId, Vocabulary};
-use chase_engine::{all_triggers, apply_trigger, RuleId, RuleSet};
+use chase_engine::{all_triggers, apply_trigger, fresh_pi_safe, RuleId, RuleSet};
 use chase_homomorphism::SearchBudget;
 
 use crate::critical::{atom_cap, critical_instance_capped};
@@ -108,7 +108,8 @@ pub fn mfa_test(rules: &RuleSet, budget: &SearchBudget) -> MfaOutcome {
                     }
                 }
             }
-            let app = apply_trigger(&mut vocab, rules, &instance, &tr);
+            let (pi_safe, _) = fresh_pi_safe(&mut vocab, rules, &tr);
+            apply_trigger(rules, &mut instance, &tr, &pi_safe);
             applications += 1;
             for (j, &z) in rule.existential_vars().iter().enumerate() {
                 let sym: Symbol = (tr.rule, j);
@@ -118,14 +119,13 @@ pub fn mfa_test(rules: &RuleSet, budget: &SearchBudget) -> MfaOutcome {
                         depth: below_depth + 1,
                     };
                 }
-                if let Some(Term::Var(null)) = app.pi_safe.get(z) {
+                if let Some(Term::Var(null)) = pi_safe.get(z) {
                     let mut syms = below.clone();
                     syms.insert(sym);
                     symbols.insert(null, syms);
                     depth.insert(null, below_depth + 1);
                 }
             }
-            instance = app.result;
             progressed = true;
         }
         if !progressed {

@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use chase_core::KnowledgeBase;
-use chase_engine::{ChaseConfig, ChaseVariant, RecordLevel, SchedulerKind};
+use chase_engine::{ChaseConfig, ChaseVariant, SchedulerKind};
 
 fn bench_core_interval(c: &mut Criterion) {
     let kb = KnowledgeBase::staircase();
@@ -25,8 +25,7 @@ fn bench_core_interval(c: &mut Criterion) {
         let cfg = ChaseConfig::variant(ChaseVariant::Core)
             .with_scheduler(SchedulerKind::DatalogFirst)
             .with_core_interval(interval)
-            .with_max_applications(25)
-            .with_record(RecordLevel::FinalOnly);
+            .with_max_applications(25);
         group.bench_with_input(BenchmarkId::from_parameter(interval), &cfg, |b, cfg| {
             b.iter(|| kb.chase(cfg).stats.retractions)
         });
@@ -54,7 +53,7 @@ fn bench_semi_naive_vs_full_rescan(c: &mut Criterion) {
         ("semi-naive", ChaseVariant::Restricted),
         ("full-rescan", ChaseVariant::Frugal),
     ] {
-        let cfg = ChaseConfig::variant(variant).with_record(RecordLevel::FinalOnly);
+        let cfg = ChaseConfig::variant(variant);
         group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
             b.iter(|| {
                 let res = kb.chase(cfg);

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use chase_core::KnowledgeBase;
-use chase_engine::{ChaseConfig, ChaseVariant, RecordLevel, SchedulerKind};
+use chase_engine::{ChaseConfig, ChaseVariant, SchedulerKind};
 
 fn bench_variants(c: &mut Criterion) {
     let cases = [
@@ -34,8 +34,7 @@ fn bench_variants(c: &mut Criterion) {
             let cfg = ChaseConfig::variant(variant)
                 .with_scheduler(SchedulerKind::DatalogFirst)
                 .with_max_applications(budget)
-                .with_max_atoms(5_000)
-                .with_record(RecordLevel::FinalOnly);
+                .with_max_atoms(5_000);
             group.bench_with_input(
                 BenchmarkId::from_parameter(format!("{variant:?}")),
                 &cfg,

@@ -111,7 +111,7 @@ fn main() {
         .with_scheduler(SchedulerKind::DatalogFirst)
         .with_max_applications(60);
     let run = run_chase(&mut vocab, &e.facts, &e.rules, &cfg);
-    let dv = run.derivation.expect("full record");
+    let dv = run.derivation;
     let rv = RobustSequence::build(&dv);
     report.claim(
         "def15/invariants-elevator",

@@ -34,9 +34,7 @@ use std::time::Instant;
 
 use chase_bench::{exit_with, results_dir, Report};
 use chase_core::KnowledgeBase;
-use chase_engine::{
-    ChaseConfig, ChaseResult, ChaseStats, ChaseVariant, MatchStrategy, RecordLevel,
-};
+use chase_engine::{ChaseConfig, ChaseResult, ChaseStats, ChaseVariant, MatchStrategy};
 use treechase_service::json::{parse_json, Json};
 
 /// Budget-bounded restricted chase under the given match strategy.
@@ -44,7 +42,6 @@ fn cfg(strategy: MatchStrategy, budget: usize) -> ChaseConfig {
     ChaseConfig::variant(ChaseVariant::Restricted)
         .with_match_strategy(strategy)
         .with_max_applications(budget)
-        .with_record(RecordLevel::FinalOnly)
 }
 
 /// An `n × n` labeled grid with diagonal and transitive-closure rules:

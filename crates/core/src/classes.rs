@@ -100,11 +100,11 @@ pub fn probe_classes_budgeted(
         core_chase_terminated: core.outcome.terminated(),
         restricted_chase_terminated: restricted.outcome.terminated(),
         core_applications: core.stats.applications,
-        restricted_profile: treewidth_profile(restricted.derivation.as_ref().expect("full record"))
+        restricted_profile: treewidth_profile(&restricted.derivation)
             .iter()
             .map(|b| b.upper)
             .collect(),
-        core_profile: treewidth_profile(core.derivation.as_ref().expect("full record"))
+        core_profile: treewidth_profile(&core.derivation)
             .iter()
             .map(|b| b.upper)
             .collect(),

@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use chase_atoms::{AtomSet, ConstId, Substitution, Term, VarId};
-use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome, RecordLevel};
+use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome};
 use chase_homomorphism::{
     core_of, find_homomorphism, for_each_homomorphism_budgeted, MatchConfig, SearchBudget,
 };
@@ -176,10 +176,7 @@ pub fn certain_answers_budgeted(
     budget: &SearchBudget,
 ) -> CertainAnswers {
     let mut vocab = kb.vocab.clone();
-    let run_cfg = cfg
-        .clone()
-        .with_record(RecordLevel::FinalOnly)
-        .with_search_budget(budget.clone());
+    let run_cfg = cfg.clone().with_search_budget(budget.clone());
     let res = run_chase_observed(&mut vocab, &kb.facts, &kb.rules, &run_cfg, |_, _| {
         std::ops::ControlFlow::Continue(())
     });
@@ -229,6 +226,10 @@ pub fn collect_answer_tuples(
                 .collect();
             if let Some(t) = tuple {
                 answers.insert(t);
+            }
+            // A boolean query's one possible tuple is found: stop.
+            if query.answer_vars.is_empty() {
+                return std::ops::ControlFlow::Break(());
             }
             std::ops::ControlFlow::Continue(())
         },
@@ -465,6 +466,21 @@ mod budget_tests {
                 assert!(!clipped.complete);
             }
         }
+    }
+
+    #[test]
+    fn boolean_query_stops_at_its_first_witness() {
+        // Enumerating every r-atom overruns a two-node budget; a boolean
+        // query needs only the first one.
+        let mut kb = KnowledgeBase::from_text("r(a, b). r(b, c). r(c, d). r(d, e). r(e, f).")
+            .expect("facts parse");
+        let budget = SearchBudget::unlimited().with_node_limit(2);
+        let all = query_of(&mut kb, "r(X, Y)");
+        assert!(collect_answer_tuples(&all, &kb.facts, &budget).truncated);
+        let boolean = AnswerQuery::new(kb.parse_query("r(X, Y)").unwrap(), Vec::new()).unwrap();
+        let found = collect_answer_tuples(&boolean, &kb.facts, &budget);
+        assert_eq!(found.tuples, vec![Vec::<ConstId>::new()]);
+        assert!(!found.truncated);
     }
 }
 

@@ -106,8 +106,7 @@ pub fn decide(kb: &KnowledgeBase, query: &AtomSet, cfg: &DecideConfig) -> Decide
         };
         let chase_cfg = ChaseConfig::variant(variant)
             .with_max_applications(budget)
-            .with_max_atoms(cfg.max_atoms)
-            .with_record(chase_engine::RecordLevel::FinalOnly);
+            .with_max_atoms(cfg.max_atoms);
         let mut vocab = kb.vocab.clone();
         let mut hit = None;
         let res = run_chase_observed(
@@ -163,8 +162,7 @@ pub fn decide(kb: &KnowledgeBase, query: &AtomSet, cfg: &DecideConfig) -> Decide
     let mut seen = false;
     let chase_cfg = ChaseConfig::variant(ChaseVariant::Restricted)
         .with_max_applications(cfg.max_applications)
-        .with_max_atoms(cfg.max_atoms)
-        .with_record(chase_engine::RecordLevel::FinalOnly);
+        .with_max_atoms(cfg.max_atoms);
     let _ = run_chase_observed(&mut vocab, &kb.facts, &kb.rules, &chase_cfg, |inst, _| {
         if maps_to(query, inst) {
             seen = true;

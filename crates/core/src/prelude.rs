@@ -7,7 +7,7 @@ pub use chase_atoms::{
 pub use chase_engine::{
     aggregation::natural_aggregation, boundedness::treewidth_profile, run_chase,
     run_chase_observed, ChaseConfig, ChaseOutcome, ChaseResult, ChaseVariant, Derivation,
-    RecordLevel, RobustSequence, Rule, RuleSet, SchedulerKind, Trigger,
+    RobustSequence, Rule, RuleSet, SchedulerKind, Trigger,
 };
 pub use chase_homomorphism::{
     core_of, find_homomorphism, hom_equivalent, is_core, isomorphism, maps_to,

@@ -14,18 +14,9 @@ use crate::derivation::Derivation;
 /// The natural aggregation of the recorded prefix: `⋃_{i ≤ k} F_i`.
 pub fn natural_aggregation(d: &Derivation) -> AtomSet {
     let mut out = AtomSet::new();
-    for f in d.instances() {
-        out.union_with(f);
-    }
-    out
-}
-
-/// The natural aggregation of an explicit sequence of instances.
-pub fn union_of(instances: &[AtomSet]) -> AtomSet {
-    let mut out = AtomSet::new();
-    for f in instances {
-        out.union_with(f);
-    }
+    d.replay(|e| {
+        out.union_with(e.instance);
+    });
     out
 }
 
@@ -63,18 +54,9 @@ mod tests {
         vocab.ensure_var(VarId::from_raw(99));
         let cfg = ChaseConfig::variant(ChaseVariant::Restricted).with_max_applications(4);
         let res = run_chase(&mut vocab, &facts, &rules, &cfg);
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         assert!(d.is_monotonic());
         assert_eq!(&natural_aggregation(&d), d.last_instance());
-    }
-
-    #[test]
-    fn union_of_collects_everything() {
-        let a = set(&[atom(0, &[v(0)])]);
-        let b = set(&[atom(0, &[v(1)])]);
-        let u = union_of(&[a.clone(), b.clone()]);
-        assert_eq!(u.len(), 2);
-        assert!(a.is_subset_of(&u) && b.is_subset_of(&u));
     }
 
     #[test]
@@ -98,12 +80,12 @@ mod tests {
             &rules,
             &ChaseConfig::variant(ChaseVariant::Core),
         );
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         let agg = natural_aggregation(&d);
-        // σ_0 folded r(10,11) away, yet F (as recorded F_0) no longer has
-        // it; the aggregation is over F_i, so it contains everything that
-        // ever *survived* a simplification:
-        assert!(d.instance(0).is_subset_of(&agg));
+        // σ_0 folded r(10,11) away, so F_0 no longer has it; the
+        // aggregation is over F_i, so it contains everything that ever
+        // *survived* a simplification:
+        d.replay(|e| assert!(e.instance.is_subset_of(&agg)));
         assert!(res.final_instance.is_subset_of(&agg));
     }
 }

@@ -7,7 +7,9 @@ use crate::derivation::Derivation;
 
 /// Certified treewidth bounds for every recorded instance `F_i`.
 pub fn treewidth_profile(d: &Derivation) -> Vec<TwBounds> {
-    d.instances().map(treewidth_bounds).collect()
+    let mut profile = Vec::with_capacity(d.len());
+    d.replay(|e| profile.push(treewidth_bounds(e.instance)));
+    profile
 }
 
 /// A certified *uniform* treewidth bound for the recorded prefix: the
@@ -62,7 +64,7 @@ mod tests {
         vocab.ensure_var(VarId::from_raw(99));
         let cfg = ChaseConfig::variant(ChaseVariant::Restricted).with_max_applications(6);
         let res = run_chase(&mut vocab, &facts, &rules, &cfg);
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         let profile = treewidth_profile(&d);
         assert_eq!(profile.len(), 7);
         assert!(profile.iter().all(|b| b.upper == 1));

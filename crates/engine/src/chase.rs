@@ -32,12 +32,13 @@ use chase_homomorphism::{
 };
 
 use crate::control::{CancelToken, ChaseEvent, FaultPlan};
-use crate::derivation::Derivation;
+use crate::derivation::{Derivation, DerivationStep};
 use crate::prng::SplitMix64;
 use crate::rule::RuleSet;
 use crate::skolem::SkolemTable;
 use crate::trigger::{
-    all_triggers_counted, apply_trigger, triggers_using_delta_counted, MatchTally, Trigger,
+    all_triggers_counted, apply_trigger, fresh_pi_safe, triggers_using_delta_counted, MatchTally,
+    Trigger,
 };
 
 /// Which chase variant to run.
@@ -124,16 +125,6 @@ impl MatchStrategy {
     }
 }
 
-/// Whether to keep every intermediate instance.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum RecordLevel {
-    /// Record the full derivation (required for robust aggregation and
-    /// treewidth profiles).
-    Full,
-    /// Keep only the final instance (cheapest; for benchmarks).
-    FinalOnly,
-}
-
 /// Chase configuration.
 #[derive(Clone, Debug)]
 pub struct ChaseConfig {
@@ -141,8 +132,6 @@ pub struct ChaseConfig {
     pub variant: ChaseVariant,
     /// Trigger ordering within a round.
     pub scheduler: SchedulerKind,
-    /// Recording level.
-    pub record: RecordLevel,
     /// Budget: maximum number of rule applications.
     pub max_applications: usize,
     /// Budget: stop once an instance exceeds this many atoms.
@@ -206,7 +195,6 @@ impl Default for ChaseConfig {
         ChaseConfig {
             variant: ChaseVariant::Restricted,
             scheduler: SchedulerKind::Deterministic,
-            record: RecordLevel::Full,
             max_applications: 10_000,
             max_atoms: 1_000_000,
             max_wall: None,
@@ -254,12 +242,6 @@ impl ChaseConfig {
     /// Sets the scheduler.
     pub fn with_scheduler(mut self, s: SchedulerKind) -> Self {
         self.scheduler = s;
-        self
-    }
-
-    /// Sets the recording level.
-    pub fn with_record(mut self, r: RecordLevel) -> Self {
-        self.record = r;
         self
     }
 
@@ -406,7 +388,10 @@ pub struct ChaseStats {
     pub peak_trigger_queue: usize,
     /// Peak abstract memory units (atoms + nulls minted + pending queue
     /// entries) observed after any application — what the soft/hard
-    /// memory ceilings of [`ChaseConfig`] are enforced against.
+    /// memory ceilings of [`ChaseConfig`] are enforced against. The run
+    /// keeps one live instance, and its derivation logs triggers and
+    /// substitutions rather than instances, so the atoms counted here
+    /// are the instances actually held.
     pub peak_mem_units: usize,
     /// Wall-clock microseconds spent in the match phase (trigger
     /// discovery + satisfaction checking). Nondeterministic, like
@@ -426,8 +411,8 @@ pub struct ChaseStats {
 /// The result of a chase run.
 #[derive(Clone, Debug)]
 pub struct ChaseResult {
-    /// The recorded derivation ([`RecordLevel::Full`] only).
-    pub derivation: Option<Derivation>,
+    /// The recorded derivation: its log, replayable into every `F_i`.
+    pub derivation: Derivation,
     /// The final instance `F_k`.
     pub final_instance: AtomSet,
     /// Why the run stopped.
@@ -590,7 +575,12 @@ pub fn run_chase_controlled(
         }
         _ => Substitution::new(),
     };
-    let mut derivation = Derivation::start(rules.clone(), facts.clone(), sigma0);
+    // The one live instance: every application inserts into it in place,
+    // every simplification retracts it in place (or replaces it by the
+    // retract a core phase builds), and the derivation only logs what
+    // happened to it.
+    let mut instance = sigma0.apply_set(facts);
+    let mut log: Vec<DerivationStep> = Vec::new();
 
     // Dedup memory for the oblivious variants (monotonic, so keys stay
     // valid across the whole run).
@@ -601,7 +591,8 @@ pub fn run_chase_controlled(
     // needs to be considered in the round after its last body atom
     // appeared, because in a monotonic chase satisfaction is preserved
     // under extension. The non-monotonic variants (frugal, core) re-scan,
-    // since retractions can invalidate earlier satisfaction.
+    // since retractions can invalidate earlier satisfaction. The delta is
+    // exactly the atoms whose insertion into the live instance succeeded.
     let monotonic = matches!(
         cfg.variant,
         ChaseVariant::Oblivious | ChaseVariant::SemiOblivious | ChaseVariant::Restricted
@@ -634,16 +625,15 @@ pub fn run_chase_controlled(
         if wall_exhausted(started) {
             break ChaseOutcome::WallBudgetExhausted;
         }
-        let current = derivation.last_instance().clone();
-        stats.peak_index_postings = stats.peak_index_postings.max(current.index_postings());
+        stats.peak_index_postings = stats.peak_index_postings.max(instance.index_postings());
         let match_phase = Instant::now();
         let mut tally = MatchTally::default();
         let discovered = if monotonic {
-            let d = triggers_using_delta_counted(rules, &current, &delta, &mcfg, &mut tally);
+            let d = triggers_using_delta_counted(rules, &instance, &delta, &mcfg, &mut tally);
             delta.clear();
             d
         } else {
-            all_triggers_counted(rules, &current, &mcfg, &mut tally)
+            all_triggers_counted(rules, &instance, &mcfg, &mut tally)
         };
         let mut snapshot: Vec<Trigger> = discovered
             .into_iter()
@@ -656,7 +646,7 @@ pub fn run_chase_controlled(
                 ChaseVariant::Oblivious => !applied_keys.contains(&t.universal_key(rules)),
                 ChaseVariant::SemiOblivious => !applied_keys.contains(&t.frontier_key(rules)),
                 ChaseVariant::Restricted | ChaseVariant::Frugal | ChaseVariant::Core => {
-                    !t.is_satisfied_in_counted(rules, &current, &mcfg, &mut tally)
+                    !t.is_satisfied_in_counted(rules, &instance, &mcfg, &mut tally)
                 }
             })
             .collect();
@@ -669,7 +659,7 @@ pub fn run_chase_controlled(
                     stratum += 1;
                     // Re-prime discovery for the next stratum: its rules
                     // have never matched, so every atom is "new" to them.
-                    delta = current.iter().cloned().collect();
+                    delta = instance.iter().cloned().collect();
                     continue;
                 }
             }
@@ -701,15 +691,14 @@ pub fn run_chase_controlled(
                 break 'outer ChaseOutcome::ApplicationBudgetExhausted;
             }
             let tr = tr.map(rules, &forward);
-            let f = derivation.last_instance();
             let match_phase = Instant::now();
             let mut tally = MatchTally::default();
             let active = match cfg.variant {
                 ChaseVariant::Oblivious => !applied_keys.contains(&tr.universal_key(rules)),
                 ChaseVariant::SemiOblivious => !applied_keys.contains(&tr.frontier_key(rules)),
                 ChaseVariant::Restricted | ChaseVariant::Frugal | ChaseVariant::Core => {
-                    tr.is_trigger_for(rules, f)
-                        && !tr.is_satisfied_in_counted(rules, f, &mcfg, &mut tally)
+                    tr.is_trigger_for(rules, &instance)
+                        && !tr.is_satisfied_in_counted(rules, &instance, &mcfg, &mut tally)
                 }
             };
             stats.match_time_us += match_phase.elapsed().as_micros() as u64;
@@ -718,24 +707,15 @@ pub fn run_chase_controlled(
             if !active {
                 continue;
             }
-            let before_len = f.len();
-            let app = if cfg.variant == ChaseVariant::SemiOblivious {
-                // Skolem semantics: nulls are interned per (rule,
-                // frontier image), making the run deterministic and
-                // restart-safe.
-                let pi_safe = skolem.pi_safe(vocab, rules, &tr);
-                let mut result = f.clone();
-                for head_atom in rules.get(tr.rule).head().iter() {
-                    result.insert(pi_safe.apply_atom(head_atom));
-                }
-                crate::trigger::TriggerApplication {
-                    result,
-                    pi_safe,
-                    fresh: Vec::new(),
-                }
+            // Skolem semantics intern the nulls per (rule, frontier
+            // image), making the run deterministic and restart-safe; every
+            // other variant mints fresh ones.
+            let (pi_safe, fresh) = if cfg.variant == ChaseVariant::SemiOblivious {
+                (skolem.pi_safe(vocab, rules, &tr), Vec::new())
             } else {
-                apply_trigger(vocab, rules, f, &tr)
+                fresh_pi_safe(vocab, rules, &tr)
             };
+            let added = apply_trigger(rules, &mut instance, &tr, &pi_safe);
             stats.applications += 1;
             since_core += 1;
             if let Some(n) = cfg.fault.as_ref().and_then(FaultPlan::on_application) {
@@ -744,16 +724,16 @@ pub fn run_chase_controlled(
             if let Some(ms) = cfg.fault.as_ref().and_then(FaultPlan::on_slow) {
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            stats.nulls_minted += app.fresh.len();
-            stats.peak_atoms = stats.peak_atoms.max(app.result.len());
-            stats.peak_index_postings = stats.peak_index_postings.max(app.result.index_postings());
+            stats.nulls_minted += fresh.len();
+            stats.peak_atoms = stats.peak_atoms.max(instance.len());
+            stats.peak_index_postings = stats.peak_index_postings.max(instance.index_postings());
 
             // Abstract memory accounting: instance atoms at their
             // pre-retraction peak, plus the nulls this slice minted, plus
             // the triggers still queued in this round. Deterministic, so
             // ceiling behaviour is reproducible in tests without real
             // memory pressure.
-            let mem_units = app.result.len() + stats.nulls_minted + (snapshot_len - pos - 1);
+            let mem_units = instance.len() + stats.nulls_minted + (snapshot_len - pos - 1);
             stats.peak_mem_units = stats.peak_mem_units.max(mem_units);
             let mem_fault = cfg
                 .fault
@@ -776,6 +756,12 @@ pub fn run_chase_controlled(
                 })
                 .is_break()
                 {
+                    // The application is in the instance, so it is logged.
+                    log.push(DerivationStep {
+                        trigger: tr,
+                        pi_safe,
+                        simplification: Substitution::new(),
+                    });
                     break 'outer ChaseOutcome::Stopped;
                 }
             }
@@ -783,14 +769,13 @@ pub fn run_chase_controlled(
                 && cfg.core_maintenance == CoreMaintenance::Incremental
             {
                 for head_atom in rules.get(tr.rule).head().iter() {
-                    added_since_core.push(app.pi_safe.apply_atom(head_atom));
+                    added_since_core.push(pi_safe.apply_atom(head_atom));
                 }
-                fresh_since_core.extend(app.fresh.iter().copied());
+                fresh_since_core.extend(fresh.iter().copied());
             }
-            let produced_len = app.result.len();
-            if monotonic && app.result.len() > before_len {
-                let prev = derivation.last_instance();
-                delta.extend(app.result.iter().filter(|a| !prev.contains(a)).cloned());
+            let produced_len = instance.len();
+            if monotonic {
+                delta.extend(added);
             }
             match cfg.variant {
                 ChaseVariant::Oblivious => {
@@ -802,21 +787,21 @@ pub fn run_chase_controlled(
                 _ => {}
             }
             let mut phase_stats = MatchStats::default();
-            let (sigma, next) = match cfg.variant {
+            let sigma = match cfg.variant {
                 ChaseVariant::Core if since_core >= cfg.core_interval => {
                     since_core = 0;
                     if let Some(n) = cfg.fault.as_ref().and_then(FaultPlan::on_core_phase) {
                         panic!("injected fault: crash in core phase #{n}");
                     }
                     let phase = Instant::now();
-                    let (sigma, next, ms) = match cfg.core_maintenance {
+                    let (sigma, core, ms) = match cfg.core_maintenance {
                         CoreMaintenance::FullRecompute => {
-                            let (res, ms) = core_of_budgeted(&app.result, &budget);
+                            let (res, ms) = core_of_budgeted(&instance, &budget);
                             (res.retraction, res.core, ms)
                         }
                         CoreMaintenance::Incremental => {
                             let res = incremental_core(
-                                &app.result,
+                                &instance,
                                 &added_since_core,
                                 &fresh_since_core,
                                 &budget,
@@ -825,6 +810,7 @@ pub fn run_chase_controlled(
                             (res.retraction, res.core, res.stats)
                         }
                     };
+                    instance = core;
                     // A truncated phase leaves a non-core retract, but the
                     // budget that cut it (deadline/cancel) is monotone, so
                     // the run stops at the next between-steps poll — the
@@ -841,34 +827,33 @@ pub fn run_chase_controlled(
                         stats.retractions += 1;
                     }
                     phase_stats = ms;
-                    (sigma, next)
+                    sigma
                 }
                 ChaseVariant::Frugal => {
                     // Fold only the freshly minted nulls of this
                     // application; everything older is frozen.
                     let phase = Instant::now();
-                    let mut current = app.result.clone();
                     let mut sigma = Substitution::new();
                     let mut ms = MatchStats::default();
-                    for &z in &app.fresh {
+                    for &z in &fresh {
                         if ms.truncated || budget.interrupted() {
                             ms.truncated = true;
                             break;
                         }
-                        if !current.mentions(chase_atoms::Term::Var(z)) {
+                        if !instance.mentions(chase_atoms::Term::Var(z)) {
                             continue;
                         }
-                        let frozen: Vec<chase_atoms::VarId> = current
+                        let frozen: Vec<chase_atoms::VarId> = instance
                             .vars()
                             .into_iter()
-                            .filter(|v| !app.fresh.contains(v))
+                            .filter(|v| !fresh.contains(v))
                             .collect();
                         let probe = find_retraction_eliminating_frozen_budgeted(
-                            &current, z, frozen, &budget,
+                            &instance, z, frozen, &budget,
                         );
                         ms.absorb(probe.outcome);
                         if let Some(r) = probe.retraction {
-                            current.apply_in_place(&r);
+                            instance.apply_in_place(&r);
                             sigma = sigma.then(&r);
                         }
                     }
@@ -881,14 +866,18 @@ pub fn run_chase_controlled(
                         stats.retractions += 1;
                     }
                     phase_stats = ms;
-                    (sigma, current)
+                    sigma
                 }
-                _ => (Substitution::new(), app.result),
+                _ => Substitution::new(),
             };
             forward = forward.then(&sigma);
-            let retracted = next.len() < produced_len;
-            let too_big = next.len() > cfg.max_atoms;
-            derivation.push_step(tr, app.pi_safe, sigma, next);
+            let retracted = instance.len() < produced_len;
+            let too_big = instance.len() > cfg.max_atoms;
+            log.push(DerivationStep {
+                trigger: tr,
+                pi_safe,
+                simplification: sigma,
+            });
             if too_big {
                 break 'outer ChaseOutcome::AtomBudgetExhausted;
             }
@@ -901,7 +890,7 @@ pub fn run_chase_controlled(
             if retracted
                 && observer(ChaseEvent::CoreRetracted {
                     before: produced_len,
-                    after: derivation.last_instance().len(),
+                    after: instance.len(),
                     match_stats: phase_stats,
                     stats: &stats,
                 })
@@ -911,7 +900,7 @@ pub fn run_chase_controlled(
             }
             stats.wall_us = started.elapsed().as_micros() as u64;
             if observer(ChaseEvent::StepApplied {
-                instance: derivation.last_instance(),
+                instance: &instance,
                 vocab: &*vocab,
                 stats: &stats,
             })
@@ -923,13 +912,15 @@ pub fn run_chase_controlled(
     };
 
     stats.wall_us = started.elapsed().as_micros() as u64;
-    let final_instance = derivation.last_instance().clone();
     ChaseResult {
-        derivation: match cfg.record {
-            RecordLevel::Full => Some(derivation),
-            RecordLevel::FinalOnly => None,
+        derivation: Derivation {
+            rules: rules.clone(),
+            initial: facts.clone(),
+            sigma0,
+            steps: log,
+            last: instance.clone(),
         },
-        final_instance,
+        final_instance: instance,
         outcome,
         stats,
     }
@@ -999,7 +990,7 @@ mod tests {
         // Closure of a 4-chain: 3 + 2 + 1 = 6 atoms.
         assert_eq!(res.final_instance.len(), 6);
         assert!(is_model_of_rules(&rules, &res.final_instance));
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         assert_eq!(d.validate(), Ok(()));
         assert!(d.check_fair_up_to_horizon().is_ok());
     }
@@ -1014,7 +1005,7 @@ mod tests {
         assert_eq!(res.outcome, ChaseOutcome::ApplicationBudgetExhausted);
         assert_eq!(res.stats.applications, 5);
         assert_eq!(res.final_instance.len(), 6);
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         assert!(d.is_monotonic());
         assert_eq!(d.validate(), Ok(()));
     }
@@ -1078,7 +1069,7 @@ mod tests {
         assert!(res.outcome.terminated());
         assert!(is_core(&res.final_instance));
         assert!(is_model_of_rules(&rules, &res.final_instance));
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         assert_eq!(d.validate(), Ok(()));
     }
 
@@ -1194,7 +1185,7 @@ mod tests {
         let mut vc = vocab();
         let cfg = ChaseConfig::variant(ChaseVariant::Core).with_max_applications(6);
         let res = run_chase(&mut vc, &facts, &rules, &cfg);
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         assert!(d.all_instances_map_into(&model));
         assert!(maps_to(&facts, &model));
     }
@@ -1245,14 +1236,35 @@ mod tests {
     }
 
     #[test]
-    fn final_only_record_level_omits_derivation() {
-        let rules = transitivity();
+    fn derivation_log_replays_to_the_final_instance() {
+        // Folding (core, frugal) and skolem (semi-oblivious) runs included:
+        // the log alone reproduces the live instance, step by step.
+        let rules = chain();
         let facts = set(&[atom(0, &[v(10), v(11)]), atom(0, &[v(11), v(12)])]);
-        let mut vc = vocab();
-        let cfg = ChaseConfig::default().with_record(RecordLevel::FinalOnly);
-        let res = run_chase(&mut vc, &facts, &rules, &cfg);
-        assert!(res.derivation.is_none());
-        assert_eq!(res.final_instance.len(), 3);
+        for variant in [
+            ChaseVariant::Oblivious,
+            ChaseVariant::SemiOblivious,
+            ChaseVariant::Restricted,
+            ChaseVariant::Frugal,
+            ChaseVariant::Core,
+        ] {
+            let mut vc = vocab();
+            let cfg = ChaseConfig::variant(variant).with_max_applications(6);
+            let res = run_chase(&mut vc, &facts, &rules, &cfg);
+            let d = &res.derivation;
+            assert_eq!(d.len(), res.stats.applications + 1, "{variant:?}");
+            let mut replayed = None;
+            d.replay(|e| replayed = Some(e.instance.clone()));
+            assert_eq!(replayed.as_ref(), Some(&res.final_instance), "{variant:?}");
+            // The oblivious variants apply satisfied triggers, which
+            // Definition 1 forbids; the others record derivations.
+            if !matches!(
+                variant,
+                ChaseVariant::Oblivious | ChaseVariant::SemiOblivious
+            ) {
+                assert_eq!(d.validate(), Ok(()), "{variant:?}");
+            }
+        }
     }
 
     #[test]
@@ -1303,6 +1315,30 @@ mod tests {
         assert_eq!(degraded_events, 1, "the crossing is reported once");
         assert!(res.stats.peak_mem_units > 5);
         assert!(res.stats.peak_trigger_queue >= 1);
+    }
+
+    #[test]
+    fn stop_on_degraded_logs_the_crossing_application() {
+        let rules = chain();
+        let facts = set(&[atom(0, &[v(10), v(11)])]);
+        let mut vocab = vocab();
+        let cfg = ChaseConfig::default()
+            .with_max_applications(12)
+            .with_mem_soft(5);
+        let res = run_chase_controlled(&mut vocab, &facts, &rules, &cfg, None, |ev| {
+            if matches!(ev, ChaseEvent::Degraded { .. }) {
+                std::ops::ControlFlow::Break(())
+            } else {
+                std::ops::ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(res.outcome, ChaseOutcome::Stopped);
+        let d = &res.derivation;
+        assert_eq!(d.len(), res.stats.applications + 1);
+        assert_eq!(d.validate(), Ok(()));
+        let mut replayed = None;
+        d.replay(|e| replayed = Some(e.instance.clone()));
+        assert_eq!(replayed.as_ref(), Some(&res.final_instance));
     }
 
     #[test]
@@ -1462,7 +1498,7 @@ mod frugal_tests {
             &rules,
             &ChaseConfig::variant(ChaseVariant::Frugal),
         );
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         assert_eq!(d.validate(), Ok(()));
     }
 }
@@ -1636,7 +1672,7 @@ mod control_tests {
         );
         assert_eq!(res.outcome, ChaseOutcome::Cancelled);
         assert_eq!(res.stats.applications, cancel_at);
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         assert_eq!(d.validate(), Ok(()));
     }
 

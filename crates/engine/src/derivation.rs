@@ -1,66 +1,76 @@
 //! Derivations (Definition 1), trace maps (Definition 2) and fairness
 //! checks (Definition 3).
+//!
+//! Every element satisfies `F_i = σ_i(α(F_{i-1}, tr_i))`, so a derivation
+//! is fully determined by `F`, `σ_0` and the log of `(tr_i, π_safe, σ_i)`.
+//! That log is what [`Derivation`] stores, plus the last instance; the
+//! other instances are recomputed by [`Derivation::replay`], which walks
+//! one instance through the log.
 
-use chase_atoms::{AtomSet, Substitution, Vocabulary};
+use chase_atoms::{Atom, AtomSet, Substitution};
 
 use crate::rule::RuleSet;
-use crate::trigger::{all_triggers, Trigger};
+use crate::trigger::{all_triggers, apply_trigger, Trigger};
 
-/// One element of a derivation: `(tr_i, σ_i, F_i)` plus the bookkeeping
-/// needed to reconstruct the pre-simplification instance
-/// `A_i = α(F_{i-1}, tr_i)`.
+/// One logged step `i ≥ 1` of a derivation: `(tr_i, π_safe, σ_i)`.
 #[derive(Clone, Debug)]
 pub struct DerivationStep {
-    /// The trigger applied at this step (`None` for step 0).
-    pub trigger: Option<Trigger>,
+    /// The trigger `tr_i` applied at this step.
+    pub trigger: Trigger,
     /// The safe substitution used by the application (`π` on the frontier
-    /// plus fresh nulls for existentials); `None` for step 0.
-    pub pi_safe: Option<Substitution>,
-    /// The simplification `σ_i` — a retraction of `A_i` with
-    /// `F_i = σ_i(A_i)`.
+    /// plus fresh nulls for existentials).
+    pub pi_safe: Substitution,
+    /// The simplification `σ_i` — a retraction of
+    /// `A_i = α(F_{i-1}, tr_i)` with `F_i = σ_i(A_i)`.
     pub simplification: Substitution,
-    /// The instance `F_i`.
-    pub instance: AtomSet,
 }
 
 /// A recorded (finite prefix of a) derivation
 /// `D = ((tr_i, σ_i, F_i))_{i}` from a knowledge base `(F, Σ)`.
 #[derive(Clone, Debug)]
 pub struct Derivation {
-    rules: RuleSet,
-    initial: AtomSet,
-    steps: Vec<DerivationStep>,
+    pub(crate) rules: RuleSet,
+    pub(crate) initial: AtomSet,
+    pub(crate) sigma0: Substitution,
+    pub(crate) steps: Vec<DerivationStep>,
+    /// `F_k`, which the chase runner keeps equal to the replayed log.
+    pub(crate) last: AtomSet,
+}
+
+/// One element of a replayed derivation (see [`Derivation::replay`]).
+#[derive(Copy, Clone, Debug)]
+pub struct DerivationElement<'a> {
+    /// The element's index `i`.
+    pub index: usize,
+    /// The pre-simplification instance `A_i = α(F_{i-1}, tr_i)`; for
+    /// `i = 0`, the original facts `F`.
+    pub pre: &'a AtomSet,
+    /// The atoms of `A_i` that `F_{i-1}` lacked (empty for `i = 0`).
+    pub added: &'a [Atom],
+    /// The instance `F_i = σ_i(A_i)`.
+    pub instance: &'a AtomSet,
 }
 
 impl Derivation {
     /// Starts a derivation: records step 0 with `F_0 = σ_0(F)`.
     pub fn start(rules: RuleSet, initial: AtomSet, sigma0: Substitution) -> Self {
-        let f0 = sigma0.apply_set(&initial);
         Derivation {
             rules,
+            last: sigma0.apply_set(&initial),
             initial,
-            steps: vec![DerivationStep {
-                trigger: None,
-                pi_safe: None,
-                simplification: sigma0,
-                instance: f0,
-            }],
+            sigma0,
+            steps: Vec::new(),
         }
     }
 
     /// Appends step `i`: `F_i = σ(α(F_{i-1}, tr))`.
-    pub fn push_step(
-        &mut self,
-        trigger: Trigger,
-        pi_safe: Substitution,
-        simplification: Substitution,
-        instance: AtomSet,
-    ) {
+    pub fn push_step(&mut self, trigger: Trigger, pi_safe: Substitution, sigma: Substitution) {
+        apply_trigger(&self.rules, &mut self.last, &trigger, &pi_safe);
+        self.last.apply_in_place(&sigma);
         self.steps.push(DerivationStep {
-            trigger: Some(trigger),
-            pi_safe: Some(pi_safe),
-            simplification,
-            instance,
+            trigger,
+            pi_safe,
+            simplification: sigma,
         });
     }
 
@@ -77,7 +87,7 @@ impl Derivation {
     /// Number of recorded elements (including step 0), i.e. `k + 1` for a
     /// derivation `(F_i)_{0 ≤ i ≤ k}`.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.steps.len() + 1
     }
 
     /// Always false — a derivation records at least `F_0`.
@@ -85,99 +95,103 @@ impl Derivation {
         false
     }
 
-    /// The step records.
+    /// The logged steps `1 … k`: `steps()[i - 1]` is step `i`.
     pub fn steps(&self) -> &[DerivationStep] {
         &self.steps
     }
 
-    /// The instance `F_i`.
-    pub fn instance(&self, i: usize) -> &AtomSet {
-        &self.steps[i].instance
+    /// The simplification `σ_i` (`σ_0` for `i = 0`).
+    pub fn simplification(&self, i: usize) -> &Substitution {
+        match i {
+            0 => &self.sigma0,
+            _ => &self.steps[i - 1].simplification,
+        }
     }
 
-    /// The final recorded instance.
+    /// The final recorded instance `F_k`.
     pub fn last_instance(&self) -> &AtomSet {
-        &self
-            .steps
-            .last()
-            .expect("derivation is never empty")
-            .instance
+        &self.last
     }
 
-    /// All instances `F_0 … F_k` in order.
-    pub fn instances(&self) -> impl Iterator<Item = &AtomSet> {
-        self.steps.iter().map(|s| &s.instance)
-    }
-
-    /// Reconstructs the pre-simplification instance
-    /// `A_i = α(F_{i-1}, tr_i)` (for `i = 0`, the original facts `F`).
-    pub fn pre_instance(&self, i: usize) -> AtomSet {
-        if i == 0 {
-            return self.initial.clone();
+    /// Replays the log from `F_0 = σ_0(F)`, handing every element
+    /// `0 … k` to `visit` in order. One instance walks through the log:
+    /// each step inserts `π_safe(H)` in place, and only a step with a
+    /// non-identity `σ_i` builds `F_i` beside `A_i`.
+    pub fn replay(&self, mut visit: impl FnMut(DerivationElement<'_>)) {
+        let mut current = self.sigma0.apply_set(&self.initial);
+        visit(DerivationElement {
+            index: 0,
+            pre: &self.initial,
+            added: &[],
+            instance: &current,
+        });
+        for (index, step) in (1..).zip(&self.steps) {
+            let added = apply_trigger(&self.rules, &mut current, &step.trigger, &step.pi_safe);
+            let sigma = &step.simplification;
+            let folded = (!sigma.is_empty()).then(|| sigma.apply_set(&current));
+            visit(DerivationElement {
+                index,
+                pre: &current,
+                added: &added,
+                instance: folded.as_ref().unwrap_or(&current),
+            });
+            if let Some(folded) = folded {
+                current = folded;
+            }
         }
-        let step = &self.steps[i];
-        let trigger = step.trigger.as_ref().expect("step > 0 has a trigger");
-        let pi_safe = step.pi_safe.as_ref().expect("step > 0 has pi_safe");
-        let mut a = self.steps[i - 1].instance.clone();
-        for atom in self.rules.get(trigger.rule).head().iter() {
-            a.insert(pi_safe.apply_atom(atom));
-        }
-        a
     }
 
     /// The trace map `σ_i^j = σ_j ∘ … ∘ σ_{i+1}` of Definition 2
     /// (identity when `i = j`).
     pub fn trace(&self, i: usize, j: usize) -> Substitution {
-        assert!(i <= j && j < self.steps.len());
+        assert!(i <= j && j < self.len());
         let mut composed = Substitution::new();
-        for k in i + 1..=j {
-            composed = composed.then(&self.steps[k].simplification);
+        for step in &self.steps[i..j] {
+            composed = composed.then(&step.simplification);
         }
         composed
     }
 
-    /// Is the derivation monotonic (`F_{i-1} ⊆ F_i` for all `i`)?
+    /// Is the derivation monotonic (`F_{i-1} ⊆ F_i` for all `i`)? As
+    /// `σ_i` is a retraction of `A_i ⊇ F_{i-1}`, that holds iff `σ_i`
+    /// fixes every term of `F_{i-1}`.
     pub fn is_monotonic(&self) -> bool {
-        self.steps
-            .windows(2)
-            .all(|w| w[0].instance.is_subset_of(&w[1].instance))
+        let mut monotonic = true;
+        self.replay(|e| {
+            if let Some(next) = self.steps.get(e.index) {
+                monotonic &= next.simplification.is_identity_on(e.instance.terms());
+            }
+        });
+        monotonic
     }
 
     /// Checks the Definition 1 invariants on every recorded step:
     ///
     /// 1. `tr_i` is a trigger for `F_{i-1}` that is *not satisfied* in
     ///    `F_{i-1}`;
-    /// 2. `σ_i` is a retraction of `A_i = α(F_{i-1}, tr_i)`;
-    /// 3. `F_i = σ_i(A_i)`.
+    /// 2. `σ_i` is a retraction of `A_i = α(F_{i-1}, tr_i)` (for `i = 0`,
+    ///    of `F`);
+    /// 3. the replayed `F_k` is the recorded last instance.
     ///
     /// Returns the index of the first violating step, if any.
     pub fn validate(&self) -> Result<(), usize> {
-        // Step 0: σ_0 retraction of F with F_0 = σ_0(F).
-        let s0 = &self.steps[0];
-        if !s0.simplification.is_retraction_of(&self.initial)
-            || s0.simplification.apply_set(&self.initial) != s0.instance
-        {
-            return Err(0);
-        }
-        for i in 1..self.steps.len() {
-            let prev = &self.steps[i - 1].instance;
-            let step = &self.steps[i];
-            let Some(trigger) = step.trigger.as_ref() else {
-                return Err(i);
-            };
-            if !trigger.is_trigger_for(&self.rules, prev)
-                || trigger.is_satisfied_in(&self.rules, prev)
-            {
-                return Err(i);
-            }
-            let a = self.pre_instance(i);
-            if !step.simplification.is_retraction_of(&a)
-                || step.simplification.apply_set(&a) != step.instance
-            {
-                return Err(i);
-            }
-        }
-        Ok(())
+        let mut first_violation = None;
+        self.replay(|e| {
+            let i = e.index;
+            first_violation = first_violation.or_else(|| {
+                if !self.simplification(i).is_retraction_of(e.pre) {
+                    return Some(i);
+                }
+                let Some(next) = self.steps.get(i) else {
+                    return (*e.instance != self.last).then_some(i);
+                };
+                let tr = &next.trigger;
+                (!tr.is_trigger_for(&self.rules, e.instance)
+                    || tr.is_satisfied_in(&self.rules, e.instance))
+                .then_some(i + 1)
+            });
+        });
+        first_violation.map_or(Ok(()), Err)
     }
 
     /// Fairness check on a *terminating* derivation prefix: every trigger
@@ -188,17 +202,21 @@ impl Derivation {
     /// For non-terminating prefixes this is only a necessary condition up
     /// to the recorded horizon.
     pub fn check_fair_up_to_horizon(&self) -> Result<(), (usize, Trigger)> {
-        let last = self.steps.len() - 1;
-        for i in 0..self.steps.len() {
-            let trace = self.trace(i, last);
-            for tr in all_triggers(&self.rules, &self.steps[i].instance) {
-                let fwd = tr.map(&self.rules, &trace);
-                if !fwd.is_satisfied_in(&self.rules, self.last_instance()) {
-                    return Err((i, tr));
-                }
-            }
-        }
-        Ok(())
+        let last = self.len() - 1;
+        let mut unfair = None;
+        self.replay(|e| {
+            unfair = unfair.take().or_else(|| {
+                let trace = self.trace(e.index, last);
+                all_triggers(&self.rules, e.instance)
+                    .into_iter()
+                    .find(|tr| {
+                        !tr.map(&self.rules, &trace)
+                            .is_satisfied_in(&self.rules, &self.last)
+                    })
+                    .map(|tr| (e.index, tr))
+            });
+        });
+        unfair.map_or(Ok(()), Err)
     }
 
     /// Checks Proposition 1.(1) on the recorded prefix: every `F_i` maps
@@ -206,15 +224,16 @@ impl Derivation {
     /// universal). `model` must be a model of the KB for this to be
     /// meaningful.
     pub fn all_instances_map_into(&self, model: &AtomSet) -> bool {
-        self.instances()
-            .all(|f| chase_homomorphism::maps_to(f, model))
+        let mut all = true;
+        self.replay(|e| all = all && chase_homomorphism::maps_to(e.instance, model));
+        all
     }
 
     /// Convenience: does the final instance satisfy every trigger (i.e. is
     /// it a model of the rules)? Together with `F ⊆`-reachability this is
     /// the termination criterion of the chase.
-    pub fn final_is_model(&self, _vocab: &Vocabulary) -> bool {
-        crate::trigger::is_model_of_rules(&self.rules, self.last_instance())
+    pub fn final_is_model(&self) -> bool {
+        crate::trigger::is_model_of_rules(&self.rules, &self.last)
     }
 }
 
@@ -222,8 +241,8 @@ impl Derivation {
 mod tests {
     use super::*;
     use crate::rule::Rule;
-    use crate::trigger::apply_trigger;
-    use chase_atoms::{Atom, PredId, Term, VarId};
+    use crate::trigger::fresh_pi_safe;
+    use chase_atoms::{PredId, Term, VarId, Vocabulary};
 
     fn v(i: u32) -> Term {
         Term::Var(VarId::from_raw(i))
@@ -253,15 +272,23 @@ mod tests {
         (vocab, rules, facts)
     }
 
-    fn extend_once(vocab: &mut Vocabulary, d: &mut Derivation) {
-        let rules = d.rules().clone();
-        let current = d.last_instance().clone();
-        let tr = crate::trigger::unsatisfied_triggers(&rules, &current)
+    /// Applies the first unsatisfied trigger of the last instance, if any.
+    fn extend_once(vocab: &mut Vocabulary, d: &mut Derivation) -> bool {
+        let Some(tr) = crate::trigger::unsatisfied_triggers(d.rules(), d.last_instance())
             .into_iter()
             .next()
-            .expect("an unsatisfied trigger exists");
-        let app = apply_trigger(vocab, &rules, &current, &tr);
-        d.push_step(tr, app.pi_safe, Substitution::new(), app.result);
+        else {
+            return false;
+        };
+        let (pi_safe, _) = fresh_pi_safe(vocab, d.rules(), &tr);
+        d.push_step(tr, pi_safe, Substitution::new());
+        true
+    }
+
+    fn instances(d: &Derivation) -> Vec<AtomSet> {
+        let mut out = Vec::new();
+        d.replay(|e| out.push(e.instance.clone()));
+        out
     }
 
     #[test]
@@ -269,7 +296,7 @@ mod tests {
         let (mut vocab, rules, facts) = setup();
         let mut d = Derivation::start(rules, facts, Substitution::new());
         for _ in 0..3 {
-            extend_once(&mut vocab, &mut d);
+            assert!(extend_once(&mut vocab, &mut d));
         }
         assert_eq!(d.len(), 4);
         assert!(d.is_monotonic());
@@ -278,33 +305,35 @@ mod tests {
     }
 
     #[test]
-    fn pre_instance_reconstruction() {
+    fn replay_walks_every_element() {
         let (mut vocab, rules, facts) = setup();
         let mut d = Derivation::start(rules, facts.clone(), Substitution::new());
-        extend_once(&mut vocab, &mut d);
-        assert_eq!(d.pre_instance(0), facts);
-        // With identity simplification, A_1 = F_1.
-        assert_eq!(&d.pre_instance(1), d.instance(1));
+        assert!(extend_once(&mut vocab, &mut d));
+        assert!(extend_once(&mut vocab, &mut d));
+        let mut seen = Vec::new();
+        d.replay(|e| {
+            seen.push(e.index);
+            // With identity simplifications, A_i = F_i, and each step adds
+            // exactly the one new chain atom.
+            assert_eq!(e.instance.len(), 1 + e.index);
+            assert_eq!(e.added.len(), usize::from(e.index > 0));
+            if e.index == 0 {
+                assert_eq!(e.pre, &facts);
+            } else {
+                assert_eq!(e.pre, e.instance);
+            }
+        });
+        assert_eq!(seen, vec![0, 1, 2]);
+        assert_eq!(instances(&d).last(), Some(d.last_instance()));
     }
 
     #[test]
     fn simplified_derivation_validates() {
-        // Apply the chain rule then fold the new null back: σ maps the
-        // fresh Z to 10, giving F_1 = {r(10,11), r(11,10)}? No — fold must
-        // be a retraction of A_1 = {r(10,11), r(11,Z)}. Mapping Z ↦ 10
-        // requires r(11,10) ∈ A_1 — not there. Instead fold 10 ↦ Z? Also
-        // not a retraction. Use a rule where folding works:
-        // r(X,Y) → ∃Z. r(Y,Z) on facts {r(10,10)} is satisfied; use facts
-        // {r(10,11), r(11,11)}: trigger on (10,11) is satisfied. So use the
-        // trigger on (11,11)? Also satisfied. Build the fold scenario
-        // manually: start from r(10,11); apply to get r(11,Z); apply to
-        // get r(Z,W); now σ folding nothing is identity. Simplest
-        // non-identity retraction test: duplicate-producing datalog rule.
+        // s(X,Y) → ∃W. r(Y,W); facts {s(10,11), r(11,12), r(12,12)}.
+        // Every trigger is satisfied (r(11,12) witnesses it), so
+        // Definition 1 forbids applying it; validate() must catch that.
         let mut vocab = Vocabulary::new();
         vocab.ensure_var(VarId::from_raw(50));
-        // s(X,Y) → ∃W. r(Y,W); facts {s(10,11), r(11,12), r(12,12)}.
-        // A_1 = facts ∪ {r(11, Z)}; σ: Z ↦ 12 is a retraction
-        // (r(11,12) present).
         let rules: RuleSet = [Rule::new(
             "mk",
             set(&[atom(1, &[v(0), v(1)])]),
@@ -322,16 +351,53 @@ mod tests {
         let tr = crate::trigger::all_triggers(&rules, &facts)
             .into_iter()
             .find(|t| !t.is_satisfied_in(&rules, &facts));
-        // The trigger IS satisfied (r(11,12) witnesses it) — so Definition
-        // 1 forbids applying it. Check that validate() catches a violation.
         assert!(tr.is_none());
         let satisfied = crate::trigger::all_triggers(&rules, &facts)
             .into_iter()
             .next()
             .unwrap();
-        let app = apply_trigger(&mut vocab, &rules, &facts, &satisfied);
-        d.push_step(satisfied, app.pi_safe, Substitution::new(), app.result);
+        let (pi_safe, _) = fresh_pi_safe(&mut vocab, &rules, &satisfied);
+        d.push_step(satisfied, pi_safe, Substitution::new());
         assert_eq!(d.validate(), Err(1));
+    }
+
+    #[test]
+    fn folding_step_replays_its_simplification() {
+        // s(X,Y) → ∃W. r(Y,W) on {s(10,11), r(12,13)}: A_1 adds r(11, N);
+        // σ_1 = {13 ↦ N, 12 ↦ 11} folds r(12,13) onto it, giving
+        // F_1 = {s(10,11), r(11,N)}.
+        let mut vocab = Vocabulary::new();
+        vocab.ensure_var(VarId::from_raw(50));
+        let rules: RuleSet = [Rule::new(
+            "mk",
+            set(&[atom(1, &[v(0), v(1)])]),
+            set(&[atom(0, &[v(1), v(2)])]),
+        )
+        .unwrap()]
+        .into_iter()
+        .collect();
+        let facts = set(&[atom(1, &[v(10), v(11)]), atom(0, &[v(12), v(13)])]);
+        let mut d = Derivation::start(rules.clone(), facts.clone(), Substitution::new());
+        let tr = crate::trigger::unsatisfied_triggers(&rules, &facts)[0].clone();
+        let (pi_safe, fresh) = fresh_pi_safe(&mut vocab, &rules, &tr);
+        let sigma = Substitution::from_pairs([
+            (VarId::from_raw(12), v(11)),
+            (VarId::from_raw(13), Term::Var(fresh[0])),
+        ]);
+        d.push_step(tr, pi_safe, sigma);
+        let f1 = set(&[
+            atom(1, &[v(10), v(11)]),
+            atom(0, &[v(11), Term::Var(fresh[0])]),
+        ]);
+        assert_eq!(d.last_instance(), &f1);
+        assert_eq!(d.validate(), Ok(()));
+        assert!(!d.is_monotonic());
+        d.replay(|e| {
+            if e.index == 1 {
+                assert_eq!(e.pre.len(), 3);
+                assert_eq!(e.instance, &f1);
+            }
+        });
     }
 
     #[test]
@@ -349,21 +415,11 @@ mod tests {
         .into_iter()
         .collect();
         let facts = set(&[atom(0, &[v(10), v(11)]), atom(0, &[v(11), v(12)])]);
-        let mut d = Derivation::start(rules.clone(), facts, Substitution::new());
-        loop {
-            let current = d.last_instance().clone();
-            let Some(tr) = crate::trigger::unsatisfied_triggers(&rules, &current)
-                .into_iter()
-                .next()
-            else {
-                break;
-            };
-            let app = apply_trigger(&mut vocab, &rules, &current, &tr);
-            d.push_step(tr, app.pi_safe, Substitution::new(), app.result);
-        }
+        let mut d = Derivation::start(rules, facts, Substitution::new());
+        while extend_once(&mut vocab, &mut d) {}
         assert_eq!(d.validate(), Ok(()));
         assert!(d.check_fair_up_to_horizon().is_ok());
-        assert!(d.final_is_model(&vocab));
+        assert!(d.final_is_model());
         assert!(d.all_instances_map_into(d.last_instance()));
     }
 }

@@ -93,21 +93,25 @@ pub fn derivation_dot(vocab: &Vocabulary, d: &Derivation, title: &str) -> String
     let _ = writeln!(out, "digraph \"{}\" {{", escape(title));
     let _ = writeln!(out, "    rankdir=LR;");
     let _ = writeln!(out, "    label=\"{}\";", escape(title));
-    for (i, step) in d.steps().iter().enumerate() {
-        let rule_note = match &step.trigger {
-            Some(tr) => format!("F{i} ← {}", d.rules().get(tr.rule).name()),
-            None => format!("F{i} (initial)"),
+    d.replay(|e| {
+        let i = e.index;
+        let rule_note = match i {
+            0 => format!("F{i} (initial)"),
+            _ => format!(
+                "F{i} ← {}",
+                d.rules().get(d.steps()[i - 1].trigger.rule).name()
+            ),
         };
-        let simp_note = if step.simplification.is_empty() {
-            String::new()
+        let simp_note = if d.simplification(i).is_empty() {
+            ""
         } else {
-            " / fold".to_string()
+            " / fold"
         };
         let _ = writeln!(out, "  subgraph cluster_{i} {{");
         let _ = writeln!(out, "    label=\"{}{}\";", escape(&rule_note), simp_note);
-        write_instance_body(&mut out, &format!("s{i}_"), vocab, &step.instance);
+        write_instance_body(&mut out, &format!("s{i}_"), vocab, e.instance);
         let _ = writeln!(out, "  }}");
-    }
+    });
     let _ = writeln!(out, "}}");
     out
 }
@@ -167,7 +171,7 @@ mod tests {
         let facts: AtomSet = [Atom::new(r, vec![a, b])].into_iter().collect();
         let cfg = ChaseConfig::variant(ChaseVariant::Restricted).with_max_applications(2);
         let res = run_chase(&mut vocab, &facts, &rules, &cfg);
-        let d = res.derivation.unwrap();
+        let d = res.derivation;
         let dot = derivation_dot(&vocab, &d, "chain");
         assert_eq!(dot.matches("subgraph cluster_").count(), d.len());
         assert!(dot.contains("← R"));

@@ -7,9 +7,10 @@
 //!   existential variables;
 //! * [`Trigger`] — a rule plus a homomorphism of its body into an
 //!   instance; trigger application `α(I, tr)` and satisfaction;
-//! * [`Derivation`] — the paper's Definition 1: a sequence of triggers,
-//!   *simplifications* (retractions) and instances, with the trace maps
-//!   `σ_i^j` of Definition 2 and the fairness notion of Definition 3;
+//! * [`Derivation`] — the paper's Definition 1: a log of triggers and
+//!   *simplifications* (retractions) over the initial instance, replayed
+//!   into the instances on demand, with the trace maps `σ_i^j` of
+//!   Definition 2 and the fairness notion of Definition 3;
 //! * [`chase::run_chase`] — a budgeted, fair, deterministic chase runner
 //!   for the oblivious, semi-oblivious, restricted and core variants;
 //! * [`robust`] — the robust renaming (Definition 14), robust sequence
@@ -37,14 +38,13 @@ mod trigger;
 
 pub use chase::{
     run_chase, run_chase_controlled, run_chase_observed, ChaseConfig, ChaseOutcome, ChaseResult,
-    ChaseStats, ChaseVariant, CoreMaintenance, MatchStrategy, RecordLevel, SchedulerKind,
-    SuspendReason,
+    ChaseStats, ChaseVariant, CoreMaintenance, MatchStrategy, SchedulerKind, SuspendReason,
 };
 pub use control::{CancelToken, ChaseEvent, FaultPlan, FaultSite};
-pub use derivation::{Derivation, DerivationStep};
+pub use derivation::{Derivation, DerivationElement, DerivationStep};
 pub use robust::{RobustSequence, VarTrace};
 pub use rule::{Rule, RuleError, RuleId, RuleSet};
 pub use trigger::{
-    all_triggers, all_triggers_counted, apply_trigger, is_model_of_rules, triggers_using_delta,
-    triggers_using_delta_counted, unsatisfied_triggers, MatchTally, Trigger, TriggerApplication,
+    all_triggers, all_triggers_counted, apply_trigger, fresh_pi_safe, is_model_of_rules,
+    triggers_using_delta, triggers_using_delta_counted, unsatisfied_triggers, MatchTally, Trigger,
 };

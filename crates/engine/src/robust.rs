@@ -111,23 +111,20 @@ impl RobustSequence {
         let mut rho: Vec<Substitution> = Vec::with_capacity(d.len());
         let mut tau = Vec::with_capacity(d.len());
 
-        // Step 0.
-        let f = d.initial();
-        let sigma0 = &d.steps()[0].simplification;
-        let rho0 = robust_renaming(f, sigma0, rank);
-        let g0 = rho0.apply_set(d.instance(0));
-        sets.push(g0);
-        tau.push(sigma0.then(&rho0));
-        rho.push(rho0);
-
-        for i in 1..d.len() {
-            let rho_prev = &rho[i - 1];
+        d.replay(|e| {
+            let sigma_i = d.simplification(e.index);
+            let Some(rho_prev) = rho.last() else {
+                // Step 0: `e.pre` is F, `e.instance` is F_0.
+                let rho0 = robust_renaming(e.pre, sigma_i, rank);
+                sets.push(rho0.apply_set(e.instance));
+                tau.push(sigma_i.then(&rho0));
+                rho.push(rho0);
+                return;
+            };
             let rho_prev_inv = rho_prev
                 .inverse()
                 .expect("ρ is a variable renaming, hence invertible");
-            let a_i = d.pre_instance(i);
-            let a_prime = rho_prev.apply_set(&a_i);
-            let sigma_i = &d.steps()[i].simplification;
+            let a_prime = rho_prev.apply_set(e.pre);
             // σ'_i = ρ_{i-1} ∘ σ_i ∘ ρ_{i-1}^{-1}, built explicitly on the
             // variables of A'_i.
             let mut sigma_prime = Substitution::new();
@@ -146,11 +143,11 @@ impl RobustSequence {
             let rho_i = rho_prev.then(&rho_sigma);
             // ρ_i must stay a pure variable renaming on vars(F_i); keep
             // only those bindings.
-            let rho_i = rho_i.restrict(&d.instance(i).vars()).normalized();
+            let rho_i = rho_i.restrict(&e.instance.vars()).normalized();
             sets.push(g_i);
             tau.push(tau_i);
             rho.push(rho_i);
-        }
+        });
         RobustSequence { sets, rho, tau }
     }
 
@@ -233,24 +230,27 @@ impl RobustSequence {
     /// 2. every `τ_i` (`i ≥ 1`) maps `G_{i-1}` into `G_i`;
     /// 3. `τ_0` maps the original facts into `G_0`.
     pub fn verify_invariants(&self, d: &Derivation) -> Result<(), String> {
-        for i in 0..self.len() {
-            let f_i = d.instance(i);
-            let g_i = &self.sets[i];
-            if self.rho[i].apply_set(f_i) != *g_i {
-                return Err(format!("ρ_{i} does not map F_{i} onto G_{i}"));
-            }
-            if isomorphism(f_i, g_i).is_none() {
-                return Err(format!("G_{i} is not isomorphic to F_{i}"));
-            }
-            if i == 0 {
-                if !self.tau[0].is_homomorphism(d.initial(), g_i) {
-                    return Err("τ_0 is not a homomorphism from F to G_0".into());
-                }
-            } else if !self.tau[i].is_homomorphism(&self.sets[i - 1], g_i) {
-                return Err(format!("τ_{i} does not map G_{} into G_{i}", i - 1));
-            }
+        if self.len() != d.len() {
+            return Err(format!("{} sets for {} elements", self.len(), d.len()));
         }
-        Ok(())
+        let mut verdict = Ok(());
+        d.replay(|e| {
+            let (i, f_i, g_i) = (e.index, e.instance, &self.sets[e.index]);
+            if verdict.is_ok() {
+                verdict = if self.rho[i].apply_set(f_i) != *g_i {
+                    Err(format!("ρ_{i} does not map F_{i} onto G_{i}"))
+                } else if isomorphism(f_i, g_i).is_none() {
+                    Err(format!("G_{i} is not isomorphic to F_{i}"))
+                } else if i == 0 && !self.tau[0].is_homomorphism(d.initial(), g_i) {
+                    Err("τ_0 is not a homomorphism from F to G_0".into())
+                } else if i > 0 && !self.tau[i].is_homomorphism(&self.sets[i - 1], g_i) {
+                    Err(format!("τ_{i} does not map G_{} into G_{i}", i - 1))
+                } else {
+                    Ok(())
+                };
+            }
+        });
+        verdict
     }
 }
 
@@ -336,7 +336,7 @@ mod tests {
         vocab.ensure_var(vid(99));
         let cfg = ChaseConfig::variant(ChaseVariant::Core).with_max_applications(5);
         let res = run_chase(&mut vocab, &facts, &rules, &cfg);
-        (res.derivation.unwrap(), vocab)
+        (res.derivation, vocab)
     }
 
     #[test]
@@ -353,10 +353,10 @@ mod tests {
         // This particular chase never folds (paths are cores), so all σ_i
         // are identities and G_i = F_i.
         let rs = RobustSequence::build(&d);
-        for i in 0..d.len() {
-            assert_eq!(&rs.sets[i], d.instance(i));
-            assert!(rs.rho[i].is_empty());
-        }
+        d.replay(|e| {
+            assert_eq!(&rs.sets[e.index], e.instance);
+            assert!(rs.rho[e.index].is_empty());
+        });
         // The aggregation prefix with margin 0 is just the last set.
         assert_eq!(rs.aggregation_prefix(0), *d.last_instance());
     }

@@ -1,10 +1,10 @@
 //! Triggers and trigger application (`α(I, tr)`).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 
-use chase_atoms::{AtomSet, Substitution, Term, VarId, Vocabulary};
-use chase_homomorphism::{find_homomorphism_extending, for_each_homomorphism, MatchConfig};
+use chase_atoms::{Atom, AtomSet, Substitution, Term, VarId, Vocabulary};
+use chase_homomorphism::{for_each_homomorphism, MatchConfig};
 
 use crate::rule::{RuleId, RuleSet};
 
@@ -63,13 +63,12 @@ impl Trigger {
     /// Is the trigger *satisfied* in `instance`: can `π` be extended to a
     /// homomorphism from `B ∪ H` to `instance`?
     pub fn is_satisfied_in(&self, rules: &RuleSet, instance: &AtomSet) -> bool {
-        let rule = rules.get(self.rule);
-        if !self.is_trigger_for(rules, instance) {
-            return false;
-        }
-        let head_vars: BTreeSet<VarId> = rule.head().vars();
-        let seed = self.pi.restrict(&head_vars);
-        find_homomorphism_extending(rule.head(), instance, &seed).is_some()
+        self.is_satisfied_in_counted(
+            rules,
+            instance,
+            &MatchConfig::default(),
+            &mut MatchTally::default(),
+        )
     }
 
     /// [`Trigger::is_satisfied_in`] under an explicit [`MatchConfig`]
@@ -89,8 +88,7 @@ impl Trigger {
         // Seed with π unrestricted: bindings for universal variables
         // outside the head are inert (they never conflict with the
         // head's frontier or existential variables), and only existence
-        // matters here — so the per-check `head_vars` set and restricted
-        // substitution of [`Trigger::is_satisfied_in`] are dead weight.
+        // matters here.
         let mut found = false;
         let outcome = for_each_homomorphism(rule.head(), instance, &self.pi, mcfg, |_| {
             found = true;
@@ -137,28 +135,16 @@ impl Trigger {
     }
 }
 
-/// The result of a trigger application `α(I, tr) = I ∪ π_safe(H)`.
-#[derive(Clone, Debug)]
-pub struct TriggerApplication {
-    /// The produced instance `α(I, tr)`.
-    pub result: AtomSet,
-    /// The safe substitution: `π` on frontier variables plus a fresh null
-    /// for each existential variable of the rule.
-    pub pi_safe: Substitution,
-    /// The fresh nulls minted for this application, in the order of the
-    /// rule's existential variables.
-    pub fresh: Vec<VarId>,
-}
-
-/// Applies trigger `tr` to `instance`, minting fresh nulls from `vocab`.
-pub fn apply_trigger(
+/// The safe substitution of `tr` under fresh-null semantics: `π` on the
+/// frontier plus a fresh null from `vocab` for each existential variable
+/// of the rule. Also returns those nulls, in the order of the rule's
+/// existential variables.
+pub fn fresh_pi_safe(
     vocab: &mut Vocabulary,
     rules: &RuleSet,
-    instance: &AtomSet,
     tr: &Trigger,
-) -> TriggerApplication {
+) -> (Substitution, Vec<VarId>) {
     let rule = rules.get(tr.rule);
-    debug_assert!(tr.is_trigger_for(rules, instance), "applying a non-trigger");
     let mut pi_safe = tr.pi.restrict(rule.frontier_vars());
     let mut fresh = Vec::new();
     for &z in rule.existential_vars() {
@@ -166,15 +152,27 @@ pub fn apply_trigger(
         pi_safe.bind(z, Term::Var(null));
         fresh.push(null);
     }
-    let mut result = instance.clone();
-    for atom in rule.head().iter() {
-        result.insert(pi_safe.apply_atom(atom));
+    (pi_safe, fresh)
+}
+
+/// Applies trigger `tr` to `instance` in place under `pi_safe`, turning
+/// it into `α(instance, tr) = instance ∪ π_safe(H)`. Returns the head
+/// atoms `instance` did not contain yet (in head order) — the
+/// application's contribution to the semi-naive delta.
+pub fn apply_trigger(
+    rules: &RuleSet,
+    instance: &mut AtomSet,
+    tr: &Trigger,
+    pi_safe: &Substitution,
+) -> Vec<Atom> {
+    let mut added = Vec::new();
+    for atom in rules.get(tr.rule).head().iter() {
+        let image = pi_safe.apply_atom(atom);
+        if instance.insert(image.clone()) {
+            added.push(image);
+        }
     }
-    TriggerApplication {
-        result,
-        pi_safe,
-        fresh,
-    }
+    added
 }
 
 /// Enumerates all triggers of `rules` for `instance`, in deterministic
@@ -228,11 +226,7 @@ pub fn all_triggers_counted(
 /// extension) a trigger handled once never needs to be revisited.
 ///
 /// The result is deduplicated and sorted like [`all_triggers`].
-pub fn triggers_using_delta(
-    rules: &RuleSet,
-    instance: &AtomSet,
-    delta: &[chase_atoms::Atom],
-) -> Vec<Trigger> {
+pub fn triggers_using_delta(rules: &RuleSet, instance: &AtomSet, delta: &[Atom]) -> Vec<Trigger> {
     triggers_using_delta_counted(
         rules,
         instance,
@@ -247,7 +241,7 @@ pub fn triggers_using_delta(
 pub fn triggers_using_delta_counted(
     rules: &RuleSet,
     instance: &AtomSet,
-    delta: &[chase_atoms::Atom],
+    delta: &[Atom],
     mcfg: &MatchConfig,
     tally: &mut MatchTally,
 ) -> Vec<Trigger> {
@@ -358,7 +352,7 @@ pub fn is_model_of_rules(rules: &RuleSet, instance: &AtomSet) -> bool {
 mod tests {
     use super::*;
     use crate::rule::Rule;
-    use chase_atoms::{Atom, PredId};
+    use chase_atoms::PredId;
 
     fn v(i: u32) -> Term {
         Term::Var(VarId::from_raw(i))
@@ -402,11 +396,16 @@ mod tests {
         assert!(!tr.is_satisfied_in(&rules, &inst));
 
         let mut vocab = vocab_with_vars(100);
-        let app = apply_trigger(&mut vocab, &rules, &inst, tr);
-        assert_eq!(app.result.len(), 2);
-        assert_eq!(app.fresh.len(), 1);
+        let (pi_safe, fresh) = fresh_pi_safe(&mut vocab, &rules, tr);
+        let mut applied = inst.clone();
+        let added = apply_trigger(&rules, &mut applied, tr, &pi_safe);
+        assert_eq!(applied.len(), 2);
+        assert_eq!(added.len(), 1);
+        assert_eq!(fresh.len(), 1);
         // Now the trigger is satisfied.
-        assert!(tr.is_satisfied_in(&rules, &app.result));
+        assert!(tr.is_satisfied_in(&rules, &applied));
+        // Re-applying under the same π_safe adds nothing.
+        assert!(apply_trigger(&rules, &mut applied, tr, &pi_safe).is_empty());
     }
 
     #[test]
@@ -494,8 +493,8 @@ mod tests {
         let inst = set(&[atom(0, &[v(10), v(11)])]);
         let tr = all_triggers(&rules, &inst)[0].clone();
         let mut vocab = vocab_with_vars(100);
-        let app1 = apply_trigger(&mut vocab, &rules, &inst, &tr);
-        let app2 = apply_trigger(&mut vocab, &rules, &app1.result, &tr);
-        assert_ne!(app1.fresh, app2.fresh);
+        let (_, fresh1) = fresh_pi_safe(&mut vocab, &rules, &tr);
+        let (_, fresh2) = fresh_pi_safe(&mut vocab, &rules, &tr);
+        assert_ne!(fresh1, fresh2);
     }
 }

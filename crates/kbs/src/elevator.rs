@@ -341,8 +341,7 @@ mod tests {
             .with_max_applications(40);
         let res = run_chase(&mut vocab, &e.facts, &e.rules, &cfg);
         assert!(!res.outcome.terminated(), "K_v must not terminate");
-        let d = res.derivation.unwrap();
-        let bound = chase_engine::boundedness::certified_uniform_bound(&d);
+        let bound = chase_engine::boundedness::certified_uniform_bound(&res.derivation);
         assert!(
             bound >= 2,
             "core chase should exceed treewidth 1, got {bound}"

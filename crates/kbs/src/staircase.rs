@@ -333,12 +333,7 @@ impl Staircase {
         for &(z, t) in &app.existentials {
             pi_safe.bind(z, t);
         }
-        let mut a = d.last_instance().clone();
-        for atom in self.rules.get(app.rule).head().iter() {
-            a.insert(pi_safe.apply_atom(atom));
-        }
-        let next = sigma.apply_set(&a);
-        d.push_step(trigger, pi_safe, sigma, next);
+        d.push_step(trigger, pi_safe, sigma);
     }
 
     /// The canonical **restricted** chase `D_r` through step `steps − 1`
@@ -438,10 +433,10 @@ mod tests {
         let mut s = Staircase::new();
         let d = s.scripted_core_chase(3);
         assert_eq!(d.validate(), Ok(()));
-        for f in d.instances() {
-            let b = treewidth_bounds(f);
+        d.replay(|e| {
+            let b = treewidth_bounds(e.instance);
             assert!(b.upper <= 2, "chase element exceeds treewidth 2");
-        }
+        });
         // Final element is C_3.
         assert_eq!(d.last_instance(), &s.column(3));
     }
@@ -491,27 +486,28 @@ mod tests {
     fn schedule_produces_exactly_expected_atoms() {
         let mut s = Staircase::new();
         let d = s.scripted_restricted_chase(3);
-        // Re-walk the schedule and compare per-application diffs.
-        let mut idx = 1; // step 0 of the derivation is F_0
-        for k in 0..3 {
-            for app in s.schedule(k) {
-                let before = d.instance(idx - 1);
-                let after = d.instance(idx);
-                for atom in &app.expected_new {
-                    assert!(
-                        after.contains(atom) && !before.contains(atom),
-                        "k={k} application {idx}: expected new atom missing"
-                    );
-                }
-                assert_eq!(
-                    after.len() - before.len(),
-                    app.expected_new.len(),
-                    "k={k} application {idx}: unexpected extra atoms"
-                );
-                idx += 1;
+        // Re-walk the schedule and compare per-application diffs; the
+        // derivation is monotonic, so F_i \ F_{i-1} is what step i added.
+        let schedule: Vec<_> = (0..3).flat_map(|k| s.schedule(k)).collect();
+        assert_eq!(schedule.len() + 1, d.len());
+        d.replay(|e| {
+            let idx = e.index;
+            if idx == 0 {
+                return;
             }
-        }
-        assert_eq!(idx, d.len());
+            let app = &schedule[idx - 1];
+            for atom in &app.expected_new {
+                assert!(
+                    e.added.contains(atom),
+                    "application {idx}: expected new atom missing"
+                );
+            }
+            assert_eq!(
+                e.added.len(),
+                app.expected_new.len(),
+                "application {idx}: unexpected extra atoms"
+            );
+        });
     }
 
     #[test]

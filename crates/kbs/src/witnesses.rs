@@ -135,10 +135,8 @@ mod tests {
         let cfg = ChaseConfig::variant(ChaseVariant::Core).with_max_applications(12);
         let res = run_chase(&mut vocab, &w.facts, &w.rules, &cfg);
         assert!(!res.outcome.terminated());
-        let d = res.derivation.unwrap();
-        for f in d.instances() {
-            assert!(treewidth_bounds(f).upper <= 1);
-        }
+        res.derivation
+            .replay(|e| assert!(treewidth_bounds(e.instance).upper <= 1));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use chase_atoms::{AtomSet, Vocabulary};
 use chase_core::{collect_answer_tuples, AnswerQuery, KnowledgeBase};
-use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome, RecordLevel};
+use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome};
 use chase_homomorphism::SearchBudget;
 use chase_parser::{parse_query_with, ParseError, ParsedQuery};
 
@@ -158,10 +158,7 @@ pub fn answer_kb(
 ) -> Result<QueryOutcome, ParseError> {
     let mut vocab = kb.vocab.clone();
     let parsed = parse_query_with(&mut vocab, "q", query_src)?;
-    let run_cfg = cfg
-        .clone()
-        .with_record(RecordLevel::FinalOnly)
-        .with_search_budget(budget.clone());
+    let run_cfg = cfg.clone().with_search_budget(budget.clone());
     let res = run_chase_observed(&mut vocab, &kb.facts, &kb.rules, &run_cfg, |_, _| {
         std::ops::ControlFlow::Continue(())
     });

@@ -133,6 +133,9 @@ struct CacheState {
 /// view never blocks a publisher and vice versa.
 pub struct SnapshotCache {
     jobs: Mutex<CacheState>,
+    /// Serialises publishes and evictions, so a publish can rebuild a
+    /// ring outside `jobs` and hold that lock only to swap the result in.
+    publishing: Mutex<()>,
     ring_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -154,6 +157,7 @@ impl SnapshotCache {
                 jobs: HashMap::new(),
                 retired: HashMap::new(),
             }),
+            publishing: Mutex::new(()),
             ring_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -170,18 +174,34 @@ impl SnapshotCache {
     /// [`CacheStats::stale_drops`]) instead of downgrading `complete`
     /// replies. Per-job sequence numbers stay monotone for the cache's
     /// lifetime, across [`SnapshotCache::evict`] and re-publish.
+    ///
+    /// The ring intersection and the freeing of evicted snapshots happen
+    /// outside the lock [`SnapshotCache::view`] takes, so a publish never
+    /// stalls a concurrent reader for longer than a swap.
     pub fn publish(&self, job: u64, snapshot: Snapshot) {
-        let snapshot = Arc::new(snapshot);
-        let mut st = self.jobs.lock().expect("snapshot cache poisoned");
-        let already_terminal = st.jobs.get(&job).map_or_else(
+        let terminated = snapshot.terminated;
+        let _publishing = self.publishing.lock().expect("snapshot cache poisoned");
+        let st = self.jobs.lock().expect("snapshot cache poisoned");
+        let entry = st.jobs.get(&job);
+        let already_terminal = entry.map_or_else(
             || st.retired.get(&job).is_some_and(|r| r.terminal),
             |e| e.terminal,
         );
-        if already_terminal && !snapshot.terminated {
+        if already_terminal && !terminated {
             drop(st);
             self.stale_drops.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        let mut ring = entry
+            .filter(|_| !terminated)
+            .map_or_else(VecDeque::new, |e| e.ring.clone());
+        drop(st);
+        ring.push_back(Arc::new(snapshot));
+        while ring.len() > self.ring_capacity {
+            ring.pop_front();
+        }
+        let robust = intersect_ring(&ring);
+        let mut st = self.jobs.lock().expect("snapshot cache poisoned");
         let carried = st.retired.get(&job).copied().unwrap_or_default();
         let entry = st.jobs.entry(job).or_insert_with(|| JobRing {
             ring: VecDeque::new(),
@@ -189,17 +209,14 @@ impl SnapshotCache {
             next_seq: carried.next_seq,
             terminal: carried.terminal,
         });
-        if snapshot.terminated {
-            entry.ring.clear();
-            entry.terminal = true;
-        }
-        entry.ring.push_back(Arc::clone(&snapshot));
-        while entry.ring.len() > self.ring_capacity {
-            entry.ring.pop_front();
-        }
-        entry.robust = intersect_ring(&entry.ring);
+        entry.terminal |= terminated;
         entry.next_seq += 1;
+        let evicted = (
+            std::mem::replace(&mut entry.ring, ring),
+            std::mem::replace(&mut entry.robust, robust),
+        );
         drop(st);
+        drop(evicted);
         self.published.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -247,6 +264,7 @@ impl SnapshotCache {
     /// later re-publish under the same id continues the sequence instead
     /// of restarting readers at zero.
     pub fn evict(&self, job: u64) {
+        let _publishing = self.publishing.lock().expect("snapshot cache poisoned");
         let mut st = self.jobs.lock().expect("snapshot cache poisoned");
         if let Some(ring) = st.jobs.remove(&job) {
             st.retired.insert(

@@ -2,7 +2,7 @@
 
 use chase_atoms::{AtomSet, Vocabulary};
 use chase_core::KnowledgeBase;
-use chase_engine::{ChaseConfig, ChaseOutcome, ChaseStats, Derivation};
+use chase_engine::{ChaseConfig, ChaseOutcome, ChaseStats};
 use chase_parser::{parse_program, parse_program_trusted, Program};
 
 use crate::checkpoint::Checkpoint;
@@ -221,9 +221,6 @@ pub struct JobResult {
     /// instance needs the symbol table of the same instant, not the
     /// spec's.
     pub final_vocab: Vocabulary,
-    /// The recorded derivation of the final slice, when the config asked
-    /// for full recording.
-    pub derivation: Option<Derivation>,
     /// Per-query verdicts against the final instance.
     pub queries: Vec<(String, QueryVerdict)>,
     /// A resume checkpoint, present iff the outcome is resumable.

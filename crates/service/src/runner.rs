@@ -1053,8 +1053,7 @@ impl Service {
         st.jobs.get(&id).and_then(|e| e.result.as_ref()).map(f)
     }
 
-    /// Waits for the job and moves its full result out of the table
-    /// (used by the bench drivers, which need the owned derivation).
+    /// Waits for the job and moves its full result out of the table.
     pub fn take_result(&self, id: JobId) -> Option<JobResult> {
         self.wait(id)?;
         let mut st = self.inner.state.lock().expect("state lock poisoned");
@@ -1705,7 +1704,6 @@ fn execute(
         stats,
         final_instance: res.final_instance,
         final_vocab: vocab,
-        derivation: res.derivation,
         queries,
         checkpoint,
         wall_ms: started.elapsed().as_millis() as u64,

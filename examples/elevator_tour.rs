@@ -47,7 +47,7 @@ fn main() {
         .with_scheduler(SchedulerKind::DatalogFirst)
         .with_max_applications(120);
     let run = run_chase(&mut vocab, &e.facts, &e.rules, &cfg);
-    let d = run.derivation.expect("full record");
+    let d = run.derivation;
     let profile = treewidth_profile(&d);
     let ubs: Vec<usize> = profile.iter().map(|b| b.upper).collect();
     println!(

@@ -115,8 +115,8 @@ fn datalog_first_scheduler_prioritizes_datalog() {
                 .with_scheduler(SchedulerKind::DatalogFirst),
         )
     };
-    let d = res.derivation.unwrap();
-    let first = d.steps()[1].trigger.as_ref().unwrap();
+    let d = res.derivation;
+    let first = &d.steps()[0].trigger;
     assert_eq!(d.rules().get(first.rule).name(), "D");
 }
 
@@ -125,8 +125,7 @@ fn recorded_derivations_validate_for_restricted_and_core() {
     for variant in [ChaseVariant::Restricted, ChaseVariant::Core] {
         let k = kb("r(a, b). R: r(X, Y) -> r(Y, Z).");
         let res = k.chase(&ChaseConfig::variant(variant).with_max_applications(8));
-        let d = res.derivation.unwrap();
-        assert_eq!(d.validate(), Ok(()), "{variant:?}");
+        assert_eq!(res.derivation.validate(), Ok(()), "{variant:?}");
     }
 }
 

@@ -158,20 +158,17 @@ fn budget_truncation_stays_sound() {
     }
 }
 
-/// One line per derivation step — triggers, safe substitutions,
-/// simplifications and instances all rendered. Any nondeterminism in
-/// match order, trigger scheduling or retraction choice shows up as a
-/// byte difference.
+/// One line per derivation step — triggers, safe substitutions and
+/// simplifications all rendered, then every replayed instance. Any
+/// nondeterminism in match order, trigger scheduling or retraction choice
+/// shows up as a byte difference.
 fn derivation_log(res: &treechase::engine::ChaseResult) -> String {
     let mut log = String::new();
-    for step in res
-        .derivation
-        .as_ref()
-        .expect("RecordLevel::Full records the derivation")
-        .steps()
-    {
+    for step in res.derivation.steps() {
         log.push_str(&format!("{step:?}\n"));
     }
+    res.derivation
+        .replay(|e| log.push_str(&format!("{:?}\n", e.instance.sorted_atoms())));
     log
 }
 

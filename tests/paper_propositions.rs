@@ -123,7 +123,7 @@ fn prop13_witness_separation() {
     let cfg = ChaseConfig::variant(ChaseVariant::Core).with_max_applications(15);
     let res = run_chase(&mut vocab, &w.facts, &w.rules, &cfg);
     assert!(!res.outcome.terminated());
-    assert!(treewidth_profile(res.derivation.as_ref().unwrap())
+    assert!(treewidth_profile(&res.derivation)
         .iter()
         .all(|b| b.upper <= 1));
 

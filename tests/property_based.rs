@@ -201,8 +201,7 @@ mod chase_properties {
                 .with_max_atoms(500);
             let res = run_chase(&mut vocab, &facts, &ruleset, &cfg);
             if res.outcome.terminated() {
-                let d = res.derivation.unwrap();
-                assert!(d.all_instances_map_into(&res.final_instance));
+                assert!(res.derivation.all_instances_map_into(&res.final_instance));
                 assert!(is_core(&res.final_instance));
             }
         }

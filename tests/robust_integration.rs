@@ -97,8 +97,7 @@ fn monotonic_robust_equals_natural() {
     let mut s = Staircase::new();
     let d = s.scripted_restricted_chase(3);
     let rs = RobustSequence::build(&d);
-    for i in 0..rs.len() {
-        assert_eq!(&rs.sets[i], d.instance(i));
-    }
+    assert_eq!(rs.len(), d.len());
+    d.replay(|e| assert_eq!(&rs.sets[e.index], e.instance));
     assert_eq!(rs.aggregation_prefix(0), natural_aggregation(&d));
 }

@@ -198,8 +198,14 @@ fn four_jobs_run_concurrently_with_interleaved_starts() {
     let cfg = ChaseConfig::variant(ChaseVariant::Oblivious)
         .with_max_applications(10_000_000)
         .with_max_wall(Duration::from_millis(700));
+    // Progress events off: a wall-bounded run emits one per application,
+    // enough to push the `started` events out of the bounded event hub.
     let ids: Vec<_> = (0..4)
-        .map(|i| svc.submit(staircase_spec(&format!("conc-{i}"), cfg.clone())))
+        .map(|i| {
+            svc.submit(
+                staircase_spec(&format!("conc-{i}"), cfg.clone()).with_progress_every(usize::MAX),
+            )
+        })
         .collect();
     for id in &ids {
         assert_eq!(svc.wait(*id), Some(JobStatus::Finished));

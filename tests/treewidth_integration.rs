@@ -75,9 +75,7 @@ fn fact1_monotonicity_on_chase_prefixes() {
     let d = s.scripted_restricted_chase(3);
     let agg = treechase::engine::aggregation::natural_aggregation(&d);
     let agg_ub = treewidth_bounds(&agg).upper;
-    for f in d.instances() {
-        assert!(treewidth_bounds(f).lower <= agg_ub);
-    }
+    d.replay(|e| assert!(treewidth_bounds(e.instance).lower <= agg_ub));
 }
 
 #[test]
@@ -99,9 +97,8 @@ fn decompositions_of_chase_elements_validate() {
             .with_scheduler(SchedulerKind::DatalogFirst)
             .with_max_applications(30),
     );
-    let d = res.derivation.unwrap();
-    for f in d.instances() {
-        let td = min_fill_decomposition(f);
-        assert!(td.validate(f).is_ok());
-    }
+    res.derivation.replay(|e| {
+        let td = min_fill_decomposition(e.instance);
+        assert!(td.validate(e.instance).is_ok());
+    });
 }
