@@ -245,12 +245,12 @@ struct Inner {
     cfg: ClusterConfig,
     shutdown: AtomicBool,
     /// Pending live-snapshot publishes, coalesced per job: the
-    /// publisher thread always materializes the *freshest* shipped
-    /// checkpoint and skips intermediates. Materializing a snapshot
-    /// (re-parse + ring intersection) scales with the instance, so
-    /// doing it on the checkpoint ack path would grow the ack latency
-    /// past any fixed lease on large instances.
-    publish_queue: Mutex<BTreeMap<JobId, Checkpoint>>,
+    /// publisher thread always publishes the *freshest* shipped
+    /// checkpoint's snapshot and skips intermediates. Publishing (the
+    /// ring intersection) scales with the instance, so doing it on the
+    /// checkpoint ack path would grow the ack latency past any fixed
+    /// lease on large instances.
+    publish_queue: Mutex<BTreeMap<JobId, Snapshot>>,
     publish_signal: Condvar,
 }
 
@@ -281,19 +281,11 @@ impl Inner {
         self.announce(&Json::Obj(fields));
     }
 
-    /// Publishes a query snapshot materialized from a checkpoint. The
+    /// Publishes the query snapshot of a checkpoint's spec. The
     /// terminal latch in the cache makes this safe against stragglers:
     /// a live publish racing in after the terminal one is dropped.
-    fn publish_snapshot(&self, job: JobId, ck: &Checkpoint, terminal: bool) -> Result<(), String> {
-        let spec = ck.into_spec()?;
-        let apps = ck.stats.applications as u64;
-        let snap = if terminal {
-            Snapshot::terminal(spec.kb.vocab, spec.kb.facts, apps)
-        } else {
-            Snapshot::live(spec.kb.vocab, spec.kb.facts, apps)
-        };
-        self.snapshots.publish(job, snap);
-        Ok(())
+    fn publish_snapshot(&self, job: JobId, spec: JobSpec, terminal: bool) {
+        self.snapshots.publish(job, snapshot_of(spec, terminal));
     }
 
     /// Hands a live publish to the publisher thread, coalescing: a
@@ -301,34 +293,35 @@ impl Inner {
     /// one. The cache's monotone-sequence guard and terminal latch
     /// make the resulting asynchrony safe — a straggling live publish
     /// can never regress a ring or overwrite a terminal snapshot.
-    fn queue_publish(&self, job: JobId, ck: Checkpoint) {
+    fn queue_publish(&self, job: JobId, spec: JobSpec) {
         let mut q = self.publish_queue.lock().expect("publish queue poisoned");
-        q.insert(job, ck);
+        q.insert(job, snapshot_of(spec, false));
         self.publish_signal.notify_one();
     }
 
-    /// Inserts a spec as a new job: capture its base checkpoint, make
-    /// it durable, publish the base snapshot, enqueue. Fresh submits,
-    /// resumes and recovered checkpoints all funnel through here, which
-    /// is what makes dispatch/reschedule/resume one code path. An
-    /// unnamed job is named `job-<id>` under the same lock that mints
-    /// its id, so concurrent submits can never share a default name.
-    fn enqueue(&self, mut spec: JobSpec) -> Result<JobId, String> {
+    /// Inserts a new job: make its base checkpoint `ck` durable,
+    /// publish `base` (the job parsed from `ck`'s program) as its base
+    /// snapshot, enqueue. Fresh submits and resumes both funnel through
+    /// here, which is what makes dispatch/reschedule/resume one code
+    /// path. An unnamed job is named `job-<id>` under the same lock that
+    /// mints its id, so concurrent submits can never share a default
+    /// name.
+    fn enqueue(&self, mut ck: Checkpoint, base: JobSpec) -> Result<JobId, String> {
         let mut st = self.lock();
         let id = st.next_id;
         st.next_id += 1;
-        if spec.name.is_empty() {
-            spec.name = format!("job-{id}");
+        if ck.name.is_empty() {
+            ck.name = format!("job-{id}");
         }
-        let ck = Checkpoint::capture(&spec, &spec.kb.vocab, &spec.kb.facts, spec.base_stats);
         self.store.save(id, &ck, None)?;
-        self.publish_snapshot(id, &ck, false)?;
+        let name = Json::str(&ck.name);
+        self.publish_snapshot(id, base, false);
         st.jobs.insert(id, ClusterJob::new(ck, JobState::Queued));
         drop(st);
         self.announce(&Json::obj([
             ("op", Json::str("queued")),
             ("job", Json::Int(id as i64)),
-            ("name", Json::str(&spec.name)),
+            ("name", name),
         ]));
         Ok(id)
     }
@@ -368,15 +361,11 @@ impl Coordinator {
         });
         {
             let mut st = inner.lock();
-            for (id, ck) in good {
-                let state = match inner.publish_snapshot(id, &ck, false) {
-                    Ok(()) => JobState::Queued,
-                    Err(e) => JobState::Failed {
-                        message: format!("recovered checkpoint does not parse: {e}"),
-                    },
-                };
+            for (id, decoded) in good {
+                let (ck, spec) = decoded.into_parts();
+                inner.publish_snapshot(id, spec, false);
                 st.next_id = st.next_id.max(id + 1);
-                st.jobs.insert(id, ClusterJob::new(ck, state));
+                st.jobs.insert(id, ClusterJob::new(ck, JobState::Queued));
             }
             drop(st);
             for err in bad {
@@ -476,15 +465,15 @@ impl ShutdownHandle {
 /// epoch of the dead lease is left behind, so anything the lost worker
 /// still sends is fenced.
 /// Publisher thread: drains the coalesced live-publish queue and
-/// materializes snapshots off every request path. Per job only the
-/// freshest shipped checkpoint is materialized — under a fast worker,
+/// publishes snapshots off every request path. Per job only the
+/// freshest shipped checkpoint is published — under a fast worker,
 /// intermediates are skipped, bounding the coordinator's snapshot work
 /// by publisher throughput instead of checkpoint arrival rate.
 fn run_publisher(inner: &Inner) {
     let mut q = inner.publish_queue.lock().expect("publish queue poisoned");
     while !inner.shutdown.load(Ordering::Acquire) {
         if let Some(id) = q.keys().next().copied() {
-            let ck = q.remove(&id).expect("key just observed");
+            let snapshot = q.remove(&id).expect("key just observed");
             drop(q);
             // Only live jobs get asynchronous publishes: terminal and
             // cancelled jobs already latched or evicted their ring, and
@@ -498,13 +487,7 @@ fn run_publisher(inner: &Inner) {
                 )
             };
             if live {
-                if let Err(e) = inner.publish_snapshot(id, &ck, false) {
-                    inner.announce(&Json::obj([
-                        ("op", Json::str("publish-error")),
-                        ("job", Json::Int(id as i64)),
-                        ("message", Json::Str(e)),
-                    ]));
-                }
+                inner.snapshots.publish(id, snapshot);
             }
             q = inner.publish_queue.lock().expect("publish queue poisoned");
         } else {
@@ -582,6 +565,17 @@ fn ack() -> Json {
 
 fn fenced(job: JobId) -> Json {
     Json::obj([("op", Json::str("fenced")), ("job", Json::Int(job as i64))])
+}
+
+/// The query snapshot of a checkpoint's spec, as of its applications.
+fn snapshot_of(spec: JobSpec, terminal: bool) -> Snapshot {
+    let apps = spec.base_stats.applications as u64;
+    let (vocab, facts) = (spec.kb.vocab, spec.kb.facts);
+    if terminal {
+        Snapshot::terminal(vocab, facts, apps)
+    } else {
+        Snapshot::live(vocab, facts, apps)
+    }
 }
 
 /// Routes one frame. Worker ops are handled directly; anything else is
@@ -694,7 +688,7 @@ fn worker_heartbeat(inner: &Inner, msg: &Json) -> Result<Json, String> {
 /// section. Called as soon as an authenticated worker frame arrives:
 /// the frame itself proves the holder is alive, and the extension must
 /// land *before* any expensive payload processing (checkpoint parse,
-/// durable save, snapshot materialization). Otherwise a big upload
+/// durable save, snapshot publish). Otherwise a big upload
 /// eats the lease from the inside — the holder is mid-roundtrip,
 /// unable to heartbeat, while the reaper requeues its job — which
 /// showed up as requeue/fenced churn on large instances.
@@ -718,12 +712,12 @@ fn worker_checkpoint(inner: &Inner, msg: &Json) -> Result<Json, String> {
     if !touch_lease(inner, &key) {
         return Ok(fenced(key.job));
     }
-    let ck = Checkpoint::from_json(msg.require("checkpoint")?)?;
+    let (ck, spec) = Checkpoint::from_json(msg.require("checkpoint")?)?.into_parts();
     // The durable save runs outside the state lock so pulls and status
     // reads never queue behind a big upload; the (expensive) snapshot
-    // materialization is queued to the publisher thread so the ack —
-    // which doubles as the holder's heartbeat — returns promptly no
-    // matter how large the instance has grown.
+    // publish is queued to the publisher thread so the ack — which
+    // doubles as the holder's heartbeat — returns promptly no matter
+    // how large the instance has grown.
     inner.store.save(key.job, &ck, None)?;
     let apps = ck.stats.applications;
     {
@@ -733,10 +727,10 @@ fn worker_checkpoint(inner: &Inner, msg: &Json) -> Result<Json, String> {
         let Some(job) = st.leased(&key) else {
             return Ok(fenced(key.job));
         };
-        job.checkpoint = ck.clone();
+        job.checkpoint = ck;
         job.extend_lease(inner.cfg.lease);
     }
-    inner.queue_publish(key.job, ck);
+    inner.queue_publish(key.job, spec);
     inner.announce_lease(
         "checkpointed",
         &key,
@@ -783,9 +777,14 @@ fn worker_done(inner: &Inner, msg: &Json) -> Result<Json, String> {
         .get("terminated")
         .and_then(Json::as_bool)
         .unwrap_or(false);
-    if let Some(v) = msg.get("checkpoint") {
-        job.checkpoint = Checkpoint::from_json(v)?;
-    }
+    let spec = match msg.get("checkpoint") {
+        Some(v) => {
+            let (ck, spec) = Checkpoint::from_json(v)?.into_parts();
+            job.checkpoint = ck;
+            spec
+        }
+        None => job.checkpoint.into_spec()?,
+    };
     job.queries = msg
         .get("queries")
         .and_then(Json::as_arr)
@@ -805,7 +804,7 @@ fn worker_done(inner: &Inner, msg: &Json) -> Result<Json, String> {
         outcome: outcome.clone(),
         terminated,
     };
-    inner.publish_snapshot(id, &ck, terminated)?;
+    inner.publish_snapshot(id, spec, terminated);
     if terminated {
         inner.store.remove(id)?;
     } else {
@@ -839,9 +838,9 @@ fn worker_release(inner: &Inner, msg: &Json) -> Result<Json, String> {
         return Ok(fenced(key.job));
     };
     if let Some(v) = msg.get("checkpoint") {
-        let ck = Checkpoint::from_json(v)?;
+        let (ck, spec) = Checkpoint::from_json(v)?.into_parts();
         inner.store.save(key.job, &ck, None)?;
-        inner.publish_snapshot(key.job, &ck, false)?;
+        inner.publish_snapshot(key.job, spec, false);
         job.checkpoint = ck;
     }
     job.state = JobState::Queued;
@@ -917,12 +916,21 @@ impl Backend for Inner {
         // The gate runs the static analyzer + bounded probe; never under
         // the state lock.
         let admission = apply_admission_gate(&mut spec, &self.cfg.service)?;
-        Ok((self.enqueue(spec)?, admission))
+        // The ring intersects snapshots by interned id, and every later
+        // snapshot is parsed from a printed checkpoint. So the base
+        // snapshot is parsed from the printed checkpoint too, not taken
+        // from the submitted source's vocabulary, which may intern in
+        // another order.
+        let ck = Checkpoint::capture(&spec, &spec.kb.vocab, &spec.kb.facts, spec.base_stats);
+        let base = ck.into_spec()?;
+        Ok((self.enqueue(ck, base)?, admission))
     }
 
-    fn resume(&self, spec: JobSpec) -> Result<JobId, Refusal> {
+    /// A resumed job's spec was parsed from the very text `start` stores
+    /// and leases, so it is the base snapshot as it is.
+    fn resume(&self, start: Checkpoint, spec: JobSpec) -> Result<JobId, Refusal> {
         self.lock().admitting()?;
-        Ok(self.enqueue(spec)?)
+        Ok(self.enqueue(start, spec)?)
     }
 
     /// A queued job is dropped outright; a leased job flips to

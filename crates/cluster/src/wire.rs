@@ -134,6 +134,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frame_is_an_error_not_a_stack_overflow() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (mut conn, _) = listener.accept().unwrap();
+        let body = vec![b'['; 1 << 20];
+        client
+            .write_all(&(body.len() as u32).to_be_bytes())
+            .unwrap();
+        client.write_all(&body).unwrap();
+        // Connection threads run on the default (small) thread stack.
+        let err = std::thread::spawn(move || read_frame(&mut conn).unwrap_err())
+            .join()
+            .unwrap();
+        assert!(err.ends_with("nesting too deep"), "{err}");
+    }
+
+    #[test]
     fn oversized_length_header_is_rejected() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();

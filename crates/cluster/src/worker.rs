@@ -8,10 +8,11 @@
 //!
 //! - it registers with `hello` and obeys the coordinator's lease,
 //!   heartbeat and checkpoint cadences from the `welcome` reply;
-//! - each lease arrives as a [`Checkpoint`] and is resubmitted locally
-//!   via [`Checkpoint::into_spec`], so the slice continues with the
-//!   derivation-total budget invariants (remaining applications
-//!   re-derived, prefix wall time charged);
+//! - each lease arrives as a [`Checkpoint`], parsed once and
+//!   resubmitted locally via
+//!   [`DecodedCheckpoint::into_parts`](treechase_service::DecodedCheckpoint::into_parts),
+//!   so the slice continues with the derivation-total budget invariants
+//!   (remaining applications re-derived, prefix wall time charged);
 //! - between heartbeats it forwards buffered job events and ships the
 //!   freshest local checkpoint whenever the application count moved —
 //!   shipped progress doubles as the heartbeat;
@@ -166,15 +167,10 @@ fn run_lease(
         job: grant.require_u64("job")?,
         epoch: grant.require_u64("epoch")?,
     };
-    let ck = Checkpoint::from_json(grant.require("checkpoint")?)?;
-    if cfg.announce {
-        let apps = Json::Int(ck.stats.applications as i64);
-        println!("{}", lease.msg("worker-lease", [("applications", apps)]));
-    }
-    // Every lease travels as a checkpoint; a spec that does not parse
-    // is a permanent failure, not a reschedulable one.
-    let mut spec = match ck.into_spec() {
-        Ok(spec) => spec,
+    // Every lease travels as a checkpoint; one that does not parse is a
+    // permanent failure, not a reschedulable one.
+    let mut spec = match Checkpoint::from_json(grant.require("checkpoint")?) {
+        Ok(ck) => ck.into_parts().1,
         Err(e) => {
             roundtrip(
                 conn,
@@ -183,6 +179,11 @@ fn run_lease(
             return Ok(());
         }
     };
+    let base_applications = spec.base_stats.applications;
+    if cfg.announce {
+        let apps = Json::Int(base_applications as i64);
+        println!("{}", lease.msg("worker-lease", [("applications", apps)]));
+    }
     spec.checkpoint_every = Some(cadence.checkpoint_every);
     let spec_for_capture = spec.clone();
     let svc = Service::with_config(
@@ -215,7 +216,7 @@ fn run_lease(
         &spec_for_capture,
         local,
         &events,
-        ck.stats.applications,
+        base_applications,
         &hb,
         stop,
     );

@@ -57,6 +57,17 @@ impl Checkpoint {
             rules: spec.kb.rules.clone(),
             queries: spec.queries.clone(),
         });
+        Checkpoint::with_program(spec, program, total_stats)
+    }
+
+    /// The checkpoint `spec` starts from, with `program` as its program:
+    /// `program` must be the text `spec` was parsed from, so a resumed
+    /// job is stored without printing its instance again.
+    pub(crate) fn at_start(spec: &JobSpec, program: String) -> Checkpoint {
+        Checkpoint::with_program(spec, program, spec.base_stats)
+    }
+
+    fn with_program(spec: &JobSpec, program: String, total_stats: ChaseStats) -> Checkpoint {
         // Stored budgets are derivation-total, consumed amounts live in
         // `stats`, and the split is re-derived at resume time. Baking the
         // slice-local view in instead would hand every resumed slice a
@@ -85,26 +96,35 @@ impl Checkpoint {
         )
     }
 
-    /// Rebuilds a runnable job from the checkpoint. The new slice starts
-    /// from the serialized instance and inherits the stored config. An
-    /// inexact (oblivious/semi-oblivious) resume is flagged on the spec
-    /// so the runner emits a `warning` event instead of silently dropping
-    /// the applied-trigger memory.
+    /// Rebuilds a runnable job from the checkpoint, parsing its program
+    /// text. The new slice starts from the serialized instance and
+    /// inherits the stored config. An inexact (oblivious/semi-oblivious)
+    /// resume is flagged on the spec so the runner emits a `warning`
+    /// event instead of silently dropping the applied-trigger memory.
+    ///
+    /// This is for checkpoints held as text (job tables, crash retries);
+    /// one just decoded by [`Checkpoint::from_json`] is already parsed,
+    /// see [`DecodedCheckpoint::into_parts`].
     pub fn into_spec(&self) -> Result<JobSpec, String> {
-        let mut spec =
-            JobSpec::from_checkpoint_text(self.name.clone(), &self.program, self.config.clone())?;
+        let program = parse_program_trusted(&self.program).map_err(|e| e.to_string())?;
+        Ok(self.spec_from(program))
+    }
+
+    /// The runnable job for this checkpoint, given its parsed program.
+    fn spec_from(&self, program: Program) -> JobSpec {
+        let mut spec = JobSpec::from_program(self.name.clone(), program, self.config.clone());
         spec.base_stats = self.stats;
         spec.resumed_inexact = !self.exact();
         // The resumed slice continues the derivation's budgets rather
         // than getting fresh ones: what the prefix spent comes off the
         // stored totals (an explicit new budget on the resume request
-        // overrides this, see `resume_spec`).
+        // overrides this, see `handler::resume_job`).
         spec.config.max_applications = self
             .config
             .max_applications
             .saturating_sub(self.stats.applications);
         spec.config.consumed_wall = Duration::from_micros(self.stats.wall_us);
-        Ok(spec)
+        spec
     }
 
     /// Serializes for the wire.
@@ -118,19 +138,53 @@ impl Checkpoint {
         ])
     }
 
-    /// Deserializes from the wire.
-    pub fn from_json(v: &Json) -> Result<Checkpoint, String> {
-        let program = v.require_str("program")?.to_string();
-        // Validate the program eagerly so resume errors surface on the
-        // resume request, not inside a worker. Checkpoint programs are
-        // printer output, so the reserved null spelling is legal here.
-        parse_program_trusted(&program).map_err(|e| format!("checkpoint program: {e}"))?;
-        Ok(Checkpoint {
+    /// Deserializes from the wire or a store file. The program is
+    /// parsed here, once, so a malformed one is refused on the request
+    /// that carries it (`checkpoint program: …`) rather than inside a
+    /// worker, and the parse is handed on instead of repeated: see
+    /// [`DecodedCheckpoint`]. Checkpoint programs are printer output, so
+    /// the reserved null spelling is legal here.
+    pub fn from_json(v: &Json) -> Result<DecodedCheckpoint, String> {
+        let text = v.require_str("program")?;
+        let program =
+            parse_program_trusted(text).map_err(|e| format!("checkpoint program: {e}"))?;
+        let checkpoint = Checkpoint {
             name: v.require_str("name")?.to_string(),
             config: config_from_json(v.require("config")?)?,
-            program,
+            program: text.to_string(),
             stats: stats_from_json(v.require("stats")?)?,
+        };
+        Ok(DecodedCheckpoint {
+            checkpoint,
+            program,
         })
+    }
+}
+
+/// A checkpoint just decoded by [`Checkpoint::from_json`], together with
+/// its parsed program: everything built from a received checkpoint (a
+/// resumed job, a recovered job, a leased slice, a published snapshot)
+/// comes from this one parse.
+#[derive(Clone, Debug)]
+pub struct DecodedCheckpoint {
+    /// The checkpoint as received. Its program stays text, which is all
+    /// a job table, a store or a reply keeps.
+    checkpoint: Checkpoint,
+    /// `checkpoint.program`, parsed.
+    program: Program,
+}
+
+impl DecodedCheckpoint {
+    /// The checkpoint as received.
+    pub fn checkpoint(&self) -> &Checkpoint {
+        &self.checkpoint
+    }
+
+    /// The checkpoint and the runnable job it resumes (see
+    /// [`Checkpoint::into_spec`]), built from the parsed program.
+    pub fn into_parts(self) -> (Checkpoint, JobSpec) {
+        let spec = self.checkpoint.spec_from(self.program);
+        (self.checkpoint, spec)
     }
 }
 
@@ -150,11 +204,10 @@ mod tests {
         let mut vocab = spec.kb.vocab.clone();
         let res = run_chase(&mut vocab, &spec.kb.facts, &spec.kb.rules, &spec.config);
         let ck = Checkpoint::capture(&spec, &vocab, &res.final_instance, res.stats);
-        let back = Checkpoint::from_json(&ck.to_json()).unwrap();
+        let (back, resumed) = Checkpoint::from_json(&ck.to_json()).unwrap().into_parts();
         assert_eq!(back.name, "ck");
         assert!(back.exact());
         assert_eq!(back.stats, res.stats);
-        let resumed = back.into_spec().unwrap();
         assert_eq!(resumed.queries.len(), 1);
         assert_eq!(resumed.kb.facts.len(), res.final_instance.len());
         assert_eq!(resumed.base_stats, res.stats);
@@ -192,10 +245,7 @@ mod tests {
             Some(std::time::Duration::from_millis(10))
         );
         // And the carry-over survives the wire.
-        let wired = Checkpoint::from_json(&ck.to_json())
-            .unwrap()
-            .into_spec()
-            .unwrap();
+        let (_, wired) = Checkpoint::from_json(&ck.to_json()).unwrap().into_parts();
         assert_eq!(
             wired.config.consumed_wall,
             std::time::Duration::from_micros(5_000)

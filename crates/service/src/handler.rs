@@ -17,7 +17,7 @@ use std::time::Duration;
 use chase_core::KnowledgeBase;
 use chase_engine::ChaseConfig;
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, DecodedCheckpoint};
 use crate::job::{JobId, JobSpec};
 use crate::json::Json;
 use crate::protocol::{
@@ -74,8 +74,10 @@ pub trait Backend: Send + Sync {
     /// Admits a new job: admission gate, queue limits, enqueue. An
     /// empty name becomes `job-<id>` where the id is minted.
     fn admit(&self, spec: JobSpec) -> Result<(JobId, Admission), Refusal>;
-    /// Enqueues a continuation built from a checkpoint.
-    fn resume(&self, spec: JobSpec) -> Result<JobId, Refusal>;
+    /// Enqueues a continuation built from a checkpoint: `spec` is the
+    /// job, `start` its checkpoint before the first application (the
+    /// received program text with `spec`'s budgets).
+    fn resume(&self, start: Checkpoint, spec: JobSpec) -> Result<JobId, Refusal>;
     /// Requests cancellation; `false` when there was nothing to cancel.
     fn cancel_job(&self, job: JobId) -> Result<bool, String>;
     /// The job's most recent checkpoint.
@@ -160,13 +162,17 @@ pub fn handle(backend: &dyn Backend, req: Request) -> Json {
             checkpoint,
             max_applications,
             max_wall_ms,
-        } => resume_spec(&checkpoint, max_applications, max_wall_ms).and_then(|spec| {
-            let exact = ("exact".to_string(), Json::Bool(checkpoint.exact()));
+        } => {
+            let exact = (
+                "exact".to_string(),
+                Json::Bool(checkpoint.checkpoint().exact()),
+            );
+            let (start, spec) = resume_job(*checkpoint, max_applications, max_wall_ms);
             backend
-                .resume(spec)
+                .resume(start, spec)
                 .map(|id| response("resume", vec![job_field(id), exact]))
                 .or_else(|r| refused("resume", r))
-        }),
+        }
         Request::Cancel { job } => backend.cancel_job(job).map(|cancelled| {
             response(
                 "cancel",
@@ -255,15 +261,16 @@ fn submit(backend: &dyn Backend, spec: JobSpec) -> Result<Json, String> {
     }
 }
 
-/// Builds the spec for a `resume` request. By default the new slice
-/// continues the derivation's remaining budgets; an explicit budget on
-/// the request replaces the corresponding carry-over with a fresh one.
-fn resume_spec(
-    checkpoint: &Checkpoint,
+/// Builds the job a `resume` request starts, and the checkpoint it
+/// starts from. By default the new slice continues the derivation's
+/// remaining budgets; an explicit budget on the request replaces the
+/// corresponding carry-over with a fresh one.
+fn resume_job(
+    checkpoint: DecodedCheckpoint,
     max_applications: Option<usize>,
     max_wall_ms: Option<u64>,
-) -> Result<JobSpec, String> {
-    let mut spec = checkpoint.into_spec()?;
+) -> (Checkpoint, JobSpec) {
+    let (received, mut spec) = checkpoint.into_parts();
     if let Some(n) = max_applications {
         spec.config.max_applications = n;
     }
@@ -273,7 +280,7 @@ fn resume_spec(
         // slice would still be charged for the prefix's wall time.
         spec.config.consumed_wall = Duration::ZERO;
     }
-    Ok(spec)
+    (Checkpoint::at_start(&spec, received.program), spec)
 }
 
 /// Renders a refusal: a `rejected` reply, or an error for the caller to
@@ -330,7 +337,7 @@ impl Backend for Service {
         Ok(self.submit_analyzed(spec)?)
     }
 
-    fn resume(&self, spec: JobSpec) -> Result<JobId, Refusal> {
+    fn resume(&self, _start: Checkpoint, spec: JobSpec) -> Result<JobId, Refusal> {
         Ok(self.try_submit(spec)?)
     }
 

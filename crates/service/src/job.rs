@@ -3,7 +3,7 @@
 use chase_atoms::{AtomSet, Vocabulary};
 use chase_core::KnowledgeBase;
 use chase_engine::{ChaseConfig, ChaseOutcome, ChaseStats};
-use chase_parser::{parse_program, parse_program_trusted, Program};
+use chase_parser::{parse_program, Program};
 
 use crate::checkpoint::Checkpoint;
 
@@ -136,18 +136,13 @@ impl JobSpec {
         Ok(JobSpec::from_program(name, prog, config))
     }
 
-    /// Like [`JobSpec::from_text`], but for printer-produced checkpoint
-    /// programs: the reserved `_N<n>` labeled-null spelling is accepted.
-    pub fn from_checkpoint_text(
+    /// Builds a job from a parsed program. The program's named queries
+    /// ride along.
+    pub(crate) fn from_program(
         name: impl Into<String>,
-        source: &str,
+        prog: Program,
         config: ChaseConfig,
-    ) -> Result<Self, String> {
-        let prog = parse_program_trusted(source).map_err(|e| e.to_string())?;
-        Ok(JobSpec::from_program(name, prog, config))
-    }
-
-    fn from_program(name: impl Into<String>, prog: Program, config: ChaseConfig) -> Self {
+    ) -> Self {
         let (kb, queries) = KnowledgeBase::from_program(prog);
         JobSpec {
             queries,

@@ -190,9 +190,16 @@ impl fmt::Display for Json {
     }
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a cap one line of `[` would
+/// overflow the stack; the deepest protocol document nests 6 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -235,64 +242,112 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    /// Decodes a string in one pass: each run of bytes up to the next
+    /// `"` or `\` is copied whole. A run ends on an ASCII byte or at the
+    /// end of the input, so it always ends on a char boundary.
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by this
-                            // protocol; map them to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
+                // The run stopped at a `\`.
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += 1;
+                    self.escape(&mut out)?;
                 }
             }
         }
+    }
+
+    /// Decodes the escape whose letter is at `pos` (the `\` is consumed).
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                out.push(self.unicode_escape()?);
+                return Ok(());
+            }
+            _ => return Err(self.err("bad escape")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Decodes `uXXXX` at `pos`, combining a high surrogate with an
+    /// immediately following `\uXXXX` low surrogate into one char. A
+    /// lone surrogate decodes to U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let high = self.hex4()?;
+        if (0xD800..0xDC00).contains(&high) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let after_high = self.pos;
+            self.pos += 1;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(code).expect("a surrogate pair is a scalar value"));
+            }
+            // Not a low surrogate: the second escape decodes on its own.
+            self.pos = after_high;
+        }
+        Ok(char::from_u32(high).unwrap_or('\u{fffd}'))
+    }
+
+    /// Reads the four hex digits after the `u` at `pos` and moves past
+    /// them. Exactly four ASCII hex digits are accepted (no sign).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in hex {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 5;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -379,6 +434,7 @@ pub fn parse_json(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -391,6 +447,7 @@ pub fn parse_json(src: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chase_engine::prng::SplitMix64;
 
     #[test]
     fn roundtrips_protocol_shapes() {
@@ -426,5 +483,231 @@ mod tests {
         let v = Json::str("a\u{1}b");
         assert_eq!(v.to_string(), "\"a\\u0001b\"");
         assert_eq!(parse_json(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn decodes_surrogate_pairs_and_only_four_hex_digits() {
+        let decoded = |src: &str| parse_json(src).unwrap().as_str().unwrap().to_string();
+        // Python's `json.dumps("x😀")`.
+        assert_eq!(decoded(r#""x\ud83d\ude00""#), "x😀");
+        assert_eq!(decoded(r#""\uD83D\uDE00\u00e9""#), "😀é");
+        // Lone surrogates, and a high one followed by a non-low escape.
+        assert_eq!(decoded(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(decoded(r#""\ude00x""#), "\u{fffd}x");
+        assert_eq!(decoded(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(decoded(r#""\ud83d\ud83d\ude00""#), "\u{fffd}😀");
+        for (bad, msg) in [
+            (r#""\u+041""#, "json error at byte 2: bad \\u escape"),
+            (r#""\u-041""#, "json error at byte 2: bad \\u escape"),
+            (r#""\u 041""#, "json error at byte 2: bad \\u escape"),
+            (r#""\u004""#, "json error at byte 2: bad \\u escape"),
+            (r#""\u00"#, "json error at byte 2: truncated \\u escape"),
+            (r#""\ud83d\uzz00""#, "json error at byte 8: bad \\u escape"),
+            (r#""ab\q""#, "json error at byte 4: bad escape"),
+            (r#""abc"#, "json error at byte 4: unterminated string"),
+        ] {
+            assert_eq!(parse_json(bad).unwrap_err(), msg, "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        // `depth` objects: `{"k":` … `{}` … `}`.
+        let objects = |depth: usize| {
+            let (open, close) = ("{\"k\":".repeat(depth - 1), "}".repeat(depth - 1));
+            format!("{open}{{}}{close}")
+        };
+        assert!(parse_json(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&objects(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse_json(&arrays(MAX_DEPTH + 1)).unwrap_err(),
+            format!("json error at byte {MAX_DEPTH}: nesting too deep")
+        );
+        let err = parse_json(&objects(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.ends_with("nesting too deep"), "{err}");
+        // A 2 MB line of `[` is refused at the cap.
+        let err = parse_json(&"[".repeat(2 << 20)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("json error at byte {MAX_DEPTH}: nesting too deep")
+        );
+    }
+
+    #[test]
+    fn long_multibyte_strings_decode_whole() {
+        let s = "aé€😀\"\\\n".repeat(100_000);
+        let v = Json::Arr(vec![Json::str(&s), Json::str("tail")]);
+        assert_eq!(parse_json(&v.to_string()).unwrap(), v);
+    }
+
+    /// Characters that exercise every decoder path: ASCII, 2/3/4-byte
+    /// UTF-8, every short escape, raw control characters and the edges
+    /// of the scalar range.
+    const CHARS: &str =
+        "aZ0 \"\\/\n\r\t\u{8}\u{c}\u{0}\u{1f}\u{7f}éß€中\u{fffd}\u{ffff}😀\u{10ffff}";
+
+    fn random_string(rng: &mut SplitMix64) -> String {
+        let chars: Vec<char> = CHARS.chars().collect();
+        (0..rng.gen_range(8))
+            .map(|_| chars[rng.gen_range(chars.len())])
+            .collect()
+    }
+
+    fn random_json(rng: &mut SplitMix64, depth: usize) -> Json {
+        let kinds = if depth == 0 { 5 } else { 7 };
+        match rng.gen_range(kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool()),
+            2 => Json::Int(rng.next_u64() as i64 >> rng.gen_range(64)),
+            // Odd quarters: never integral, so they print with a `.`.
+            3 => Json::Float((2 * rng.gen_range(1 << 20) as i64 - (1 << 20) + 1) as f64 / 4.0),
+            4 => Json::Str(random_string(rng)),
+            5 => Json::Arr(
+                (0..rng.gen_range(4))
+                    .map(|_| random_json(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.gen_range(4))
+                    .map(|_| (random_string(rng), random_json(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Writes `s` as a JSON string the way other encoders may: each
+    /// char raw (control characters too, which the decoder accepts), as
+    /// a short escape, or as `\uXXXX` (a surrogate pair above U+FFFF).
+    fn escape_randomly(rng: &mut SplitMix64, s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                _ => None,
+            };
+            let raw_ok = c != '"' && c != '\\';
+            match (rng.gen_range(3), short) {
+                (0, Some(esc)) => out.push_str(esc),
+                (1, _) if raw_ok => out.push(c),
+                _ => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        out.push_str(&format!("\\u{unit:04X}"));
+                    }
+                }
+            }
+        }
+        out.push('"');
+    }
+
+    fn print_randomly(rng: &mut SplitMix64, v: &Json, out: &mut String) {
+        match v {
+            Json::Str(s) => escape_randomly(rng, s, out),
+            Json::Arr(items) => {
+                out.push_str("[ ");
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(" ,\n");
+                    }
+                    print_randomly(rng, item, out);
+                }
+                out.push_str("\t]");
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, item)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    escape_randomly(rng, k, out);
+                    out.push_str(" : ");
+                    print_randomly(rng, item, out);
+                }
+                out.push_str("\r\n}");
+            }
+            scalar => out.push_str(&scalar.to_string()),
+        }
+    }
+
+    #[test]
+    fn seeded_random_documents_roundtrip() {
+        let mut rng = SplitMix64::new(0x7e57);
+        for _ in 0..400 {
+            let v = random_json(&mut rng, 4);
+            let printed = v.to_string();
+            assert_eq!(parse_json(&printed).as_ref(), Ok(&v), "{printed}");
+            let mut other = String::new();
+            print_randomly(&mut rng, &v, &mut other);
+            assert_eq!(parse_json(&other).as_ref(), Ok(&v), "{other}");
+        }
+    }
+
+    /// Byte strings a mutation may splice in: delimiters, escape
+    /// starts, and invalid UTF-8 (a stray continuation byte, a truncated
+    /// two-byte sequence, an encoded surrogate, an overlong `/`).
+    const SPLICES: &[&[u8]] = &[
+        b"\\",
+        b"\"",
+        b"[",
+        b"{",
+        b"\\u",
+        b"\\ud83d",
+        b"\xff",
+        b"\x80",
+        b"\xc3",
+        b"\xed\xa0\x80",
+        b"\xc0\xaf",
+    ];
+
+    fn mutate(rng: &mut SplitMix64, doc: &mut Vec<u8>) {
+        for _ in 0..1 + rng.gen_range(3) {
+            let at = rng.gen_range(doc.len() + 1);
+            match rng.gen_range(4) {
+                0 if at < doc.len() => doc[at] ^= 1 << rng.gen_range(8),
+                1 => doc.truncate(at),
+                2 if at < doc.len() => {
+                    doc.remove(at);
+                }
+                _ => {
+                    let splice = SPLICES[rng.gen_range(SPLICES.len())];
+                    doc.splice(at..at, splice.iter().copied());
+                }
+            }
+        }
+    }
+
+    /// The decoder on mutated documents: never a panic, and every error
+    /// names an offset inside the input.
+    #[test]
+    fn seeded_mutations_never_panic_and_errors_stay_in_bounds() {
+        let mut rng = SplitMix64::new(0xf022);
+        for _ in 0..300 {
+            let printed = random_json(&mut rng, 4).to_string();
+            for _ in 0..20 {
+                let mut bytes = printed.clone().into_bytes();
+                mutate(&mut rng, &mut bytes);
+                // The transports reject invalid UTF-8 before decoding;
+                // the lossy text still feeds the decoder U+FFFD runs.
+                let text = String::from_utf8_lossy(&bytes).into_owned();
+                let result = std::panic::catch_unwind(|| parse_json(&text))
+                    .unwrap_or_else(|_| panic!("parse_json panicked on {text:?}"));
+                if let Err(e) = result {
+                    let offset: usize = e
+                        .strip_prefix("json error at byte ")
+                        .and_then(|rest| rest.split(':').next())
+                        .and_then(|n| n.parse().ok())
+                        .unwrap_or_else(|| panic!("unexpected error shape {e:?}"));
+                    assert!(offset <= text.len(), "{e} past {} bytes", text.len());
+                }
+            }
+        }
     }
 }

@@ -40,7 +40,7 @@ pub mod protocol;
 pub mod runner;
 pub mod store;
 
-pub use checkpoint::Checkpoint;
+pub use checkpoint::{Checkpoint, DecodedCheckpoint};
 pub use handler::{handle, Backend, Fields, Refusal, MAX_FRAME};
 pub use job::{add_stats, JobId, JobResult, JobSpec, JobStatus, Priority, QueryVerdict};
 pub use json::{parse_json, Json};

@@ -57,8 +57,9 @@ pub enum Request {
     },
     /// Resume a job from a previously returned checkpoint object.
     Resume {
-        /// The checkpoint, as emitted in a `checkpoint` response field.
-        checkpoint: Box<crate::checkpoint::Checkpoint>,
+        /// The checkpoint, as emitted in a `checkpoint` response field,
+        /// with its program parsed.
+        checkpoint: Box<crate::checkpoint::DecodedCheckpoint>,
         /// Fresh application budget for the resumed slice (defaults to
         /// the checkpointed config's budget).
         max_applications: Option<usize>,

@@ -751,17 +751,8 @@ impl Service {
         if let Some(store) = inner.store.as_ref() {
             let (good, bad) = store.load_all()?;
             recovery_errors.extend(bad);
-            for (old_id, ck) in good {
-                let spec = match ck.into_spec() {
-                    Ok(spec) => spec,
-                    Err(error) => {
-                        recovery_errors.push(CorruptEntry {
-                            path: store.dir().join(format!("job-{old_id}.ckpt.json")),
-                            error,
-                        });
-                        continue;
-                    }
-                };
+            for (old_id, decoded) in good {
+                let (ck, spec) = decoded.into_parts();
                 let new_id = {
                     let mut st = inner.state.lock().expect("state lock poisoned");
                     let id = st.next_id;

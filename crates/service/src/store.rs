@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 
 use chase_engine::FaultPlan;
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, DecodedCheckpoint};
 use crate::job::JobId;
 use crate::json::{parse_json, Json};
 
@@ -31,8 +31,9 @@ pub struct CheckpointStore {
 }
 
 /// What [`CheckpointStore::load_all`] returns: the recovered
-/// `(job, checkpoint)` pairs in id order, plus the files it rejected.
-pub type LoadedCheckpoints = (Vec<(JobId, Checkpoint)>, Vec<CorruptEntry>);
+/// `(job, checkpoint)` pairs in id order, each with its program parsed,
+/// plus the files it rejected.
+pub type LoadedCheckpoints = (Vec<(JobId, DecodedCheckpoint)>, Vec<CorruptEntry>);
 
 /// One file the store could not recover on [`CheckpointStore::load_all`].
 #[derive(Clone, Debug)]
@@ -116,9 +117,10 @@ impl CheckpointStore {
     }
 
     /// Loads every recoverable checkpoint in the store, plus the list of
-    /// files that failed to load (corrupt JSON, wrong version, torn
-    /// non-atomic writes from other tools). Leftover `.tmp` files are
-    /// ignored: by construction they were never the durable copy.
+    /// files that failed to load (corrupt JSON, wrong version, a program
+    /// that does not parse, torn non-atomic writes from other tools).
+    /// Leftover `.tmp` files are ignored: by construction they were never
+    /// the durable copy.
     pub fn load_all(&self) -> Result<LoadedCheckpoints, String> {
         let mut good = Vec::new();
         let mut bad = Vec::new();
@@ -142,7 +144,7 @@ impl CheckpointStore {
         Ok((good, bad))
     }
 
-    fn load_file(path: &Path) -> Result<(JobId, Checkpoint), String> {
+    fn load_file(path: &Path) -> Result<(JobId, DecodedCheckpoint), String> {
         let text = fs::read_to_string(path).map_err(|e| e.to_string())?;
         let v = parse_json(&text)?;
         let format = v.require_str("format")?;
@@ -201,10 +203,10 @@ mod tests {
             good.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
             vec![4, 9]
         );
-        assert_eq!(good[0].1.name, "a");
-        assert_eq!(good[0].1.stats.applications, 3);
-        assert_eq!(good[0].1.stats.wall_us, 1_234);
-        assert_eq!(good[0].1.config.max_applications, 7);
+        assert_eq!(good[0].1.checkpoint().name, "a");
+        assert_eq!(good[0].1.checkpoint().stats.applications, 3);
+        assert_eq!(good[0].1.checkpoint().stats.wall_us, 1_234);
+        assert_eq!(good[0].1.checkpoint().config.max_applications, 7);
         store.remove(4).unwrap();
         store.remove(4).unwrap(); // idempotent
         let (good, _) = store.load_all().unwrap();
@@ -290,13 +292,13 @@ mod tests {
         assert!(err.contains("injected fault"), "{err}");
         // The durable copy is untouched by the failed write...
         let (good, _) = store.load_all().unwrap();
-        assert_eq!(good[0].1.name, "first");
+        assert_eq!(good[0].1.checkpoint().name, "first");
         // ...and the site fires only once: the retry goes through.
         store
             .save(1, &sample_checkpoint("second"), Some(&plan))
             .unwrap();
         let (good, _) = store.load_all().unwrap();
-        assert_eq!(good[0].1.name, "second");
+        assert_eq!(good[0].1.checkpoint().name, "second");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -174,6 +174,43 @@ fn serve_answers_over_long_line_with_error_and_keeps_serving() {
     assert_eq!(lines[1], r#"{"type":"response","op":"list","jobs":[]}"#);
 }
 
+/// A request nested past the decoder's depth cap (here a 2 MB line of
+/// `[`) gets one error reply instead of overflowing the stack, and the
+/// next request is still answered.
+#[test]
+fn serve_answers_too_deep_nesting_with_error_and_keeps_serving() {
+    use std::io::Write as _;
+    use std::process::Stdio;
+
+    let mut child = bin()
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || {
+        let mut line = vec![b'['; 2 << 20];
+        line.push(b'\n');
+        stdin.write_all(&line).unwrap();
+        stdin.write_all(b"{\"op\":\"list\"}\n").unwrap();
+    });
+    let out = child.wait_with_output().expect("serve exits");
+    writer.join().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("overflow"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(
+        lines[0].starts_with(r#"{"type":"error""#) && lines[0].contains("nesting too deep"),
+        "{stdout}"
+    );
+    assert_eq!(lines[1], r#"{"type":"response","op":"list","jobs":[]}"#);
+}
+
 /// Runs `analyze <operand> --json` and parses the emitted report.
 fn analyze_json(operand: &str) -> treechase::service::Json {
     let out = bin()

@@ -162,10 +162,10 @@ fn final_instance_of(conn: &mut TcpStream, job: u64) -> (AtomSet, usize) {
         ("job", Json::Int(job as i64)),
     ]);
     let reply = roundtrip(conn, &req).expect("checkpoint roundtrip");
-    let ck = Checkpoint::from_json(reply.require("checkpoint").unwrap()).unwrap();
-    let apps = ck.stats.applications;
-    let spec = ck.into_spec().unwrap();
-    (spec.kb.facts, apps)
+    let (ck, spec) = Checkpoint::from_json(reply.require("checkpoint").unwrap())
+        .unwrap()
+        .into_parts();
+    (spec.kb.facts, ck.stats.applications)
 }
 
 /// A hand-driven worker connection: registers and pulls one lease, but
@@ -190,8 +190,9 @@ fn fake_pull(conn: &mut TcpStream, worker: &str) -> Json {
 /// would have shipped at that point (budgets restored to the
 /// derivation totals of the lease).
 fn partial_run(lease: &Json, apps: usize) -> Checkpoint {
-    let ck = Checkpoint::from_json(lease.require("checkpoint").unwrap()).unwrap();
-    let mut spec = ck.into_spec().unwrap();
+    let (_, mut spec) = Checkpoint::from_json(lease.require("checkpoint").unwrap())
+        .unwrap()
+        .into_parts();
     let total_budget = spec.config.max_applications;
     spec.config.max_applications = apps;
     spec.checkpoint_every = Some(apps);
@@ -483,5 +484,156 @@ fn cancel_fences_the_running_lease() {
 
     let st = status_of(&mut conn, job);
     assert_eq!(st.get("state").and_then(Json::as_str), Some("cancelled"));
+    cluster.stop();
+}
+
+/// `checkpoint` with its `program` field replaced.
+fn with_program(checkpoint: &Json, program: &str) -> Json {
+    let Json::Obj(pairs) = checkpoint else {
+        panic!("checkpoint is not an object: {checkpoint}");
+    };
+    Json::Obj(
+        pairs
+            .iter()
+            .map(|(k, v)| match k.as_str() {
+                "program" => (k.clone(), Json::str(program)),
+                _ => (k.clone(), v.clone()),
+            })
+            .collect(),
+    )
+}
+
+/// A worker `checkpoint` (or `done` report) whose program does not parse
+/// is refused before anything is saved or published: the durable file
+/// and the job's checkpoint keep the last good program, and the lease
+/// stays live.
+#[test]
+fn malformed_worker_checkpoint_is_rejected_and_not_saved() {
+    let dir = fresh_dir("torn-worker-checkpoint");
+    let cluster = start_coordinator(&dir, quiet_config(10_000));
+    let mut client = connect(&cluster.addr);
+    let job = submit_chain(&mut client, 6);
+    let store_file = dir.join(format!("job-{job}.ckpt.json"));
+    let durable = std::fs::read_to_string(&store_file).unwrap();
+
+    let mut worker = connect(&cluster.addr);
+    let lease = fake_pull(&mut worker, "w-torn");
+    let leased = lease.require("checkpoint").unwrap();
+    let torn = with_program(leased, "e(a1, a2). Tbase: e(X, Y) -> r(X");
+    for (op, extra) in [
+        ("checkpoint", vec![]),
+        (
+            "done",
+            vec![
+                ("status", Json::str("ok")),
+                ("outcome", Json::str("terminated")),
+                ("terminated", Json::Bool(true)),
+            ],
+        ),
+    ] {
+        let mut fields = vec![
+            ("op", Json::str(op)),
+            ("worker", Json::str("w-torn")),
+            ("job", Json::Int(job as i64)),
+            ("epoch", lease.require("epoch").unwrap().clone()),
+            ("checkpoint", torn.clone()),
+        ];
+        fields.extend(extra);
+        let reply = roundtrip(&mut worker, &Json::obj(fields)).expect("worker roundtrip");
+        assert_eq!(
+            reply.get("type").and_then(Json::as_str),
+            Some("error"),
+            "{op}: {reply}"
+        );
+        let message = reply.get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.starts_with("checkpoint program:"),
+            "{op}: {message}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&store_file).unwrap(),
+            durable,
+            "{op}: the durable checkpoint changed"
+        );
+    }
+    let fetched = roundtrip(
+        &mut client,
+        &Json::obj([
+            ("op", Json::str("checkpoint")),
+            ("job", Json::Int(job as i64)),
+        ]),
+    )
+    .expect("checkpoint roundtrip");
+    assert_eq!(
+        fetched.require("checkpoint").unwrap().get("program"),
+        leased.get("program"),
+        "{fetched}"
+    );
+    let status = status_of(&mut client, job);
+    assert_eq!(
+        status.get("state").and_then(Json::as_str),
+        Some("leased"),
+        "{status}"
+    );
+    cluster.stop();
+}
+
+/// The live ring intersects snapshots atom by atom on interned ids, and
+/// every shipped checkpoint is parsed from printed text. A submitted
+/// job's base snapshot must intern the same way: for a source that
+/// mentions its constants out of printed order, the facts still answer
+/// live after the first shipped checkpoint.
+#[test]
+fn live_answers_keep_base_facts_across_the_first_shipped_checkpoint() {
+    let dir = fresh_dir("ring-ids");
+    let cluster = start_coordinator(&dir, quiet_config(10_000));
+    let mut client = connect(&cluster.addr);
+    let src = "Q: ?- e(q, p). e(m, b). e(b, z). e(z, a1). e(a1, k). \
+               Tbase: e(X, Y) -> r(X, Y). Ttrans: r(X, Y), e(Y, Z) -> r(X, Z).";
+    let submit = Json::obj([
+        ("op", Json::str("submit")),
+        ("source", Json::str(src)),
+        ("variant", Json::str("restricted")),
+        ("max_apps", Json::Int(1_000)),
+    ]);
+    let job = roundtrip(&mut client, &submit)
+        .expect("submit roundtrip")
+        .require_u64("job")
+        .unwrap();
+    let mut worker = connect(&cluster.addr);
+    let lease = fake_pull(&mut worker, "w-ring");
+    let mid = partial_run(&lease, 3);
+    let ship = Json::obj([
+        ("op", Json::str("checkpoint")),
+        ("worker", Json::str("w-ring")),
+        ("job", Json::Int(job as i64)),
+        ("epoch", lease.require("epoch").unwrap().clone()),
+        ("checkpoint", mid.to_json()),
+    ]);
+    let ack = roundtrip(&mut worker, &ship).expect("checkpoint ack");
+    assert_eq!(ack.get("op").and_then(Json::as_str), Some("ack"), "{ack}");
+    let query = Json::obj([
+        ("op", Json::str("query")),
+        ("job", Json::Int(job as i64)),
+        ("query", Json::str("?(X, Y) :- e(X, Y)")),
+    ]);
+    // The shipped snapshot is published asynchronously.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let reply = loop {
+        let reply = roundtrip(&mut client, &query).expect("query roundtrip");
+        if reply.get("applications").and_then(Json::as_u64) == Some(3) {
+            break reply;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "shipped snapshot never published: {reply}"
+        );
+        thread::sleep(Duration::from_millis(25));
+    };
+    let answers = reply
+        .get("answers")
+        .and_then(Json::as_arr)
+        .expect("answers");
+    assert_eq!(answers.len(), 4, "{reply}");
     cluster.stop();
 }

@@ -7,12 +7,13 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use treechase::core::KnowledgeBase;
-use treechase::engine::{ChaseConfig, ChaseOutcome, ChaseVariant, FaultPlan, FaultSite};
+use treechase::engine::{
+    ChaseConfig, ChaseOutcome, ChaseStats, ChaseVariant, FaultPlan, FaultSite,
+};
 use treechase::homomorphism::isomorphism;
-use treechase::parser::parse_program_trusted;
 use treechase::service::{
-    parse_json, Checkpoint, JobEventKind, JobSpec, JobStatus, Json, QueryVerdict, Service,
-    ServiceConfig,
+    parse_json, Checkpoint, CheckpointStore, JobEventKind, JobSpec, JobStatus, Json, QueryVerdict,
+    Service, ServiceConfig,
 };
 
 fn staircase_spec(name: &str, cfg: ChaseConfig) -> JobSpec {
@@ -594,17 +595,17 @@ fn sigkill_mid_run_recovers_from_durable_checkpoints() {
         }
     }
     assert!(recovered, "restart must announce recovered jobs: {stdout}");
-    let ck = Checkpoint::from_json(&checkpoint.expect("checkpoint response present"))
-        .expect("wire checkpoint parses");
+    let (ck, spec) = Checkpoint::from_json(&checkpoint.expect("checkpoint response present"))
+        .expect("wire checkpoint parses")
+        .into_parts();
     // Monotone across the kill: the killed prefix plus the recovered
     // slice together hit the original budget exactly once.
     assert_eq!(ck.stats.applications, total);
-    let program = parse_program_trusted(&ck.program).expect("checkpoint program parses");
     assert!(
-        isomorphism(&program.facts, &clean.final_instance).is_some(),
+        isomorphism(&spec.kb.facts, &clean.final_instance).is_some(),
         "recovered instance ({} atoms) must be isomorphic to the clean \
          one ({} atoms)",
-        program.facts.len(),
+        spec.kb.facts.len(),
         clean.final_instance.len()
     );
     let _ = std::fs::remove_dir_all(&state_dir);
@@ -636,4 +637,42 @@ fn serve_survives_malformed_requests() {
         .count();
     assert_eq!(errors, 3, "{stdout}");
     assert!(stdout.contains(r#""op":"list""#), "{stdout}");
+}
+
+/// A store file with a valid envelope but a program that does not parse
+/// is reported among the recovery errors and never queued.
+#[test]
+fn store_file_with_malformed_program_is_a_recovery_error_not_a_job() {
+    let state_dir =
+        std::env::temp_dir().join(format!("treechase-torn-program-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let store = CheckpointStore::open(&state_dir).unwrap();
+    let torn = Checkpoint {
+        name: "torn".to_string(),
+        config: ChaseConfig::variant(ChaseVariant::Restricted),
+        program: "r(a, b). T: r(X, Y) -> r(Y".to_string(),
+        stats: ChaseStats::default(),
+    };
+    store.save(1, &torn, None).unwrap();
+
+    let svc = Service::with_config(
+        1,
+        ServiceConfig {
+            state_dir: Some(state_dir.clone()),
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    assert!(svc.recovered_jobs().is_empty());
+    let errors = svc.recovery_errors();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].path.ends_with("job-1.ckpt.json"), "{errors:?}");
+    assert!(
+        errors[0].error.starts_with("checkpoint program:"),
+        "{}",
+        errors[0].error
+    );
+    assert!(svc.list().is_empty());
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&state_dir);
 }

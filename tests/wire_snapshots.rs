@@ -11,9 +11,10 @@
 use std::path::PathBuf;
 
 use treechase::cluster::{ClusterConfig, Coordinator};
+use treechase::engine::{ChaseConfig, ChaseStats, ChaseVariant};
 use treechase::service::handler::error;
 use treechase::service::{
-    handle, parse_json, parse_request, Backend, Json, Request, Service, ServiceConfig,
+    handle, parse_json, parse_request, Backend, Checkpoint, Json, Request, Service, ServiceConfig,
 };
 
 /// How the transport in front of the backend treats a script.
@@ -209,4 +210,70 @@ fn concurrent_unnamed_submits_get_their_own_ids_as_names() {
     };
     let coord = Coordinator::bind("127.0.0.1:0", &dir, cfg).unwrap();
     assert_default_names_follow_ids(coord.backend());
+}
+
+/// A `resume` whose checkpoint carries a program that does not parse is
+/// refused on the request itself, by both backends alike, and queues
+/// nothing.
+#[test]
+fn resume_with_malformed_checkpoint_program_is_refused_by_both_backends() {
+    let checkpoint = Checkpoint {
+        name: "torn".to_string(),
+        config: ChaseConfig::variant(ChaseVariant::Restricted),
+        program: "r(a, b). T: r(X, Y) -> r(Y".to_string(),
+        stats: ChaseStats::default(),
+    };
+    let script = format!(
+        "{}\n{}\n",
+        Json::obj([
+            ("op", Json::str("resume")),
+            ("checkpoint", checkpoint.to_json()),
+            ("max_apps", Json::Int(5)),
+        ]),
+        r#"{"op":"list"}"#
+    );
+    let check = |backend_name: &str, replies: &[Json]| {
+        assert_eq!(replies.len(), 2, "{backend_name}: {replies:?}");
+        assert_eq!(
+            replies[0].get("type").and_then(Json::as_str),
+            Some("error"),
+            "{backend_name}: {}",
+            replies[0]
+        );
+        let message = replies[0].get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.starts_with("checkpoint program:"),
+            "{backend_name}: {message}"
+        );
+        let jobs = replies[1].get("jobs").and_then(Json::as_arr);
+        assert_eq!(
+            jobs.map(<[Json]>::len),
+            Some(0),
+            "{backend_name}: {}",
+            replies[1]
+        );
+    };
+
+    let svc = Service::with_config(1, ServiceConfig::default()).unwrap();
+    check("serve", &replay(&svc, &script, Transport::Serve));
+    svc.shutdown();
+
+    let dir = fresh_dir("torn-resume");
+    let cfg = ClusterConfig {
+        announce: false,
+        ..ClusterConfig::default()
+    };
+    let coord = Coordinator::bind("127.0.0.1:0", &dir, cfg).unwrap();
+    check(
+        "coordinator",
+        &replay(coord.backend(), &script, Transport::Cluster),
+    );
+    // Nothing was made durable either.
+    let files = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(
+        files,
+        0,
+        "the refused resume left files in {}",
+        dir.display()
+    );
 }
