@@ -261,11 +261,16 @@ impl AtomSet {
 
     /// Iterates over atoms mentioning the given term, in insertion order.
     pub fn with_term(&self, term: Term) -> impl Iterator<Item = &Atom> {
+        self.ids_with_term(term)
+            .map(|id| self.get(id).expect("index/slot desync"))
+    }
+
+    /// Ids of the atoms mentioning the given term, in insertion order.
+    pub fn ids_with_term(&self, term: Term) -> impl Iterator<Item = AtomId> + '_ {
         self.by_term
             .get(&term)
             .into_iter()
-            .flat_map(|ids| ids.iter())
-            .map(|&id| self.get(id).expect("index/slot desync"))
+            .flat_map(|ids| ids.iter().copied())
     }
 
     /// Number of atoms mentioning the given term.

@@ -2,12 +2,13 @@
 //! dirty-region incremental maintainer.
 //!
 //! Runs the staircase `K_h` core chase under a fixed application budget
-//! twice — once with `CoreMaintenance::FullRecompute` (the old
-//! behaviour: `core_of` after every application) and once with
-//! `CoreMaintenance::Incremental` (fold candidates seeded from the dirty
-//! region, probed in parallel) — and checks that:
+//! with `CoreMaintenance::FullRecompute` (the old behaviour: `core_of`
+//! after every application) and with `CoreMaintenance::Incremental`
+//! (fold candidates seeded from the dirty region) on one probe thread —
+//! the deterministic run whose counters the gate below compares — and,
+//! for its time only, on two probe threads. It checks that:
 //!
-//! 1. both trajectories land on isomorphic final instances (cores are
+//! 1. all trajectories land on isomorphic final instances (cores are
 //!    unique up to isomorphism, so the maintainer must not change the
 //!    result);
 //! 2. the incremental maintainer spends at least 2× less time in the
@@ -19,11 +20,17 @@
 //!
 //! `--smoke` shrinks the budgets for CI: it still cross-checks
 //! isomorphism but reports the speedup informationally only (tiny runs
-//! are noise-dominated).
+//! are noise-dominated). The smoke run also compares the deterministic
+//! counters — match nodes and fold candidates of both maintainers, and
+//! the final atom count — against the committed
+//! `BENCH_core_baseline.json` at the workspace root, failing on any
+//! increase in the counters, any change in the result, or a missing
+//! baseline. `--write-baseline` regenerates that baseline from the smoke
+//! budgets.
 
 use std::time::Instant;
 
-use chase_bench::{exit_with, results_dir, Report};
+use chase_bench::{exit_with, workspace_root, write_json, Allow, GateRow, Report};
 use chase_core::KnowledgeBase;
 use chase_engine::{ChaseConfig, ChaseStats, ChaseVariant, CoreMaintenance};
 use chase_homomorphism::isomorphism;
@@ -33,8 +40,12 @@ struct Measurement {
     budget: usize,
     full: ChaseStats,
     full_wall_us: u64,
+    /// The incremental maintainer on one probe thread: deterministic.
     inc: ChaseStats,
     inc_wall_us: u64,
+    /// Core-phase time of the incremental maintainer on two probe threads.
+    inc_2t_core_us: u64,
+    final_atoms: usize,
     isomorphic: bool,
 }
 
@@ -66,6 +77,15 @@ impl Measurement {
                 "incremental_fold_candidates",
                 Json::Int(self.inc.fold_candidates as i64),
             ),
+            (
+                "incremental_retractions",
+                Json::Int(self.inc.retractions as i64),
+            ),
+            (
+                "incremental_2_threads_core_us",
+                Json::Int(self.inc_2t_core_us as i64),
+            ),
+            ("final_atoms", Json::Int(self.final_atoms as i64)),
             ("core_phase_speedup", Json::Float(self.speedup())),
             ("isomorphic", Json::Bool(self.isomorphic)),
         ])
@@ -73,43 +93,74 @@ impl Measurement {
 }
 
 fn measure(kb: &KnowledgeBase, budget: usize) -> Measurement {
-    let cfg = |m| {
+    let cfg = |m, threads| {
         ChaseConfig::variant(ChaseVariant::Core)
             .with_core_maintenance(m)
             .with_max_applications(budget)
+            .with_probe_threads(threads)
     };
     let t0 = Instant::now();
-    let full = kb.chase(&cfg(CoreMaintenance::FullRecompute));
+    let full = kb.chase(&cfg(CoreMaintenance::FullRecompute, 1));
     let full_wall_us = t0.elapsed().as_micros() as u64;
     let t1 = Instant::now();
-    let inc = kb.chase(&cfg(CoreMaintenance::Incremental));
+    let inc = kb.chase(&cfg(CoreMaintenance::Incremental, 1));
     let inc_wall_us = t1.elapsed().as_micros() as u64;
+    let inc_2t = kb.chase(&cfg(CoreMaintenance::Incremental, 2));
     Measurement {
         budget,
         full: full.stats,
         full_wall_us,
         inc: inc.stats,
         inc_wall_us,
-        isomorphic: isomorphism(&full.final_instance, &inc.final_instance).is_some(),
+        inc_2t_core_us: inc_2t.stats.core_time_us,
+        final_atoms: inc.final_instance.len(),
+        isomorphic: isomorphism(&full.final_instance, &inc.final_instance).is_some()
+            && isomorphism(&inc.final_instance, &inc_2t.final_instance).is_some(),
+    }
+}
+
+impl Measurement {
+    /// The deterministic counters the smoke gate compares: pure functions
+    /// of (KB, budget, maintainer) on one probe thread, so any increase
+    /// means the fold search explores a larger tree, not that the host
+    /// was slow.
+    fn gate_row(&self) -> GateRow {
+        let up = Allow::UpPercent(0);
+        GateRow {
+            key: vec![("application_budget", Json::Int(self.budget as i64))],
+            checks: vec![
+                ("full_match_nodes", self.full.match_nodes as u64, up),
+                ("full_fold_candidates", self.full.fold_candidates as u64, up),
+                ("incremental_match_nodes", self.inc.match_nodes as u64, up),
+                (
+                    "incremental_fold_candidates",
+                    self.inc.fold_candidates as u64,
+                    up,
+                ),
+                ("final_atoms", self.final_atoms as u64, Allow::Same),
+            ],
+        }
     }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let write_baseline = std::env::args().any(|a| a == "--write-baseline");
+    let smoke = write_baseline || std::env::args().any(|a| a == "--smoke");
     let mut report = Report::new("e7-core-perf");
-    let budgets: &[usize] = if smoke { &[10, 20] } else { &[30, 60, 90] };
+    let budgets: &[usize] = if smoke { &[10, 20] } else { &[30, 60, 90, 300] };
 
     let kb = KnowledgeBase::staircase();
     let mut rows = Vec::new();
     for &budget in budgets {
         let m = measure(&kb, budget);
         report.row(format!(
-            "budget {:>3}: core phase {:>9}us full vs {:>7}us incremental ({:.1}x); \
-             match nodes {} vs {}; fold candidates {} vs {}",
+            "budget {:>3}: core phase {:>9}us full vs {:>7}us incremental ({:.1}x; \
+             {}us on 2 threads); match nodes {} vs {}; fold candidates {} vs {}",
             m.budget,
             m.full.core_time_us,
             m.inc.core_time_us,
             m.speedup(),
+            m.inc_2t_core_us,
             m.full.match_nodes,
             m.inc.match_nodes,
             m.full.fold_candidates,
@@ -154,10 +205,24 @@ fn main() {
         );
     }
 
-    // Persist the measurements next to the repository sources. Smoke
-    // runs skip the write so CI never clobbers the committed full-run
-    // numbers with noise-dominated tiny budgets.
-    if !smoke {
+    if smoke && !write_baseline {
+        report.claim_gate(
+            "core/no-search-regression",
+            "single-thread core counters ≤ committed baseline, same final instance size",
+            &workspace_root().join("BENCH_core_baseline.json"),
+            &rows.iter().map(Measurement::gate_row).collect::<Vec<_>>(),
+        );
+    }
+
+    // Persist the measurements next to the repository sources. Plain
+    // smoke runs skip the write so CI never clobbers the committed
+    // full-run numbers with noise-dominated tiny budgets.
+    let file = match (smoke, write_baseline) {
+        (_, true) => Some("BENCH_core_baseline.json"),
+        (false, false) => Some("BENCH_core.json"),
+        (true, false) => None,
+    };
+    if let Some(file) = file {
         let bench = Json::obj([
             ("experiment", Json::str("e7-core-perf")),
             ("kb", Json::str("staircase")),
@@ -167,12 +232,7 @@ fn main() {
                 Json::Arr(rows.iter().map(Measurement::to_json).collect()),
             ),
         ]);
-        let mut root = results_dir();
-        root.pop();
-        let path = root.join("BENCH_core.json");
-        if let Err(e) = std::fs::write(&path, format!("{bench}\n")) {
-            report.row(format!("could not write {}: {e}", path.display()));
-        }
+        write_json(&report, &workspace_root().join(file), &bench);
     }
 
     exit_with(report.finish());

@@ -22,20 +22,20 @@
 //! and `BENCH_e2e.json` (end-to-end wall times) at the workspace root.
 //!
 //! The CI regression gate rides on the smoke profile: `--smoke` shrinks
-//! the budgets and, when a committed `BENCH_match_baseline.json` exists
-//! at the workspace root, compares the *deterministic* counters — the
-//! indexed `match_trials` and the final atom count per row — against the
-//! baseline, failing on a > 20 % trial regression or any change in the
-//! chased result. `--write-baseline` regenerates that baseline from the
-//! smoke budgets.
+//! the budgets and compares the *deterministic* counters — the indexed
+//! `match_trials` and the final atom count per row — against the
+//! committed `BENCH_match_baseline.json` at the workspace root, failing
+//! on a > 20 % trial regression, any change in the chased result, or a
+//! missing baseline. `--write-baseline` regenerates that baseline from
+//! the smoke budgets.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use chase_bench::{exit_with, results_dir, Report};
+use chase_bench::{exit_with, workspace_root, write_json, Allow, GateRow, Report};
 use chase_core::KnowledgeBase;
 use chase_engine::{ChaseConfig, ChaseResult, ChaseStats, ChaseVariant, MatchStrategy};
-use treechase_service::json::{parse_json, Json};
+use treechase_service::json::Json;
 
 /// Budget-bounded restricted chase under the given match strategy.
 fn cfg(strategy: MatchStrategy, budget: usize) -> ChaseConfig {
@@ -187,52 +187,27 @@ fn measure(name: &'static str, kb: &KnowledgeBase, budget: usize, reps: usize) -
     }
 }
 
-/// Compare smoke-profile measurements against the committed baseline.
-/// Gates only on deterministic counters: `match_trials` is a pure
-/// function of (KB, budget, strategy), so a > 20 % increase means the
-/// candidate pruner genuinely regressed, not that CI hardware was slow.
-fn gate(report: &mut Report, rows: &[Measurement], baseline: &Json) -> bool {
-    let Some(entries) = baseline.get("measurements").and_then(Json::as_arr) else {
-        report.row("baseline file has no `measurements` array");
-        return false;
-    };
-    let mut ok = true;
-    for row in rows {
-        let found = entries.iter().find(|e| {
-            e.get("kb").and_then(Json::as_str) == Some(row.kb)
-                && e.get("application_budget").and_then(Json::as_u64) == Some(row.budget as u64)
-        });
-        let Some(entry) = found else {
-            report.row(format!(
-                "gate: no baseline entry for {} @ budget {} — re-run --write-baseline",
-                row.kb, row.budget
-            ));
-            ok = false;
-            continue;
-        };
-        let base_trials = entry
-            .get("indexed_match_trials")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        let base_atoms = entry.get("final_atoms").and_then(Json::as_u64).unwrap_or(0);
-        let trial_limit = base_trials + base_trials.div_ceil(5); // +20 %
-        let trials_ok = row.indexed.match_trials as u64 <= trial_limit;
-        let atoms_ok = row.final_atoms as u64 == base_atoms;
-        report.row(format!(
-            "gate {} @ {:>4}: trials {} (baseline {}, limit {}) {}; atoms {} (baseline {}) {}",
-            row.kb,
-            row.budget,
-            row.indexed.match_trials,
-            base_trials,
-            trial_limit,
-            if trials_ok { "ok" } else { "REGRESSED" },
-            row.final_atoms,
-            base_atoms,
-            if atoms_ok { "ok" } else { "CHANGED" },
-        ));
-        ok &= trials_ok && atoms_ok;
+impl Measurement {
+    /// The smoke gate's deterministic counters: `match_trials` is a pure
+    /// function of (KB, budget, strategy), so a > 20 % increase means the
+    /// candidate pruner genuinely regressed, not that CI hardware was
+    /// slow.
+    fn gate_row(&self) -> GateRow {
+        GateRow {
+            key: vec![
+                ("kb", Json::str(self.kb)),
+                ("application_budget", Json::Int(self.budget as i64)),
+            ],
+            checks: vec![
+                (
+                    "indexed_match_trials",
+                    self.indexed.match_trials as u64,
+                    Allow::UpPercent(20),
+                ),
+                ("final_atoms", self.final_atoms as u64, Allow::Same),
+            ],
+        }
     }
-    ok
 }
 
 fn main() {
@@ -318,35 +293,14 @@ fn main() {
         );
     }
 
-    let mut root = results_dir();
-    root.pop();
-
+    let root = workspace_root();
     if smoke && !write_baseline {
-        let path = root.join("BENCH_match_baseline.json");
-        match std::fs::read_to_string(&path) {
-            Ok(src) => match parse_json(&src) {
-                Ok(baseline) => {
-                    let ok = gate(&mut report, &rows, &baseline);
-                    report.claim(
-                        "match/no-trial-regression",
-                        "indexed match_trials within 20 % of committed baseline",
-                        ok,
-                        ok,
-                    );
-                }
-                Err(e) => {
-                    report.claim(
-                        "match/no-trial-regression",
-                        "committed baseline parses",
-                        format!("parse error: {e}"),
-                        false,
-                    );
-                }
-            },
-            // A missing baseline is not a regression — first run on a
-            // fresh checkout; the claim would block bootstrapping.
-            Err(_) => report.row(format!("no baseline at {} — gate skipped", path.display())),
-        }
+        report.claim_gate(
+            "match/no-trial-regression",
+            "indexed match_trials within 20 % of committed baseline",
+            &root.join("BENCH_match_baseline.json"),
+            &rows.iter().map(Measurement::gate_row).collect::<Vec<_>>(),
+        );
     }
 
     let rows_json = |f: fn(&Measurement) -> Json| Json::Arr(rows.iter().map(f).collect());
@@ -356,10 +310,7 @@ fn main() {
             ("profile", Json::str("smoke-baseline")),
             ("measurements", rows_json(Measurement::to_match_json)),
         ]);
-        let path = root.join("BENCH_match_baseline.json");
-        if let Err(e) = std::fs::write(&path, format!("{bench}\n")) {
-            report.row(format!("could not write {}: {e}", path.display()));
-        }
+        write_json(&report, &root.join("BENCH_match_baseline.json"), &bench);
     } else if !smoke {
         for (file, json) in [
             ("BENCH_match.json", rows_json(Measurement::to_match_json)),
@@ -370,10 +321,7 @@ fn main() {
                 ("smoke", Json::Bool(false)),
                 ("measurements", json),
             ]);
-            let path = root.join(file);
-            if let Err(e) = std::fs::write(&path, format!("{bench}\n")) {
-                report.row(format!("could not write {}: {e}", path.display()));
-            }
+            write_json(&report, &root.join(file), &bench);
         }
     }
 

@@ -34,7 +34,7 @@
 //! is unique up to isomorphism) regardless of thread interleaving;
 //! counters such as nodes explored may vary between runs.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -194,59 +194,174 @@ fn single_var_fold(instance: &AtomSet, x: VarId, stats: &mut MatchStats) -> Opti
 /// and identity-completion work, making probe cost a function of the
 /// fold's locality rather than the instance size — the point of
 /// maintaining the core incrementally.
+///
+/// ## Per-node work
+///
+/// A node pays for what its binding adds, not for the whole closure:
+///
+/// * the **dragged-in frontier** lists each atom containing a moved
+///   variable once — a variable's star is appended when it starts to
+///   move, deduplicated through a bitset;
+/// * a frontier atom whose image is fully determined and present is
+///   marked **done** and skipped for the rest of the branch;
+/// * each atom's candidate count is memoised until one of its positions
+///   becomes determined;
+/// * bindings live in a dense table indexed by [`VarId::raw`];
+/// * all of these are undone by truncating their trails back to the
+///   [`Mark`] taken when a node was entered.
+///
+/// The pending atom is the one with the fewest candidates; ties go to
+/// the smallest key *(smallest moved variable in the atom, `AtomId`)*,
+/// which is the order in which a scan over the movers' stars meets the
+/// atoms. The depth-first search runs on an explicit frame stack, so
+/// deep closures never grow the thread's stack.
 struct FoldSearch<'a> {
     instance: &'a AtomSet,
     budget: &'a SearchBudget,
     /// The variable being eliminated: must move, may not appear in the
     /// image.
     x: VarId,
-    /// Partial assignment. Ordered so [`FoldSearch::select_pending`]
-    /// walks movers in a deterministic order across runs and platforms.
-    bind: BTreeMap<VarId, Term>,
-    /// Scratch bitset for positional-posting intersection, reused across
-    /// nodes ([`AtomSet::matching_ids`] leaves it clean).
+    /// Partial assignment, indexed by [`VarId::raw`].
+    bind: Vec<Option<Term>>,
+    /// Bound variables in binding order (the binding trail).
+    bound: Vec<VarId>,
+    /// Atoms containing a moved variable, in the order they were dragged
+    /// in (the frontier trail), and their membership bits.
+    frontier: Vec<AtomId>,
+    in_frontier: IdBits,
+    /// Frontier atoms already confirmed on this branch, and their trail.
+    done: IdBits,
+    done_trail: Vec<AtomId>,
+    /// Per-atom candidate count with the number of determined positions
+    /// it was computed at, indexed by `AtomId::raw`. Determined positions
+    /// only accumulate along a branch, so an unchanged number means an
+    /// unchanged count. The trail keeps overwritten entries for undo.
+    counts: Vec<Option<(usize, usize)>>,
+    count_trail: Vec<(AtomId, Option<(usize, usize)>)>,
+    /// The open nodes of the depth-first search, root first.
+    frames: Vec<Frame<'a>>,
+    /// Candidate buffers of popped frames, reused by the next push.
+    spare: Vec<Vec<AtomId>>,
+    /// Determined `(position, image)` pairs of the atom being ranked.
+    positions: Vec<(usize, Term)>,
+    /// Scratch bitset for positional-posting intersection
+    /// ([`AtomSet::matching_ids`] leaves it clean).
     scratch: IdBits,
-    /// Reused id buffer for candidate enumeration.
-    cand_buf: Vec<AtomId>,
+    /// Id buffer for candidate counts that need an intersection.
+    count_buf: Vec<AtomId>,
     nodes: usize,
     truncated: bool,
 }
 
+/// Trail lengths to rewind to: the search state on entry to a node.
+#[derive(Clone, Copy, Default)]
+struct Mark {
+    bound: usize,
+    frontier: usize,
+    done: usize,
+    counts: usize,
+}
+
+/// One open node: the pending atom, its candidate images and the next
+/// one to try.
+struct Frame<'a> {
+    pending: &'a Atom,
+    cands: Vec<AtomId>,
+    next: usize,
+    mark: Mark,
+}
+
 impl<'a> FoldSearch<'a> {
-    /// Binds `v ↦ t`, pinning `t` as a fixpoint when it is a variable.
-    /// Records fresh bindings in `trail` for the caller to undo.
-    fn try_bind(&mut self, v: VarId, t: Term, trail: &mut Vec<VarId>) -> bool {
-        if t == Term::Var(self.x) {
-            return false; // x may not occur in the image
+    fn new(instance: &'a AtomSet, budget: &'a SearchBudget) -> Self {
+        let mut in_frontier = IdBits::new();
+        in_frontier.ensure(instance.arena_len());
+        let mut done = IdBits::new();
+        done.ensure(instance.arena_len());
+        FoldSearch {
+            instance,
+            budget,
+            x: VarId::from_raw(0),
+            bind: Vec::new(),
+            bound: Vec::new(),
+            frontier: Vec::new(),
+            in_frontier,
+            done,
+            done_trail: Vec::new(),
+            counts: vec![None; instance.arena_len()],
+            count_trail: Vec::new(),
+            frames: Vec::new(),
+            spare: Vec::new(),
+            positions: Vec::new(),
+            scratch: IdBits::new(),
+            count_buf: Vec::new(),
+            nodes: 0,
+            truncated: false,
         }
-        if let Some(&existing) = self.bind.get(&v) {
-            return existing == t;
-        }
-        self.bind.insert(v, t);
-        trail.push(v);
-        if let Term::Var(u) = t {
-            if u != v && !self.try_bind(u, Term::Var(u), trail) {
-                return false;
-            }
-        }
-        true
     }
 
-    fn undo(&mut self, trail: &[VarId]) {
-        for &v in trail {
-            self.bind.remove(&v);
+    fn mark(&self) -> Mark {
+        Mark {
+            bound: self.bound.len(),
+            frontier: self.frontier.len(),
+            done: self.done_trail.len(),
+            counts: self.count_trail.len(),
+        }
+    }
+
+    fn rewind(&mut self, to: Mark) {
+        for v in self.bound.drain(to.bound..) {
+            self.bind[v.raw() as usize] = None;
+        }
+        for id in self.frontier.drain(to.frontier..) {
+            self.in_frontier.remove(id.raw());
+        }
+        for id in self.done_trail.drain(to.done..) {
+            self.done.remove(id.raw());
+        }
+        for (id, old) in self.count_trail.drain(to.counts..).rev() {
+            self.counts[id.raw() as usize] = old;
         }
     }
 
     fn image(&self, t: Term) -> Option<Term> {
         match t {
             Term::Const(_) => Some(t),
-            Term::Var(v) => self.bind.get(&v).copied(),
+            Term::Var(v) => self.bind.get(v.raw() as usize).copied().flatten(),
+        }
+    }
+
+    /// Binds `v ↦ t`, pinning `t` as a fixpoint when it is a variable
+    /// and dragging in `v`'s star when `v` moves.
+    fn try_bind(&mut self, v: VarId, t: Term) -> bool {
+        if t == Term::Var(self.x) {
+            return false; // x may not occur in the image
+        }
+        let slot = v.raw() as usize;
+        if slot >= self.bind.len() {
+            self.bind.resize(slot + 1, None);
+        }
+        if let Some(existing) = self.bind[slot] {
+            return existing == t;
+        }
+        self.bind[slot] = Some(t);
+        self.bound.push(v);
+        if t == Term::Var(v) {
+            return true; // pinned fixpoint: its atoms ride on movers
+        }
+        for id in self.instance.ids_with_term(Term::Var(v)) {
+            if !self.in_frontier.contains(id.raw()) {
+                self.in_frontier.insert(id.raw());
+                self.frontier.push(id);
+            }
+        }
+        match t {
+            Term::Var(u) => self.try_bind(u, t),
+            Term::Const(_) => true,
         }
     }
 
     /// Fully binds `beta ↦ gamma` positionally.
-    fn unify(&mut self, beta: &Atom, gamma: &Atom, trail: &mut Vec<VarId>) -> bool {
+    fn unify(&mut self, beta: &Atom, gamma: &Atom) -> bool {
         for (&b, &g) in beta.args().iter().zip(gamma.args()) {
             match b {
                 Term::Const(_) => {
@@ -255,7 +370,7 @@ impl<'a> FoldSearch<'a> {
                     }
                 }
                 Term::Var(v) => {
-                    if !self.try_bind(v, g, trail) {
+                    if !self.try_bind(v, g) {
                         return false;
                     }
                 }
@@ -264,203 +379,218 @@ impl<'a> FoldSearch<'a> {
         true
     }
 
-    /// Fills [`FoldSearch::cand_buf`] with the exact candidate images for
-    /// a partially-determined atom: the intersection of the instance's
-    /// positional postings over `beta`'s determined positions — the same
-    /// [`AtomSet::matching_ids`] API the general matcher enumerates
-    /// through, so the prober cannot drift from its semantics.
-    fn fill_candidates(&mut self, beta: &Atom) {
-        let instance = self.instance;
-        let mut bound: Vec<(usize, Term)> = Vec::with_capacity(beta.arity());
+    /// Fills [`FoldSearch::positions`] with `beta`'s determined
+    /// positions; returns whether every position is determined.
+    fn determine(&mut self, beta: &Atom) -> bool {
+        self.positions.clear();
         for (pos, &t) in beta.args().iter().enumerate() {
             if let Some(img) = self.image(t) {
-                bound.push((pos, img));
+                self.positions.push((pos, img));
             }
         }
-        instance.matching_ids(
+        self.positions.len() == beta.arity()
+    }
+
+    /// The exact candidate images of `beta` under the current binding:
+    /// the intersection of the instance's positional postings over its
+    /// determined positions — the same [`AtomSet::matching_ids`] API the
+    /// general matcher enumerates through, so the prober cannot drift
+    /// from its semantics.
+    fn candidates(&mut self, beta: &Atom, out: &mut Vec<AtomId>) {
+        self.determine(beta);
+        self.instance.matching_ids(
             beta.pred(),
             beta.arity(),
-            &bound,
+            &self.positions,
             &mut self.scratch,
-            &mut self.cand_buf,
+            out,
         );
     }
 
-    /// Exact candidate count for `beta` under the current binding,
-    /// without materialising the list when ≤ 1 position is determined
-    /// (the common case while ranking pending atoms).
-    fn candidate_count(&mut self, beta: &Atom) -> usize {
-        let instance = self.instance;
-        let mut bound: Vec<(usize, Term)> = Vec::with_capacity(beta.arity());
-        for (pos, &t) in beta.args().iter().enumerate() {
-            if let Some(img) = self.image(t) {
-                bound.push((pos, img));
-            }
-        }
-        if bound.len() >= 2 {
-            instance.matching_ids(
+    /// Exact candidate count for `beta` once [`FoldSearch::determine`]
+    /// has run, without materialising the list when ≤ 1 position is
+    /// determined. For a fully determined atom it is 1 if its image is
+    /// present and 0 otherwise.
+    fn count_matches(&mut self, beta: &Atom) -> usize {
+        if self.positions.len() >= 2 {
+            self.instance.matching_ids(
                 beta.pred(),
                 beta.arity(),
-                &bound,
+                &self.positions,
                 &mut self.scratch,
-                &mut self.cand_buf,
+                &mut self.count_buf,
             );
-            self.cand_buf.len()
+            self.count_buf.len()
         } else {
-            instance.matching_count(beta.pred(), beta.arity(), &bound)
+            self.instance
+                .matching_count(beta.pred(), beta.arity(), &self.positions)
         }
     }
 
-    /// Finds an atom dragged in by a moved variable that is not yet
-    /// satisfied. `Err(())` signals a dead branch (a fully bound atom
-    /// whose image is missing from the instance).
+    /// [`FoldSearch::count_matches`] through the per-atom memo: no
+    /// position determined since the last count means the same count.
+    fn candidate_count(&mut self, id: AtomId, beta: &Atom) -> usize {
+        let slot = id.raw() as usize;
+        let determined = self.positions.len();
+        if let Some((at, count)) = self.counts[slot] {
+            if at == determined {
+                return count;
+            }
+        }
+        let count = self.count_matches(beta);
+        self.count_trail.push((id, self.counts[slot]));
+        self.counts[slot] = Some((determined, count));
+        count
+    }
+
+    /// The smallest moved variable of a frontier atom: the first key of
+    /// the pending-atom tie-break.
+    fn first_mover(&self, beta: &Atom) -> VarId {
+        beta.vars()
+            .filter(|&v| self.image(Term::Var(v)).is_some_and(|t| t != Term::Var(v)))
+            .min()
+            .expect("frontier atoms contain a moved variable")
+    }
+
+    /// Picks the frontier atom to extend the fold through next — the
+    /// smallest key *(candidate count, smallest moved variable,
+    /// `AtomId`)* — marking the newly confirmed ones done. `Err(())`
+    /// signals a dead branch (a fully bound atom whose image is missing,
+    /// or an atom with no candidate); `Ok(None)` a complete fold.
     fn select_pending(&mut self) -> Result<Option<&'a Atom>, ()> {
         let instance = self.instance;
-        let movers: Vec<(VarId, Term)> = self.bind.iter().map(|(&v, &t)| (v, t)).collect();
-        let mut best: Option<(&'a Atom, usize)> = None;
-        for (v, t) in movers {
-            if t == Term::Var(v) {
-                continue; // pinned fixpoint: its atoms ride on movers
+        let mut best: Option<(usize, VarId, AtomId)> = None;
+        for i in 0..self.frontier.len() {
+            let id = self.frontier[i];
+            if self.done.contains(id.raw()) {
+                continue;
             }
-            for beta in instance.with_term(Term::Var(v)) {
-                let mut determined = true;
-                for &arg in beta.args() {
-                    if self.image(arg).is_none() {
-                        determined = false;
-                        break;
-                    }
+            let beta = instance.get(id).expect("frontier holds live ids");
+            if self.determine(beta) {
+                if self.count_matches(beta) == 0 {
+                    return Err(()); // its image is missing
                 }
-                if determined {
-                    let img = Atom::new(
-                        beta.pred(),
-                        beta.args()
-                            .iter()
-                            .map(|&a| self.image(a).expect("determined"))
-                            .collect::<Vec<_>>(),
-                    );
-                    if instance.contains(&img) {
-                        continue; // satisfied
-                    }
-                    return Err(()); // fully bound but unmapped: dead end
-                }
-                let est = self.candidate_count(beta);
-                if est == 0 {
-                    return Err(());
-                }
-                if best.is_none_or(|(_, b)| est < b) {
-                    best = Some((beta, est));
-                }
+                self.done.insert(id.raw());
+                self.done_trail.push(id);
+                continue;
+            }
+            let est = self.candidate_count(id, beta);
+            if est == 0 {
+                return Err(());
+            }
+            let key = (est, self.first_mover(beta), id);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
             }
         }
-        Ok(best.map(|(beta, _)| beta))
+        Ok(best.map(|(_, _, id)| instance.get(id).expect("frontier holds live ids")))
     }
 
-    /// Depth-first completion of the current partial fold.
-    fn solve(&mut self) -> bool {
-        let pending = match self.select_pending() {
-            Err(()) => return false,
-            Ok(None) => return true,
-            Ok(Some(beta)) => beta,
+    /// Probes whether `x` can be folded away: a retraction of the
+    /// instance whose image avoids `x`, searched over the moved closure
+    /// of `x` only. A truncated miss is inconclusive.
+    fn probe(&mut self, x: VarId) -> FoldProbe {
+        if self.budget.interrupted() {
+            return FoldProbe {
+                retraction: None,
+                outcome: SearchOutcome {
+                    truncated: true,
+                    nodes: 0,
+                },
+            };
+        }
+        self.rewind(Mark::default());
+        self.x = x;
+        self.nodes = 0;
+        self.truncated = false;
+        let instance = self.instance;
+        // Root the search at the most constrained atom containing x.
+        let Some(beta0) = instance
+            .with_term(Term::Var(x))
+            .min_by_key(|beta| instance.pred_count(beta.pred()))
+        else {
+            return FoldProbe {
+                retraction: None,
+                outcome: SearchOutcome::default(),
+            };
         };
-        self.fill_candidates(pending);
-        let cands: Vec<&'a Atom> = self
-            .cand_buf
-            .iter()
-            .map(|&id| {
-                self.instance
-                    .get(id)
-                    .expect("matching_ids returned dead id")
-            })
-            .collect();
-        for gamma in cands {
+        // Root candidates through the positional index: the empty bind
+        // still pins beta0's constant positions, so this is already
+        // narrower than a predicate scan. Unifying beta0 with a candidate
+        // binds x; a candidate keeping x in place is rejected by
+        // try_bind.
+        let mut roots = self.spare.pop().unwrap_or_default();
+        self.candidates(beta0, &mut roots);
+        self.frames.push(Frame {
+            pending: beta0,
+            cands: roots,
+            next: 0,
+            mark: Mark::default(),
+        });
+        let retraction = self.solve().then(|| {
+            Substitution::from_pairs(self.bound.iter().map(|&v| {
+                (
+                    v,
+                    self.bind[v.raw() as usize].expect("trailed vars are bound"),
+                )
+            }))
+            .normalized()
+        });
+        while let Some(frame) = self.frames.pop() {
+            self.spare.push(frame.cands);
+        }
+        FoldProbe {
+            retraction,
+            outcome: SearchOutcome {
+                truncated: self.truncated,
+                nodes: self.nodes,
+            },
+        }
+    }
+
+    /// Depth-first completion of the open frames. Returns `true` with the
+    /// fold left bound, or `false` when the tree is exhausted or the
+    /// budget cut it (`truncated`).
+    fn solve(&mut self) -> bool {
+        while let Some(frame) = self.frames.last_mut() {
+            let (pending, mark) = (frame.pending, frame.mark);
+            let Some(&cand) = frame.cands.get(frame.next) else {
+                let exhausted = self.frames.pop().expect("non-empty stack");
+                self.spare.push(exhausted.cands);
+                continue;
+            };
+            frame.next += 1;
+            // Undo the previous candidate of this node.
+            self.rewind(mark);
             self.nodes += 1;
             if self.budget.exhausted_at(self.nodes) {
                 self.truncated = true;
                 return false;
             }
-            let mut trail = Vec::new();
-            if self.unify(pending, gamma, &mut trail) && self.solve() {
-                return true;
+            let gamma = self
+                .instance
+                .get(cand)
+                .expect("matching_ids returned dead id");
+            if !self.unify(pending, gamma) {
+                continue;
             }
-            self.undo(&trail);
-            if self.truncated {
-                return false;
+            match self.select_pending() {
+                Err(()) => {}
+                Ok(None) => return true,
+                Ok(Some(beta)) => {
+                    let mut cands = self.spare.pop().unwrap_or_default();
+                    self.candidates(beta, &mut cands);
+                    let mark = self.mark();
+                    self.frames.push(Frame {
+                        pending: beta,
+                        cands,
+                        next: 0,
+                        mark,
+                    });
+                }
             }
         }
         false
-    }
-}
-
-/// Probes whether `x` can be folded away from `instance`, searching only
-/// the moved closure of `x` (see [`FoldSearch`]). Returns the same shape
-/// as the general probe: a truncated miss is inconclusive.
-fn probe_fold(instance: &AtomSet, x: VarId, budget: &SearchBudget) -> FoldProbe {
-    if budget.interrupted() {
-        return FoldProbe {
-            retraction: None,
-            outcome: SearchOutcome {
-                truncated: true,
-                nodes: 0,
-            },
-        };
-    }
-    let mut search = FoldSearch {
-        instance,
-        budget,
-        x,
-        bind: BTreeMap::new(),
-        scratch: IdBits::new(),
-        cand_buf: Vec::new(),
-        nodes: 0,
-        truncated: false,
-    };
-    // Root the search at the most constrained atom containing x.
-    let star: Vec<&Atom> = instance.with_term(Term::Var(x)).collect();
-    let Some(&beta0) = star
-        .iter()
-        .min_by_key(|beta| instance.pred_count(beta.pred()))
-    else {
-        return FoldProbe {
-            retraction: None,
-            outcome: SearchOutcome::default(),
-        };
-    };
-    let mut retraction = None;
-    // Root candidates through the positional index: the empty bind still
-    // pins beta0's constant positions, so this is already narrower than a
-    // predicate scan.
-    search.fill_candidates(beta0);
-    let roots: Vec<&Atom> = search
-        .cand_buf
-        .iter()
-        .map(|&id| instance.get(id).expect("matching_ids returned dead id"))
-        .collect();
-    for gamma in roots {
-        search.nodes += 1;
-        if search.budget.exhausted_at(search.nodes) {
-            search.truncated = true;
-            break;
-        }
-        let mut trail = Vec::new();
-        // Unifying beta0 ↦ gamma binds x; gamma's x-position being x
-        // itself is rejected inside try_bind (x may not stay).
-        if search.unify(beta0, gamma, &mut trail) && search.solve() {
-            retraction = Some(
-                Substitution::from_pairs(search.bind.iter().map(|(&v, &t)| (v, t))).normalized(),
-            );
-            break;
-        }
-        search.undo(&trail);
-        if search.truncated {
-            break;
-        }
-    }
-    FoldProbe {
-        retraction,
-        outcome: SearchOutcome {
-            truncated: search.truncated,
-            nodes: search.nodes,
-        },
     }
 }
 
@@ -492,6 +622,7 @@ fn probe_batch(
             failed: Vec::new(),
             retry: Vec::new(),
         };
+        let mut search = FoldSearch::new(current, &probe_budget);
         for (i, &x) in chunk.iter().enumerate() {
             if stop.load(Ordering::Acquire) {
                 report.retry.extend_from_slice(&chunk[i..]);
@@ -510,7 +641,7 @@ fn probe_batch(
                 report.retry.push(x);
                 continue;
             }
-            let probe = probe_fold(current, x, &probe_budget);
+            let probe = search.probe(x);
             report.stats.absorb(probe.outcome);
             match probe.retraction {
                 Some(r) => {
@@ -788,6 +919,73 @@ mod tests {
         assert!(res.stats.truncated);
         assert_eq!(res.core, j, "no time to fold anything");
         assert!(res.retraction.is_retraction_of(&j));
+    }
+
+    /// Probe-level differential: on seeded random instances of unary,
+    /// binary and ternary atoms over variables and constants, the
+    /// moved-closure probe and the general retraction search agree on
+    /// every variable, and every probe witness is a retraction whose
+    /// image avoids the probed variable. One prober serves every
+    /// variable of an instance, so its reset between probes is covered
+    /// too.
+    #[test]
+    fn fold_probe_agrees_with_general_retraction_search() {
+        use crate::core_impl::find_retraction_eliminating;
+        use chase_engine::prng::SplitMix64;
+        let budget = SearchBudget::default();
+        let (mut folds, mut cores) = (0usize, 0usize);
+        for seed in 0..1000u64 {
+            let mut rng = SplitMix64::new(seed);
+            let n_atoms = 2 + rng.gen_range(10);
+            let n_vars = 1 + rng.gen_range(5) as u32;
+            let instance: AtomSet = (0..n_atoms)
+                .map(|_| {
+                    // One predicate per arity keeps folds common.
+                    let arity = 1 + rng.gen_range(3);
+                    let pred = arity as u32;
+                    let args: Vec<Term> = (0..arity)
+                        .map(|_| {
+                            if rng.gen_range(4) == 0 {
+                                c(rng.gen_range(2) as u32)
+                            } else {
+                                v(rng.gen_range(n_vars as usize) as u32)
+                            }
+                        })
+                        .collect();
+                    Atom::new(p(pred), args)
+                })
+                .collect();
+            let mut search = FoldSearch::new(&instance, &budget);
+            for x in instance.vars() {
+                let probe = search.probe(x);
+                assert!(
+                    !probe.outcome.truncated,
+                    "seed {seed}: unlimited probe truncated"
+                );
+                let general = find_retraction_eliminating(&instance, x);
+                assert_eq!(
+                    probe.retraction.is_some(),
+                    general.is_some(),
+                    "seed {seed}, {x:?}: probe and general search disagree on {instance:?}"
+                );
+                match probe.retraction {
+                    Some(r) => {
+                        assert!(r.is_retraction_of(&instance), "seed {seed}, {x:?}");
+                        assert!(
+                            !r.apply_set(&instance).mentions(Term::Var(x)),
+                            "seed {seed}: witness image keeps {x:?}"
+                        );
+                        folds += 1;
+                    }
+                    None => cores += 1,
+                }
+            }
+        }
+        // Both verdicts must actually be exercised.
+        assert!(
+            folds >= 200 && cores >= 200,
+            "{folds} folds, {cores} misses"
+        );
     }
 
     #[test]

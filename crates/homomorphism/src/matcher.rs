@@ -354,50 +354,82 @@ impl<'a> Search<'a> {
         true
     }
 
+    /// Depth-first enumeration on an explicit frame stack — one frame per
+    /// pattern atom being matched, so a deep pattern never grows the
+    /// thread's stack. Entering a node picks the next pattern atom (or
+    /// reports a complete assignment to `on_found`); each frame then
+    /// tries its candidates in order, undoing the previous candidate's
+    /// bindings (one trail for the whole search) first.
     fn run(
         &mut self,
         on_found: &mut dyn FnMut(Substitution) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        if self.n_matched == self.pattern.len() {
-            let sub = Substitution::from_pairs(self.bind.iter().map(|(&v, &t)| (v, t)));
-            return on_found(sub);
-        }
-        let (idx, cands) = if self.cfg.naive_scan {
-            let idx = self.select_naive();
-            (idx, self.candidates_naive(self.pattern[idx]))
-        } else {
-            self.select_indexed()
-        };
-        let pattern_atom = self.pattern[idx];
-        self.matched[idx] = true;
-        self.n_matched += 1;
-        for cand in cands {
+        let mut stack: Vec<Frame<'a>> = Vec::new();
+        let mut trail: Vec<VarId> = Vec::new();
+        let mut enter = true;
+        loop {
+            if enter {
+                enter = false;
+                if self.n_matched == self.pattern.len() {
+                    let sub = Substitution::from_pairs(self.bind.iter().map(|(&v, &t)| (v, t)));
+                    if on_found(sub).is_break() {
+                        return ControlFlow::Break(());
+                    }
+                } else {
+                    let (idx, cands) = if self.cfg.naive_scan {
+                        let idx = self.select_naive();
+                        (idx, self.candidates_naive(self.pattern[idx]))
+                    } else {
+                        self.select_indexed()
+                    };
+                    if cands.is_empty() {
+                        // A dead end: no frame (and no allocation) needed.
+                        continue;
+                    }
+                    self.matched[idx] = true;
+                    self.n_matched += 1;
+                    stack.push(Frame {
+                        idx,
+                        cands,
+                        next: 0,
+                        mark: trail.len(),
+                    });
+                }
+            }
+            let Some(frame) = stack.last_mut() else {
+                return ControlFlow::Continue(());
+            };
+            self.undo(&trail[frame.mark..]);
+            trail.truncate(frame.mark);
+            let Some(&cand) = frame.cands.get(frame.next) else {
+                self.matched[frame.idx] = false;
+                self.n_matched -= 1;
+                stack.pop();
+                continue;
+            };
+            frame.next += 1;
             self.nodes += 1;
             // A budget-exhausted break sets `truncated`, distinguishing it
             // from a callback-requested stop (which is a conclusive hit).
             let over_cfg_limit = self.cfg.node_limit.is_some_and(|l| self.nodes > l);
             if over_cfg_limit || self.budget.exhausted_at(self.nodes) {
                 self.truncated = true;
-                self.matched[idx] = false;
-                self.n_matched -= 1;
                 return ControlFlow::Break(());
             }
-            let mut trail = Vec::new();
-            let ok = self.try_unify(pattern_atom, cand, &mut trail);
-            if ok {
-                if let ControlFlow::Break(()) = self.run(on_found) {
-                    self.undo(&trail);
-                    self.matched[idx] = false;
-                    self.n_matched -= 1;
-                    return ControlFlow::Break(());
-                }
-            }
-            self.undo(&trail);
+            let pattern_atom = self.pattern[frame.idx];
+            enter = self.try_unify(pattern_atom, cand, &mut trail);
         }
-        self.matched[idx] = false;
-        self.n_matched -= 1;
-        ControlFlow::Continue(())
     }
+}
+
+/// One open node of [`Search::run`]: the pattern atom being matched, its
+/// candidate images, the next one to try and the binding-trail length
+/// to undo back to before trying it.
+struct Frame<'a> {
+    idx: usize,
+    cands: Vec<&'a Atom>,
+    next: usize,
+    mark: usize,
 }
 
 /// Enumerates homomorphisms `π` extending `seed` with

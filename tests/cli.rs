@@ -136,10 +136,10 @@ fn dot_export_writes_file() {
     assert!(dot.starts_with("digraph"));
 }
 
-/// A request line over the 64 MiB limit gets one error reply, its
-/// remainder is discarded, and the next request is still answered.
-#[test]
-fn serve_answers_over_long_line_with_error_and_keeps_serving() {
+/// Pipes `requests` (one JSON line each) through `serve --workers 1`
+/// and returns its stdout lines, asserting a clean exit with no stack
+/// overflow.
+fn serve_lines(requests: Vec<String>) -> Vec<String> {
     use std::io::Write as _;
     use std::process::Stdio;
 
@@ -152,24 +152,41 @@ fn serve_answers_over_long_line_with_error_and_keeps_serving() {
         .expect("binary runs");
     let mut stdin = child.stdin.take().unwrap();
     let writer = std::thread::spawn(move || {
-        let mut line = vec![b'x'; treechase::service::MAX_FRAME + 1];
-        line.push(b'\n');
-        stdin.write_all(&line).unwrap();
-        stdin.write_all(b"{\"op\":\"list\"}\n").unwrap();
+        for request in requests {
+            stdin.write_all(request.as_bytes()).unwrap();
+            stdin.write_all(b"\n").unwrap();
+        }
     });
     let out = child.wait_with_output().expect("serve exits");
     writer.join().unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 2, "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("overflow"), "{stderr}");
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(str::to_owned)
+        .collect()
+}
+
+fn responses(lines: &[String]) -> Vec<&String> {
+    lines
+        .iter()
+        .filter(|l| l.starts_with(r#"{"type":"response""#))
+        .collect()
+}
+
+/// A request line over the 64 MiB limit gets one error reply, its
+/// remainder is discarded, and the next request is still answered.
+#[test]
+fn serve_answers_over_long_line_with_error_and_keeps_serving() {
+    let lines = serve_lines(vec![
+        "x".repeat(treechase::service::MAX_FRAME + 1),
+        r#"{"op":"list"}"#.to_owned(),
+    ]);
+    assert_eq!(lines.len(), 2, "{lines:?}");
     assert!(
         lines[0].starts_with(r#"{"type":"error""#) && lines[0].contains("exceeds"),
-        "{stdout}"
+        "{lines:?}"
     );
     assert_eq!(lines[1], r#"{"type":"response","op":"list","jobs":[]}"#);
 }
@@ -179,36 +196,66 @@ fn serve_answers_over_long_line_with_error_and_keeps_serving() {
 /// next request is still answered.
 #[test]
 fn serve_answers_too_deep_nesting_with_error_and_keeps_serving() {
-    use std::io::Write as _;
-    use std::process::Stdio;
-
-    let mut child = bin()
-        .args(["serve", "--workers", "1"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    let mut stdin = child.stdin.take().unwrap();
-    let writer = std::thread::spawn(move || {
-        let mut line = vec![b'['; 2 << 20];
-        line.push(b'\n');
-        stdin.write_all(&line).unwrap();
-        stdin.write_all(b"{\"op\":\"list\"}\n").unwrap();
-    });
-    let out = child.wait_with_output().expect("serve exits");
-    writer.join().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    assert!(!stderr.contains("overflow"), "{stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 2, "{stdout}");
+    let lines = serve_lines(vec!["[".repeat(2 << 20), r#"{"op":"list"}"#.to_owned()]);
+    assert_eq!(lines.len(), 2, "{lines:?}");
     assert!(
         lines[0].starts_with(r#"{"type":"error""#) && lines[0].contains("nesting too deep"),
-        "{stdout}"
+        "{lines:?}"
     );
     assert_eq!(lines[1], r#"{"type":"response","op":"list","jobs":[]}"#);
+}
+
+/// A core-chase submit over 8 000 facts: the initial simplification
+/// (`core_of` of the facts) matches the whole fact set atom by atom, a
+/// search 8 000 levels deep on a worker thread. The job finishes and
+/// serve keeps answering.
+#[test]
+fn serve_runs_core_job_over_deep_fact_set_and_keeps_serving() {
+    let mut source = String::from("r(c, X0).");
+    for i in 0..7_999 {
+        source.push_str(&format!(" r(X{i}, X{}).", i + 1));
+    }
+    let lines = serve_lines(vec![
+        format!(
+            r#"{{"op":"submit","name":"deep","source":"{source}","variant":"core","max_apps":10}}"#
+        ),
+        r#"{"op":"wait","job":1}"#.to_owned(),
+        r#"{"op":"list"}"#.to_owned(),
+    ]);
+    let replies = responses(&lines);
+    assert_eq!(replies.len(), 3, "{lines:?}");
+    assert!(replies[0].contains(r#""op":"submit""#), "{lines:?}");
+    assert!(
+        replies[1].contains(r#""op":"wait""#) && replies[1].contains(r#""status":"finished""#),
+        "{lines:?}"
+    );
+    assert!(replies[2].contains(r#""op":"list""#), "{lines:?}");
+}
+
+/// A query whose CQ is a 20 000-atom variable chain maps onto a loop
+/// one atom per search level on the serve thread. The reply comes back
+/// complete and serve keeps answering.
+#[test]
+fn serve_answers_deep_conjunctive_query_and_keeps_serving() {
+    let atoms: Vec<String> = (0..20_000)
+        .map(|i| format!("r(X{i}, X{})", i + 1))
+        .collect();
+    let lines = serve_lines(vec![
+        format!(
+            r#"{{"op":"query","source":"r(a, a).","query":"?- {}","variant":"restricted"}}"#,
+            atoms.join(", ")
+        ),
+        r#"{"op":"list"}"#.to_owned(),
+    ]);
+    let replies = responses(&lines);
+    assert_eq!(replies.len(), 2, "{lines:?}");
+    assert!(
+        replies[0].contains(r#""op":"query""#)
+            && replies[0].contains(r#""completeness":"complete""#)
+            && replies[0].contains(r#""entailed":true"#),
+        "{lines:?}"
+    );
+    assert_eq!(replies[1], r#"{"type":"response","op":"list","jobs":[]}"#);
 }
 
 /// Runs `analyze <operand> --json` and parses the emitted report.

@@ -169,3 +169,24 @@ mod trajectories {
         assert!(terminated >= 24, "only {terminated} cases terminated");
     }
 }
+
+/// Pins the incremental maintainer's search tree on the paper's staircase
+/// `K_h`: with one probe thread the probe order, and with it every node
+/// count, is a pure function of the input. A change to the fold search
+/// that explores a different tree (a different pending-atom choice or
+/// candidate order) moves these counters even when the cores agree.
+#[test]
+fn staircase_core_chase_explores_a_pinned_search_tree() {
+    use treechase::engine::{ChaseConfig, ChaseVariant};
+    use treechase::prelude::KnowledgeBase;
+    let res = KnowledgeBase::staircase().chase(
+        &ChaseConfig::variant(ChaseVariant::Core)
+            .with_max_applications(300)
+            .with_probe_threads(1),
+    );
+    assert_eq!(res.stats.applications, 300);
+    assert_eq!(res.stats.match_nodes, 308_556);
+    assert_eq!(res.stats.fold_candidates, 5_907);
+    assert_eq!(res.stats.retractions, 91);
+    assert_eq!(res.stats.core_truncations, 0);
+}
