@@ -14,9 +14,18 @@
 //! membership — a *dynamic but complete-for-all-instances* certificate,
 //! strictly stronger than the per-instance probes in
 //! `chase_core::classes` and incomparable to weak/joint acyclicity.
+//!
+//! [`CriticalChase`] is the one Skolem chase of the critical instance
+//! that both the MFA test ([`crate::mfa`]) and the k-boundedness rank
+//! analysis ([`crate::kbounded`]) read.
 
-use chase_atoms::{Atom, AtomSet, Term, Vocabulary};
-use chase_engine::{run_chase_controlled, ChaseConfig, ChaseVariant, RuleSet};
+use std::collections::{BTreeSet, HashMap};
+
+use chase_atoms::{Atom, AtomSet, ConstId, PredId, Term, VarId, Vocabulary};
+use chase_engine::{
+    all_triggers, apply_trigger, fresh_pi_safe, run_chase_controlled, ChaseConfig, ChaseVariant,
+    RuleId, RuleSet,
+};
 use chase_homomorphism::SearchBudget;
 
 /// The critical instance of a ruleset: every atom `p(c₁, …, cₖ)` over
@@ -47,32 +56,7 @@ pub fn critical_instance_capped(
     rules: &RuleSet,
     max_atoms: usize,
 ) -> Option<AtomSet> {
-    let mut preds = std::collections::BTreeSet::new();
-    let mut consts = std::collections::BTreeSet::new();
-    for (_, rule) in rules.iter() {
-        for atom in rule.body().iter().chain(rule.head().iter()) {
-            preds.insert((atom.pred(), atom.arity()));
-            for t in atom.terms() {
-                if let Term::Const(c) = t {
-                    consts.insert(c);
-                }
-            }
-        }
-    }
-    // Size check before any materialization: Σ_p |consts|^arity(p),
-    // with overflow treated as "over the cap". +1 for the star below.
-    let base = consts.len() as u128 + 1;
-    let mut total: u128 = 0;
-    for &(_, arity) in &preds {
-        let tuples = u32::try_from(arity)
-            .ok()
-            .and_then(|a| base.checked_pow(a))
-            .and_then(|t| total.checked_add(t));
-        match tuples {
-            Some(t) if t <= max_atoms as u128 => total = t,
-            _ => return None,
-        }
-    }
+    let (preds, mut consts) = critical_signature(rules, max_atoms)?;
     // Mint a star id distinct from every rule constant. The rules' ids
     // come from the kb's vocabulary; when the caller hands us a fresh
     // one, the first interned names may collide id-wise with rule
@@ -87,23 +71,60 @@ pub fn critical_instance_capped(
     let consts: Vec<Term> = consts.into_iter().map(Term::Const).collect();
     let mut out = AtomSet::new();
     for (p, arity) in preds {
-        // All `|consts|^arity` tuples, counted in base `|consts|`.
-        let mut tuple = vec![0usize; arity];
-        loop {
-            out.insert(Atom::new(
-                p,
-                tuple.iter().map(|&i| consts[i]).collect::<Vec<_>>(),
-            ));
-            let Some(pos) = (0..arity).rev().find(|&i| tuple[i] + 1 < consts.len()) else {
-                break;
-            };
-            tuple[pos] += 1;
-            for slot in tuple.iter_mut().skip(pos + 1) {
-                *slot = 0;
+        for_each_tuple(&consts, arity, |terms| {
+            out.insert(Atom::new(p, terms));
+        });
+    }
+    Some(out)
+}
+
+/// The predicates (with arities) and the constants of a ruleset.
+type Signature = (BTreeSet<(PredId, usize)>, BTreeSet<ConstId>);
+
+/// The predicates (with arities) and the constants occurring in `rules`,
+/// provided the critical instance over them — `Σ_p |consts|^arity(p)`
+/// atoms, counting the star — has at most `max_atoms` atoms. The count
+/// uses checked arithmetic (overflow is over the cap) and materializes
+/// nothing.
+pub(crate) fn critical_signature(rules: &RuleSet, max_atoms: usize) -> Option<Signature> {
+    let mut preds = BTreeSet::new();
+    let mut consts = BTreeSet::new();
+    for (_, rule) in rules.iter() {
+        for atom in rule.body().iter().chain(rule.head().iter()) {
+            preds.insert((atom.pred(), atom.arity()));
+            for t in atom.terms() {
+                if let Term::Const(c) = t {
+                    consts.insert(c);
+                }
             }
         }
     }
-    Some(out)
+    let base = consts.len() as u128 + 1;
+    let mut total: u128 = 0;
+    for &(_, arity) in &preds {
+        total = u32::try_from(arity)
+            .ok()
+            .and_then(|a| base.checked_pow(a))
+            .and_then(|t| total.checked_add(t))
+            .filter(|&t| t <= max_atoms as u128)?;
+    }
+    Some((preds, consts))
+}
+
+/// Calls `f` on every `arity`-tuple over `labels`, counting in base
+/// `labels.len()`.
+pub(crate) fn for_each_tuple<T: Copy>(labels: &[T], arity: usize, mut f: impl FnMut(Vec<T>)) {
+    let mut tuple = vec![0usize; arity];
+    loop {
+        f(tuple.iter().map(|&i| labels[i]).collect());
+        let Some(pos) = (0..arity).rev().find(|&i| tuple[i] + 1 < labels.len()) else {
+            return;
+        };
+        tuple[pos] += 1;
+        for slot in tuple.iter_mut().skip(pos + 1) {
+            *slot = 0;
+        }
+    }
 }
 
 /// Outcome of the critical-instance test.
@@ -121,13 +142,113 @@ pub enum CriticalOutcome {
     BudgetExhausted,
 }
 
-/// Applications allowed when the budget carries no node limit.
-const DEFAULT_APPLICATIONS: usize = 10_000;
+/// Applications the critical-instance tests allow when the budget
+/// carries no node limit.
+pub(crate) fn application_limit(budget: &SearchBudget) -> usize {
+    budget.node_limit.unwrap_or(10_000)
+}
 
 /// Atom ceiling the tests grant the chase (and hence the critical
 /// instance itself), derived from the application budget.
 pub(crate) fn atom_cap(applications: usize) -> usize {
     applications.saturating_mul(8).max(1_000)
+}
+
+/// A Skolem symbol: one existential variable of one rule.
+type Symbol = (RuleId, usize);
+
+/// A fired application's identity: the semi-oblivious frontier key.
+type FrontierKey = (RuleId, Vec<(VarId, Term)>);
+
+/// The semi-oblivious (Skolem) chase of the critical instance, firing
+/// each round's unfired frontier keys in `all_triggers` order.
+#[derive(Default)]
+pub(crate) struct CriticalChase {
+    /// Atoms of the critical instance the run started from.
+    pub critical_atoms: usize,
+    /// The instance the run stopped at.
+    pub instance: AtomSet,
+    /// Head images of every fired frontier key.
+    pub outputs: HashMap<FrontierKey, Vec<Atom>>,
+    /// Trigger applications performed.
+    pub applications: usize,
+    /// Did a round find no unfired frontier key?
+    pub saturated: bool,
+    /// The first null whose Skolem term tree holds its own symbol: the
+    /// rule that minted it and the nesting depth at which it closed.
+    pub cycle: Option<(RuleId, usize)>,
+}
+
+impl CriticalChase {
+    /// Chases the critical instance under `budget` for at most `limit`
+    /// applications, and past the first cyclic term for at most
+    /// `cycle_slice` (none, when the run is already past it). `None`,
+    /// without building it, when the critical instance exceeds
+    /// [`atom_cap`] of `limit`.
+    pub(crate) fn run(
+        rules: &RuleSet,
+        budget: &SearchBudget,
+        mut limit: usize,
+        cycle_slice: usize,
+    ) -> Option<Self> {
+        let mut vocab = Vocabulary::new();
+        let instance = critical_instance_capped(&mut vocab, rules, atom_cap(limit))?;
+        let mut run = CriticalChase {
+            critical_atoms: instance.len(),
+            instance,
+            ..CriticalChase::default()
+        };
+        // Per null: the Skolem symbols of its term tree and its depth.
+        let mut symbols: HashMap<VarId, (BTreeSet<Symbol>, usize)> = HashMap::new();
+        loop {
+            let mut progressed = false;
+            for tr in all_triggers(rules, &run.instance) {
+                let key = tr.frontier_key(rules);
+                if run.outputs.contains_key(&key) {
+                    continue;
+                }
+                if run.applications >= limit || budget.interrupted() {
+                    return Some(run);
+                }
+                let rule = rules.get(tr.rule);
+                let (pi_safe, nulls) = fresh_pi_safe(&mut vocab, rules, &tr);
+                apply_trigger(rules, &mut run.instance, &tr, &pi_safe);
+                run.applications += 1;
+                let out = rule.head().iter().map(|a| pi_safe.apply_atom(a)).collect();
+                run.outputs.insert(key, out);
+                progressed = true;
+                if run.cycle.is_some() {
+                    continue; // only the first cyclic term is read
+                }
+                // Symbols below this application: everything in the term
+                // trees of the nulls in the frontier image.
+                let mut below: BTreeSet<Symbol> = BTreeSet::new();
+                let mut depth = 1usize;
+                for &x in rule.frontier_vars() {
+                    if let Term::Var(u) = tr.pi.apply_term(Term::Var(x)) {
+                        if let Some((syms, d)) = symbols.get(&u) {
+                            below.extend(syms.iter().copied());
+                            depth = depth.max(d + 1);
+                        }
+                    }
+                }
+                for (j, null) in nulls.into_iter().enumerate() {
+                    if below.contains(&(tr.rule, j)) {
+                        run.cycle = Some((tr.rule, depth));
+                        limit = limit.min(run.applications.max(cycle_slice));
+                        break;
+                    }
+                    let mut syms = below.clone();
+                    syms.insert((tr.rule, j));
+                    symbols.insert(null, (syms, depth));
+                }
+            }
+            if !progressed {
+                run.saturated = true;
+                return Some(run);
+            }
+        }
+    }
 }
 
 /// Runs the Marnette test under the shared [`SearchBudget`]: its node
@@ -143,7 +264,7 @@ pub(crate) fn atom_cap(applications: usize) -> usize {
 #[must_use]
 pub fn critical_instance_test(rules: &RuleSet, budget: &SearchBudget) -> CriticalOutcome {
     let mut vocab = Vocabulary::new();
-    let applications = budget.node_limit.unwrap_or(DEFAULT_APPLICATIONS);
+    let applications = application_limit(budget);
     let Some(facts) = critical_instance_capped(&mut vocab, rules, atom_cap(applications)) else {
         return CriticalOutcome::BudgetExhausted;
     };
@@ -260,6 +381,23 @@ mod tests {
             critical_instance_capped(&mut vocab, &small, 6).map(|ci| ci.len()),
             Some(6)
         );
+    }
+
+    #[test]
+    fn chase_continues_past_a_cycle_only_for_its_slice() {
+        // The second application nests R's symbol inside itself.
+        let rs = rules("R: r(X, Y) -> r(Y, Z).");
+        let b = SearchBudget::unlimited();
+        let stopped = CriticalChase::run(&rs, &b, 1_000, 0).expect("fits");
+        assert_eq!(stopped.applications, 2);
+        assert_eq!(stopped.cycle, Some((0, 2)));
+        let sliced = CriticalChase::run(&rs, &b, 1_000, 40).expect("fits");
+        assert_eq!(sliced.applications, 40);
+        assert!(!sliced.saturated);
+        assert_eq!(sliced.outputs.len(), 40, "one head image per fired key");
+        // A slice never stretches the run past its own limit.
+        let capped = CriticalChase::run(&rs, &b, 30, 40).expect("fits");
+        assert_eq!(capped.applications, 30);
     }
 
     #[test]

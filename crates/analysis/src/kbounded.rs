@@ -8,9 +8,10 @@
 //! admission gate wants: the certificate converts into a hard
 //! application bound instead of a heuristic one.
 //!
-//! The test here runs the semi-oblivious (Skolem) chase from the
-//! critical instance to saturation under the shared [`SearchBudget`],
-//! then performs a *rank analysis* on the saturated run:
+//! The test here reads the semi-oblivious (Skolem) chase of the
+//! critical instance ([`CriticalChase`], shared with the MFA test) run
+//! to saturation under the shared [`SearchBudget`], and performs a *rank
+//! analysis* on the saturated run:
 //!
 //! * every trigger of the final instance is assigned the rank
 //!   `1 + max(rank of its body atoms)`;
@@ -32,14 +33,12 @@
 
 use std::collections::HashMap;
 
-use chase_atoms::{Atom, Term, Vocabulary};
-use chase_engine::{all_triggers, apply_trigger, fresh_pi_safe, RuleId, RuleSet};
+use chase_atoms::Atom;
+use chase_engine::{all_triggers, RuleSet};
 use chase_homomorphism::SearchBudget;
 
-use crate::critical::{atom_cap, critical_instance_capped};
-
-/// Applications allowed when the budget carries no node limit.
-const DEFAULT_APPLICATIONS: usize = 10_000;
+use crate::acyclicity::tarjan_scc;
+use crate::critical::{application_limit, atom_cap, CriticalChase};
 
 /// Outcome of the k-boundedness test.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,144 +69,94 @@ pub enum KBoundedOutcome {
     },
 }
 
-/// A fired application's identity: the semi-oblivious frontier key.
-type FrontierKey = (RuleId, Vec<(chase_atoms::VarId, Term)>);
-
-/// Runs the k-boundedness test for `rules` under `budget`.
-///
-/// Like [`crate::mfa_test`], the critical instance is materialized
-/// under an atom ceiling derived from the budget, so a high-arity
-/// ruleset is reported [`KBoundedOutcome::BudgetExhausted`] up front
-/// instead of stalling on construction.
+/// Runs the k-boundedness test for `rules` under `budget`. Like
+/// [`crate::mfa_test`], a critical instance over the budget's atom cap is
+/// reported [`KBoundedOutcome::BudgetExhausted`] up front.
 #[must_use]
 pub fn kbounded_test(rules: &RuleSet, budget: &SearchBudget) -> KBoundedOutcome {
-    let mut vocab = Vocabulary::new();
-    let max_applications = budget.node_limit.unwrap_or(DEFAULT_APPLICATIONS);
-    let Some(mut instance) =
-        critical_instance_capped(&mut vocab, rules, atom_cap(max_applications))
-    else {
+    let limit = application_limit(budget);
+    let run = CriticalChase::run(rules, budget, limit, limit);
+    kbounded_outcome(rules, budget, run.as_ref(), limit)
+}
+
+/// Reads the k-bounded outcome at application limit `limit` off a
+/// critical chase run at that limit or above (`None`: the critical
+/// instance exceeded the run's atom cap). The reader keeps its own atom
+/// cap, and counts the run as saturated only if it saturated within
+/// `limit` applications.
+pub(crate) fn kbounded_outcome(
+    rules: &RuleSet,
+    budget: &SearchBudget,
+    run: Option<&CriticalChase>,
+    limit: usize,
+) -> KBoundedOutcome {
+    let Some(run) = run.filter(|run| run.critical_atoms <= atom_cap(limit)) else {
         return KBoundedOutcome::BudgetExhausted { applications: 0 };
     };
-
-    // Phase 1: saturate the Skolem chase, recording the output atoms of
-    // each frontier key (Skolem semantics: duplicate keys share them).
-    let mut outputs: HashMap<FrontierKey, Vec<Atom>> = HashMap::new();
-    let mut applications = 0usize;
-    loop {
-        let mut progressed = false;
-        let triggers = all_triggers(rules, &instance);
-        for tr in triggers {
-            let key = tr.frontier_key(rules);
-            if outputs.contains_key(&key) {
-                continue;
-            }
-            if applications >= max_applications || budget.interrupted() {
-                return KBoundedOutcome::BudgetExhausted { applications };
-            }
-            let rule = rules.get(tr.rule);
-            let (pi_safe, _) = fresh_pi_safe(&mut vocab, rules, &tr);
-            apply_trigger(rules, &mut instance, &tr, &pi_safe);
-            applications += 1;
-            let out = rule
-                .head()
-                .iter()
-                .map(|atom| pi_safe.apply_atom(atom))
-                .collect();
-            outputs.insert(key, out);
-            progressed = true;
-        }
-        if !progressed {
-            break;
-        }
+    let applications = run.applications;
+    if !run.saturated || applications > limit {
+        return KBoundedOutcome::BudgetExhausted {
+            applications: applications.min(limit),
+        };
     }
 
-    // Phase 2: build the bipartite rank graph over the saturated run.
-    // Atom nodes are interned; trigger nodes depend on their body
-    // atoms, atom nodes depend on every trigger that outputs them.
+    // The bipartite rank graph over the saturated run: `deps[v]` lists
+    // what node `v` depends on. A trigger node depends on its body
+    // atoms, an (interned) atom node on every trigger that outputs it.
     let mut atom_ids: HashMap<Atom, usize> = HashMap::new();
-    let mut atom_deps: Vec<Vec<usize>> = Vec::new();
-    let mut trigger_deps: Vec<Vec<usize>> = Vec::new();
-    let mut intern = |atom: Atom, deps: &mut Vec<Vec<usize>>| -> usize {
-        let next = atom_ids.len();
-        *atom_ids.entry(atom).or_insert_with(|| {
-            deps.push(Vec::new());
-            next
-        })
-    };
-    for tr in all_triggers(rules, &instance) {
+    let mut deps: Vec<Vec<usize>> = Vec::new();
+    let mut is_trigger: Vec<bool> = Vec::new();
+    for tr in all_triggers(rules, &run.instance) {
         if budget.interrupted() {
             return KBoundedOutcome::BudgetExhausted { applications };
         }
-        let rule = rules.get(tr.rule);
-        let tid = trigger_deps.len();
-        let mut body_ids = Vec::new();
-        for atom in rule.body().iter() {
-            body_ids.push(intern(tr.pi.apply_atom(atom), &mut atom_deps));
-        }
-        trigger_deps.push(body_ids);
+        let tid = deps.len();
+        deps.push(Vec::new());
+        is_trigger.push(true);
+        let body = rules.get(tr.rule).body().iter();
+        let body = body.map(|atom| (tr.pi.apply_atom(atom), false));
         // Saturation means every frontier key has fired.
         let key = tr.frontier_key(rules);
-        for atom in outputs.get(&key).map_or(&[][..], Vec::as_slice) {
-            let aid = intern(atom.clone(), &mut atom_deps);
-            atom_deps[aid].push(tid);
+        let outputs = run.outputs.get(&key).into_iter().flatten();
+        for (atom, output) in body.chain(outputs.map(|atom| (atom.clone(), true))) {
+            let aid = *atom_ids.entry(atom).or_insert_with(|| {
+                deps.push(Vec::new());
+                is_trigger.push(false);
+                deps.len() - 1
+            });
+            if output {
+                deps[aid].push(tid);
+            } else {
+                deps[tid].push(aid);
+            }
         }
     }
-
-    // Phase 3: longest path over the rank graph, with cycle detection.
-    match max_trigger_rank(&atom_deps, &trigger_deps) {
+    match max_trigger_rank(&deps, &is_trigger) {
         Some(k) => KBoundedOutcome::Bounded { k, applications },
         None => KBoundedOutcome::DepthUnbounded { applications },
     }
 }
 
-/// Longest-path ranks over the bipartite rank graph: atoms occupy nodes
-/// `[0, n_atoms)`, triggers `[n_atoms, n)`; a trigger's rank is one more
-/// than its deepest body atom, an atom's rank the deepest of its
-/// producers. Returns the maximum trigger rank, or `None` when the
-/// graph is cyclic (depth unbounded).
-fn max_trigger_rank(atom_deps: &[Vec<usize>], trigger_deps: &[Vec<usize>]) -> Option<usize> {
-    let n_atoms = atom_deps.len();
-    let n = n_atoms + trigger_deps.len();
-    let mut deps: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for producers in atom_deps {
-        deps.push(producers.iter().map(|&t| n_atoms + t).collect());
-    }
-    for body in trigger_deps {
-        deps.push(body.clone());
-    }
-    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-    let mut rank = vec![0usize; n];
-    let mut k = 0usize;
-    for start in n_atoms..n {
-        if state[start] != 0 {
-            k = k.max(rank[start]);
-            continue;
+/// Longest-path ranks over the bipartite rank graph: a trigger's rank is
+/// one more than its deepest body atom, an atom's rank the deepest of its
+/// producers. Returns the maximum trigger rank, or `None` when the graph
+/// is cyclic (depth unbounded).
+fn max_trigger_rank(deps: &[Vec<usize>], is_trigger: &[bool]) -> Option<usize> {
+    // Tarjan numbers components dependencies first; the graph is acyclic
+    // iff every component is a single node (it has no self-loops).
+    let mut order = vec![usize::MAX; deps.len()];
+    for (v, c) in tarjan_scc(deps.len(), deps).into_iter().enumerate() {
+        if std::mem::replace(&mut order[c], v) != usize::MAX {
+            return None;
         }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        state[start] = 1;
-        while let Some(frame) = stack.last_mut() {
-            let (node, cursor) = *frame;
-            if cursor < deps[node].len() {
-                frame.1 += 1;
-                let child = deps[node][cursor];
-                match state[child] {
-                    0 => {
-                        state[child] = 1;
-                        stack.push((child, 0));
-                    }
-                    1 => return None,
-                    _ => {}
-                }
-            } else {
-                let best = deps[node].iter().map(|&c| rank[c]).max().unwrap_or(0);
-                rank[node] = if node >= n_atoms { best + 1 } else { best };
-                state[node] = 2;
-                stack.pop();
-            }
-        }
-        k = k.max(rank[start]);
     }
-    Some(k)
+    let mut rank = vec![0usize; deps.len()];
+    for v in order {
+        let best = deps[v].iter().map(|&c| rank[c]).max().unwrap_or(0);
+        rank[v] = best + usize::from(is_trigger[v]);
+    }
+    let trigger_ranks = rank.iter().zip(is_trigger).filter(|(_, &t)| t);
+    Some(trigger_ranks.map(|(&r, _)| r).max().unwrap_or(0))
 }
 
 #[cfg(test)]

@@ -25,6 +25,13 @@
 //!   critical-instance Skolem chase with cyclic-term detection, which
 //!   certifies fes beyond joint acyclicity and *refutes* MFA membership
 //!   with a divergence witness.
+//! * [`kbounded_test`] — Delivorias et al.'s k-boundedness: a rank
+//!   analysis of the saturated critical-instance Skolem chase certifies
+//!   a breadth-first round bound uniform across fact bases. It reads the
+//!   same chase as [`mfa_test`]; [`analyze_with_budget`] runs it once for
+//!   both.
+//! * [`linear_termination`] — the exact termination decision for linear
+//!   rulesets (Leclère, Mugnier, Thomazo, Ulliana).
 //! * [`DepGraph`] / [`stratified_plan`] — the rule dependency graph by
 //!   piece-unification, its SCC condensation, and the stratified chase
 //!   plans derived from it.

@@ -40,6 +40,7 @@ use chase_engine::{Rule, RuleId, RuleSet};
 use chase_homomorphism::SearchBudget;
 
 use crate::acyclicity::tarjan_scc;
+use crate::critical::{critical_signature, for_each_tuple};
 use crate::guards::{guard_kind, GuardKind};
 
 /// States explored when the budget carries no node limit.
@@ -205,46 +206,13 @@ fn head_patterns(rule: &Rule, sub: &BTreeMap<VarId, Lab>) -> Vec<HeadPat> {
 /// `None` when the enumeration would exceed `cap` — computed by
 /// checked arithmetic before materializing anything.
 fn start_patterns(rules: &RuleSet, cap: usize) -> Option<Vec<Pat>> {
-    let mut preds: BTreeSet<(PredId, usize)> = BTreeSet::new();
-    let mut consts: BTreeSet<ConstId> = BTreeSet::new();
-    for (_, rule) in rules.iter() {
-        for atom in rule.body().iter().chain(rule.head().iter()) {
-            preds.insert((atom.pred(), atom.arity()));
-            for t in atom.terms() {
-                if let Term::Const(c) = t {
-                    consts.insert(c);
-                }
-            }
-        }
-    }
-    let base = consts.len() as u128 + 1;
-    let mut total: u128 = 0;
-    for &(_, arity) in &preds {
-        total = u32::try_from(arity)
-            .ok()
-            .and_then(|a| base.checked_pow(a))
-            .and_then(|t| total.checked_add(t))
-            .filter(|&t| t <= cap as u128)?;
-    }
+    let (preds, consts) = critical_signature(rules, cap)?;
     let labels: Vec<Lab> = std::iter::once(Lab::Star)
         .chain(consts.into_iter().map(Lab::Const))
         .collect();
     let mut out = Vec::new();
     for (pred, arity) in preds {
-        let mut tuple = vec![0usize; arity];
-        loop {
-            out.push(Pat {
-                pred,
-                labels: tuple.iter().map(|&i| labels[i]).collect(),
-            });
-            let Some(pos) = (0..arity).rev().find(|&i| tuple[i] + 1 < labels.len()) else {
-                break;
-            };
-            tuple[pos] += 1;
-            for slot in tuple.iter_mut().skip(pos + 1) {
-                *slot = 0;
-            }
-        }
+        for_each_tuple(&labels, arity, |labels| out.push(Pat { pred, labels }));
     }
     Some(out)
 }

@@ -1,7 +1,8 @@
 //! Model-faithful-acyclicity-style (MFA) termination certificates.
 //!
-//! Runs the semi-oblivious (Skolem) chase from the critical instance
-//! and tracks, for every fresh null, the set of Skolem symbols (rule,
+//! Reads the semi-oblivious (Skolem) chase of the critical instance
+//! ([`CriticalChase`], shared with the k-boundedness test), which tracks
+//! for every fresh null the set of Skolem symbols (rule,
 //! existential-variable) occurring in its term tree. The chase of any
 //! instance embeds into this run, so:
 //!
@@ -16,24 +17,14 @@
 //!   is the divergence pattern);
 //! * if the [`SearchBudget`] runs out first, the test is inconclusive.
 //!
-//! The search honours the shared [`SearchBudget`]: its node limit caps
-//! trigger applications, and its deadline/cancel flags are polled so
-//! the service can abort an admission-time analysis like any other
-//! search.
+//! The chase honours the shared [`SearchBudget`] (node limit, deadline,
+//! cancel flag), so the service can abort an admission-time analysis
+//! like any other search.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-
-use chase_atoms::{Term, VarId, Vocabulary};
-use chase_engine::{all_triggers, apply_trigger, fresh_pi_safe, RuleId, RuleSet};
+use chase_engine::{RuleId, RuleSet};
 use chase_homomorphism::SearchBudget;
 
-use crate::critical::{atom_cap, critical_instance_capped};
-
-/// A Skolem symbol: one existential variable of one rule.
-type Symbol = (RuleId, usize);
-
-/// Applications allowed when the budget carries no node limit.
-const DEFAULT_APPLICATIONS: usize = 10_000;
+use crate::critical::{application_limit, CriticalChase};
 
 /// Outcome of the MFA-style cyclic-nesting test.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,77 +51,26 @@ pub enum MfaOutcome {
     },
 }
 
-/// Runs the MFA-style test for `rules` under `budget`.
-///
-/// The critical instance is materialized under an atom ceiling derived
-/// from the budget: a ruleset whose instance would exceed it (a
-/// high-arity predicate over a handful of constants is enough to
-/// describe tens of millions of atoms) is reported
-/// [`MfaOutcome::BudgetExhausted`] up front, so an admission-time
-/// caller never stalls on construction.
+/// Runs the MFA-style test for `rules` under `budget`. A critical
+/// instance over the budget's atom cap (a high-arity predicate over a
+/// handful of constants describes tens of millions of atoms) is reported
+/// [`MfaOutcome::BudgetExhausted`] up front, without being built.
 #[must_use]
 pub fn mfa_test(rules: &RuleSet, budget: &SearchBudget) -> MfaOutcome {
-    let mut vocab = Vocabulary::new();
-    let max_applications = budget.node_limit.unwrap_or(DEFAULT_APPLICATIONS);
-    let Some(mut instance) =
-        critical_instance_capped(&mut vocab, rules, atom_cap(max_applications))
-    else {
+    mfa_outcome(CriticalChase::run(rules, budget, application_limit(budget), 0).as_ref())
+}
+
+/// Reads the MFA outcome off a critical chase run at the MFA limit
+/// (`None`: the critical instance exceeded that limit's atom cap).
+pub(crate) fn mfa_outcome(run: Option<&CriticalChase>) -> MfaOutcome {
+    let Some(run) = run else {
         return MfaOutcome::BudgetExhausted { applications: 0 };
     };
-
-    // Per-null provenance: all Skolem symbols in the null's term tree,
-    // plus its nesting depth.
-    let mut symbols: HashMap<VarId, BTreeSet<Symbol>> = HashMap::new();
-    let mut depth: HashMap<VarId, usize> = HashMap::new();
-    let mut fired: HashSet<(RuleId, Vec<(VarId, Term)>)> = HashSet::new();
-    let mut applications = 0usize;
-
-    loop {
-        let mut progressed = false;
-        let triggers = all_triggers(rules, &instance);
-        for tr in triggers {
-            if !fired.insert(tr.frontier_key(rules)) {
-                continue;
-            }
-            if applications >= max_applications || budget.interrupted() {
-                return MfaOutcome::BudgetExhausted { applications };
-            }
-            let rule = rules.get(tr.rule);
-            // Symbols below this application: everything in the term
-            // trees of the nulls in the frontier image.
-            let mut below: BTreeSet<Symbol> = BTreeSet::new();
-            let mut below_depth = 0usize;
-            for &x in rule.frontier_vars() {
-                if let Term::Var(u) = tr.pi.apply_term(Term::Var(x)) {
-                    if let Some(syms) = symbols.get(&u) {
-                        below.extend(syms.iter().copied());
-                        below_depth = below_depth.max(depth[&u]);
-                    }
-                }
-            }
-            let (pi_safe, _) = fresh_pi_safe(&mut vocab, rules, &tr);
-            apply_trigger(rules, &mut instance, &tr, &pi_safe);
-            applications += 1;
-            for (j, &z) in rule.existential_vars().iter().enumerate() {
-                let sym: Symbol = (tr.rule, j);
-                if below.contains(&sym) {
-                    return MfaOutcome::CyclicTerm {
-                        rule: tr.rule,
-                        depth: below_depth + 1,
-                    };
-                }
-                if let Some(Term::Var(null)) = pi_safe.get(z) {
-                    let mut syms = below.clone();
-                    syms.insert(sym);
-                    symbols.insert(null, syms);
-                    depth.insert(null, below_depth + 1);
-                }
-            }
-            progressed = true;
-        }
-        if !progressed {
-            return MfaOutcome::Acyclic { applications };
-        }
+    let applications = run.applications;
+    match run.cycle {
+        Some((rule, depth)) => MfaOutcome::CyclicTerm { rule, depth },
+        None if run.saturated => MfaOutcome::Acyclic { applications },
+        None => MfaOutcome::BudgetExhausted { applications },
     }
 }
 

@@ -22,16 +22,17 @@ use chase_engine::{RuleId, RuleSet};
 use chase_homomorphism::SearchBudget;
 
 use crate::acyclicity::{jointly_acyclic, weakly_acyclic};
+use crate::critical::{application_limit, CriticalChase};
 use crate::guards::{guardedness, Guardedness};
-use crate::kbounded::{kbounded_test, KBoundedOutcome};
+use crate::kbounded::{kbounded_outcome, KBoundedOutcome};
 use crate::linear::{linear_fragment, linear_termination, LinearOutcome};
-use crate::mfa::{mfa_test, MfaOutcome};
+use crate::mfa::{mfa_outcome, MfaOutcome};
 
 /// Default application budget for the MFA sub-test of [`analyze`].
 const DEFAULT_MFA_BUDGET: usize = 5_000;
 
-/// Application slice granted to the k-boundedness rank analysis when
-/// the MFA chase hit a cyclic Skolem term: the critical chase usually
+/// Application slice the critical chase continues for past a cyclic
+/// Skolem term, for the k-boundedness rank analysis: the chase usually
 /// diverges past that point, and the rank analysis has no early exit,
 /// so it only gets enough rope for the small terminating exceptions.
 const CYCLIC_KBOUNDED_SLICE: usize = 256;
@@ -466,8 +467,11 @@ pub fn analyze_with_budget(rules: &RuleSet, budget: &SearchBudget) -> RulesetRep
     let wa = weakly_acyclic(rules);
     let ja = jointly_acyclic(rules);
     let guards = guardedness(rules);
-    let mfa = mfa_test(rules, budget);
     let spent = budget.node_limit.unwrap_or(DEFAULT_MFA_BUDGET);
+    // One critical chase feeds both MFA and k-boundedness.
+    let slice = CYCLIC_KBOUNDED_SLICE.min(spent);
+    let run = CriticalChase::run(rules, budget, application_limit(budget), slice);
+    let mfa = mfa_outcome(run.as_ref());
 
     // Exact decision for the linear fragment (single-atom-body rules),
     // run as a ruleset of its own. The verdict names original rule ids.
@@ -524,21 +528,13 @@ pub fn analyze_with_budget(rules: &RuleSet, budget: &SearchBudget) -> RulesetRep
     // As a *verdict* route it can rescue rulesets the routes above
     // leave open — its certificate (a uniform breadth-first round
     // bound) even overrides an MFA cycle, which is evidence, not
-    // proof. Unlike MFA the rank analysis has no early exit on
-    // divergence, so its application slice is sized by what the MFA
-    // chase observed: a saturation bound when MFA saturated, a small
-    // fixed slice after a cyclic term (the chase usually diverges and
-    // would burn the whole budget), nothing once MFA itself timed out.
+    // proof. It reads the run at a limit (and so an atom cap) of its
+    // own: MFA's saturation bound, or the slice past a cyclic term.
     let kbounded = match &mfa {
         MfaOutcome::Acyclic { applications } => {
-            kbounded_test(rules, &budget.clone().with_node_limit(applications + 16))
+            kbounded_outcome(rules, budget, run.as_ref(), applications + 16)
         }
-        MfaOutcome::CyclicTerm { .. } => kbounded_test(
-            rules,
-            &budget
-                .clone()
-                .with_node_limit(CYCLIC_KBOUNDED_SLICE.min(spent)),
-        ),
+        MfaOutcome::CyclicTerm { .. } => kbounded_outcome(rules, budget, run.as_ref(), slice),
         MfaOutcome::BudgetExhausted { .. } => KBoundedOutcome::BudgetExhausted { applications: 0 },
     };
     let terminating = if terminating.is_certified() || terminating.is_refuted() {

@@ -222,11 +222,6 @@ impl AtomSet {
         self.lookup.contains_key(atom)
     }
 
-    /// Returns the id of an atom if present.
-    pub fn id_of(&self, atom: &Atom) -> Option<AtomId> {
-        self.lookup.get(atom).copied()
-    }
-
     /// Returns the atom behind an id, if still live.
     pub fn get(&self, id: AtomId) -> Option<&Atom> {
         self.slots.get(id.0 as usize).and_then(Option::as_ref)
@@ -235,14 +230,6 @@ impl AtomSet {
     /// Iterates over the atoms in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Atom> {
         self.slots.iter().filter_map(Option::as_ref)
-    }
-
-    /// Iterates over `(id, atom)` pairs in insertion order.
-    pub fn iter_with_ids(&self) -> impl Iterator<Item = (AtomId, &Atom)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|a| (AtomId(i as u32), a)))
     }
 
     /// Iterates over atoms with the given predicate, in insertion order.

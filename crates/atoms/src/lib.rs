@@ -38,11 +38,6 @@ pub use substitution::Substitution;
 pub use term::{ConstId, Term, VarId};
 pub use vocab::{PredDecl, PredId, Vocabulary};
 
-/// Convenience constructor for a constant term.
-pub fn cst(id: ConstId) -> Term {
-    Term::Const(id)
-}
-
 /// Convenience constructor for a variable term.
 pub fn var(id: VarId) -> Term {
     Term::Var(id)

@@ -35,11 +35,6 @@ impl Substitution {
         self.map.insert(var, term)
     }
 
-    /// Removes a binding.
-    pub fn unbind(&mut self, var: VarId) -> Option<Term> {
-        self.map.remove(&var)
-    }
-
     /// The raw image of `var`, or `None` if unbound.
     pub fn get(&self, var: VarId) -> Option<Term> {
         self.map.get(&var).copied()

@@ -188,11 +188,6 @@ impl Vocabulary {
             self.next_var = var.raw() + 1;
         }
     }
-
-    /// The number of variables minted so far.
-    pub fn vars_minted(&self) -> u32 {
-        self.next_var
-    }
 }
 
 #[cfg(test)]

@@ -18,6 +18,15 @@
 //! measurements are written to `BENCH_core.json` at the workspace root
 //! so the numbers ride along with the repository.
 //!
+//! The full run also measures the probe-thread exception on its own: the
+//! elevator `K_v` and the staircase core chases under the `DatalogFirst`
+//! scheduler at 120 applications (the admission gate's probe shape),
+//! incremental core-phase time on one and on two probe threads, median
+//! of seven alternating runs. On the elevator every fold probe fails, so
+//! both thread counts explore the same trees: their counters must be
+//! identical and their results isomorphic. These rows are written to
+//! `BENCH_core.json` under `probe_threads`.
+//!
 //! `--smoke` shrinks the budgets for CI: it still cross-checks
 //! isomorphism but reports the speedup informationally only (tiny runs
 //! are noise-dominated). The smoke run also compares the deterministic
@@ -32,7 +41,7 @@ use std::time::Instant;
 
 use chase_bench::{exit_with, workspace_root, write_json, Allow, GateRow, Report};
 use chase_core::KnowledgeBase;
-use chase_engine::{ChaseConfig, ChaseStats, ChaseVariant, CoreMaintenance};
+use chase_engine::{ChaseConfig, ChaseStats, ChaseVariant, CoreMaintenance, SchedulerKind};
 use chase_homomorphism::isomorphism;
 use treechase_service::json::Json;
 
@@ -119,6 +128,88 @@ fn measure(kb: &KnowledgeBase, budget: usize) -> Measurement {
     }
 }
 
+/// Incremental core chase of one KB under `DatalogFirst`, on one and on
+/// two probe threads.
+struct ThreadRow {
+    kb: &'static str,
+    one: ChaseStats,
+    two: ChaseStats,
+    /// Median core-phase time over [`THREAD_ROW_RUNS`] runs, per thread
+    /// count.
+    core_us: [u64; 2],
+    isomorphic: bool,
+}
+
+/// Application budget of the probe-thread rows: the gate's probe horizon.
+const THREAD_ROW_BUDGET: usize = 120;
+
+/// Alternating runs per thread count behind each probe-thread row.
+const THREAD_ROW_RUNS: usize = 7;
+
+impl ThreadRow {
+    fn measure(name: &'static str, kb: &KnowledgeBase) -> ThreadRow {
+        let cfg = |threads| {
+            ChaseConfig::variant(ChaseVariant::Core)
+                .with_scheduler(SchedulerKind::DatalogFirst)
+                .with_max_applications(THREAD_ROW_BUDGET)
+                .with_probe_threads(threads)
+        };
+        let mut times = [Vec::new(), Vec::new()];
+        let mut runs = Vec::new();
+        for _ in 0..THREAD_ROW_RUNS {
+            for (slot, threads) in [1, 2].into_iter().enumerate() {
+                let res = kb.chase(&cfg(threads));
+                times[slot].push(res.stats.core_time_us);
+                runs.push(res);
+            }
+        }
+        let median = |t: &mut Vec<u64>| {
+            t.sort_unstable();
+            t[t.len() / 2]
+        };
+        ThreadRow {
+            kb: name,
+            one: runs[0].stats,
+            two: runs[1].stats,
+            core_us: [median(&mut times[0]), median(&mut times[1])],
+            isomorphic: runs
+                .iter()
+                .all(|r| isomorphism(&runs[0].final_instance, &r.final_instance).is_some()),
+        }
+    }
+
+    /// Did both thread counts explore the same fold search?
+    fn counters_identical(&self) -> bool {
+        (
+            self.one.match_nodes,
+            self.one.fold_candidates,
+            self.one.retractions,
+        ) == (
+            self.two.match_nodes,
+            self.two.fold_candidates,
+            self.two.retractions,
+        )
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("kb", Json::str(self.kb)),
+            ("scheduler", Json::str("datalog-first")),
+            ("application_budget", Json::Int(THREAD_ROW_BUDGET as i64)),
+            ("one_thread_core_us", Json::Int(self.core_us[0] as i64)),
+            ("two_threads_core_us", Json::Int(self.core_us[1] as i64)),
+            ("match_nodes", Json::Int(self.one.match_nodes as i64)),
+            (
+                "fold_candidates",
+                Json::Int(self.one.fold_candidates as i64),
+            ),
+            ("retractions", Json::Int(self.one.retractions as i64)),
+            ("counters_identical", Json::Bool(self.counters_identical())),
+            ("isomorphic", Json::Bool(self.isomorphic)),
+        ])
+    }
+}
+
 impl Measurement {
     /// The deterministic counters the smoke gate compares: pure functions
     /// of (KB, budget, maintainer) on one probe thread, so any increase
@@ -186,6 +277,39 @@ fn main() {
         no_truncation,
     );
 
+    let thread_rows = if smoke {
+        Vec::new()
+    } else {
+        vec![
+            ThreadRow::measure("elevator", &KnowledgeBase::elevator()),
+            ThreadRow::measure("staircase", &kb),
+        ]
+    };
+    for t in &thread_rows {
+        report.row(format!(
+            "{} datalog-first {THREAD_ROW_BUDGET}: core phase {}us on 1 thread vs {}us on 2; \
+             match nodes {} vs {}; fold candidates {} vs {}; retractions {} vs {}",
+            t.kb,
+            t.core_us[0],
+            t.core_us[1],
+            t.one.match_nodes,
+            t.two.match_nodes,
+            t.one.fold_candidates,
+            t.two.fold_candidates,
+            t.one.retractions,
+            t.two.retractions,
+        ));
+    }
+    if let Some(elevator) = thread_rows.first() {
+        let same = elevator.counters_identical() && elevator.isomorphic;
+        report.claim(
+            "core/elevator-threads-same-search",
+            "elevator: 1 and 2 probe threads, identical counters and isomorphic results",
+            same,
+            same,
+        );
+    }
+
     let last = rows.last().expect("at least one budget");
     if smoke {
         // Tiny runs are timer-noise-dominated; require only that the
@@ -230,6 +354,10 @@ fn main() {
             (
                 "measurements",
                 Json::Arr(rows.iter().map(Measurement::to_json).collect()),
+            ),
+            (
+                "probe_threads",
+                Json::Arr(thread_rows.iter().map(ThreadRow::to_json).collect()),
             ),
         ]);
         write_json(&report, &workspace_root().join(file), &bench);

@@ -68,14 +68,9 @@ pub struct ClusterConfig {
     pub checkpoint_every: usize,
     /// Backoff an idle worker is told before its next `pull`.
     pub idle_retry: Duration,
-    /// Admission control: reject new submissions once this many jobs
-    /// sit queued (`None` = unbounded).
-    pub max_queue: Option<usize>,
-    /// Trailing snapshots kept per job for the robust query prefix.
-    pub snapshot_ring: usize,
-    /// Service-level admission knobs (strict admission, analyzer
-    /// budgets, operation deadline) reused verbatim by the cluster
-    /// submit path.
+    /// Service-level knobs reused verbatim by the coordinator: admission
+    /// (queue cap, strict admission, analyzer budgets), the operation
+    /// deadline and the snapshot ring kept per job for live queries.
     pub service: ServiceConfig,
     /// Print one JSONL line per cluster event (queued / lease /
     /// requeue / checkpoint / done) to stdout.
@@ -89,8 +84,6 @@ impl Default for ClusterConfig {
             heartbeat: Duration::from_millis(750),
             checkpoint_every: 16,
             idle_retry: Duration::from_millis(200),
-            max_queue: None,
-            snapshot_ring: 4,
             service: ServiceConfig::default(),
             announce: true,
         }
@@ -353,7 +346,7 @@ impl Coordinator {
                 draining: false,
             }),
             store,
-            snapshots: SnapshotCache::new(cfg.snapshot_ring.max(1)),
+            snapshots: SnapshotCache::new(cfg.service.snapshot_ring.max(1)),
             cfg,
             shutdown: AtomicBool::new(false),
             publish_queue: Mutex::new(BTreeMap::new()),
@@ -902,7 +895,7 @@ impl Backend for Inner {
         {
             let st = self.lock();
             st.admitting()?;
-            if let Some(cap) = self.cfg.max_queue {
+            if let Some(cap) = self.cfg.service.max_queue {
                 let (queued, _) = st.queued_and_leased();
                 if queued >= cap {
                     return Err(Refusal::Rejected(Rejection {

@@ -157,12 +157,6 @@ fn classify_cost(report: &RulesetReport) -> (CostClass, String) {
     (CostClass::Open, provenance.to_string())
 }
 
-/// Converts a raw class probe into the evidence shape the analyzer's
-/// verdict lattice understands, under the default [`ProbeConfig`].
-pub fn evidence_from_probe(probe: &ClassProbe) -> DynamicEvidence {
-    evidence_from_probe_with(probe, &ProbeConfig::default())
-}
-
 /// Converts a raw class probe into evidence under an explicit
 /// [`ProbeConfig`].
 pub fn evidence_from_probe_with(probe: &ClassProbe, cfg: &ProbeConfig) -> DynamicEvidence {

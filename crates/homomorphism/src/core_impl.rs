@@ -53,27 +53,7 @@ pub fn find_retraction_eliminating_budgeted(
     x: VarId,
     budget: &SearchBudget,
 ) -> FoldProbe {
-    if !a.mentions(Term::Var(x)) {
-        return FoldProbe {
-            retraction: None,
-            outcome: SearchOutcome::default(),
-        };
-    }
-    let cfg = MatchConfig {
-        retraction: true,
-        forbidden_images: [Term::Var(x)].into_iter().collect(),
-        must_move: [x].into_iter().collect(),
-        ..MatchConfig::default()
-    };
-    let mut found = None;
-    let outcome = for_each_homomorphism_budgeted(a, a, &Substitution::new(), &cfg, budget, |sub| {
-        found = Some(sub.normalized());
-        ControlFlow::Break(())
-    });
-    FoldProbe {
-        retraction: found,
-        outcome,
-    }
+    find_retraction_eliminating_frozen_budgeted(a, x, [], budget)
 }
 
 /// Like [`find_retraction_eliminating`], but every variable in `frozen`

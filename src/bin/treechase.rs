@@ -1056,11 +1056,11 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
         lease,
         heartbeat: args.heartbeat_ms.map_or(lease / 4, Duration::from_millis),
         checkpoint_every: args.checkpoint_every.unwrap_or(16),
-        max_queue: args.max_queue,
         service: ServiceConfig {
             // The coordinator never runs jobs itself; its store is
             // opened separately from --state-dir.
             state_dir: None,
+            max_queue: args.max_queue,
             op_deadline: args.op_deadline_ms.map(Duration::from_millis),
             strict_admission: args.strict_admission,
             ..ServiceConfig::default()

@@ -22,7 +22,7 @@ use treechase::cluster::wire::roundtrip;
 use treechase::cluster::{run_worker, ClusterConfig, Coordinator, WorkerConfig};
 use treechase::engine::{ChaseConfig, ChaseVariant};
 use treechase::homomorphism::isomorphism;
-use treechase::service::{Checkpoint, JobSpec, Json, Service};
+use treechase::service::{Checkpoint, JobSpec, Json, Service, ServiceConfig};
 
 /// A transitive-closure chain: terminates, with enough applications to
 /// span several checkpoints. For `n` nodes the restricted chase derives
@@ -261,6 +261,42 @@ fn cluster_completes_job_and_matches_single_process() {
 
     stop.store(true, Ordering::Relaxed);
     worker.join().unwrap().unwrap();
+    cluster.stop();
+}
+
+/// The coordinator's queue cap is the service's: with
+/// `service.max_queue = 1` and no worker to drain the queue, the second
+/// submit is shed with a structured `queue-full` rejection.
+#[test]
+fn service_max_queue_caps_the_coordinator_queue() {
+    let dir = fresh_dir("max-queue");
+    let cfg = ClusterConfig {
+        service: ServiceConfig {
+            max_queue: Some(1),
+            ..ServiceConfig::default()
+        },
+        ..quiet_config(2_000)
+    };
+    let cluster = start_coordinator(&dir, cfg);
+    let mut conn = connect(&cluster.addr);
+    submit_chain(&mut conn, 5);
+    let req = Json::obj([
+        ("op", Json::str("submit")),
+        ("source", Json::Str(chain_src(5))),
+        ("variant", Json::str("restricted")),
+        ("max_apps", Json::Int(10_000)),
+    ]);
+    let reply = roundtrip(&mut conn, &req).expect("submit roundtrip");
+    assert_eq!(
+        reply.get("type").and_then(Json::as_str),
+        Some("rejected"),
+        "{reply}"
+    );
+    assert_eq!(
+        reply.get("reason").and_then(Json::as_str),
+        Some("queue-full"),
+        "{reply}"
+    );
     cluster.stop();
 }
 
