@@ -31,14 +31,15 @@
 //! structured rejections as the single-process service. Queries are
 //! served from the freshest checkpoint snapshot of whichever worker
 //! holds (or held) the lease, through the same [`SnapshotCache`]
-//! ring/terminal semantics and query path ([`answer_snapshot`]) as
-//! `treechase serve`.
+//! (newest snapshot, terminal latch) and query path ([`answer_snapshot`])
+//! as `treechase serve`. A shipped checkpoint is published in the same
+//! state-lock section that confirms its lease.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -69,8 +70,8 @@ pub struct ClusterConfig {
     /// Backoff an idle worker is told before its next `pull`.
     pub idle_retry: Duration,
     /// Service-level knobs reused verbatim by the coordinator: admission
-    /// (queue cap, strict admission, analyzer budgets), the operation
-    /// deadline and the snapshot ring kept per job for live queries.
+    /// (queue cap, strict admission, analyzer budgets) and the operation
+    /// deadline.
     pub service: ServiceConfig,
     /// Print one JSONL line per cluster event (queued / lease /
     /// requeue / checkpoint / done) to stdout.
@@ -237,14 +238,6 @@ struct Inner {
     snapshots: SnapshotCache,
     cfg: ClusterConfig,
     shutdown: AtomicBool,
-    /// Pending live-snapshot publishes, coalesced per job: the
-    /// publisher thread always publishes the *freshest* shipped
-    /// checkpoint's snapshot and skips intermediates. Publishing (the
-    /// ring intersection) scales with the instance, so doing it on the
-    /// checkpoint ack path would grow the ack latency past any fixed
-    /// lease on large instances.
-    publish_queue: Mutex<BTreeMap<JobId, Snapshot>>,
-    publish_signal: Condvar,
 }
 
 impl Inner {
@@ -281,19 +274,8 @@ impl Inner {
         self.snapshots.publish(job, snapshot_of(spec, terminal));
     }
 
-    /// Hands a live publish to the publisher thread, coalescing: a
-    /// newer checkpoint for the same job replaces an unpublished older
-    /// one. The cache's monotone-sequence guard and terminal latch
-    /// make the resulting asynchrony safe — a straggling live publish
-    /// can never regress a ring or overwrite a terminal snapshot.
-    fn queue_publish(&self, job: JobId, spec: JobSpec) {
-        let mut q = self.publish_queue.lock().expect("publish queue poisoned");
-        q.insert(job, snapshot_of(spec, false));
-        self.publish_signal.notify_one();
-    }
-
     /// Inserts a new job: make its base checkpoint `ck` durable,
-    /// publish `base` (the job parsed from `ck`'s program) as its base
+    /// publish `base` (the job `ck` was captured from) as its base
     /// snapshot, enqueue. Fresh submits and resumes both funnel through
     /// here, which is what makes dispatch/reschedule/resume one code
     /// path. An unnamed job is named `job-<id>` under the same lock that
@@ -346,11 +328,9 @@ impl Coordinator {
                 draining: false,
             }),
             store,
-            snapshots: SnapshotCache::new(cfg.service.snapshot_ring.max(1)),
+            snapshots: SnapshotCache::default(),
             cfg,
             shutdown: AtomicBool::new(false),
-            publish_queue: Mutex::new(BTreeMap::new()),
-            publish_signal: Condvar::new(),
         });
         {
             let mut st = inner.lock();
@@ -409,10 +389,6 @@ impl Coordinator {
             let inner = Arc::clone(&self.inner);
             thread::spawn(move || reap_leases(&inner))
         };
-        let publisher = {
-            let inner = Arc::clone(&self.inner);
-            thread::spawn(move || run_publisher(&inner))
-        };
         while !self.inner.shutdown.load(Ordering::Acquire) {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -426,8 +402,6 @@ impl Coordinator {
             }
         }
         reaper.join().ok();
-        self.inner.publish_signal.notify_all();
-        publisher.join().ok();
         Ok(())
     }
 }
@@ -457,42 +431,6 @@ impl ShutdownHandle {
 /// a heartbeat. The job restarts from its last durable checkpoint; the
 /// epoch of the dead lease is left behind, so anything the lost worker
 /// still sends is fenced.
-/// Publisher thread: drains the coalesced live-publish queue and
-/// publishes snapshots off every request path. Per job only the
-/// freshest shipped checkpoint is published — under a fast worker,
-/// intermediates are skipped, bounding the coordinator's snapshot work
-/// by publisher throughput instead of checkpoint arrival rate.
-fn run_publisher(inner: &Inner) {
-    let mut q = inner.publish_queue.lock().expect("publish queue poisoned");
-    while !inner.shutdown.load(Ordering::Acquire) {
-        if let Some(id) = q.keys().next().copied() {
-            let snapshot = q.remove(&id).expect("key just observed");
-            drop(q);
-            // Only live jobs get asynchronous publishes: terminal and
-            // cancelled jobs already latched or evicted their ring, and
-            // a late live publish for them is pure wasted work (the
-            // cache would drop it anyway).
-            let live = {
-                let st = inner.lock();
-                matches!(
-                    st.jobs.get(&id).map(|j| &j.state),
-                    Some(JobState::Queued | JobState::Leased { .. })
-                )
-            };
-            if live {
-                inner.snapshots.publish(id, snapshot);
-            }
-            q = inner.publish_queue.lock().expect("publish queue poisoned");
-        } else {
-            let (guard, _) = inner
-                .publish_signal
-                .wait_timeout(q, Duration::from_millis(100))
-                .expect("publish queue poisoned");
-            q = guard;
-        }
-    }
-}
-
 fn reap_leases(inner: &Inner) {
     while !inner.shutdown.load(Ordering::Acquire) {
         thread::sleep(Duration::from_millis(50));
@@ -707,10 +645,7 @@ fn worker_checkpoint(inner: &Inner, msg: &Json) -> Result<Json, String> {
     }
     let (ck, spec) = Checkpoint::from_json(msg.require("checkpoint")?)?.into_parts();
     // The durable save runs outside the state lock so pulls and status
-    // reads never queue behind a big upload; the (expensive) snapshot
-    // publish is queued to the publisher thread so the ack — which
-    // doubles as the holder's heartbeat — returns promptly no matter
-    // how large the instance has grown.
+    // reads never queue behind a big upload.
     inner.store.save(key.job, &ck, None)?;
     let apps = ck.stats.applications;
     {
@@ -722,8 +657,8 @@ fn worker_checkpoint(inner: &Inner, msg: &Json) -> Result<Json, String> {
         };
         job.checkpoint = ck;
         job.extend_lease(inner.cfg.lease);
+        inner.publish_snapshot(key.job, spec, false);
     }
-    inner.queue_publish(key.job, spec);
     inner.announce_lease(
         "checkpointed",
         &key,
@@ -909,14 +844,8 @@ impl Backend for Inner {
         // The gate runs the static analyzer + bounded probe; never under
         // the state lock.
         let admission = apply_admission_gate(&mut spec, &self.cfg.service)?;
-        // The ring intersects snapshots by interned id, and every later
-        // snapshot is parsed from a printed checkpoint. So the base
-        // snapshot is parsed from the printed checkpoint too, not taken
-        // from the submitted source's vocabulary, which may intern in
-        // another order.
         let ck = Checkpoint::capture(&spec, &spec.kb.vocab, &spec.kb.facts, spec.base_stats);
-        let base = ck.into_spec()?;
-        Ok((self.enqueue(ck, base)?, admission))
+        Ok((self.enqueue(ck, spec)?, admission))
     }
 
     /// A resumed job's spec was parsed from the very text `start` stores

@@ -209,11 +209,17 @@ pub fn collect_answer_tuples(
     budget: &SearchBudget,
 ) -> AnswerTuples {
     let mut answers: BTreeSet<Vec<ConstId>> = BTreeSet::new();
+    // Nulls are not certain answers: prune every branch that binds an
+    // answer variable to one instead of enumerating and discarding it.
+    let cfg = MatchConfig {
+        const_only: query.answer_vars.iter().copied().collect(),
+        ..MatchConfig::default()
+    };
     let outcome = for_each_homomorphism_budgeted(
         &query.atoms,
         instance,
         &Substitution::new(),
-        &MatchConfig::default(),
+        &cfg,
         budget,
         |sub| {
             let tuple: Option<Vec<ConstId>> = query
@@ -221,7 +227,7 @@ pub fn collect_answer_tuples(
                 .iter()
                 .map(|&v| match sub.apply_term(Term::Var(v)) {
                     Term::Const(c) => Some(c),
-                    Term::Var(_) => None, // nulls are not certain answers
+                    Term::Var(_) => None, // an answer variable absent from the body
                 })
                 .collect();
             if let Some(t) = tuple {

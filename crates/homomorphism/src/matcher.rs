@@ -3,7 +3,7 @@
 //! The matcher finds substitutions `π` with `π(pattern) ⊆ target`,
 //! optionally extending a seed assignment and optionally subject to the
 //! constraints in [`MatchConfig`] (injectivity, retraction fixpoints,
-//! forbidden images, must-move variables).
+//! forbidden images, must-move variables, constant-only variables).
 //!
 //! Search strategy: at each step pick the unmatched pattern atom with the
 //! fewest candidate target atoms under the current partial assignment
@@ -41,6 +41,10 @@ pub struct MatchConfig {
     pub forbidden_images: BTreeSet<Term>,
     /// Variables that must not be mapped to themselves.
     pub must_move: BTreeSet<VarId>,
+    /// Variables whose image must be a constant. Answer queries set it
+    /// to their answer variables: a branch binding one to a null could
+    /// only yield a tuple the caller discards.
+    pub const_only: BTreeSet<VarId>,
     /// Abort the search after this many candidate trials (`None` =
     /// unbounded). A budgeted search that finds a homomorphism is still a
     /// certificate; a budgeted *miss* is inconclusive — callers that need
@@ -111,6 +115,9 @@ impl<'a> Search<'a> {
             return existing == t;
         }
         if self.cfg.forbidden_images.contains(&t) {
+            return false;
+        }
+        if t.is_var() && self.cfg.const_only.contains(&v) {
             return false;
         }
         if t == Term::Var(v) {

@@ -21,7 +21,7 @@ pub enum Completeness {
     /// answers are exactly the certain answers.
     Complete,
     /// The chase is still running (or was budget-stopped): the answers
-    /// are a sound subset computed from the robust prefix as of
+    /// are a sound subset computed from the chase instance as of
     /// `horizon` rule applications. Missing tuples may appear later.
     SoundPrefix {
         /// Rule applications performed when the prefix was captured.
@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn snapshot_view_answers_and_tags() {
         let kb = kb("r(a, b). r(b, c).");
-        let cache = SnapshotCache::new(3);
+        let cache = SnapshotCache::default();
         cache.publish(1, Snapshot::live(kb.vocab.clone(), kb.facts.clone(), 4));
         let view = cache.view(1).unwrap();
         let out = answer_view(&view, "?(X, Y) :- r(X, Y)", &SearchBudget::unlimited()).unwrap();
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn unknown_predicate_matches_nothing() {
         let kb = kb("r(a, b).");
-        let cache = SnapshotCache::new(1);
+        let cache = SnapshotCache::default();
         cache.publish(1, Snapshot::terminal(kb.vocab.clone(), kb.facts.clone(), 0));
         let view = cache.view(1).unwrap();
         let out = answer_view(&view, "?(X) :- zzz(X, X)", &SearchBudget::unlimited()).unwrap();
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn budget_truncation_tags_truncated() {
         let kb = kb("r(a, b). r(b, c). r(c, d).");
-        let cache = SnapshotCache::new(1);
+        let cache = SnapshotCache::default();
         cache.publish(1, Snapshot::terminal(kb.vocab.clone(), kb.facts.clone(), 0));
         let view = cache.view(1).unwrap();
         let tight = SearchBudget::unlimited().with_node_limit(1);

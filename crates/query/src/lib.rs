@@ -12,8 +12,8 @@
 //!
 //! * [`Snapshot`] / [`SnapshotCache`] — immutable per-job
 //!   materialization snapshots published by the chase worker at step
-//!   boundaries; a short trailing ring whose intersection is the liminf
-//!   proxy for the robust aggregate D^⊛. Readers never block the
+//!   boundaries; each job keeps only its newest, which is a sound
+//!   answer substrate for every chase variant. Readers never block the
 //!   writer.
 //! * [`answer_view`] — evaluate a query text on a cache view (the hot
 //!   read path).

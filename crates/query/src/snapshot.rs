@@ -2,15 +2,15 @@
 //!
 //! The chase worker publishes immutable [`Snapshot`]s of the live
 //! instance at derivation-step boundaries; readers grab an `Arc` and
-//! evaluate queries without ever blocking the writer. Each job keeps a
-//! short *ring* of recent snapshots whose intersection is the liminf
-//! proxy for the robust aggregate D^⊛ (paper Defs. 14–16): for a
-//! non-terminating chase, atoms present in every trailing snapshot are
-//! the stable prefix it is sound to answer from.
+//! evaluate queries without ever blocking the writer. Each job keeps one
+//! snapshot, the newest: every element `F_i` of a derivation maps into
+//! every later `F_j` by a homomorphism fixing constants (paper
+//! Defs. 1–2), so constant answers over the newest live instance are
+//! sound and only grow as the chase advances, for every variant.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use chase_atoms::{AtomSet, Vocabulary};
@@ -58,27 +58,24 @@ impl Snapshot {
     }
 }
 
-/// What a query evaluates against: either the final instance of a
-/// terminated job or the robust (ring-intersection) prefix of a live
-/// one, plus the metadata needed to tag the reply.
+/// What a query evaluates against: the newest snapshot of a job (the
+/// final instance once the job terminated), plus the metadata needed to
+/// tag the reply. A live snapshot is a sound answer substrate on its
+/// own (see the module docs), retracting core chase included.
 #[derive(Clone, Debug)]
 pub struct QueryView {
-    /// Symbol tables to parse/render against (latest snapshot's).
+    /// Symbol tables to parse/render against.
     pub vocab: Arc<Vocabulary>,
     /// The instance to evaluate on.
     pub instance: Arc<AtomSet>,
     /// Whether the instance is a universal model (chase terminated).
     pub terminated: bool,
-    /// Monotone per-job publication counter of the newest ring entry.
+    /// Monotone per-job publication counter of the snapshot.
     pub sequence: u64,
-    /// Applications horizon of the newest ring entry.
+    /// Applications horizon of the snapshot.
     pub applications: u64,
-    /// Capture time of the newest ring entry (readers derive the
-    /// snapshot age from it).
+    /// Capture time of the snapshot (readers derive its age from it).
     pub captured: Instant,
-    /// How many snapshots the intersection spans (1 for terminated
-    /// jobs: the final instance is served as-is).
-    pub ring_len: usize,
 }
 
 /// Cache counters, all monotone.
@@ -93,22 +90,19 @@ pub struct CacheStats {
     /// Answer tuples handed out by the query engine (bumped by callers
     /// via [`SnapshotCache::add_answers_served`]).
     pub answers_served: u64,
-    /// Live publishes ignored because a terminal snapshot already
-    /// existed for the job (stragglers racing the finisher).
+    /// Live publishes ignored: a terminal snapshot already existed for
+    /// the job (stragglers racing the finisher), or the publish lies
+    /// below the current snapshot's horizon (a crashed slice retried
+    /// from an older checkpoint, or from scratch).
     pub stale_drops: u64,
 }
 
-struct JobRing {
-    ring: VecDeque<Arc<Snapshot>>,
-    /// Intersection of the ring instances, refreshed on publish so the
-    /// (frequent) read path never pays for it.
-    robust: Arc<AtomSet>,
+struct JobSlot {
+    /// The newest snapshot. Once it is terminal it is latched: a late
+    /// `live` publish (e.g. a checkpoint straggling in after the job
+    /// finished) must not downgrade `complete` replies to sound-prefix.
+    newest: Arc<Snapshot>,
     next_seq: u64,
-    /// Latched once a terminal snapshot lands: a late `live` publish
-    /// (e.g. a checkpoint straggling in after the job finished) must not
-    /// re-enter the ring and downgrade `complete` replies back to
-    /// sound-prefix.
-    terminal: bool,
 }
 
 /// What survives a [`SnapshotCache::evict`]: enough to keep per-job
@@ -120,23 +114,22 @@ struct Retired {
     terminal: bool,
 }
 
+#[derive(Default)]
 struct CacheState {
-    jobs: HashMap<u64, JobRing>,
+    jobs: HashMap<u64, JobSlot>,
     retired: HashMap<u64, Retired>,
 }
 
-/// A concurrent per-job snapshot cache.
+/// A concurrent per-job snapshot cache holding one snapshot per job: the
+/// newest.
 ///
 /// Writers call [`SnapshotCache::publish`] at step boundaries; readers
-/// call [`SnapshotCache::view`]. The mutex only guards the ring
-/// bookkeeping — instances are shared by `Arc`, so a reader holding a
-/// view never blocks a publisher and vice versa.
+/// call [`SnapshotCache::view`]. The mutex only guards the per-job slot
+/// — instances are shared by `Arc`, so a reader holding a view never
+/// blocks a publisher and vice versa.
+#[derive(Default)]
 pub struct SnapshotCache {
     jobs: Mutex<CacheState>,
-    /// Serialises publishes and evictions, so a publish can rebuild a
-    /// ring outside `jobs` and hold that lock only to swap the result in.
-    publishing: Mutex<()>,
-    ring_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     published: AtomicU64,
@@ -145,136 +138,101 @@ pub struct SnapshotCache {
 }
 
 impl SnapshotCache {
-    /// Creates a cache keeping up to `ring_capacity` trailing snapshots
-    /// per job (the D^⊛ intersection margin + 1; must be ≥ 1).
-    ///
-    /// # Panics
-    /// Panics if `ring_capacity == 0`.
-    pub fn new(ring_capacity: usize) -> Self {
-        assert!(ring_capacity >= 1, "ring capacity must be at least 1");
-        SnapshotCache {
-            jobs: Mutex::new(CacheState {
-                jobs: HashMap::new(),
-                retired: HashMap::new(),
-            }),
-            publishing: Mutex::new(()),
-            ring_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            published: AtomicU64::new(0),
-            answers_served: AtomicU64::new(0),
-            stale_drops: AtomicU64::new(0),
-        }
+    /// Creates an empty cache. The argument is ignored: the cache keeps
+    /// only the newest snapshot per job. It remains for callers written
+    /// against the former trailing-ring cache.
+    pub fn new(_ignored: usize) -> Self {
+        SnapshotCache::default()
     }
 
-    /// Publishes a snapshot for `job`, sliding its ring forward and
-    /// refreshing the robust intersection. A terminal snapshot clears
-    /// the ring — the final instance alone is served from then on, and
-    /// later `live` publishes for the job are dropped (counted in
-    /// [`CacheStats::stale_drops`]) instead of downgrading `complete`
-    /// replies. Per-job sequence numbers stay monotone for the cache's
-    /// lifetime, across [`SnapshotCache::evict`] and re-publish.
-    ///
-    /// The ring intersection and the freeing of evicted snapshots happen
-    /// outside the lock [`SnapshotCache::view`] takes, so a publish never
-    /// stalls a concurrent reader for longer than a swap.
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.jobs.lock().expect("snapshot cache poisoned")
+    }
+
+    /// Publishes a snapshot for `job`, replacing its previous one. A
+    /// `live` publish is dropped (counted in [`CacheStats::stale_drops`])
+    /// once a terminal snapshot exists for the job, or when its horizon
+    /// lies below the current snapshot's — so `complete` replies never
+    /// downgrade and the horizon never falls. Per-job sequence numbers
+    /// stay monotone for the cache's lifetime, across
+    /// [`SnapshotCache::evict`] and re-publish. The replaced snapshot is
+    /// freed outside the lock [`SnapshotCache::view`] takes.
     pub fn publish(&self, job: u64, snapshot: Snapshot) {
-        let terminated = snapshot.terminated;
-        let _publishing = self.publishing.lock().expect("snapshot cache poisoned");
-        let st = self.jobs.lock().expect("snapshot cache poisoned");
-        let entry = st.jobs.get(&job);
-        let already_terminal = entry.map_or_else(
-            || st.retired.get(&job).is_some_and(|r| r.terminal),
-            |e| e.terminal,
-        );
-        if already_terminal && !terminated {
+        let mut st = self.lock();
+        let (next_seq, stale) = match st.jobs.get(&job) {
+            Some(slot) => (
+                slot.next_seq,
+                !snapshot.terminated
+                    && (slot.newest.terminated || snapshot.applications < slot.newest.applications),
+            ),
+            None => {
+                let carried = st.retired.get(&job).copied().unwrap_or_default();
+                (carried.next_seq, !snapshot.terminated && carried.terminal)
+            }
+        };
+        if stale {
             drop(st);
             self.stale_drops.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let mut ring = entry
-            .filter(|_| !terminated)
-            .map_or_else(VecDeque::new, |e| e.ring.clone());
-        drop(st);
-        ring.push_back(Arc::new(snapshot));
-        while ring.len() > self.ring_capacity {
-            ring.pop_front();
-        }
-        let robust = intersect_ring(&ring);
-        let mut st = self.jobs.lock().expect("snapshot cache poisoned");
-        let carried = st.retired.get(&job).copied().unwrap_or_default();
-        let entry = st.jobs.entry(job).or_insert_with(|| JobRing {
-            ring: VecDeque::new(),
-            robust: Arc::new(AtomSet::new()),
-            next_seq: carried.next_seq,
-            terminal: carried.terminal,
-        });
-        entry.terminal |= terminated;
-        entry.next_seq += 1;
-        let evicted = (
-            std::mem::replace(&mut entry.ring, ring),
-            std::mem::replace(&mut entry.robust, robust),
+        let replaced = st.jobs.insert(
+            job,
+            JobSlot {
+                newest: Arc::new(snapshot),
+                next_seq: next_seq + 1,
+            },
         );
         drop(st);
-        drop(evicted);
+        drop(replaced);
         self.published.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The view to answer queries for `job` from, or `None` when no
     /// snapshot has been published yet.
     pub fn view(&self, job: u64) -> Option<QueryView> {
-        let jobs = self.jobs.lock().expect("snapshot cache poisoned");
-        let Some(entry) = jobs.jobs.get(&job) else {
-            drop(jobs);
+        let st = self.lock();
+        let Some(slot) = st.jobs.get(&job) else {
+            drop(st);
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        let Some(newest) = entry.ring.back() else {
-            drop(jobs);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let view = QueryView {
+        let (newest, sequence) = (Arc::clone(&slot.newest), slot.next_seq - 1);
+        drop(st);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(QueryView {
             vocab: Arc::clone(&newest.vocab),
-            instance: if newest.terminated {
-                Arc::clone(&newest.instance)
-            } else {
-                Arc::clone(&entry.robust)
-            },
+            instance: Arc::clone(&newest.instance),
             terminated: newest.terminated,
-            sequence: entry.next_seq - 1,
+            sequence,
             applications: newest.applications,
             captured: newest.captured,
-            ring_len: entry.ring.len(),
-        };
-        drop(jobs);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(view)
+        })
     }
 
     /// Capture time of `job`'s newest snapshot, without touching the
     /// hit/miss counters (for listings and health reporting).
     pub fn latest_captured(&self, job: u64) -> Option<Instant> {
-        let jobs = self.jobs.lock().expect("snapshot cache poisoned");
-        jobs.jobs.get(&job)?.ring.back().map(|s| s.captured)
+        self.lock().jobs.get(&job).map(|slot| slot.newest.captured)
     }
 
-    /// Drops a job's ring (e.g. when the job record is evicted). The
+    /// Drops a job's snapshot (e.g. when the job record is evicted). The
     /// job's sequence counter and terminal latch are retained, so a
     /// later re-publish under the same id continues the sequence instead
     /// of restarting readers at zero.
     pub fn evict(&self, job: u64) {
-        let _publishing = self.publishing.lock().expect("snapshot cache poisoned");
-        let mut st = self.jobs.lock().expect("snapshot cache poisoned");
-        if let Some(ring) = st.jobs.remove(&job) {
-            st.retired.insert(
-                job,
-                Retired {
-                    next_seq: ring.next_seq,
-                    terminal: ring.terminal,
-                },
-            );
-        }
+        let mut st = self.lock();
+        let Some(slot) = st.jobs.remove(&job) else {
+            return;
+        };
+        st.retired.insert(
+            job,
+            Retired {
+                next_seq: slot.next_seq,
+                terminal: slot.newest.terminated,
+            },
+        );
+        drop(st);
+        drop(slot);
     }
 
     /// Records `n` answer tuples handed out from this cache's views.
@@ -294,25 +252,6 @@ impl SnapshotCache {
     }
 }
 
-/// Intersection of the ring instances — the liminf proxy mirroring
-/// `RobustSequence::aggregation_prefix`: an atom is in the robust
-/// prefix iff it survived in every trailing snapshot.
-fn intersect_ring(ring: &VecDeque<Arc<Snapshot>>) -> Arc<AtomSet> {
-    let Some(first) = ring.front() else {
-        return Arc::new(AtomSet::new());
-    };
-    if ring.len() == 1 {
-        return Arc::clone(&first.instance);
-    }
-    let atoms: AtomSet = first
-        .instance
-        .iter()
-        .filter(|a| ring.iter().skip(1).all(|s| s.instance.contains(a)))
-        .cloned()
-        .collect();
-    Arc::new(atoms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,7 +269,7 @@ mod tests {
 
     #[test]
     fn view_serves_latest_terminated_instance() {
-        let cache = SnapshotCache::new(3);
+        let cache = SnapshotCache::default();
         assert!(cache.view(7).is_none());
         let mut vocab = Vocabulary::new();
         let i1 = inst(&mut vocab, &["a"]);
@@ -340,7 +279,6 @@ mod tests {
         let view = cache.view(7).expect("published");
         assert!(view.terminated);
         assert_eq!(*view.instance, i2);
-        assert_eq!(view.ring_len, 1, "terminal snapshot clears the ring");
         assert_eq!(view.applications, 2);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -349,29 +287,46 @@ mod tests {
     }
 
     #[test]
-    fn robust_view_is_ring_intersection() {
-        let cache = SnapshotCache::new(2);
+    fn live_view_is_the_newest_snapshot() {
+        let cache = SnapshotCache::default();
         let mut vocab = Vocabulary::new();
-        // Simulate core retraction: atom `b` appears then disappears.
-        let i1 = inst(&mut vocab, &["a", "b"]);
-        let i2 = inst(&mut vocab, &["a", "c"]);
+        let i1 = inst(&mut vocab, &["a"]);
+        let i2 = inst(&mut vocab, &["a", "b"]);
         cache.publish(1, Snapshot::live(vocab.clone(), i1, 1));
-        cache.publish(1, Snapshot::live(vocab.clone(), i2, 2));
+        cache.publish(1, Snapshot::live(vocab.clone(), i2.clone(), 2));
         let view = cache.view(1).expect("published");
         assert!(!view.terminated);
-        assert_eq!(view.ring_len, 2);
-        assert_eq!(view.instance.len(), 1, "only `a` survives both");
-        // Ring capacity 2: a third publish drops the first snapshot.
-        let i3 = inst(&mut vocab, &["a", "c", "d"]);
-        cache.publish(1, Snapshot::live(vocab.clone(), i3, 3));
-        let view = cache.view(1).expect("published");
-        assert_eq!(view.instance.len(), 2, "a and c survive the last two");
-        assert_eq!(view.sequence, 2);
+        assert_eq!(*view.instance, i2, "the view must contain `b`");
+        assert_eq!(view.applications, 2);
+        assert_eq!(view.sequence, 1);
+    }
+
+    #[test]
+    fn live_publish_below_the_horizon_is_dropped() {
+        let cache = SnapshotCache::default();
+        let mut vocab = Vocabulary::new();
+        let ahead = inst(&mut vocab, &["a", "b"]);
+        let behind = inst(&mut vocab, &["a"]);
+        cache.publish(4, Snapshot::live(vocab.clone(), ahead.clone(), 128));
+        // A crashed slice retried from an older checkpoint republishes
+        // its start: readers must not see the horizon fall.
+        cache.publish(4, Snapshot::live(vocab.clone(), behind, 100));
+        let view = cache.view(4).expect("published");
+        assert_eq!(view.applications, 128);
+        assert_eq!(*view.instance, ahead);
+        assert_eq!(view.sequence, 0, "ignored publish must not bump seq");
+        assert_eq!(cache.stats().stale_drops, 1);
+        // An equal horizon still replaces (a slice's final publish).
+        cache.publish(4, Snapshot::live(vocab.clone(), ahead.clone(), 128));
+        assert_eq!(cache.view(4).expect("published").sequence, 1);
+        // A terminal snapshot is authoritative whatever its horizon.
+        cache.publish(4, Snapshot::terminal(vocab, ahead, 120));
+        assert!(cache.view(4).expect("published").terminated);
     }
 
     #[test]
     fn sequences_stay_monotone_across_evict_and_republish() {
-        let cache = SnapshotCache::new(2);
+        let cache = SnapshotCache::default();
         let mut vocab = Vocabulary::new();
         let i = inst(&mut vocab, &["a"]);
         cache.publish(5, Snapshot::live(vocab.clone(), i.clone(), 1));
@@ -392,7 +347,7 @@ mod tests {
 
     #[test]
     fn terminal_snapshot_wins_over_late_live_publish() {
-        let cache = SnapshotCache::new(3);
+        let cache = SnapshotCache::default();
         let mut vocab = Vocabulary::new();
         let i_final = inst(&mut vocab, &["a", "b"]);
         cache.publish(9, Snapshot::terminal(vocab.clone(), i_final.clone(), 7));
@@ -421,7 +376,7 @@ mod tests {
 
     #[test]
     fn eviction_and_counters() {
-        let cache = SnapshotCache::new(1);
+        let cache = SnapshotCache::default();
         let mut vocab = Vocabulary::new();
         let i = inst(&mut vocab, &["a"]);
         cache.publish(3, Snapshot::live(vocab, i, 1));

@@ -191,8 +191,10 @@ pub struct ServiceConfig {
     /// many rule applications (plus one at slice start and one at slice
     /// end).
     pub snapshot_every: usize,
-    /// Trailing snapshots kept per job; their intersection is the robust
-    /// D^⊛ prefix that live-job queries evaluate against.
+    /// Ignored. Queries read each job's newest snapshot, which is a
+    /// sound answer substrate on its own, so no trailing ring of
+    /// snapshots is kept. The field remains for callers written against
+    /// the former ring.
     pub snapshot_ring: usize,
 }
 
@@ -670,7 +672,10 @@ pub fn query_budget(node_limit: Option<usize>, timeout: Option<Duration>) -> Sea
 
 /// Answers a CQ/UCQ from job `id`'s newest snapshot in `cache`: the
 /// read path of both the in-process service and the cluster
-/// coordinator. The snapshot is shared by `Arc`, so the read never
+/// coordinator, for live and terminated jobs alike. A live snapshot's
+/// constant answers are certain (they survive every later derivation
+/// step), so they are tagged sound-prefix at its horizon; a terminal one
+/// is complete. The snapshot is shared by `Arc`, so the read never
 /// blocks the writer publishing the next one.
 pub fn answer_snapshot(
     cache: &SnapshotCache,
@@ -730,7 +735,6 @@ impl Service {
             None => None,
         };
         let event_capacity = cfg.event_capacity;
-        let snapshot_ring = cfg.snapshot_ring.max(1);
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 next_id: 1,
@@ -743,7 +747,7 @@ impl Service {
             cfg,
             store,
             shutdown: AtomicBool::new(false),
-            snapshots: SnapshotCache::new(snapshot_ring),
+            snapshots: SnapshotCache::default(),
         });
 
         let mut recovered = Vec::new();
@@ -1122,7 +1126,7 @@ impl Service {
     }
 
     /// Answers a CQ/UCQ against a job's newest materialization snapshot
-    /// (the robust D^⊛ prefix while the chase is live, the final
+    /// (a derivation element while the chase is live, the final
     /// universal model once it terminated).
     ///
     /// Runs synchronously on the caller's thread — queries never queue

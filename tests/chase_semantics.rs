@@ -189,3 +189,63 @@ fn core_fold_invalidating_satisfied_trigger_matches_restricted_core() {
         }
     }
 }
+
+/// Paper Defs. 1–2: every derivation step has a homomorphism
+/// `F_i → F_{i+1}` fixing constants (an application is an inclusion, a
+/// simplification the retraction `σ_i`), so a boolean CQ entailed at
+/// `F_i` stays entailed at every later `F_j` — core retractions
+/// included. This is what lets live queries read the newest snapshot.
+/// The staircase run retracts; the elevator's core chase retracts
+/// nothing within 120 applications under any scheduler, so it checks
+/// the application-only case.
+#[test]
+fn boolean_entailment_persists_along_core_derivations_with_retractions() {
+    use treechase::homomorphism::maps_to;
+    use treechase::kbs::queries::{elevator_queries, staircase_queries};
+    type Suite =
+        fn(&mut treechase::atoms::Vocabulary) -> Vec<treechase::kbs::queries::GroundTruthQuery>;
+    let cases: [(&str, KnowledgeBase, Suite, bool); 2] = [
+        (
+            "staircase",
+            KnowledgeBase::staircase(),
+            staircase_queries,
+            true,
+        ),
+        (
+            "elevator",
+            KnowledgeBase::elevator(),
+            elevator_queries,
+            false,
+        ),
+    ];
+    for (name, k, suite, must_retract) in cases {
+        let res = k.chase(&ChaseConfig::variant(ChaseVariant::Core).with_max_applications(60));
+        assert!(
+            res.stats.retractions > 0 || !must_retract,
+            "{name}: the run must retract"
+        );
+        let queries = suite(&mut k.vocab.clone());
+        let mut first_entailed: Vec<Option<usize>> = vec![None; queries.len()];
+        let mut elements = 0;
+        res.derivation.replay(|e| {
+            elements += 1;
+            for (q, first) in queries.iter().zip(&mut first_entailed) {
+                let holds = maps_to(&q.query, e.instance);
+                match *first {
+                    Some(i) => assert!(
+                        holds,
+                        "{name}: `{}` entailed at F_{i} but not at F_{}",
+                        q.name, e.index
+                    ),
+                    None if holds => *first = Some(e.index),
+                    None => {}
+                }
+            }
+        });
+        assert_eq!(elements, res.stats.applications + 1, "{name}");
+        assert!(
+            first_entailed.iter().any(|f| f.is_some_and(|i| i > 0)),
+            "{name}: no query became entailed mid-derivation"
+        );
+    }
+}

@@ -3,7 +3,8 @@
 //! * a differential property test — the indexed matcher and the
 //!   pre-index naive scan enumerate exactly the same homomorphism sets
 //!   over hundreds of random pattern/target pairs, across retraction
-//!   mode, injective mode and budget truncation;
+//!   mode, injective mode, constant-only variables and budget
+//!   truncation;
 //! * chase determinism — the same KB chased twice produces
 //!   byte-identical derivation logs (the matcher's candidate order and
 //!   atom selection are fully deterministic);
@@ -120,6 +121,47 @@ fn indexed_matcher_equals_naive_scan_retraction_mode() {
         let (hi, _) = enumerate(&a, &a, &base);
         let (hn, _) = enumerate(&a, &a, &naive);
         assert_eq!(hi, hn, "retraction case {case} differs");
+    }
+}
+
+/// `const_only` prunes branches that bind an answer variable to a null.
+/// Over random answer-variable sets, both strategies enumerate the same
+/// set, and it is exactly the unconstrained set filtered to constant
+/// images of those variables.
+#[test]
+fn const_only_equals_filtered_enumeration() {
+    let mut rng = SplitMix64::new(0xC0_57);
+    for case in 0..200 {
+        let pattern = random_atomset(&mut rng, 4, 4, 3);
+        let target = random_atomset(&mut rng, 10, 3, 3);
+        let answer: std::collections::BTreeSet<VarId> = (0..4)
+            .filter(|_| rng.gen_bool())
+            .map(VarId::from_raw)
+            .collect();
+        let base = MatchConfig {
+            const_only: answer.clone(),
+            ..MatchConfig::default()
+        };
+        let naive = MatchConfig {
+            naive_scan: true,
+            ..base.clone()
+        };
+        let (hi, _) = enumerate(&pattern, &target, &base);
+        let (hn, _) = enumerate(&pattern, &target, &naive);
+        assert_eq!(hi, hn, "const-only case {case}: strategies differ");
+        let (all, _) = enumerate(&pattern, &target, &MatchConfig::default());
+        let filtered: Vec<_> = all
+            .into_iter()
+            .filter(|pairs| {
+                pairs
+                    .iter()
+                    .all(|(v, t)| !answer.contains(v) || t.is_const())
+            })
+            .collect();
+        assert_eq!(
+            hi, filtered,
+            "const-only case {case}: not the filtered set\n{pattern:?}\n{target:?}\n{answer:?}"
+        );
     }
 }
 

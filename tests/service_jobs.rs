@@ -399,6 +399,47 @@ fn supervised_core_crash_recovers_isomorphic_to_clean_run() {
     );
 }
 
+/// A crashed slice is retried from its last checkpoint, or from scratch
+/// when it has none, and the retry republishes that older instance.
+/// Readers must not see the horizon fall: the cache drops the retry's
+/// publishes below the pre-crash snapshot. Here the retry crashes at
+/// once, so the job fails holding the pre-crash snapshot.
+#[test]
+fn crash_retry_never_lowers_the_live_horizon() {
+    let svc = Service::with_config(
+        1,
+        ServiceConfig {
+            max_retries: 1,
+            retry_backoff: Duration::ZERO,
+            snapshot_every: 1,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service starts");
+    let id = svc.submit(staircase_spec(
+        "crash-twice",
+        ChaseConfig::variant(ChaseVariant::Restricted)
+            .with_max_applications(40)
+            // The first site kills the initial slice after nine
+            // published steps; the second kills the from-scratch retry
+            // at its first application, right after it republished the
+            // base facts.
+            .with_fault(FaultPlan::new(vec![
+                FaultSite::Application(10),
+                FaultSite::Application(11),
+            ])),
+    ));
+    assert_eq!(svc.wait(id), Some(JobStatus::Failed));
+    let reply = svc
+        .query_job(id, "?- c(X)", None, None)
+        .expect("the failed job keeps its snapshot");
+    assert_eq!(reply.applications, Some(9), "the horizon fell");
+    assert!(
+        reply.cache.stale_drops >= 1,
+        "the retry's base publish counts"
+    );
+}
+
 /// A crash injected *inside the incremental core phase* — not between
 /// trigger applications — is also recovered to an isomorphic result.
 /// The core retraction is the hairiest place to interrupt: the durable

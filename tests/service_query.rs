@@ -1,6 +1,6 @@
 //! End-to-end tests of the query-serving subsystem: the per-job
-//! materialization snapshot cache, certain-answer semantics over the
-//! robust aggregate prefix, completeness tagging, admission-control
+//! materialization snapshot cache, certain-answer semantics over each
+//! job's newest snapshot, completeness tagging, admission-control
 //! shedding, and the `query` wire op.
 
 use std::io::Write as _;
@@ -65,9 +65,9 @@ fn terminated_job_answers_match_library_certain_answers() {
     assert_eq!(reply.outcome.answers.len(), 6);
 }
 
-/// A live (non-terminated) elevator job answers from the robust ring
-/// intersection and tags the reply `sound-prefix` with a positive
-/// horizon; boolean entailment over the prefix is sound.
+/// A live (non-terminated) elevator job answers from its newest
+/// snapshot and tags the reply `sound-prefix`; boolean entailment over
+/// the prefix is sound.
 #[test]
 fn live_elevator_job_serves_sound_prefix_answers() {
     let svc = Service::with_config(
@@ -123,41 +123,69 @@ fn live_elevator_job_serves_sound_prefix_answers() {
     svc.wait(id);
 }
 
-/// Along a restricted (retraction-free) derivation the robust prefix
-/// only grows, so certain answers served mid-run grow monotonically and
-/// the final complete set contains every prefix answer.
+/// Live answers are read from the newest snapshot. Each derivation
+/// step maps `F_i` into `F_{i+1}` fixing constants (an application is
+/// an inclusion, a core simplification a retraction), so certain
+/// answers served mid-run grow monotonically and the final complete
+/// set contains every prefix answer — along a restricted derivation and
+/// along a core derivation that retracts.
 #[test]
 fn live_answers_grow_monotonically_to_the_complete_set() {
     let n = 30usize;
-    // Stretch the run with injected sleeps so mid-run queries land at
+    // Stretch each run with injected sleeps so mid-run queries land at
     // several different snapshot horizons.
-    let slow_sites: Vec<FaultSite> = (1..=8).map(|k| FaultSite::Slow(k * 40, 40)).collect();
+    let chain_sites: Vec<FaultSite> = (1..=8).map(|k| FaultSite::Slow(k * 40, 40)).collect();
+    assert_live_answers_grow(
+        16,
+        JobSpec::from_text(
+            "chain-live",
+            &chain_src(n),
+            ChaseConfig::variant(ChaseVariant::Restricted).with_fault(FaultPlan::new(chain_sites)),
+        )
+        .unwrap(),
+        "?(X) :- r(c0, X)",
+        n,
+    );
+    // Each `R` null is folded onto `a` once `T` fires for its `p` fact.
+    let fold_sites: Vec<FaultSite> = (1..=6).map(|k| FaultSite::Slow(k, 40)).collect();
+    let retractions = assert_live_answers_grow(
+        1,
+        JobSpec::from_text(
+            "core-live",
+            "p(a). p(b). p(c). R: p(X) -> r(X, Y), s(Y). T: p(X) -> r(X, a), s(a).",
+            ChaseConfig::variant(ChaseVariant::Core).with_fault(FaultPlan::new(fold_sites)),
+        )
+        .unwrap(),
+        "?(X, Y) :- r(X, Y), s(Y)",
+        3,
+    );
+    assert!(retractions > 0, "the core run must retract");
+}
+
+/// Runs `spec` to termination while querying it, checks that the
+/// sound-prefix answers grow with the horizon into the `complete` set of
+/// `expected` tuples, and returns the run's retraction count.
+fn assert_live_answers_grow(
+    snapshot_every: usize,
+    spec: JobSpec,
+    query_src: &str,
+    expected: usize,
+) -> usize {
     let svc = Service::with_config(
         1,
         ServiceConfig {
-            snapshot_every: 16,
+            snapshot_every,
             ..ServiceConfig::default()
         },
     )
     .expect("service starts");
-    let id = svc.submit(
-        JobSpec::from_text(
-            "chain-live",
-            &chain_src(n),
-            ChaseConfig::variant(ChaseVariant::Restricted).with_fault(FaultPlan::new(slow_sites)),
-        )
-        .unwrap(),
-    );
-
-    let query_src = "?(X) :- r(c0, X)";
+    let id = svc.submit(spec);
     let mut observed: Vec<(u64, Vec<Vec<String>>)> = Vec::new();
-    let mut saw_sound_prefix = false;
     while svc.status(id) == Some(JobStatus::Queued) || svc.status(id) == Some(JobStatus::Running) {
         match svc.query_job(id, query_src, None, None) {
             Ok(reply) => {
                 if let Completeness::SoundPrefix { horizon } = reply.outcome.completeness {
-                    saw_sound_prefix = true;
-                    assert!(reply.applications.is_some());
+                    assert_eq!(reply.applications, Some(horizon));
                     observed.push((horizon, reply.outcome.answers.clone()));
                 }
             }
@@ -167,13 +195,16 @@ fn live_answers_grow_monotonically_to_the_complete_set() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(svc.wait(id), Some(JobStatus::Finished));
-    assert!(saw_sound_prefix, "no query landed mid-run; slow the job");
+    assert!(
+        !observed.is_empty(),
+        "no query landed mid-run; slow the job"
+    );
 
     let final_reply = svc
         .query_job(id, query_src, None, None)
         .expect("final answers");
     assert_eq!(final_reply.outcome.completeness, Completeness::Complete);
-    assert_eq!(final_reply.outcome.answers.len(), n);
+    assert_eq!(final_reply.outcome.answers.len(), expected);
 
     // Monotone growth: sort by horizon; every earlier answer set is a
     // subset of every later one and of the final complete set.
@@ -196,6 +227,8 @@ fn live_answers_grow_monotonically_to_the_complete_set() {
             );
         }
     }
+    svc.with_result(id, |res| res.stats.retractions)
+        .expect("finished job has a result")
 }
 
 /// A query whose homomorphism search exhausts its node budget reports
