@@ -4,10 +4,12 @@
 //! The solver is a QuickBB-style search: a state is the set of already
 //! eliminated vertices (the width contributed by a prefix is independent
 //! of its internal order, so states memoize), branching on the next vertex
-//! to eliminate, pruning with (a) the best width found so far, (b) the
-//! degeneracy lower bound of the remaining graph, and (c) the *simplicial
-//! vertex rule* — a vertex whose neighbourhood is a clique can always be
-//! eliminated first without loss of optimality.
+//! to eliminate, pruning with (a) the best width found so far, seeded with
+//! the width of the min-fill order, (b) the minimum degree of the
+//! remaining graph, and (c) the *simplicial vertex rule* — a vertex whose
+//! neighbourhood is a clique can always be eliminated first without loss
+//! of optimality. That is the only reduction rule; almost-simplicial
+//! vertices are branched on like any other.
 //!
 //! Intended for primal graphs of up to roughly 30–40 vertices, which
 //! covers every structure appearing in the paper's figures. Larger
@@ -17,6 +19,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use chase_atoms::AtomSet;
 
+use crate::elimination::{greedy, Heuristic};
 use crate::graph::Graph;
 
 /// The degeneracy of the graph: `max` over the elimination process of the
@@ -24,29 +27,11 @@ use crate::graph::Graph;
 /// decomposition of width `w` yields, for every subgraph, a vertex of
 /// degree ≤ `w`).
 pub fn degeneracy_lower_bound(g: &Graph) -> usize {
-    let n = g.len();
-    let mut adj = g.adjacency();
-    let mut alive: BTreeSet<usize> = (0..n).collect();
-    let mut best = 0usize;
-    while !alive.is_empty() {
-        let &v = alive
-            .iter()
-            .min_by_key(|&&v| adj[v].len())
-            .expect("alive nonempty");
-        best = best.max(adj[v].len());
-        let neigh: Vec<usize> = adj[v].iter().copied().collect();
-        for u in neigh {
-            adj[u].remove(&v);
-        }
-        adj[v].clear();
-        alive.remove(&v);
-    }
-    best
+    greedy(g, Heuristic::Degeneracy).width
 }
 
 struct Solver {
     adj: Vec<BTreeSet<usize>>,
-    n: usize,
     best: usize,
     memo: HashMap<u128, usize>,
 }
@@ -162,77 +147,19 @@ pub fn exact_treewidth_graph(g: &Graph) -> usize {
         n <= 128,
         "exact treewidth solver supports at most 128 vertices (got {n})"
     );
-    // Start from the min-fill upper bound.
-    let order = {
-        let mut adj = g.adjacency();
-        let mut alive: BTreeSet<usize> = (0..n).collect();
-        let mut order = Vec::with_capacity(n);
-        while !alive.is_empty() {
-            let &v = alive
-                .iter()
-                .min_by_key(|&&v| {
-                    let neigh: Vec<usize> = adj[v].iter().copied().collect();
-                    let mut fillcount = 0usize;
-                    for (i, &x) in neigh.iter().enumerate() {
-                        for &y in &neigh[i + 1..] {
-                            if !adj[x].contains(&y) {
-                                fillcount += 1;
-                            }
-                        }
-                    }
-                    fillcount
-                })
-                .expect("alive nonempty");
-            let neigh: Vec<usize> = adj[v].iter().copied().collect();
-            for (i, &x) in neigh.iter().enumerate() {
-                for &y in &neigh[i + 1..] {
-                    adj[x].insert(y);
-                    adj[y].insert(x);
-                }
-            }
-            for &u in &neigh {
-                adj[u].remove(&v);
-            }
-            adj[v].clear();
-            alive.remove(&v);
-            order.push(v);
-        }
-        order
-    };
-    // Width of that order:
-    let ub = {
-        let mut adj = g.adjacency();
-        let mut w = 0usize;
-        for &v in &order {
-            let neigh: Vec<usize> = adj[v].iter().copied().collect();
-            w = w.max(neigh.len());
-            for (i, &x) in neigh.iter().enumerate() {
-                for &y in &neigh[i + 1..] {
-                    adj[x].insert(y);
-                    adj[y].insert(x);
-                }
-            }
-            for &u in &neigh {
-                adj[u].remove(&v);
-            }
-            adj[v].clear();
-        }
-        w
-    };
+    let ub = greedy(g, Heuristic::MinFill).width;
     let lb = degeneracy_lower_bound(g);
     if lb == ub {
         return ub;
     }
     let mut solver = Solver {
         adj: g.adjacency(),
-        n,
         best: ub,
         memo: HashMap::new(),
     };
     let mut alive: BTreeSet<usize> = (0..n).collect();
     solver.search(&mut alive, 0, lb);
     // `width_so_far` seeded with lb is sound: the true width is ≥ lb.
-    let _ = solver.n;
     solver.best
 }
 

@@ -6,10 +6,12 @@
 //! * the **primal (Gaifman) graph** of an atomset ([`Graph::primal`]);
 //! * **tree decompositions** (Definition 4) with an independent validator
 //!   ([`TreeDecomposition::validate`]);
-//! * **heuristic** upper bounds via elimination orderings (min-degree /
-//!   min-fill, [`min_degree_decomposition`] / [`min_fill_decomposition`]);
+//! * **heuristic** upper bounds from greedy min-degree / min-fill
+//!   elimination orders, one kernel rescoring only what each elimination
+//!   touches ([`treewidth_bounds`] reads widths without building bags;
+//!   [`min_degree_decomposition`] / [`min_fill_decomposition`] build them);
 //! * an **exact** branch-and-bound solver over elimination orderings with
-//!   memoization and simplicial-vertex reductions ([`exact_treewidth`]);
+//!   memoization and the simplicial-vertex reduction ([`exact_treewidth`]);
 //! * a degeneracy-based **lower bound** ([`degeneracy_lower_bound`]) —
 //!   `tw(G) ≥ degeneracy(G)` since every subgraph of `G` has a vertex of
 //!   degree at most `tw(G)`;
@@ -32,6 +34,8 @@ mod graph;
 mod grid;
 mod hypertree;
 pub mod measure;
+#[cfg(test)]
+mod oracle;
 mod pathwidth;
 
 pub use decomposition::{DecompositionError, TreeDecomposition};
@@ -45,6 +49,8 @@ pub use pathwidth::{
 };
 
 use chase_atoms::AtomSet;
+
+use elimination::{greedy, Heuristic};
 
 /// Certified two-sided treewidth estimate.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -65,19 +71,20 @@ impl TwBounds {
 
 /// Computes certified treewidth bounds for an atomset.
 ///
-/// The upper bound is the best of the min-degree and min-fill elimination
-/// heuristics (each validated against the atomset); the lower bound is the
-/// degeneracy of the primal graph. For exact values on small instances use
-/// [`treewidth`].
+/// The upper bound is the smaller width of the min-degree and min-fill
+/// elimination orders; the lower bound is the degeneracy of the primal
+/// graph. An order's width is the width of the decomposition
+/// [`decomposition_from_order`] builds from it, which the crate's tests
+/// validate against the atomset for both orders. For exact values on small
+/// instances use [`treewidth`].
 pub fn treewidth_bounds(a: &AtomSet) -> TwBounds {
     let g = Graph::primal(a);
-    let lower = degeneracy_lower_bound(&g);
-    let d1 = min_degree_decomposition(a);
-    let d2 = min_fill_decomposition(a);
-    debug_assert!(d1.validate(a).is_ok());
-    debug_assert!(d2.validate(a).is_ok());
-    let upper = d1.width().min(d2.width());
-    TwBounds { lower, upper }
+    TwBounds {
+        lower: degeneracy_lower_bound(&g),
+        upper: greedy(&g, Heuristic::MinDegree)
+            .width
+            .min(greedy(&g, Heuristic::MinFill).width),
+    }
 }
 
 /// Computes the exact treewidth of an atomset.

@@ -2,12 +2,18 @@
 //! the paper's structures, pathwidth comparisons, and grid-based lower
 //! bounds (Facts 1 and 2).
 
+use treechase::engine::boundedness::treewidth_profile;
 use treechase::kbs::grids::{best_grid_lower_bound, labeled_grid};
 use treechase::kbs::{Elevator, Staircase};
 use treechase::prelude::*;
 use treechase::treewidth::{
-    exact_pathwidth, exact_treewidth, min_degree_decomposition, min_fill_decomposition,
+    decomposition_from_order, exact_pathwidth, exact_treewidth, min_degree_decomposition,
+    min_fill_decomposition, Graph,
 };
+
+/// The quadratic greedy elimination the crate's kernel replaced.
+#[path = "../crates/treewidth/src/oracle.rs"]
+mod oracle;
 
 #[test]
 fn staircase_structures_have_expected_widths() {
@@ -101,4 +107,32 @@ fn decompositions_of_chase_elements_validate() {
         let td = min_fill_decomposition(e.instance);
         assert!(td.validate(e.instance).is_ok());
     });
+}
+
+#[test]
+fn gate_probe_profiles_match_the_quadratic_oracle() {
+    // The admission gate's probes: 120 `DatalogFirst` applications of the
+    // restricted and the core chase. Every bound must equal the one read
+    // off the oracle's orders through materialised decompositions.
+    for kb in [KnowledgeBase::staircase(), KnowledgeBase::elevator()] {
+        for variant in [ChaseVariant::Restricted, ChaseVariant::Core] {
+            let res = kb.chase(
+                &ChaseConfig::variant(variant)
+                    .with_scheduler(SchedulerKind::DatalogFirst)
+                    .with_max_applications(120),
+            );
+            let mut reference = Vec::new();
+            res.derivation.replay(|e| {
+                let g = Graph::primal(e.instance);
+                let width = |order: Vec<usize>| decomposition_from_order(&g, &order).width();
+                reference.push(TwBounds {
+                    lower: oracle::degeneracy(g.adjacency()),
+                    upper: width(oracle::min_degree_order(g.adjacency()))
+                        .min(width(oracle::min_fill_order(g.adjacency()))),
+                });
+            });
+            assert_eq!(reference.len(), 121, "{variant:?}");
+            assert_eq!(treewidth_profile(&res.derivation), reference, "{variant:?}");
+        }
+    }
 }
