@@ -8,7 +8,7 @@
 //!   Weak acyclicity guarantees termination of **all** chase variants on
 //!   **all** fact bases, hence membership in **fes**.
 //! * [`jointly_acyclic`] — Krötzsch & Rudolph (IJCAI 2011, the paper's
-//!   [16]): acyclicity of the existential-variable dependency graph; a
+//!   \[16\]): acyclicity of the existential-variable dependency graph; a
 //!   strict generalization of weak acyclicity that still guarantees
 //!   semi-oblivious chase termination (hence fes).
 //! * [`guardedness`] — Calì, Gottlob, Kifer (KR 2008 / JAIR 2013, the
@@ -18,7 +18,7 @@
 //!   have treewidth-bounded restricted chases, hence are **bts**.
 //!
 //! * [`critical_instance_test`] — Marnette (PODS 2009, the paper's
-//!   [17]): semi-oblivious chase termination on the *critical instance*
+//!   \[17\]): semi-oblivious chase termination on the *critical instance*
 //!   implies termination on every instance — a dynamic fes certificate
 //!   that covers rulesets beyond every acyclicity notion.
 //! * [`mfa_test`] — model-faithful-acyclicity-style certificates: the

@@ -46,7 +46,7 @@ pub enum Certificate {
     WeaklyAcyclic,
     /// Joint acyclicity (Krötzsch & Rudolph).
     JointlyAcyclic,
-    /// MFA-style critical-instance saturation ([`crate::mfa`]).
+    /// MFA-style critical-instance saturation ([`crate::mfa_test`]).
     Mfa,
     /// Every rule is guarded.
     Guarded,
@@ -55,12 +55,12 @@ pub enum Certificate {
     /// Every rule is linear.
     Linear,
     /// The exact linear-ruleset termination decision
-    /// ([`crate::linear`], after Leclère–Mugnier–Thomazo–Ulliana):
+    /// ([`crate::linear_termination`], after Leclère–Mugnier–Thomazo–Ulliana):
     /// derivation-tree-pattern saturation proved the Skolem chase
     /// terminates on every fact base.
     LinearTermination,
     /// The breadth-first chase from the critical instance saturated
-    /// within this many rounds ([`crate::kbounded`], after Delivorias
+    /// within this many rounds ([`crate::kbounded_test`], after Delivorias
     /// et al.): the ruleset is k-bounded, hence fes.
     KBounded(usize),
     /// Dynamic evidence: the restricted-chase treewidth profile
@@ -111,7 +111,7 @@ pub enum Refutation {
     /// over the whole probe horizon.
     CoreWidthDiverging,
     /// The exact linear-ruleset decision found a pumpable derivation
-    /// pattern ([`crate::linear`]): a reachable cycle of single-atom
+    /// pattern ([`crate::linear_termination`]): a reachable cycle of single-atom
     /// derivations that re-fires the same rule on its own fresh null
     /// forever. Unlike an MFA cycle this **is** a proof — linear
     /// derivations are self-similar, so the loop iterates unboundedly
@@ -318,7 +318,7 @@ pub struct RulesetReport {
     /// Raw outcome of the MFA-style critical-instance test.
     pub mfa: MfaOutcome,
     /// Raw outcome of the k-boundedness rank analysis
-    /// ([`crate::kbounded`]), always computed: even when a cheaper
+    /// ([`crate::kbounded_test`]), always computed: even when a cheaper
     /// certificate decides the verdict, a `Bounded { k, .. }` outcome
     /// hands the planner a hard round bound.
     pub kbounded: KBoundedOutcome,
@@ -326,7 +326,7 @@ pub struct RulesetReport {
     /// rule-id order.
     pub linear_rules: Vec<RuleId>,
     /// Exact termination verdict for the linear fragment analyzed as a
-    /// ruleset of its own ([`crate::linear`]). Always decided for small
+    /// ruleset of its own ([`crate::linear_fragment`]). Always decided for small
     /// fragments — `Certified(LinearTermination)`,
     /// `Refuted(LinearNonTermination)` (with the original rule id), or
     /// `Inconclusive` only when the pattern space outgrew the budget.

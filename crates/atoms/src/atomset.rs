@@ -1,23 +1,22 @@
 //! Atomsets (instances): indexed, deterministic sets of atoms.
 //!
 //! An [`AtomSet`] corresponds to the paper's notion of a (finite) atomset /
-//! instance. It keeps three secondary indexes — by predicate, by term, and
-//! by *(predicate, arity, position, term)* — so the homomorphism engine can
-//! enumerate candidate atoms through point lookups and posting-list
-//! intersection instead of a scan-and-filter, and iterates in insertion
-//! order so every printout and derived artifact is deterministic.
+//! instance. Besides the exact-match lookup it keeps two secondary
+//! indexes — by term, and by *(predicate, arity, position, term)* — so the
+//! homomorphism engine enumerates candidates through point lookups and
+//! posting-list intersection, and it iterates in insertion order so every
+//! printout and derived artifact is deterministic.
 //!
-//! ## Positional postings
+//! ## Postings
 //!
-//! The positional index maps every `(pred, arity)` signature to one
-//! posting map per argument position: `positions[p][t]` is the ascending
-//! list of ids of live atoms whose `p`-th argument is exactly `t`.
-//! Candidate enumeration for a partially-bound pattern atom intersects the
-//! postings of its determined positions ([`AtomSet::matching_ids`]) via an
-//! [`IdBits`] scratch bitset, so the *exact* candidate set — not an
-//! estimate — costs roughly the size of the smallest posting involved.
-//! Postings are maintained incrementally through insert, remove and
-//! auto-compaction.
+//! Every index entry is a *posting*: the ascending (= insertion-ordered)
+//! list of ids of the live atoms it covers — per term (an atom once, even
+//! `r(x, x)`), per `(pred, arity)` signature, and per signature position
+//! and term. [`AtomSet::matching_ids`] intersects the postings of a
+//! pattern atom's determined positions via an [`IdBits`] scratch bitset,
+//! so the *exact* candidate set costs roughly the size of the smallest
+//! posting involved. Postings are maintained incrementally through
+//! insert, remove and auto-compaction.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -48,13 +47,22 @@ impl AtomId {
 /// The per-(predicate, arity) slice of the positional index.
 #[derive(Clone, Default)]
 struct SigIndex {
-    /// Ids of live atoms with this signature, in insertion order.
-    ids: BTreeSet<AtomId>,
-    /// One posting map per argument position: term → ascending id list.
+    /// Posting of the live atoms with this signature.
+    ids: Vec<u32>,
+    /// One posting map per argument position: term → posting.
     positions: Vec<HashMap<Term, Vec<u32>>>,
 }
 
-/// A finite set of atoms with predicate, term-occurrence and positional
+/// Removes `id` from an ascending posting; returns whether the posting
+/// is now empty (and should be dropped from its index).
+fn unpost(posting: &mut Vec<u32>, id: u32) -> bool {
+    if let Ok(at) = posting.binary_search(&id) {
+        posting.remove(at);
+    }
+    posting.is_empty()
+}
+
+/// A finite set of atoms with term-occurrence and positional
 /// `(pred, arity, position, term)` indexes.
 #[derive(Clone, Default)]
 pub struct AtomSet {
@@ -62,10 +70,8 @@ pub struct AtomSet {
     slots: Vec<Option<Atom>>,
     /// Exact-match lookup (also the deduplication map).
     lookup: HashMap<Atom, AtomId>,
-    /// Ids of live atoms per predicate, in insertion order.
-    by_pred: HashMap<PredId, BTreeSet<AtomId>>,
-    /// Ids of live atoms per occurring term, in insertion order.
-    by_term: HashMap<Term, BTreeSet<AtomId>>,
+    /// Posting of the live atoms per occurring term.
+    by_term: HashMap<Term, Vec<u32>>,
     /// Positional postings per `(pred, arity)` signature.
     by_sig: HashMap<(PredId, u32), SigIndex>,
     /// Number of live non-empty postings (a structural gauge the engine
@@ -109,10 +115,16 @@ impl AtomSet {
             return false;
         }
         let id = AtomId(u32::try_from(self.slots.len()).expect("too many atoms"));
+        // Ids are allocated in increasing order (and the index is rebuilt
+        // in insertion order on compaction), so pushing keeps every
+        // posting sorted ascending.
         for t in atom.terms() {
-            self.by_term.entry(t).or_default().insert(id);
+            let posting = self.by_term.entry(t).or_default();
+            // A term repeated within the atom (`r(x, x)`) is posted once.
+            if posting.last() != Some(&id.0) {
+                posting.push(id.0);
+            }
         }
-        self.by_pred.entry(atom.pred()).or_default().insert(id);
         let sig = self
             .by_sig
             .entry((atom.pred(), atom.arity() as u32))
@@ -120,15 +132,12 @@ impl AtomSet {
         if sig.positions.len() < atom.arity() {
             sig.positions.resize_with(atom.arity(), HashMap::new);
         }
-        sig.ids.insert(id);
+        sig.ids.push(id.0);
         for (pos, &t) in atom.args().iter().enumerate() {
             let posting = sig.positions[pos].entry(t).or_default();
             if posting.is_empty() {
                 self.postings += 1;
             }
-            // Ids are allocated in increasing order (and the index is
-            // rebuilt in insertion order on compaction), so pushing keeps
-            // every posting sorted ascending.
             debug_assert!(posting.last().is_none_or(|&last| last < id.0));
             posting.push(id.0);
         }
@@ -150,34 +159,22 @@ impl AtomSet {
             .take()
             .expect("lookup/slot desync");
         for t in stored.terms() {
-            if let Some(ids) = self.by_term.get_mut(&t) {
-                ids.remove(&id);
-                if ids.is_empty() {
-                    self.by_term.remove(&t);
-                }
-            }
-        }
-        if let Some(ids) = self.by_pred.get_mut(&stored.pred()) {
-            ids.remove(&id);
-            if ids.is_empty() {
-                self.by_pred.remove(&stored.pred());
+            if self.by_term.get_mut(&t).is_some_and(|p| unpost(p, id.0)) {
+                self.by_term.remove(&t);
             }
         }
         let sig_key = (stored.pred(), stored.arity() as u32);
         if let Some(sig) = self.by_sig.get_mut(&sig_key) {
-            sig.ids.remove(&id);
             for (pos, &t) in stored.args().iter().enumerate() {
-                if let Some(posting) = sig.positions[pos].get_mut(&t) {
-                    if let Ok(at) = posting.binary_search(&id.0) {
-                        posting.remove(at);
-                    }
-                    if posting.is_empty() {
-                        sig.positions[pos].remove(&t);
-                        self.postings -= 1;
-                    }
+                if sig.positions[pos]
+                    .get_mut(&t)
+                    .is_some_and(|p| unpost(p, id.0))
+                {
+                    sig.positions[pos].remove(&t);
+                    self.postings -= 1;
                 }
             }
-            if sig.ids.is_empty() {
+            if unpost(&mut sig.ids, id.0) {
                 self.by_sig.remove(&sig_key);
             }
         }
@@ -232,24 +229,39 @@ impl AtomSet {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
-    /// Iterates over atoms with the given predicate, in insertion order.
-    pub fn with_pred(&self, pred: PredId) -> impl Iterator<Item = &Atom> {
-        self.by_pred
-            .get(&pred)
+    /// Resolves a posting's raw ids to their atoms.
+    fn posted<'a>(&'a self, posting: Option<&'a Vec<u32>>) -> impl Iterator<Item = &'a Atom> {
+        posting
             .into_iter()
-            .flat_map(|ids| ids.iter())
-            .map(|&id| self.get(id).expect("index/slot desync"))
+            .flatten()
+            .map(|&i| self.get(AtomId(i)).expect("index/slot desync"))
     }
 
-    /// Number of atoms with the given predicate.
+    /// Iterates over the atoms with predicate `pred` and arity `arity`,
+    /// in insertion order.
+    pub fn with_sig(&self, pred: PredId, arity: usize) -> impl Iterator<Item = &Atom> {
+        self.posted(self.by_sig.get(&(pred, arity as u32)).map(|s| &s.ids))
+    }
+
+    /// The `(pred, arity)` signatures with at least one atom, each with
+    /// its atom count, in no particular order.
+    pub fn signatures(&self) -> impl Iterator<Item = ((PredId, usize), usize)> + '_ {
+        self.by_sig
+            .iter()
+            .map(|(&(p, arity), sig)| ((p, arity as usize), sig.ids.len()))
+    }
+
+    /// Number of atoms with the given predicate, over every arity.
     pub fn pred_count(&self, pred: PredId) -> usize {
-        self.by_pred.get(&pred).map_or(0, BTreeSet::len)
+        self.signatures()
+            .filter(|&((p, _), _)| p == pred)
+            .map(|(_, n)| n)
+            .sum()
     }
 
     /// Iterates over atoms mentioning the given term, in insertion order.
     pub fn with_term(&self, term: Term) -> impl Iterator<Item = &Atom> {
-        self.ids_with_term(term)
-            .map(|id| self.get(id).expect("index/slot desync"))
+        self.posted(self.by_term.get(&term))
     }
 
     /// Ids of the atoms mentioning the given term, in insertion order.
@@ -257,12 +269,13 @@ impl AtomSet {
         self.by_term
             .get(&term)
             .into_iter()
-            .flat_map(|ids| ids.iter().copied())
+            .flatten()
+            .map(|&i| AtomId(i))
     }
 
     /// Number of atoms mentioning the given term.
     pub fn term_count(&self, term: Term) -> usize {
-        self.by_term.get(&term).map_or(0, BTreeSet::len)
+        self.by_term.get(&term).map_or(0, Vec::len)
     }
 
     /// Does any atom mention the given term?
@@ -285,11 +298,6 @@ impl AtomSet {
         self.by_term.keys().filter_map(|t| t.as_const()).collect()
     }
 
-    /// The set of predicates with at least one atom, sorted.
-    pub fn preds(&self) -> BTreeSet<PredId> {
-        self.by_pred.keys().copied().collect()
-    }
-
     /// Applies a substitution, producing a new atomset `σ(A)`.
     pub fn apply(&self, sigma: &Substitution) -> AtomSet {
         let mut out: AtomSet = self.iter().map(|a| sigma.apply_atom(a)).collect();
@@ -300,9 +308,10 @@ impl AtomSet {
 
     /// Applies a substitution in place: atoms whose image differs are
     /// removed and the images inserted. Equivalent to
-    /// `*self = self.apply(sigma)` as a set, but O(moved) instead of a
-    /// full rebuild — the win when a retraction folds away a handful of
-    /// nulls from a large instance. Removals may trigger
+    /// `*self = self.apply(sigma)` as a set. Finding the moved atoms
+    /// scans every atom, but only moved ones touch the indexes — far
+    /// cheaper than a full rebuild when a retraction folds away a
+    /// handful of nulls from a large instance. Removals may trigger
     /// auto-compaction, so callers must not hold [`AtomId`]s across the
     /// call.
     pub fn apply_in_place(&mut self, sigma: &Substitution) {
@@ -438,7 +447,7 @@ impl AtomSet {
             return;
         };
         if bound.is_empty() {
-            out.extend(sig.ids.iter().copied());
+            out.extend(sig.ids.iter().map(|&i| AtomId(i)));
             return;
         }
         let mut posts: Vec<&[u32]> = Vec::with_capacity(bound.len());
@@ -529,7 +538,6 @@ impl fmt::Debug for AtomSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::VarId;
 
     fn p(i: u32) -> PredId {
         PredId::from_raw(i)
@@ -693,7 +701,7 @@ mod tests {
     fn matching_ids_equals_brute_force_scan() {
         // A deterministic pseudo-random mix of arities, predicates and
         // shared terms, with interleaved removals, checked against the
-        // naive scan for every bound-position combination.
+        // brute-force scan for every bound-position combination.
         let mut s = AtomSet::new();
         let mut seed = 0x9e37_79b9_u64;
         let mut next = move || {
@@ -827,5 +835,105 @@ mod tests {
         assert_eq!(s.terms().len(), 2);
         assert_eq!(s.vars().len(), 1);
         assert_eq!(s.constants().len(), 1);
+    }
+
+    /// Checks every index accessor of `s` against a recomputation from
+    /// its live atoms, over every term of `domain`.
+    fn assert_indexes_consistent(s: &AtomSet, domain: &[Term], step: usize) {
+        let live: Vec<(AtomId, &Atom)> = (0..s.arena_len() as u32)
+            .filter_map(|i| s.get(AtomId(i)).map(|a| (AtomId(i), a)))
+            .collect();
+        let atoms: Vec<&Atom> = live.iter().map(|&(_, a)| a).collect();
+        assert_eq!(s.iter().collect::<Vec<_>>(), atoms, "step {step}: iter");
+        assert_eq!(s.len(), live.len(), "step {step}: len");
+        for &t in domain {
+            let ids: Vec<AtomId> = live
+                .iter()
+                .filter(|(_, a)| a.terms().any(|u| u == t))
+                .map(|&(id, _)| id)
+                .collect();
+            let ctx = format!("step {step}: term {t:?}");
+            assert_eq!(s.ids_with_term(t).collect::<Vec<_>>(), ids, "{ctx}");
+            let with: Vec<&Atom> = ids.iter().map(|&id| s.get(id).unwrap()).collect();
+            assert_eq!(s.with_term(t).collect::<Vec<_>>(), with, "{ctx}");
+            assert_eq!(s.term_count(t), ids.len(), "{ctx}");
+            assert_eq!(s.mentions(t), !ids.is_empty(), "{ctx}");
+        }
+        let vars: BTreeSet<VarId> = atoms.iter().flat_map(|a| a.vars()).collect();
+        assert_eq!(s.vars(), vars, "step {step}: vars");
+        let mut sigs: HashMap<(PredId, usize), Vec<&Atom>> = HashMap::new();
+        for &a in &atoms {
+            sigs.entry((a.pred(), a.arity())).or_default().push(a);
+        }
+        let mut got: Vec<_> = s.signatures().collect();
+        let mut want: Vec<_> = sigs.iter().map(|(&k, v)| (k, v.len())).collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "step {step}: signatures");
+        let mut postings = BTreeSet::new();
+        let (mut scratch, mut ids) = (IdBits::new(), Vec::new());
+        for (&(pr, arity), members) in &sigs {
+            assert_eq!(s.with_sig(pr, arity).collect::<Vec<_>>(), *members);
+            assert_eq!(s.matching_count(pr, arity, &[]), members.len());
+            for a in members {
+                for (pos, &t) in a.args().iter().enumerate() {
+                    postings.insert((pr, arity, pos, t));
+                    let n = s.matching_count(pr, arity, &[(pos, t)]);
+                    assert_eq!(n, brute_matching(s, pr, arity, &[(pos, t)]).len());
+                }
+                // Every subset of bound positions, bound to this atom's terms.
+                for mask in 0..1u32 << arity {
+                    let bound: Vec<(usize, Term)> = (0..arity)
+                        .filter(|&pos| mask & (1 << pos) != 0)
+                        .map(|pos| (pos, a.args()[pos]))
+                        .collect();
+                    s.matching_ids(pr, arity, &bound, &mut scratch, &mut ids);
+                    let got: Vec<Atom> = ids.iter().map(|&id| s.get(id).unwrap().clone()).collect();
+                    let want = brute_matching(s, pr, arity, &bound);
+                    assert_eq!(got, want, "step {step}: {pr:?}/{arity} bound {bound:?}");
+                }
+            }
+        }
+        assert_eq!(s.index_postings(), postings.len(), "step {step}: postings");
+    }
+
+    #[test]
+    fn index_churn_matches_recomputation() {
+        // Seeded random inserts, removals, in-place substitutions and
+        // compactions over unary to ternary atoms on a small term domain,
+        // so repeated terms (`r(x, x)`) are common. A grow phase, then a
+        // removal-heavy phase that drives auto-compaction, twice over.
+        let domain: Vec<Term> = (0..8)
+            .map(v)
+            .chain((0..3).map(|i| Term::Const(ConstId::from_raw(i))))
+            .collect();
+        let mut seed = 0x2545_f491_u64;
+        let mut next = move |n: usize| {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (seed >> 33) as usize % n
+        };
+        let mut s = AtomSet::new();
+        for step in 0..1_200 {
+            let removal_heavy = (step / 300) % 2 == 1;
+            let roll = next(100);
+            let live: Vec<Atom> = s.iter().cloned().collect();
+            if roll < 2 {
+                s.compact();
+            } else if roll < 6 {
+                let from = VarId::from_raw(next(8) as u32);
+                s.apply_in_place(&Substitution::from_pairs([(
+                    from,
+                    domain[next(domain.len())],
+                )]));
+            } else if !live.is_empty() && roll < if removal_heavy { 85 } else { 25 } {
+                assert!(s.remove(&live[next(live.len())]));
+            } else {
+                let arity = 1 + next(3);
+                let args: Vec<Term> = (0..arity).map(|_| domain[next(domain.len())]).collect();
+                s.insert(atom(next(3) as u32, &args));
+            }
+            assert_indexes_consistent(&s, &domain, step);
+        }
+        assert!(s.compactions() > 0, "auto-compaction never fired");
     }
 }

@@ -35,7 +35,7 @@
 //! `BENCH_core_baseline.json` at the workspace root, failing on any
 //! increase in the counters, any change in the result, or a missing
 //! baseline. `--write-baseline` regenerates that baseline from the smoke
-//! budgets.
+//! budgets. Neither profile touches `results/`.
 
 use std::time::Instant;
 
@@ -237,7 +237,7 @@ impl Measurement {
 fn main() {
     let write_baseline = std::env::args().any(|a| a == "--write-baseline");
     let smoke = write_baseline || std::env::args().any(|a| a == "--smoke");
-    let mut report = Report::new("e7-core-perf");
+    let mut report = Report::new("e7-core-perf").recording(!smoke);
     let budgets: &[usize] = if smoke { &[10, 20] } else { &[30, 60, 90, 300] };
 
     let kb = KnowledgeBase::staircase();

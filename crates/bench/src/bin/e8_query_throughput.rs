@@ -18,7 +18,8 @@
 //! The per-interval measurements (queries/sec, snapshots published,
 //! cache counters, horizon span) go to `BENCH_query.json` at the
 //! workspace root. `--smoke` shrinks the wall budgets for CI and skips
-//! the write so committed full-run numbers are never clobbered.
+//! that write and the `results/` record, so committed full-run numbers
+//! are never clobbered.
 
 use std::time::{Duration, Instant};
 
@@ -119,7 +120,7 @@ fn measure(snapshot_every: usize, wall: Duration) -> Measurement {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut report = Report::new("e8-query-throughput");
+    let mut report = Report::new("e8-query-throughput").recording(!smoke);
     let intervals: &[usize] = if smoke { &[16, 64] } else { &[8, 32, 128] };
     let wall = if smoke {
         Duration::from_millis(400)

@@ -1,11 +1,14 @@
 //! # chase-bench
 //!
-//! Experiment harness shared by the `e1`–`e6` binaries (one per paper
-//! figure/table, see `DESIGN.md` §4) and the Criterion benchmarks.
+//! Experiment harness shared by the `e1`–`e9` binaries (one per paper
+//! figure/table or tracked performance gate, see `DESIGN.md` §4).
 //!
-//! Each experiment prints a human-readable report to stdout and appends a
+//! Each experiment prints a human-readable report to stdout and writes a
 //! machine-readable JSON line per claim to `results/<experiment>.jsonl`
 //! (relative to the workspace root), which `EXPERIMENTS.md` summarizes.
+//! Smoke and baseline-writing runs leave `results/` alone (see
+//! [`Report::recording`]), so the committed records stay those of the
+//! full runs.
 
 use std::fmt::Display;
 use std::fs;
@@ -46,6 +49,7 @@ impl Claim {
 pub struct Report {
     experiment: &'static str,
     claims: Vec<Claim>,
+    record: bool,
 }
 
 impl Report {
@@ -55,7 +59,17 @@ impl Report {
         Report {
             experiment,
             claims: Vec::new(),
+            record: true,
         }
+    }
+
+    /// Sets whether [`Report::finish`] writes `results/<experiment>.jsonl`.
+    /// Smoke and baseline-writing profiles pass `false`: their reduced
+    /// claims must not replace the committed full-run records.
+    #[must_use]
+    pub fn recording(mut self, record: bool) -> Self {
+        self.record = record;
+        self
     }
 
     /// Records and prints one claim.
@@ -145,11 +159,12 @@ impl Report {
         println!("    {text}");
     }
 
-    /// Writes the JSONL file and returns whether all claims held.
+    /// Writes the JSONL file (when recording) and returns whether all
+    /// claims held.
     pub fn finish(self) -> bool {
         let all_ok = self.claims.iter().all(|c| c.ok);
         let dir = results_dir();
-        if fs::create_dir_all(&dir).is_ok() {
+        if self.record && fs::create_dir_all(&dir).is_ok() {
             let path = dir.join(format!("{}.jsonl", self.experiment));
             if let Ok(mut f) = fs::File::create(&path) {
                 for c in &self.claims {
@@ -228,6 +243,16 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content.lines().count(), 2);
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn unrecorded_report_leaves_results_untouched() {
+        let path = results_dir().join("e0-smoke-test.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut r = Report::new("e0-smoke-test").recording(false);
+        r.claim("always", "x", "x", true);
+        assert!(r.finish());
+        assert!(!path.exists(), "a smoke report wrote {}", path.display());
     }
 
     #[test]

@@ -303,7 +303,7 @@ impl Inner {
 }
 
 /// A coordinator bound to a listening socket. [`Coordinator::run`]
-/// serves until [`Coordinator::shutdown`] (or a `shutdown` wire op).
+/// serves until [`ShutdownHandle::shutdown`] (or a `shutdown` wire op).
 pub struct Coordinator {
     inner: Arc<Inner>,
     listener: TcpListener,

@@ -5,11 +5,11 @@
 //!
 //! * [`KnowledgeBase`] — a `(F, Σ)` pair with parsing, chasing and query
 //!   answering;
-//! * [`entail`] — budgeted CQ entailment over any chase variant, with
+//! * [`entail()`] — budgeted CQ entailment over any chase variant, with
 //!   certified positive answers (via universality of chase elements,
 //!   Proposition 1) and certified negative answers on termination (via
 //!   the finite-universal-model property of the core chase);
-//! * [`decide`] — the Theorem 1 twin semi-decision procedure: two fair
+//! * [`decide()`] — the Theorem 1 twin semi-decision procedure: two fair
 //!   chase processes race in parallel, one hunting for a query
 //!   homomorphism (detecting `K ⊨ Q`), one hunting for a terminating
 //!   universal model (detecting `K ⊭ Q`);

@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 
 use chase_atoms::{AtomSet, Substitution, Term, Vocabulary};
 use chase_homomorphism::{
-    core_of_budgeted, find_retraction_eliminating_frozen_budgeted, incremental_core, MatchConfig,
-    MatchStats, SearchBudget,
+    core_of_budgeted, find_retraction_eliminating_frozen_budgeted, incremental_core, MatchStats,
+    SearchBudget,
 };
 
 use crate::control::{CancelToken, ChaseEvent, FaultPlan};
@@ -52,7 +52,7 @@ pub enum ChaseVariant {
     Restricted,
     /// Restricted + fold only the freshly minted nulls of each
     /// application (the *frugal* chase of Konstantinidis & Ambite, the
-    /// paper's [15] — strictly between restricted and core in redundancy
+    /// paper's \[15\] — strictly between restricted and core in redundancy
     /// removal).
     Frugal,
     /// Restricted + retraction to the core every `core_interval`
@@ -99,30 +99,6 @@ pub enum CoreMaintenance {
     /// parallel. Sound because the pre-application instance is a core.
     #[default]
     Incremental,
-}
-
-/// How the engine's match phase (trigger discovery + satisfaction
-/// checking) enumerates candidate atoms.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum MatchStrategy {
-    /// Exact candidate sets through the positional
-    /// `(pred, arity, position, term)` postings with bitset pruning.
-    #[default]
-    Indexed,
-    /// The pre-index scan-and-filter enumeration. Same results, more
-    /// candidate trials; kept as the benchmark and differential-test
-    /// baseline.
-    NaiveScan,
-}
-
-impl MatchStrategy {
-    /// The matcher configuration implementing this strategy.
-    pub fn match_config(self) -> MatchConfig {
-        MatchConfig {
-            naive_scan: self == MatchStrategy::NaiveScan,
-            ..MatchConfig::default()
-        }
-    }
 }
 
 /// Chase configuration.
@@ -179,10 +155,6 @@ pub struct ChaseConfig {
     /// budget stops the run with [`ChaseOutcome::Cancelled`]. Process
     /// state, never serialized.
     pub search_budget: SearchBudget,
-    /// How the match phase enumerates candidates. [`MatchStrategy::NaiveScan`]
-    /// reproduces the pre-index behaviour for A/B benchmarking; results
-    /// are identical either way.
-    pub match_strategy: MatchStrategy,
     /// Max concurrent core-maintenance probe threads. `None` (default)
     /// uses `available_parallelism` capped at 8; `Some(1)` makes the core
     /// variant's fold probing sequential and hence fully deterministic —
@@ -206,7 +178,6 @@ impl Default for ChaseConfig {
             mem_hard: None,
             strata: None,
             search_budget: SearchBudget::unlimited(),
-            match_strategy: MatchStrategy::default(),
             probe_threads: None,
         }
     }
@@ -293,12 +264,6 @@ impl ChaseConfig {
     /// and polled between applications).
     pub fn with_search_budget(mut self, budget: SearchBudget) -> Self {
         self.search_budget = budget;
-        self
-    }
-
-    /// Sets the match-phase candidate enumeration strategy.
-    pub fn with_match_strategy(mut self, s: MatchStrategy) -> Self {
-        self.match_strategy = s;
         self
     }
 
@@ -400,8 +365,8 @@ pub struct ChaseStats {
     /// Homomorphism searches run by the match phase.
     pub match_searches: usize,
     /// Candidate trials explored by match-phase searches. Deterministic
-    /// for a given KB and [`MatchStrategy`] — the counter the bench gate
-    /// compares across machines.
+    /// for a given KB — the counter the bench gate compares across
+    /// machines.
     pub match_trials: usize,
     /// Largest number of live positional-index postings the instance ever
     /// carried (a structural gauge of index memory).
@@ -554,7 +519,6 @@ pub fn run_chase_controlled(
     let probe_threads = cfg
         .probe_threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(8)));
-    let mcfg = cfg.match_strategy.match_config();
 
     let mut degraded = false;
 
@@ -629,11 +593,11 @@ pub fn run_chase_controlled(
         let match_phase = Instant::now();
         let mut tally = MatchTally::default();
         let discovered = if monotonic {
-            let d = triggers_using_delta_counted(rules, &instance, &delta, &mcfg, &mut tally);
+            let d = triggers_using_delta_counted(rules, &instance, &delta, &mut tally);
             delta.clear();
             d
         } else {
-            all_triggers_counted(rules, &instance, &mcfg, &mut tally)
+            all_triggers_counted(rules, &instance, &mut tally)
         };
         let mut snapshot: Vec<Trigger> = discovered
             .into_iter()
@@ -646,7 +610,7 @@ pub fn run_chase_controlled(
                 ChaseVariant::Oblivious => !applied_keys.contains(&t.universal_key(rules)),
                 ChaseVariant::SemiOblivious => !applied_keys.contains(&t.frontier_key(rules)),
                 ChaseVariant::Restricted | ChaseVariant::Frugal | ChaseVariant::Core => {
-                    !t.is_satisfied_in_counted(rules, &instance, &mcfg, &mut tally)
+                    !t.is_satisfied_in_counted(rules, &instance, &mut tally)
                 }
             })
             .collect();
@@ -698,7 +662,7 @@ pub fn run_chase_controlled(
                 ChaseVariant::SemiOblivious => !applied_keys.contains(&tr.frontier_key(rules)),
                 ChaseVariant::Restricted | ChaseVariant::Frugal | ChaseVariant::Core => {
                     tr.is_trigger_for(rules, &instance)
-                        && !tr.is_satisfied_in_counted(rules, &instance, &mcfg, &mut tally)
+                        && !tr.is_satisfied_in_counted(rules, &instance, &mut tally)
                 }
             };
             stats.match_time_us += match_phase.elapsed().as_micros() as u64;

@@ -11,9 +11,8 @@ use crate::rule::{RuleId, RuleSet};
 /// Running totals for the engine's match phase: how many homomorphism
 /// searches trigger discovery and satisfaction checking ran, and how many
 /// candidate trials (backtracking nodes) they explored. Trial counts are
-/// deterministic for a given instance and [`MatchConfig`], which makes
-/// them the machine-independent counters the match-phase bench gate
-/// compares.
+/// deterministic for a given instance, which makes them the
+/// machine-independent counters the match-phase bench gate compares.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MatchTally {
     /// Homomorphism searches started.
@@ -63,22 +62,14 @@ impl Trigger {
     /// Is the trigger *satisfied* in `instance`: can `π` be extended to a
     /// homomorphism from `B ∪ H` to `instance`?
     pub fn is_satisfied_in(&self, rules: &RuleSet, instance: &AtomSet) -> bool {
-        self.is_satisfied_in_counted(
-            rules,
-            instance,
-            &MatchConfig::default(),
-            &mut MatchTally::default(),
-        )
+        self.is_satisfied_in_counted(rules, instance, &mut MatchTally::default())
     }
 
-    /// [`Trigger::is_satisfied_in`] under an explicit [`MatchConfig`]
-    /// (the engine's match-strategy knob), recording the search in
-    /// `tally`.
+    /// [`Trigger::is_satisfied_in`], recording the search in `tally`.
     pub fn is_satisfied_in_counted(
         &self,
         rules: &RuleSet,
         instance: &AtomSet,
-        mcfg: &MatchConfig,
         tally: &mut MatchTally,
     ) -> bool {
         let rule = rules.get(self.rule);
@@ -90,7 +81,8 @@ impl Trigger {
         // head's frontier or existential variables), and only existence
         // matters here.
         let mut found = false;
-        let outcome = for_each_homomorphism(rule.head(), instance, &self.pi, mcfg, |_| {
+        let mcfg = MatchConfig::default();
+        let outcome = for_each_homomorphism(rule.head(), instance, &self.pi, &mcfg, |_| {
             found = true;
             ControlFlow::Break(())
         });
@@ -178,26 +170,20 @@ pub fn apply_trigger(
 /// Enumerates all triggers of `rules` for `instance`, in deterministic
 /// order (rule-major, then matcher order).
 pub fn all_triggers(rules: &RuleSet, instance: &AtomSet) -> Vec<Trigger> {
-    all_triggers_counted(
-        rules,
-        instance,
-        &MatchConfig::default(),
-        &mut MatchTally::default(),
-    )
+    all_triggers_counted(rules, instance, &mut MatchTally::default())
 }
 
-/// [`all_triggers`] under an explicit [`MatchConfig`], recording every
-/// body search in `tally`.
+/// [`all_triggers`], recording every body search in `tally`.
 pub fn all_triggers_counted(
     rules: &RuleSet,
     instance: &AtomSet,
-    mcfg: &MatchConfig,
     tally: &mut MatchTally,
 ) -> Vec<Trigger> {
     let mut out = Vec::new();
+    let mcfg = MatchConfig::default();
     for (id, rule) in rules.iter() {
         let outcome =
-            for_each_homomorphism(rule.body(), instance, &Substitution::new(), mcfg, |pi| {
+            for_each_homomorphism(rule.body(), instance, &Substitution::new(), &mcfg, |pi| {
                 out.push(Trigger {
                     rule: id,
                     pi: pi.restrict(rule.universal_vars()),
@@ -227,25 +213,19 @@ pub fn all_triggers_counted(
 ///
 /// The result is deduplicated and sorted like [`all_triggers`].
 pub fn triggers_using_delta(rules: &RuleSet, instance: &AtomSet, delta: &[Atom]) -> Vec<Trigger> {
-    triggers_using_delta_counted(
-        rules,
-        instance,
-        delta,
-        &MatchConfig::default(),
-        &mut MatchTally::default(),
-    )
+    triggers_using_delta_counted(rules, instance, delta, &mut MatchTally::default())
 }
 
-/// [`triggers_using_delta`] under an explicit [`MatchConfig`], recording
-/// every seeded body search in `tally`.
+/// [`triggers_using_delta`], recording every seeded body search in
+/// `tally`.
 pub fn triggers_using_delta_counted(
     rules: &RuleSet,
     instance: &AtomSet,
     delta: &[Atom],
-    mcfg: &MatchConfig,
     tally: &mut MatchTally,
 ) -> Vec<Trigger> {
     let mut out = Vec::new();
+    let mcfg = MatchConfig::default();
     // A rule whose body repeats a predicate seeds the same homomorphism
     // once per (body-atom, delta-atom) pair; dedup on the trigger's
     // universal key *during* enumeration so each distinct trigger is
@@ -284,7 +264,7 @@ pub fn triggers_using_delta_counted(
                 if !ok {
                     continue;
                 }
-                let outcome = for_each_homomorphism(rule.body(), instance, &seed, mcfg, |pi| {
+                let outcome = for_each_homomorphism(rule.body(), instance, &seed, &mcfg, |pi| {
                     let tr = Trigger {
                         rule: id,
                         pi: pi.restrict(rule.universal_vars()),

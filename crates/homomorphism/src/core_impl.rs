@@ -60,7 +60,7 @@ pub fn find_retraction_eliminating_budgeted(
 /// is pinned to itself — only the remaining variables may move.
 ///
 /// This is the simplification step of the *frugal* chase (Konstantinidis
-/// & Ambite, PVLDB 2014; the paper's [15]): after a rule application only
+/// & Ambite, PVLDB 2014; the paper's \[15\]): after a rule application only
 /// the freshly minted nulls are candidates for folding, so the engine
 /// never pays for a full core computation.
 pub fn find_retraction_eliminating_frozen(

@@ -102,7 +102,7 @@ fn dirty_vars(instance: &AtomSet, anchors: &[Atom]) -> BTreeSet<VarId> {
     let mut dirty = BTreeSet::new();
     for alpha in anchors {
         atom_vars(alpha, &mut dirty);
-        for beta in instance.with_pred(alpha.pred()) {
+        for beta in instance.with_sig(alpha.pred(), alpha.arity()) {
             if unifiable_onto(beta, alpha) {
                 atom_vars(beta, &mut dirty);
             }
@@ -507,7 +507,7 @@ impl<'a> FoldSearch<'a> {
         // Root the search at the most constrained atom containing x.
         let Some(beta0) = instance
             .with_term(Term::Var(x))
-            .min_by_key(|beta| instance.pred_count(beta.pred()))
+            .min_by_key(|beta| instance.matching_count(beta.pred(), beta.arity(), &[]))
         else {
             return FoldProbe {
                 retraction: None,

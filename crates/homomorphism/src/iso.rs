@@ -28,15 +28,12 @@ pub fn isomorphism(a: &AtomSet, b: &AtomSet) -> Option<Substitution> {
     if a.constants() != b.constants() {
         return None;
     }
-    // Per-predicate atom counts must agree.
-    let preds = a.preds();
-    if preds != b.preds() {
+    // Per-signature atom counts must agree (with equal totals, `b` then
+    // has no signature `a` lacks).
+    if a.signatures()
+        .any(|((p, arity), n)| b.matching_count(p, arity, &[]) != n)
+    {
         return None;
-    }
-    for &p in &preds {
-        if a.pred_count(p) != b.pred_count(p) {
-            return None;
-        }
     }
     let cfg = MatchConfig {
         injective_vars: true,

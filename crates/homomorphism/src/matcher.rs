@@ -5,20 +5,19 @@
 //! constraints in [`MatchConfig`] (injectivity, retraction fixpoints,
 //! forbidden images, must-move variables, constant-only variables).
 //!
-//! Search strategy: at each step pick the unmatched pattern atom with the
-//! fewest candidate target atoms under the current partial assignment
+//! Search strategy: pattern atoms whose arguments are all determined by
+//! the seed are resolved by one lookup each up front; then at each step
+//! the search picks the unmatched pattern atom with the fewest candidate
+//! target atoms under the current partial assignment
 //! (most-constrained-first). Candidates are the *exact* intersection of
 //! the target's positional `(pred, arity, position, term)` postings
 //! ([`AtomSet::matching_ids`]), computed via bitset pruning — so the
 //! selector ranks atoms by their true candidate count and the enumeration
-//! visits exactly that set. This is the classic CSP ordering used by CQ
-//! evaluators; it makes the crafted instances in this workspace (grids,
-//! staircases, elevator columns) match in near-linear time.
-//!
-//! The pre-index behaviour — selection by a per-term occurrence *estimate*
-//! that ignores predicates, enumeration by scanning one term or predicate
-//! index and filtering — is kept behind [`MatchConfig::naive_scan`] as the
-//! differential-testing and benchmarking baseline.
+//! visits exactly that set, in ascending atom-id order. This is the
+//! classic CSP ordering used by CQ evaluators; it makes the crafted
+//! instances in this workspace (grids, staircases, elevator columns)
+//! match in near-linear time. `tests/matcher_differential.rs` checks the
+//! enumeration against a brute-force enumerator in every constraint mode.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::ops::ControlFlow;
@@ -50,12 +49,6 @@ pub struct MatchConfig {
     /// certificate; a budgeted *miss* is inconclusive — callers that need
     /// refutations must leave this unset.
     pub node_limit: Option<usize>,
-    /// Use the pre-index scan-and-filter candidate enumeration instead of
-    /// the positional indexes. The enumerated homomorphism set is
-    /// identical; only trial counts and speed differ. This is the
-    /// baseline side of the differential property tests and the
-    /// match-phase benchmark.
-    pub naive_scan: bool,
 }
 
 struct Search<'a> {
@@ -120,11 +113,12 @@ impl<'a> Search<'a> {
         if t.is_var() && self.cfg.const_only.contains(&v) {
             return false;
         }
-        if t == Term::Var(v) {
-            if self.cfg.must_move.contains(&v) {
-                return false;
-            }
-        } else if self.cfg.injective_vars && (!t.is_var() || self.used_images.contains(&t)) {
+        if t == Term::Var(v) && self.cfg.must_move.contains(&v) {
+            return false;
+        }
+        // Injectivity covers identity bindings too: `u ↦ u` after
+        // `w ↦ u` would give `u` two preimages.
+        if self.cfg.injective_vars && (!t.is_var() || self.used_images.contains(&t)) {
             return false;
         }
         self.bind.insert(v, t);
@@ -162,14 +156,14 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Root-level fast path for the positional-index strategy: a pattern
-    /// atom whose arguments are all determined (constants, or variables
-    /// bound by the seed) either has its image already in the target —
-    /// matched without entering the backtracking search — or refutes the
-    /// whole search conclusively. The constraint flags (`injective_vars`,
-    /// `retraction`, `forbidden_images`, `must_move`) restrict only *new*
-    /// variable bindings, which determined atoms never create, so the
-    /// shortcut is mode-independent. Resolved atoms are hash probes, not
+    /// Root-level fast path: a pattern atom whose arguments are all
+    /// determined (constants, or variables bound by the seed) either has
+    /// its image already in the target — matched without entering the
+    /// backtracking search — or refutes the whole search conclusively.
+    /// The constraint flags (`injective_vars`, `retraction`,
+    /// `forbidden_images`, `must_move`) restrict only *new* variable
+    /// bindings, which determined atoms never create, so the shortcut is
+    /// mode-independent. Resolved atoms are hash probes, not
     /// backtracking nodes, so they do not count against `nodes` budgets.
     fn resolve_determined(&mut self) -> bool {
         for i in 0..self.pattern.len() {
@@ -203,7 +197,7 @@ impl<'a> Search<'a> {
     /// the winner — the count that ranks an atom is *exactly* the set the
     /// search will try, so the most-constrained-first ordering can no
     /// longer be misled by cross-predicate term occurrences.
-    fn select_indexed(&mut self) -> (usize, Vec<&'a Atom>) {
+    fn select(&mut self) -> (usize, Vec<&'a Atom>) {
         let target = self.target;
         let mut best_idx = usize::MAX;
         let mut best_count = usize::MAX;
@@ -280,69 +274,6 @@ impl<'a> Search<'a> {
         (best_idx, atoms)
     }
 
-    /// Pre-index candidate *estimate*: the smaller of the predicate count
-    /// and any determined term's occurrence count — across all
-    /// predicates, which is the historical inexactness `naive_scan`
-    /// preserves for comparison.
-    fn naive_estimate(&self, atom: &Atom) -> usize {
-        let mut best = self.target.pred_count(atom.pred());
-        for &t in atom.args() {
-            if let Some(img) = self.image(t) {
-                best = best.min(self.target.term_count(img));
-            }
-        }
-        best
-    }
-
-    /// Pre-index selection: rank unmatched atoms by [`Search::naive_estimate`].
-    fn select_naive(&self) -> usize {
-        let mut best_idx = usize::MAX;
-        let mut best_est = usize::MAX;
-        for (i, atom) in self.pattern.iter().enumerate() {
-            if self.matched[i] {
-                continue;
-            }
-            let est = self.naive_estimate(atom);
-            if est < best_est {
-                best_est = est;
-                best_idx = i;
-                if est == 0 {
-                    break;
-                }
-            }
-        }
-        best_idx
-    }
-
-    /// Pre-index candidate enumeration: same predicate/arity, narrowed
-    /// through the most selective determined-term occurrence index, then
-    /// filtered.
-    fn candidates_naive(&self, atom: &Atom) -> Vec<&'a Atom> {
-        let mut anchor: Option<Term> = None;
-        let mut anchor_count = usize::MAX;
-        for &t in atom.args() {
-            if let Some(img) = self.image(t) {
-                let c = self.target.term_count(img);
-                if c < anchor_count {
-                    anchor_count = c;
-                    anchor = Some(img);
-                }
-            }
-        }
-        match anchor {
-            Some(term) => self
-                .target
-                .with_term(term)
-                .filter(|c| c.pred() == atom.pred() && c.arity() == atom.arity())
-                .collect(),
-            None => self
-                .target
-                .with_pred(atom.pred())
-                .filter(|c| c.arity() == atom.arity())
-                .collect(),
-        }
-    }
-
     fn try_unify(&mut self, pattern: &Atom, cand: &Atom, trail: &mut Vec<VarId>) -> bool {
         for (&pt, &tt) in pattern.args().iter().zip(cand.args()) {
             match pt {
@@ -383,12 +314,7 @@ impl<'a> Search<'a> {
                         return ControlFlow::Break(());
                     }
                 } else {
-                    let (idx, cands) = if self.cfg.naive_scan {
-                        let idx = self.select_naive();
-                        (idx, self.candidates_naive(self.pattern[idx]))
-                    } else {
-                        self.select_indexed()
-                    };
+                    let (idx, cands) = self.select();
                     if cands.is_empty() {
                         // A dead end: no frame (and no allocation) needed.
                         continue;
@@ -491,7 +417,7 @@ pub fn for_each_homomorphism_budgeted(
         // A contradictory seed refutes conclusively without any trials.
         return SearchOutcome::default();
     };
-    if !cfg.naive_scan && !search.resolve_determined() {
+    if !search.resolve_determined() {
         // A determined atom with no image in the target refutes
         // conclusively; `nodes` keeps the lookups that got here.
         return SearchOutcome {
@@ -677,6 +603,23 @@ mod tests {
             ControlFlow::Continue(())
         });
         assert_eq!(subs.len(), 1);
+    }
+
+    #[test]
+    fn injective_mode_counts_identity_images() {
+        // {r(X3, X0), r(X1, X0)} into {r(X1, X2)}: both atoms must land on
+        // the one target atom, so X3 ↦ X1 and X1 ↦ X1 — not injective,
+        // although the second binding is an identity.
+        let pattern = set(&[atom(0, &[v(3), v(0)]), atom(0, &[v(1), v(0)])]);
+        let target = set(&[atom(0, &[v(1), v(2)])]);
+        let cfg = MatchConfig {
+            injective_vars: true,
+            ..MatchConfig::default()
+        };
+        let out = for_each_homomorphism(&pattern, &target, &Substitution::new(), &cfg, |s| {
+            panic!("non-injective match {s:?}")
+        });
+        assert!(!out.truncated);
     }
 
     #[test]
