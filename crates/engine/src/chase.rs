@@ -27,8 +27,7 @@ use std::time::{Duration, Instant};
 
 use chase_atoms::{AtomSet, Substitution, Term, Vocabulary};
 use chase_homomorphism::{
-    core_of_budgeted, find_retraction_eliminating_frozen_budgeted, incremental_core, MatchStats,
-    SearchBudget,
+    core_of_budgeted, fold_variables, incremental_core, MatchStats, SearchBudget,
 };
 
 use crate::control::{CancelToken, ChaseEvent, FaultPlan};
@@ -795,32 +794,10 @@ pub fn run_chase_controlled(
                 }
                 ChaseVariant::Frugal => {
                     // Fold only the freshly minted nulls of this
-                    // application; everything older is frozen.
+                    // application; everything older stays fixed.
                     let phase = Instant::now();
-                    let mut sigma = Substitution::new();
-                    let mut ms = MatchStats::default();
-                    for &z in &fresh {
-                        if ms.truncated || budget.interrupted() {
-                            ms.truncated = true;
-                            break;
-                        }
-                        if !instance.mentions(chase_atoms::Term::Var(z)) {
-                            continue;
-                        }
-                        let frozen: Vec<chase_atoms::VarId> = instance
-                            .vars()
-                            .into_iter()
-                            .filter(|v| !fresh.contains(v))
-                            .collect();
-                        let probe = find_retraction_eliminating_frozen_budgeted(
-                            &instance, z, frozen, &budget,
-                        );
-                        ms.absorb(probe.outcome);
-                        if let Some(r) = probe.retraction {
-                            instance.apply_in_place(&r);
-                            sigma = sigma.then(&r);
-                        }
-                    }
+                    let (sigma, ms) =
+                        fold_variables(&mut instance, fresh.iter().copied(), Some(&fresh), &budget);
                     stats.core_steps += 1;
                     stats.match_nodes += ms.nodes;
                     stats.fold_candidates += ms.candidates;

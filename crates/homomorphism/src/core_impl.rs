@@ -7,12 +7,10 @@
 //! retraction of `A` avoids `x` (see the crate docs for why restricting the
 //! search to retractions is complete).
 
-use std::ops::ControlFlow;
-
 use chase_atoms::{AtomSet, Substitution, Term, VarId};
 
-use crate::budget::{MatchStats, SearchBudget, SearchOutcome};
-use crate::matcher::{for_each_homomorphism_budgeted, MatchConfig};
+use crate::budget::{MatchStats, SearchBudget};
+use crate::incremental::FoldSearch;
 
 /// The result of [`core_of`]: the core together with the retraction that
 /// witnesses it.
@@ -25,86 +23,56 @@ pub struct CoreResult {
     pub retraction: Substitution,
 }
 
-/// The result of one budgeted fold probe: a witnessing retraction if one
-/// was found, plus the search outcome. A probe with `retraction == None`
-/// and `outcome.truncated == true` is **inconclusive** — the variable may
-/// or may not be eliminable.
-#[derive(Clone, Debug)]
-pub struct FoldProbe {
-    /// A retraction of the probed atomset avoiding the probed variable.
-    pub retraction: Option<Substitution>,
-    /// Work done and whether the budget cut the search short.
-    pub outcome: SearchOutcome,
-}
-
 /// Searches for a retraction of `a` whose image avoids the variable `x`.
 ///
 /// Returns `None` iff *no endomorphism* of `a` avoids `x` (not merely no
 /// retraction — see the completeness argument in the crate docs).
 pub fn find_retraction_eliminating(a: &AtomSet, x: VarId) -> Option<Substitution> {
-    find_retraction_eliminating_budgeted(a, x, &SearchBudget::default()).retraction
+    FoldSearch::new(a, &SearchBudget::default(), None)
+        .probe(x)
+        .retraction
 }
 
-/// [`find_retraction_eliminating`] under a [`SearchBudget`]: the deadline
-/// and cancel flags are polled inside the backtracking loop, so a single
-/// expensive probe stops within a poll interval of the budget.
-pub fn find_retraction_eliminating_budgeted(
-    a: &AtomSet,
-    x: VarId,
-    budget: &SearchBudget,
-) -> FoldProbe {
-    find_retraction_eliminating_frozen_budgeted(a, x, [], budget)
-}
-
-/// Like [`find_retraction_eliminating`], but every variable in `frozen`
-/// is pinned to itself — only the remaining variables may move.
+/// Folds away, in order, each of `candidates` that some retraction of
+/// `instance` moving only variables of `movable` (`None`: any variable)
+/// eliminates, retracting `instance` in place. Returns the composed
+/// retraction and the probes' counters.
 ///
-/// This is the simplification step of the *frugal* chase (Konstantinidis
-/// & Ambite, PVLDB 2014; the paper's \[15\]): after a rule application only
-/// the freshly minted nulls are candidates for folding, so the engine
-/// never pays for a full core computation.
-pub fn find_retraction_eliminating_frozen(
-    a: &AtomSet,
-    x: VarId,
-    frozen: impl IntoIterator<Item = VarId>,
-) -> Option<Substitution> {
-    find_retraction_eliminating_frozen_budgeted(a, x, frozen, &SearchBudget::default()).retraction
-}
-
-/// [`find_retraction_eliminating_frozen`] under a [`SearchBudget`].
-pub fn find_retraction_eliminating_frozen_budgeted(
-    a: &AtomSet,
-    x: VarId,
-    frozen: impl IntoIterator<Item = VarId>,
+/// One pass suffices: eliminability only shrinks under retraction (see
+/// the `incremental` module docs), so a candidate whose probe failed
+/// conclusively never folds later. The budget is polled between probes
+/// and inside each; when it trips, the pass stops with `truncated` set
+/// and the retract reached so far.
+///
+/// With `candidates` and `movable` the nulls minted by one rule
+/// application, this is the simplification step of the *frugal* chase
+/// (Konstantinidis & Ambite, PVLDB 2014; the paper's \[15\]): every
+/// older variable stays fixed, so the engine never pays for a full core
+/// computation.
+pub fn fold_variables(
+    instance: &mut AtomSet,
+    candidates: impl IntoIterator<Item = VarId>,
+    movable: Option<&[VarId]>,
     budget: &SearchBudget,
-) -> FoldProbe {
-    if !a.mentions(Term::Var(x)) {
-        return FoldProbe {
-            retraction: None,
-            outcome: SearchOutcome::default(),
-        };
+) -> (Substitution, MatchStats) {
+    let mut total = Substitution::new();
+    let mut stats = MatchStats::default();
+    for x in candidates {
+        if stats.truncated || budget.interrupted() {
+            stats.truncated = true;
+            break;
+        }
+        if !instance.mentions(Term::Var(x)) {
+            continue; // already folded away by an earlier retraction
+        }
+        let probe = FoldSearch::new(instance, budget, movable).probe(x);
+        stats.absorb(probe.outcome);
+        if let Some(r) = probe.retraction {
+            instance.apply_in_place(&r);
+            total = total.then(&r);
+        }
     }
-    let seed = Substitution::from_pairs(
-        frozen
-            .into_iter()
-            .filter(|&v| v != x)
-            .map(|v| (v, Term::Var(v))),
-    );
-    let cfg = MatchConfig {
-        retraction: true,
-        forbidden_images: [Term::Var(x)].into_iter().collect(),
-        must_move: [x].into_iter().collect(),
-        ..MatchConfig::default()
-    };
-    let mut found = None;
-    let outcome = for_each_homomorphism_budgeted(a, a, &seed, &cfg, budget, |sub| {
-        found = Some(sub.normalized());
-        ControlFlow::Break(())
-    });
-    FoldProbe {
-        retraction: found,
-        outcome,
-    }
+    (total, stats)
 }
 
 /// Finds a proper (non-identity) retraction of `a`, if one exists.
@@ -112,12 +80,11 @@ pub fn find_retraction_eliminating_frozen_budgeted(
 /// Any proper retraction moves at least one variable out of the image, so
 /// it suffices to try to eliminate each variable in turn.
 pub fn find_proper_retraction(a: &AtomSet) -> Option<Substitution> {
-    for x in a.vars() {
-        if let Some(r) = find_retraction_eliminating(a, x) {
-            return Some(r);
-        }
-    }
-    None
+    let budget = SearchBudget::default();
+    let mut search = FoldSearch::new(a, &budget, None);
+    a.vars()
+        .into_iter()
+        .find_map(|x| search.probe(x).retraction)
 }
 
 /// Is `a` a core (its only retraction is the identity)?
@@ -127,10 +94,10 @@ pub fn is_core(a: &AtomSet) -> bool {
 
 /// Computes the core of `a` and a witnessing retraction.
 ///
-/// Strategy: repeatedly fold single variables until none can be
-/// eliminated. Each successful fold applies a retraction and composes it
-/// into the running total; because retractions compose (and the image only
-/// shrinks), the total is itself a retraction of the original input.
+/// Strategy: one [`fold_variables`] pass over the variables of `a`. Each
+/// successful fold applies a retraction and composes it into the running
+/// total; because retractions compose (and the image only shrinks), the
+/// total is itself a retraction of the original input.
 pub fn core_of(a: &AtomSet) -> CoreResult {
     let (res, _) = core_of_budgeted(a, &SearchBudget::default());
     res
@@ -141,42 +108,15 @@ pub fn core_of(a: &AtomSet) -> CoreResult {
 /// computation stops early and returns the (sound but possibly non-core)
 /// retract reached so far, with `truncated` set in the stats.
 pub fn core_of_budgeted(a: &AtomSet, budget: &SearchBudget) -> (CoreResult, MatchStats) {
-    let mut current = a.clone();
-    let mut total = Substitution::new();
-    let mut agg = MatchStats::default();
-    'fold: loop {
-        let mut progress = false;
-        // Snapshot the variable set; folds may remove several at once.
-        let vars: Vec<VarId> = current.vars().into_iter().collect();
-        for x in vars {
-            if agg.truncated || budget.interrupted() {
-                agg.truncated = true;
-                break 'fold;
-            }
-            if !current.mentions(Term::Var(x)) {
-                continue; // already folded away by an earlier retraction
-            }
-            let probe = find_retraction_eliminating_budgeted(&current, x, budget);
-            agg.absorb(probe.outcome);
-            if let Some(r) = probe.retraction {
-                current.apply_in_place(&r);
-                total = total.then(&r);
-                progress = true;
-            }
-        }
-        if !progress {
-            break;
-        }
-    }
-    debug_assert!(total.is_retraction_of(a));
-    debug_assert_eq!(total.apply_set(a), current);
-    (
-        CoreResult {
-            core: current,
-            retraction: total,
-        },
-        agg,
-    )
+    let mut core = a.clone();
+    let (retraction, stats) = fold_variables(&mut core, a.vars(), None, budget);
+    debug_assert!(retraction.is_retraction_of(a));
+    debug_assert_eq!(retraction.apply_set(a), core);
+    debug_assert!(
+        stats.truncated || is_core(&core),
+        "one pass reaches the core"
+    );
+    (CoreResult { core, retraction }, stats)
 }
 
 #[cfg(test)]
@@ -322,35 +262,54 @@ mod tests {
         assert_eq!(res.retraction.get(vid(0)), Some(c(0)));
     }
 
-    #[test]
-    fn frozen_retraction_only_moves_unfrozen_vars() {
-        // {r(0,1), r(0,2)}: 1 and 2 are interchangeable. Freezing 1 and 0
-        // still lets 2 fold onto 1; freezing 2 and 0 lets 1 fold onto 2.
-        let a = set(&[atom(0, &[v(0), v(1)]), atom(0, &[v(0), v(2)])]);
-        let fold2 = find_retraction_eliminating_frozen(&a, vid(2), [vid(0), vid(1)])
-            .expect("2 folds onto 1");
-        assert_eq!(fold2.get(vid(2)), Some(v(1)));
-        assert!(fold2.is_retraction_of(&a));
-
-        // Freezing everything except 0 blocks folding 1.
-        assert!(
-            find_retraction_eliminating_frozen(&a, vid(1), [vid(0)]).is_some(),
-            "1 can fold onto 2 when 2 is free"
+    /// The frugal shape: fold `x` moving only `movable`.
+    fn fold_within(a: &AtomSet, x: u32, movable: &[u32]) -> Substitution {
+        let movable: Vec<VarId> = movable.iter().copied().map(vid).collect();
+        let mut inst = a.clone();
+        let (r, stats) = fold_variables(
+            &mut inst,
+            [vid(x)],
+            Some(&movable),
+            &SearchBudget::default(),
         );
-        // But 1 cannot fold if its only fold target is itself... freeze 2:
-        // 1 must map to 2 — allowed, since only frozen vars are pinned.
-        let fold1 = find_retraction_eliminating_frozen(&a, vid(1), [vid(0), vid(2)])
-            .expect("1 folds onto the frozen-but-stationary 2");
-        assert_eq!(fold1.get(vid(1)), Some(v(2)));
+        assert!(!stats.truncated);
+        r
     }
 
     #[test]
-    fn frozen_retraction_respects_impossible_cases() {
-        // Path r(0,1), r(1,2): a core; nothing folds, frozen or not.
+    fn restricted_retraction_only_moves_movable_vars() {
+        // {r(0,1), r(0,2)}: 1 and 2 are interchangeable. With 0 and 1
+        // fixed, 2 still folds onto 1; with 0 and 2 fixed, 1 folds onto 2.
+        let a = set(&[atom(0, &[v(0), v(1)]), atom(0, &[v(0), v(2)])]);
+        let fold2 = fold_within(&a, 2, &[2]);
+        assert_eq!(fold2.get(vid(2)), Some(v(1)));
+        assert!(fold2.is_retraction_of(&a));
+        let fold1 = fold_within(&a, 1, &[1]);
+        assert_eq!(fold1.get(vid(1)), Some(v(2)));
+        // A variable outside the movable set never moves.
+        assert!(fold_within(&a, 1, &[2]).is_empty());
+        // {r(0,1), s(1), r(2,3), s(3), t(3)}: 1 folds onto 3 only if 0
+        // moves to 2 along with it.
+        let a = set(&[
+            atom(0, &[v(0), v(1)]),
+            atom(1, &[v(1)]),
+            atom(0, &[v(2), v(3)]),
+            atom(1, &[v(3)]),
+            atom(2, &[v(3)]),
+        ]);
+        assert_eq!(fold_within(&a, 1, &[0, 1]).get(vid(0)), Some(v(2)));
+        assert!(fold_within(&a, 1, &[1]).is_empty());
+    }
+
+    #[test]
+    fn restricted_retraction_respects_impossible_cases() {
+        // Path r(0,1), r(1,2): a core; nothing folds, restricted or not.
         let a = set(&[atom(0, &[v(0), v(1)]), atom(0, &[v(1), v(2)])]);
         for x in [0u32, 1, 2] {
-            assert!(find_retraction_eliminating_frozen(&a, vid(x), []).is_none());
+            assert!(fold_within(&a, x, &[0, 1, 2]).is_empty());
         }
+        // {r(0,0)}: 0 can only map to itself.
+        assert!(find_retraction_eliminating(&set(&[atom(0, &[v(0), v(0)])]), vid(0)).is_none());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # chase-homomorphism
 //!
 //! Homomorphism machinery for atomsets: the backtracking matcher, trigger
-//! satisfaction, endomorphism/retraction search, core computation and
-//! isomorphism testing.
+//! satisfaction, retraction search, core computation and isomorphism
+//! testing.
 //!
 //! This crate implements the homomorphism-theoretic toolbox of Section 2 of
 //! *Bounded Treewidth and the Infinite Core Chase* (PODS 2023):
@@ -12,7 +12,8 @@
 //!   [`for_each_homomorphism`];
 //! * a **retraction** of `A` is an endomorphism that is the identity on the
 //!   terms of its image — searched directly by
-//!   [`find_retraction_eliminating`] using fixpoint propagation;
+//!   [`find_retraction_eliminating`] and [`fold_variables`], which share
+//!   one fold search over the moved closure of the eliminated variable;
 //! * the **core** of a finite atomset is its unique (up to isomorphism)
 //!   retract that is a core — computed by [`core_of`];
 //! * **isomorphism** is a bijective homomorphism with homomorphic inverse —
@@ -29,6 +30,8 @@
 //! condition *during* backtracking (binding `v ↦ u` forces `u ↦ u`), which
 //! both prunes the search and returns a ready-to-use simplification for the
 //! core chase (Definition 1 requires simplifications to be retractions).
+//! The same holds when some variables must stay fixed: every power of an
+//! `h` that fixes them fixes them too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,9 +44,8 @@ mod matcher;
 
 pub use budget::{MatchStats, SearchBudget, SearchOutcome};
 pub use core_impl::{
-    core_of, core_of_budgeted, find_proper_retraction, find_retraction_eliminating,
-    find_retraction_eliminating_budgeted, find_retraction_eliminating_frozen,
-    find_retraction_eliminating_frozen_budgeted, is_core, CoreResult, FoldProbe,
+    core_of, core_of_budgeted, find_proper_retraction, find_retraction_eliminating, fold_variables,
+    is_core, CoreResult,
 };
 pub use incremental::{incremental_core, IncrementalCoreResult};
 pub use iso::{hom_equivalent, isomorphism};

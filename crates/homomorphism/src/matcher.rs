@@ -2,8 +2,9 @@
 //!
 //! The matcher finds substitutions `π` with `π(pattern) ⊆ target`,
 //! optionally extending a seed assignment and optionally subject to the
-//! constraints in [`MatchConfig`] (injectivity, retraction fixpoints,
-//! forbidden images, must-move variables, constant-only variables).
+//! constraints in [`MatchConfig`] (injectivity, constant-only variables,
+//! a node limit). Retractions are not searched here: the fold search in
+//! `incremental.rs` is the crate's only retraction search.
 //!
 //! Search strategy: pattern atoms whose arguments are all determined by
 //! the seed are resolved by one lookup each up front; then at each step
@@ -32,14 +33,6 @@ pub struct MatchConfig {
     /// Require variables to map to *variables*, injectively. Used for
     /// isomorphism search.
     pub injective_vars: bool,
-    /// Retraction mode: pattern and target are the same atomset and every
-    /// term in the image must be a fixpoint (binding `v ↦ u` forces
-    /// `u ↦ u`).
-    pub retraction: bool,
-    /// Terms that must not occur as the image of any variable.
-    pub forbidden_images: BTreeSet<Term>,
-    /// Variables that must not be mapped to themselves.
-    pub must_move: BTreeSet<VarId>,
     /// Variables whose image must be a constant. Answer queries set it
     /// to their answer variables: a branch binding one to a null could
     /// only yield a tuple the caller discards.
@@ -101,19 +94,12 @@ impl<'a> Search<'a> {
     }
 
     /// Attempts to bind `v ↦ t` under the active constraints, recording
-    /// every new binding in `trail`. On failure the caller must undo the
-    /// trail (bindings already pushed stay recorded there).
+    /// a new binding in `trail`.
     fn try_bind(&mut self, v: VarId, t: Term, trail: &mut Vec<VarId>) -> bool {
         if let Some(&existing) = self.bind.get(&v) {
             return existing == t;
         }
-        if self.cfg.forbidden_images.contains(&t) {
-            return false;
-        }
         if t.is_var() && self.cfg.const_only.contains(&v) {
-            return false;
-        }
-        if t == Term::Var(v) && self.cfg.must_move.contains(&v) {
             return false;
         }
         // Injectivity covers identity bindings too: `u ↦ u` after
@@ -126,14 +112,6 @@ impl<'a> Search<'a> {
             self.used_images.insert(t);
         }
         trail.push(v);
-        if self.cfg.retraction {
-            // Image terms must be fixpoints: binding v ↦ u forces u ↦ u.
-            if let Term::Var(u) = t {
-                if u != v && !self.try_bind(u, Term::Var(u), trail) {
-                    return false;
-                }
-            }
-        }
         true
     }
 
@@ -160,10 +138,9 @@ impl<'a> Search<'a> {
     /// determined (constants, or variables bound by the seed) either has
     /// its image already in the target — matched without entering the
     /// backtracking search — or refutes the whole search conclusively.
-    /// The constraint flags (`injective_vars`, `retraction`,
-    /// `forbidden_images`, `must_move`) restrict only *new* variable
-    /// bindings, which determined atoms never create, so the shortcut is
-    /// mode-independent. Resolved atoms are hash probes, not
+    /// The constraints (`injective_vars`, `const_only`) restrict only
+    /// *new* variable bindings, which determined atoms never create, so
+    /// the shortcut is mode-independent. Resolved atoms are hash probes, not
     /// backtracking nodes, so they do not count against `nodes` budgets.
     fn resolve_determined(&mut self) -> bool {
         for i in 0..self.pattern.len() {
@@ -370,7 +347,7 @@ struct Frame<'a> {
 ///
 /// Return [`ControlFlow::Break`] from the callback to stop early. Each
 /// reported substitution binds exactly the variables of `pattern` plus the
-/// seed domain (plus fixpoint propagations in retraction mode).
+/// seed domain.
 ///
 /// The returned [`SearchOutcome`] says whether the search was cut short by
 /// [`MatchConfig::node_limit`]: a truncated enumeration that reported no
@@ -394,10 +371,9 @@ pub fn for_each_homomorphism(
 }
 
 /// [`for_each_homomorphism`] with an explicit [`SearchBudget`] layered on
-/// top of `cfg.node_limit` (whichever bound trips first wins). This is the
-/// engine's entry point for cooperatively cancellable retraction searches:
-/// the budget's deadline and cancel flags are polled *inside* the
-/// backtracking loop.
+/// top of `cfg.node_limit` (whichever bound trips first wins): the
+/// budget's deadline and cancel flags are polled *inside* the
+/// backtracking loop, so a cancel reaches a long answer search.
 pub fn for_each_homomorphism_budgeted(
     pattern: &AtomSet,
     target: &AtomSet,
@@ -620,50 +596,6 @@ mod tests {
             panic!("non-injective match {s:?}")
         });
         assert!(!out.truncated);
-    }
-
-    #[test]
-    fn retraction_mode_enforces_fixpoints() {
-        // a: {r(0,1), r(1,1)}. Retractions eliminating 0 exist (0↦1);
-        // the search must NOT return the non-retraction 0↦1, 1↦0.
-        let a = set(&[atom(0, &[v(0), v(1)]), atom(0, &[v(1), v(1)])]);
-        let cfg = MatchConfig {
-            retraction: true,
-            forbidden_images: [v(0)].into_iter().collect(),
-            must_move: [VarId::from_raw(0)].into_iter().collect(),
-            ..MatchConfig::default()
-        };
-        let mut results = Vec::new();
-        for_each_homomorphism(&a, &a, &Substitution::new(), &cfg, |s| {
-            results.push(s);
-            ControlFlow::Continue(())
-        });
-        assert!(!results.is_empty());
-        for r in &results {
-            assert!(
-                r.is_retraction_of(&a),
-                "search returned non-retraction {r:?}"
-            );
-            assert_ne!(r.apply_term(v(0)), v(0));
-        }
-    }
-
-    #[test]
-    fn must_move_blocks_identity() {
-        // a: {r(0,0)}; any endomorphism must map 0 to 0, so must_move {0}
-        // yields nothing.
-        let a = set(&[atom(0, &[v(0), v(0)])]);
-        let cfg = MatchConfig {
-            retraction: true,
-            must_move: [VarId::from_raw(0)].into_iter().collect(),
-            ..MatchConfig::default()
-        };
-        let mut found = false;
-        for_each_homomorphism(&a, &a, &Substitution::new(), &cfg, |_| {
-            found = true;
-            ControlFlow::Break(())
-        });
-        assert!(!found);
     }
 
     #[test]

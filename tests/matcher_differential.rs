@@ -3,8 +3,12 @@
 //! * a differential property test — the matcher and an independent
 //!   brute-force enumerator (every map from the pattern's variables to
 //!   the target's terms, filtered) agree on the homomorphism set over
-//!   hundreds of random pattern/target pairs, across retraction mode,
-//!   injective mode, constant-only variables and budget truncation;
+//!   hundreds of random pattern/target pairs, across injective mode,
+//!   constant-only variables and budget truncation;
+//! * a fold-probe differential — the crate's retraction search agrees
+//!   with the same enumerator, restricted to retractions, on every
+//!   variable of a thousand random atomsets, half of them with only a
+//!   random subset of the variables allowed to move;
 //! * chase determinism — the same KB chased twice produces
 //!   byte-identical derivation logs (the matcher's candidate order and
 //!   atom selection are fully deterministic);
@@ -18,7 +22,10 @@ use std::ops::ControlFlow;
 use treechase::atoms::{Atom, AtomSet, ConstId, PredId, Substitution, Term, VarId};
 use treechase::engine::prng::SplitMix64;
 use treechase::engine::{ChaseConfig, ChaseVariant};
-use treechase::homomorphism::{for_each_homomorphism, isomorphism, MatchConfig};
+use treechase::homomorphism::{
+    find_retraction_eliminating, fold_variables, for_each_homomorphism, isomorphism, MatchConfig,
+    SearchBudget,
+};
 use treechase::prelude::*;
 
 fn random_term(rng: &mut SplitMix64, vars: u32, consts: u32) -> Term {
@@ -39,9 +46,17 @@ fn random_atom(rng: &mut SplitMix64, preds: u32, vars: u32, consts: u32) -> Atom
     )
 }
 
-fn random_atomset(rng: &mut SplitMix64, max_atoms: usize, vars: u32, consts: u32) -> AtomSet {
+fn random_atomset(
+    rng: &mut SplitMix64,
+    preds: u32,
+    max_atoms: usize,
+    vars: u32,
+    consts: u32,
+) -> AtomSet {
     let n = 1 + rng.gen_range(max_atoms.max(2) - 1);
-    (0..n).map(|_| random_atom(rng, 3, vars, consts)).collect()
+    (0..n)
+        .map(|_| random_atom(rng, preds, vars, consts))
+        .collect()
 }
 
 type Homs = Vec<Vec<(VarId, Term)>>;
@@ -61,21 +76,16 @@ fn enumerate(pattern: &AtomSet, target: &AtomSet, cfg: &MatchConfig) -> (Homs, b
 /// Does `sub` meet every constraint of `cfg` (the node limit aside)?
 fn meets_constraints(sub: &Substitution, cfg: &MatchConfig) -> bool {
     let violates = |(v, t): (VarId, Term)| {
-        cfg.forbidden_images.contains(&t)
-            || (cfg.must_move.contains(&v) && t == Term::Var(v))
-            || (cfg.const_only.contains(&v) && t.is_var())
-            || (cfg.injective_vars && !t.is_var())
-            || (cfg.retraction && t.as_var().is_some_and(|u| sub.get(u) != Some(t)))
+        (cfg.const_only.contains(&v) && t.is_var()) || (cfg.injective_vars && !t.is_var())
     };
     let images: BTreeSet<Term> = sub.iter().map(|(_, t)| t).collect();
     !sub.iter().any(violates) && (!cfg.injective_vars || images.len() == sub.len())
 }
 
-/// The reference enumeration, sharing no code with the matcher: tries
-/// every map from the pattern's variables to the target's terms and
-/// keeps those with `π(pattern) ⊆ target` that meet every constraint of
-/// `cfg`. In retraction mode an image variable outside the pattern is
-/// bound to itself, the fixpoint the matcher's retraction rule forces.
+/// The reference enumeration, sharing no code with the matcher or the
+/// fold search: tries every map from the pattern's variables to the
+/// target's terms and keeps those with `π(pattern) ⊆ target` that meet
+/// every constraint of `cfg`.
 fn brute_force(pattern: &AtomSet, target: &AtomSet, cfg: &MatchConfig) -> Homs {
     let vars: Vec<VarId> = pattern.vars().into_iter().collect();
     let terms: Vec<Term> = target.terms().into_iter().collect();
@@ -85,16 +95,7 @@ fn brute_force(pattern: &AtomSet, target: &AtomSet, cfg: &MatchConfig) -> Homs {
         return found;
     }
     loop {
-        let mut sub =
-            Substitution::from_pairs(vars.iter().zip(&choice).map(|(&v, &i)| (v, terms[i])));
-        if cfg.retraction {
-            let fixed: Vec<VarId> = sub.iter().filter_map(|(_, t)| t.as_var()).collect();
-            for u in fixed {
-                if sub.get(u).is_none() {
-                    sub.bind(u, Term::Var(u));
-                }
-            }
-        }
+        let sub = Substitution::from_pairs(vars.iter().zip(&choice).map(|(&v, &i)| (v, terms[i])));
         if sub.is_homomorphism(pattern, target) && meets_constraints(&sub, cfg) {
             found.push(sub.iter().collect());
         }
@@ -111,13 +112,13 @@ fn brute_force(pattern: &AtomSet, target: &AtomSet, cfg: &MatchConfig) -> Homs {
 
 /// The matcher enumerates exactly the brute-force homomorphism set.
 /// Exercised over 200 random pattern/target pairs in plain mode and 100
-/// each in injective and retraction modes.
+/// in injective mode.
 #[test]
 fn matcher_equals_brute_force_on_random_pairs() {
     let mut rng = SplitMix64::new(0x9E37);
     for case in 0..200 {
-        let pattern = random_atomset(&mut rng, 4, 4, 3);
-        let target = random_atomset(&mut rng, 10, 3, 3);
+        let pattern = random_atomset(&mut rng, 3, 4, 4, 3);
+        let target = random_atomset(&mut rng, 3, 10, 3, 3);
         let cfg = MatchConfig::default();
         let (got, truncated) = enumerate(&pattern, &target, &cfg);
         assert!(!truncated, "unbudgeted searches never truncate");
@@ -134,8 +135,8 @@ fn matcher_equals_brute_force_injective_mode() {
     let mut rng = SplitMix64::new(0xA5A5);
     for case in 0..100 {
         // Variable-only targets so injective variable→variable maps exist.
-        let pattern = random_atomset(&mut rng, 4, 4, 0);
-        let target = random_atomset(&mut rng, 8, 4, 0);
+        let pattern = random_atomset(&mut rng, 3, 4, 4, 0);
+        let target = random_atomset(&mut rng, 3, 8, 4, 0);
         let cfg = MatchConfig {
             injective_vars: true,
             ..MatchConfig::default()
@@ -149,30 +150,80 @@ fn matcher_equals_brute_force_injective_mode() {
     }
 }
 
+/// Is the endomorphism `r` of `a` a retraction (every image variable a
+/// fixpoint; unbound variables are fixed) whose image avoids `x` and
+/// that moves only variables of `movable` (`None`: any)?
+fn is_fold(r: &Substitution, a: &AtomSet, x: VarId, movable: Option<&[VarId]>) -> bool {
+    let image = |v: VarId| r.get(v).unwrap_or(Term::Var(v));
+    a.vars().into_iter().all(|v| {
+        let t = image(v);
+        t != Term::Var(x)
+            && t.as_var().is_none_or(|u| image(u) == t)
+            && (t == Term::Var(v) || movable.is_none_or(|m| m.contains(&v)))
+    }) && r.is_homomorphism(a, a)
+}
+
+/// The fold probe behind `core_of`, `is_core`, the frugal chase and the
+/// incremental maintainer, against the brute-force enumerator. The
+/// inputs are 1 000 random one-predicate atomsets (one predicate makes
+/// atoms overlap, so folds and chains of bindings are common), every
+/// other one with a random subset of its variables allowed to move. On
+/// every variable `x`, a found retraction must be a fold of `x` (image
+/// avoids `x`, only movable variables move), and an untruncated miss
+/// means that no map of the variables to the terms is one.
 #[test]
-fn matcher_equals_brute_force_retraction_mode() {
+fn fold_probe_equals_brute_force_retraction_search() {
     let mut rng = SplitMix64::new(0x5EED);
-    for case in 0..100 {
-        // Retraction mode maps an atomset into itself under fixpoint
-        // constraints — the core-computation workload. Every other case
-        // also asks, like a core fold, for a retraction eliminating the
-        // smallest variable.
-        let a = random_atomset(&mut rng, 8, 4, 2);
-        let mut cfg = MatchConfig {
-            retraction: true,
-            ..MatchConfig::default()
-        };
-        if let Some(x) = a.vars().first().filter(|_| case % 2 == 1) {
-            cfg.must_move.insert(*x);
-            cfg.forbidden_images.insert(Term::Var(*x));
+    let budget = SearchBudget::default();
+    let (mut folds, mut misses) = (0usize, 0usize);
+    for case in 0..1000 {
+        let a = random_atomset(&mut rng, 1, 8, 4, 2);
+        let vars: Vec<VarId> = a.vars().into_iter().collect();
+        let movable: Option<Vec<VarId>> =
+            (case % 2 == 1).then(|| vars.iter().copied().filter(|_| rng.gen_bool()).collect());
+        let movable = movable.as_deref();
+        // Every endomorphism, as a map of all of a's variables.
+        let endos = brute_force(&a, &a, &MatchConfig::default());
+        for &x in &vars {
+            let (found, truncated) = match movable {
+                None => (find_retraction_eliminating(&a, x), false),
+                Some(m) => {
+                    let (r, stats) = fold_variables(&mut a.clone(), [x], Some(m), &budget);
+                    ((!r.is_empty()).then_some(r), stats.truncated)
+                }
+            };
+            match found {
+                Some(r) => {
+                    assert!(
+                        is_fold(&r, &a, x, movable),
+                        "case {case}, {x:?}: {r:?} is no fold within {movable:?} of {a:?}"
+                    );
+                    folds += 1;
+                }
+                None if !truncated => {
+                    let witness = endos.iter().find(|pairs| {
+                        is_fold(
+                            &Substitution::from_pairs(pairs.iter().copied()),
+                            &a,
+                            x,
+                            movable,
+                        )
+                    });
+                    assert!(
+                        witness.is_none(),
+                        "case {case}, {x:?}: probe missed {witness:?} within {movable:?} of {a:?}"
+                    );
+                    misses += 1;
+                }
+                None => panic!("case {case}: an unbudgeted probe truncated"),
+            }
         }
-        let (got, _) = enumerate(&a, &a, &cfg);
-        assert_eq!(
-            got,
-            brute_force(&a, &a, &cfg),
-            "retraction case {case} differs\n{a:?}"
-        );
     }
+    // Both verdicts must actually be exercised.
+    assert!(
+        folds >= 200 && misses >= 200,
+        "{folds} folds, {misses} misses"
+    );
 }
 
 /// `const_only` prunes branches that bind an answer variable to a null.
@@ -183,8 +234,8 @@ fn matcher_equals_brute_force_retraction_mode() {
 fn const_only_equals_filtered_enumeration() {
     let mut rng = SplitMix64::new(0xC0_57);
     for case in 0..200 {
-        let pattern = random_atomset(&mut rng, 4, 4, 3);
-        let target = random_atomset(&mut rng, 10, 3, 3);
+        let pattern = random_atomset(&mut rng, 3, 4, 4, 3);
+        let target = random_atomset(&mut rng, 3, 10, 3, 3);
         let answer: BTreeSet<VarId> = (0..4)
             .filter(|_| rng.gen_bool())
             .map(VarId::from_raw)
@@ -221,8 +272,8 @@ fn const_only_equals_filtered_enumeration() {
 fn budget_truncation_stays_sound() {
     let mut rng = SplitMix64::new(0xB0D9);
     for case in 0..100 {
-        let pattern = random_atomset(&mut rng, 4, 4, 2);
-        let target = random_atomset(&mut rng, 10, 3, 3);
+        let pattern = random_atomset(&mut rng, 3, 4, 4, 2);
+        let target = random_atomset(&mut rng, 3, 10, 3, 3);
         let limit = 1 + rng.gen_range(12);
         let cfg = MatchConfig {
             node_limit: Some(limit),

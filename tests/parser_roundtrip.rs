@@ -1,14 +1,17 @@
 //! Randomized parser round-trips: random programs survive
 //! print → parse with structure intact (up to variable renaming, which
-//! we verify through isomorphism of the lowered atomsets).
+//! we verify through isomorphism of the lowered atomsets). A mutation
+//! fuzzer checks that malformed programs and queries are rejected with
+//! an error, never a panic.
 //!
 //! Programs are generated at the *source* level with the engine's
 //! deterministic [`SplitMix64`] generator, so the property covers
 //! lexer + parser + lowering + printer together on reproducible inputs.
 
+use treechase::atoms::Vocabulary;
 use treechase::engine::prng::SplitMix64;
 use treechase::homomorphism::isomorphism;
-use treechase::parser::{parse_program, program_to_text};
+use treechase::parser::{parse_program, parse_query_with, program_to_text};
 
 const PREDS: [&str; 3] = ["r", "s", "t"];
 const CONS: [&str; 3] = ["a", "b", "c"];
@@ -84,5 +87,73 @@ fn printing_stabilizes() {
         let t1 = program_to_text(&p1);
         let t2 = program_to_text(&parse_program(&t1).expect("reparses"));
         assert_eq!(t1, t2);
+    }
+}
+
+/// Answer queries in every accepted shape, next to the `testdata`
+/// programs in the mutation corpus.
+const SAMPLE_QUERIES: [&str; 5] = [
+    "?(X) :- r(c0, X)",
+    "?(X, Y) :- e(X, Y), n(Y) ; e(Y, X)",
+    "?- brace(X, Y)",
+    "step(t0, X), riser(X, Y)",
+    "?(X) :- p(X, _N3)",
+];
+
+/// Characters that steer the lexer and parser into their edge cases:
+/// delimiters, arrows, comments, the reserved null spelling, non-ASCII
+/// and control characters.
+const SPLICES: [&str; 20] = [
+    "(", ")", ",", ".", ";", ":", "-", ">", "->", "?", "?(", ":-", "%", "_N", "_", "0", "\n",
+    "\u{0}", "é", "→",
+];
+
+fn mutate(rng: &mut SplitMix64, text: &mut Vec<char>) {
+    for _ in 0..1 + rng.gen_range(3) {
+        let at = rng.gen_range(text.len() + 1);
+        match rng.gen_range(4) {
+            0 if at < text.len() => {
+                text.remove(at);
+            }
+            1 => text.truncate(at),
+            2 if at < text.len() => {
+                // Duplicate a short run, e.g. a parenthesis or an arrow.
+                let end = (at + 1 + rng.gen_range(4)).min(text.len());
+                let run: Vec<char> = text[at..end].to_vec();
+                text.splice(at..at, run);
+            }
+            _ => {
+                let splice = SPLICES[rng.gen_range(SPLICES.len())];
+                text.splice(at..at, splice.chars());
+            }
+        }
+    }
+}
+
+/// `parse_program` and `parse_query_with` on seeded character mutations
+/// of every `testdata/*.tc` program and of sample answer queries: each
+/// call returns `Ok` or `Err`, never panics.
+#[test]
+fn seeded_mutations_never_panic() {
+    let dir = format!("{}/testdata", env!("CARGO_MANIFEST_DIR"));
+    let mut corpus: Vec<String> = std::fs::read_dir(&dir)
+        .expect("testdata readable")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tc"))
+        .map(|p| std::fs::read_to_string(p).expect("program readable"))
+        .collect();
+    corpus.sort();
+    assert!(corpus.len() >= 5, "testdata programs missing");
+    corpus.extend(SAMPLE_QUERIES.iter().map(|q| q.to_string()));
+    let mut rng = SplitMix64::new(0xF022_7E57);
+    for _ in 0..20_000 {
+        let mut text: Vec<char> = corpus[rng.gen_range(corpus.len())].chars().collect();
+        mutate(&mut rng, &mut text);
+        let text: String = text.into_iter().collect();
+        std::panic::catch_unwind(|| {
+            let _ = parse_program(&text);
+            let _ = parse_query_with(&mut Vocabulary::new(), "q", &text);
+        })
+        .unwrap_or_else(|_| panic!("the parser panicked on {text:?}"));
     }
 }
