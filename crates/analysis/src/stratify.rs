@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use chase_engine::{ChaseConfig, ChaseVariant, CoreMaintenance, RuleId, RuleSet, SchedulerKind};
+use chase_engine::{ChaseConfig, ChaseVariant, RuleId, RuleSet, SchedulerKind};
 
 use crate::depgraph::DepGraph;
 use crate::guards::GuardKind;
@@ -152,17 +152,13 @@ impl ChasePlan {
     }
 
     /// Applies the plan to a chase configuration: sets the variant, the
-    /// stratified rule schedule, the trigger-ordering strategy, core
-    /// maintenance mode, and (when a certificate bounds the run) caps
-    /// the application budget.
+    /// stratified rule schedule, the trigger-ordering strategy, and (when
+    /// a certificate bounds the run) caps the application budget.
     #[must_use]
     pub fn apply(&self, mut cfg: ChaseConfig) -> ChaseConfig {
         cfg.variant = self.recommended_variant();
         cfg.strata = Some(self.partition());
         cfg.scheduler = self.recommended_scheduler();
-        if cfg.variant == ChaseVariant::Core {
-            cfg.core_maintenance = CoreMaintenance::Incremental;
-        }
         if let Some(n) = self.max_apps {
             cfg.max_applications = cfg.max_applications.min(n);
         }

@@ -86,20 +86,6 @@ pub enum SchedulerKind {
     NullAverse,
 }
 
-/// How the core variant recomputes the core after an application.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum CoreMaintenance {
-    /// Re-run the full fold loop over every variable of the instance
-    /// (the pre-incremental behaviour; kept for A/B comparison).
-    FullRecompute,
-    /// Probe only the *dirty region* — fresh nulls plus variables of
-    /// atoms unifiable onto the atoms added since the last core step,
-    /// expanded transitively as folds land — with candidates probed in
-    /// parallel. Sound because the pre-application instance is a core.
-    #[default]
-    Incremental,
-}
-
 /// Chase configuration.
 #[derive(Clone, Debug)]
 pub struct ChaseConfig {
@@ -118,8 +104,6 @@ pub struct ChaseConfig {
     /// Core variant only: retract to the core every this many
     /// applications (≥ 1).
     pub core_interval: usize,
-    /// Core variant only: how the per-step core is recomputed.
-    pub core_maintenance: CoreMaintenance,
     /// Wall-clock time already consumed by earlier slices of the same
     /// derivation. Deducted from `max_wall` so a resumed job continues
     /// under the *remaining* budget instead of a fresh full one. Process
@@ -170,7 +154,6 @@ impl Default for ChaseConfig {
             max_atoms: 1_000_000,
             max_wall: None,
             core_interval: 1,
-            core_maintenance: CoreMaintenance::default(),
             consumed_wall: Duration::ZERO,
             fault: None,
             mem_soft: None,
@@ -219,12 +202,6 @@ impl ChaseConfig {
     pub fn with_core_interval(mut self, k: usize) -> Self {
         assert!(k >= 1);
         self.core_interval = k;
-        self
-    }
-
-    /// Sets the core maintenance strategy.
-    pub fn with_core_maintenance(mut self, m: CoreMaintenance) -> Self {
-        self.core_maintenance = m;
         self
     }
 
@@ -370,6 +347,18 @@ pub struct ChaseStats {
     /// Largest number of live positional-index postings the instance ever
     /// carried (a structural gauge of index memory).
     pub peak_index_postings: usize,
+}
+
+impl ChaseStats {
+    /// Counts one core or frugal phase: its matcher counters `ms` and the
+    /// wall-clock time it took.
+    pub fn tally_core_phase(&mut self, ms: MatchStats, elapsed: Duration) {
+        self.core_steps += 1;
+        self.match_nodes += ms.nodes;
+        self.fold_candidates += ms.candidates;
+        self.core_truncations += ms.truncated as usize;
+        self.core_time_us += elapsed.as_micros() as u64;
+    }
 }
 
 /// The result of a chase run.
@@ -529,11 +518,7 @@ pub fn run_chase_controlled(
         ChaseVariant::Core => {
             let phase = Instant::now();
             let (res, ms) = core_of_budgeted(facts, &budget);
-            stats.core_steps += 1;
-            stats.match_nodes += ms.nodes;
-            stats.fold_candidates += ms.candidates;
-            stats.core_truncations += ms.truncated as usize;
-            stats.core_time_us += phase.elapsed().as_micros() as u64;
+            stats.tally_core_phase(ms, phase.elapsed());
             res.retraction
         }
         _ => Substitution::new(),
@@ -575,12 +560,12 @@ pub fn run_chase_controlled(
     let mut skolem = SkolemTable::new();
     let mut since_core = 0usize;
     // Dirty region accumulated since the last core step: the head images
+    // of each application, which hold every null it minted
     // (over-approximating the truly-new atoms is harmless — it only
-    // widens the candidate seed) and fresh nulls of each application.
-    // Valid because between core steps the instance only grows and no
-    // renaming happens (sigma is the identity off core steps).
+    // widens the candidate seed). Valid because between core steps the
+    // instance only grows and no renaming happens (sigma is the identity
+    // off core steps).
     let mut added_since_core: Vec<chase_atoms::Atom> = Vec::new();
-    let mut fresh_since_core: Vec<chase_atoms::VarId> = Vec::new();
     let outcome = 'outer: loop {
         if cancelled() {
             break ChaseOutcome::Cancelled;
@@ -728,13 +713,10 @@ pub fn run_chase_controlled(
                     break 'outer ChaseOutcome::Stopped;
                 }
             }
-            if cfg.variant == ChaseVariant::Core
-                && cfg.core_maintenance == CoreMaintenance::Incremental
-            {
+            if cfg.variant == ChaseVariant::Core {
                 for head_atom in rules.get(tr.rule).head().iter() {
                     added_since_core.push(pi_safe.apply_atom(head_atom));
                 }
-                fresh_since_core.extend(fresh.iter().copied());
             }
             let produced_len = instance.len();
             if monotonic {
@@ -757,40 +739,21 @@ pub fn run_chase_controlled(
                         panic!("injected fault: crash in core phase #{n}");
                     }
                     let phase = Instant::now();
-                    let (sigma, core, ms) = match cfg.core_maintenance {
-                        CoreMaintenance::FullRecompute => {
-                            let (res, ms) = core_of_budgeted(&instance, &budget);
-                            (res.retraction, res.core, ms)
-                        }
-                        CoreMaintenance::Incremental => {
-                            let res = incremental_core(
-                                &instance,
-                                &added_since_core,
-                                &fresh_since_core,
-                                &budget,
-                                probe_threads,
-                            );
-                            (res.retraction, res.core, res.stats)
-                        }
-                    };
-                    instance = core;
+                    let (res, ms) =
+                        incremental_core(&instance, &added_since_core, &budget, probe_threads);
+                    instance = res.core;
                     // A truncated phase leaves a non-core retract, but the
                     // budget that cut it (deadline/cancel) is monotone, so
                     // the run stops at the next between-steps poll — the
                     // "pre-instance is a core" invariant is never consumed
                     // in a broken state.
                     added_since_core.clear();
-                    fresh_since_core.clear();
-                    stats.core_steps += 1;
-                    stats.match_nodes += ms.nodes;
-                    stats.fold_candidates += ms.candidates;
-                    stats.core_truncations += ms.truncated as usize;
-                    stats.core_time_us += phase.elapsed().as_micros() as u64;
-                    if !sigma.is_empty() {
+                    stats.tally_core_phase(ms, phase.elapsed());
+                    if !res.retraction.is_empty() {
                         stats.retractions += 1;
                     }
                     phase_stats = ms;
-                    sigma
+                    res.retraction
                 }
                 ChaseVariant::Frugal => {
                     // Fold only the freshly minted nulls of this
@@ -798,11 +761,7 @@ pub fn run_chase_controlled(
                     let phase = Instant::now();
                     let (sigma, ms) =
                         fold_variables(&mut instance, fresh.iter().copied(), Some(&fresh), &budget);
-                    stats.core_steps += 1;
-                    stats.match_nodes += ms.nodes;
-                    stats.fold_candidates += ms.candidates;
-                    stats.core_truncations += ms.truncated as usize;
-                    stats.core_time_us += phase.elapsed().as_micros() as u64;
+                    stats.tally_core_phase(ms, phase.elapsed());
                     if !sigma.is_empty() {
                         stats.retractions += 1;
                     }

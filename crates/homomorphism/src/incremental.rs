@@ -1,5 +1,8 @@
 //! Incremental core maintenance: re-coring an instance that was a core
 //! before a batch of atoms was added, without re-probing every variable.
+//! This is the core chase's only maintainer; its reference, in tests
+//! and in experiment E7, is the from-scratch [`crate::core_of`] after
+//! every step.
 //!
 //! The fold prober defined here, `FoldSearch`, is the crate's only
 //! retraction search: `core_of`, `is_core` and the frugal chase's
@@ -18,9 +21,10 @@
 //!    Either way that atom *matches onto* an atom of `A` pointwise, so at
 //!    least one eliminable variable occurs in an atom unifiable onto `A`.
 //!    Seeding the candidate set with the variables of all such atoms
-//!    (plus the fresh nulls) therefore finds a fold whenever one exists;
-//!    when a fold lands, the same argument applies to its changed image
-//!    atoms, which is the transitive expansion below.
+//!    (every atom of `A` unifies onto itself, so the seed holds `A`'s
+//!    fresh nulls too) therefore finds a fold whenever one exists; when a
+//!    fold lands, the same argument applies to its changed image atoms,
+//!    which is the transitive expansion below.
 //! 2. **Eliminability only shrinks.** If `x` survives a fold `r` (a
 //!    retraction of the current instance) and is eliminable afterwards
 //!    via `h`, then `h ∘ r` eliminates `x` before the fold too. So a
@@ -45,19 +49,7 @@ use std::sync::{Arc, Mutex};
 use chase_atoms::{Atom, AtomId, AtomSet, IdBits, Substitution, Term, VarId};
 
 use crate::budget::{MatchStats, SearchBudget, SearchOutcome};
-
-/// The result of one incremental maintenance phase.
-#[derive(Clone, Debug)]
-pub struct IncrementalCoreResult {
-    /// The retract reached — the core of the input unless `stats` says
-    /// the phase was truncated by its budget.
-    pub core: AtomSet,
-    /// A retraction of the input witnessing `core`.
-    pub retraction: Substitution,
-    /// Matcher counters for the phase (candidates probed, nodes explored,
-    /// truncation flag).
-    pub stats: MatchStats,
-}
+use crate::core_impl::CoreResult;
 
 /// Can `beta` be mapped onto `alpha` by some per-atom variable
 /// assignment? (Constants must coincide; repeated variables must receive
@@ -112,65 +104,6 @@ fn dirty_vars(instance: &AtomSet, anchors: &[Atom]) -> BTreeSet<VarId> {
         }
     }
     dirty
-}
-
-/// Tier-0 fold probe: a one-variable retraction `{x ↦ t}` that maps every
-/// atom containing `x` onto an existing atom. Most real folds are of this
-/// shape — a fresh null collapsing onto older structure — and verifying
-/// one needs no backtracking search: candidate images of `x` come from
-/// the atoms its first occurrence could land on, and each is confirmed by
-/// substitution plus indexed membership lookups, linear in
-/// `|star(x)| × |candidates|`. A miss here says nothing (folds that
-/// co-move several variables escape it), so callers fall through to the
-/// full retraction search.
-fn single_var_fold(instance: &AtomSet, x: VarId, stats: &mut MatchStats) -> Option<Substitution> {
-    let star: Vec<&Atom> = instance.with_term(Term::Var(x)).collect();
-    let first = star.first()?;
-    // `first ↦ gamma` with every non-x position unchanged: exactly the
-    // atoms whose non-x positions carry `first`'s own terms — a single
-    // positional-index intersection instead of a predicate scan.
-    let bound: Vec<(usize, Term)> = first
-        .args()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &t)| t != Term::Var(x))
-        .map(|(pos, &t)| (pos, t))
-        .collect();
-    let mut scratch = IdBits::new();
-    let mut cands: Vec<AtomId> = Vec::new();
-    instance.matching_ids(
-        first.pred(),
-        first.arity(),
-        &bound,
-        &mut scratch,
-        &mut cands,
-    );
-    'cand: for id in cands {
-        let gamma = instance.get(id).expect("matching_ids returned dead id");
-        stats.nodes += 1;
-        // The image of x must be consistent across repeated occurrences.
-        let mut image: Option<Term> = None;
-        for (&b, &g) in first.args().iter().zip(gamma.args()) {
-            if b == Term::Var(x) {
-                match image {
-                    Some(t) if t != g => continue 'cand,
-                    _ => image = Some(g),
-                }
-            }
-        }
-        let t = image.expect("first mentions x");
-        if t == Term::Var(x) {
-            continue;
-        }
-        let r = Substitution::from_pairs([(x, t)]);
-        if star
-            .iter()
-            .all(|beta| instance.contains(&r.apply_atom(beta)))
-        {
-            return Some(r);
-        }
-    }
-    None
 }
 
 /// The result of one budgeted fold probe: a witnessing retraction if one
@@ -656,19 +589,6 @@ fn probe_batch(
                 report.retry.extend_from_slice(&chunk[i..]);
                 break;
             }
-            // Tier 0: try the cheap one-variable fold before paying for a
-            // full retraction search.
-            if let Some(r) = single_var_fold(current, x, &mut report.stats) {
-                report.stats.candidates += 1;
-                let mut w = winner.lock().expect("winner lock poisoned");
-                if w.is_none() {
-                    *w = Some(r);
-                }
-                drop(w);
-                stop.store(true, Ordering::Release);
-                report.retry.push(x);
-                continue;
-            }
             let probe = search.probe(x);
             report.stats.absorb(probe.outcome);
             match probe.retraction {
@@ -727,26 +647,24 @@ fn probe_batch(
 ///
 /// * `instance` — the full current instance;
 /// * `added` — the atoms added since the instance was last a core (the
-///   head images of the applications in between; over-approximating is
-///   harmless, it only enlarges the candidate set);
-/// * `fresh` — the nulls minted by those applications;
+///   head images of the applications in between, which hold every null
+///   they minted; over-approximating is harmless, it only enlarges the
+///   candidate set);
 /// * `budget` — deadline/cancel polled between and *inside* probes; on a
 ///   cut the result is a sound retract flagged `truncated`, not a core;
 /// * `threads` — max concurrent probes (1 = sequential, deterministic).
 pub fn incremental_core(
     instance: &AtomSet,
     added: &[Atom],
-    fresh: &[VarId],
     budget: &SearchBudget,
     threads: usize,
-) -> IncrementalCoreResult {
+) -> (CoreResult, MatchStats) {
     let mut current = instance.clone();
     let mut total = Substitution::new();
     let mut stats = MatchStats::default();
     let mut failed: HashSet<VarId> = HashSet::new();
 
     let mut worklist = dirty_vars(&current, added);
-    worklist.extend(fresh.iter().copied());
 
     loop {
         if budget.interrupted() {
@@ -793,11 +711,13 @@ pub fn incremental_core(
         stats.truncated || crate::core_impl::is_core(&current),
         "dirty-region maintenance must reach the core when not truncated"
     );
-    IncrementalCoreResult {
-        core: current,
-        retraction: total,
+    (
+        CoreResult {
+            core: current,
+            retraction: total,
+        },
         stats,
-    }
+    )
 }
 
 #[cfg(test)]
@@ -813,10 +733,6 @@ mod tests {
 
     fn v(i: u32) -> Term {
         Term::Var(VarId::from_raw(i))
-    }
-
-    fn vid(i: u32) -> VarId {
-        VarId::from_raw(i)
     }
 
     fn c(i: u32) -> Term {
@@ -854,11 +770,11 @@ mod tests {
         let added = vec![atom(0, &[c(0), v(7)])];
         let mut j = core.clone();
         j.insert(added[0].clone());
-        let res = incremental_core(&j, &added, &[vid(7)], &SearchBudget::default(), 1);
+        let (res, stats) = incremental_core(&j, &added, &SearchBudget::default(), 1);
         assert_eq!(res.core, core);
         assert!(res.retraction.is_retraction_of(&j));
-        assert!(!res.stats.truncated);
-        assert!(res.stats.candidates >= 1);
+        assert!(!stats.truncated);
+        assert!(stats.candidates >= 1);
     }
 
     #[test]
@@ -872,7 +788,7 @@ mod tests {
         let added = vec![atom(0, &[c(0), c(1)])];
         let mut j = i.clone();
         j.insert(added[0].clone());
-        let res = incremental_core(&j, &added, &[], &SearchBudget::default(), 1);
+        let (res, _) = incremental_core(&j, &added, &SearchBudget::default(), 1);
         assert_eq!(res.core, set(&[atom(0, &[c(0), c(1)])]));
         assert!(is_core(&res.core));
     }
@@ -892,7 +808,7 @@ mod tests {
         let added = vec![atom(0, &[v(3), c(0)])]; // p(w', a)
         let mut j = i.clone();
         j.insert(added[0].clone());
-        let res = incremental_core(&j, &added, &[], &SearchBudget::default(), 1);
+        let (res, _) = incremental_core(&j, &added, &SearchBudget::default(), 1);
         let full = core_of(&j);
         assert!(isomorphism(&res.core, &full.core).is_some());
         assert!(is_core(&res.core));
@@ -908,7 +824,7 @@ mod tests {
         let added = vec![atom(0, &[v(9), v(9)])];
         let mut j = i.clone();
         j.insert(added[0].clone());
-        let res = incremental_core(&j, &added, &[vid(9)], &SearchBudget::default(), 1);
+        let (res, _) = incremental_core(&j, &added, &SearchBudget::default(), 1);
         assert_eq!(res.core, set(&[atom(0, &[v(9), v(9)])]));
     }
 
@@ -918,15 +834,13 @@ mod tests {
         // maintenance must land on isomorphic cores.
         let mut j = set(&[atom(0, &[c(0), c(1)])]);
         let mut added = Vec::new();
-        let mut fresh = Vec::new();
         for k in 0..8u32 {
             let a = atom(0, &[c(0), v(10 + k)]);
             j.insert(a.clone());
             added.push(a);
-            fresh.push(vid(10 + k));
         }
-        let seq = incremental_core(&j, &added, &fresh, &SearchBudget::default(), 1);
-        let par = incremental_core(&j, &added, &fresh, &SearchBudget::default(), 4);
+        let (seq, _) = incremental_core(&j, &added, &SearchBudget::default(), 1);
+        let (par, _) = incremental_core(&j, &added, &SearchBudget::default(), 4);
         assert!(isomorphism(&seq.core, &par.core).is_some());
         assert!(is_core(&par.core));
         assert_eq!(par.core, set(&[atom(0, &[c(0), c(1)])]));
@@ -943,8 +857,8 @@ mod tests {
         }
         let expired = SearchBudget::default()
             .with_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        let res = incremental_core(&j, &added, &[], &expired, 1);
-        assert!(res.stats.truncated);
+        let (res, stats) = incremental_core(&j, &added, &expired, 1);
+        assert!(stats.truncated);
         assert_eq!(res.core, j, "no time to fold anything");
         assert!(res.retraction.is_retraction_of(&j));
     }
@@ -952,7 +866,7 @@ mod tests {
     #[test]
     fn empty_addition_is_a_no_op() {
         let core = set(&[atom(0, &[v(0), v(1)])]);
-        let res = incremental_core(&core, &[], &[], &SearchBudget::default(), 4);
+        let (res, _) = incremental_core(&core, &[], &SearchBudget::default(), 4);
         assert_eq!(res.core, core);
         assert!(res.retraction.is_empty());
     }

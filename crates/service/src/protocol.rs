@@ -14,8 +14,8 @@ use chase_analysis::{
 };
 use chase_core::AnalysisGate;
 use chase_engine::{
-    ChaseConfig, ChaseOutcome, ChaseStats, ChaseVariant, CoreMaintenance, FaultPlan, FaultSite,
-    RuleSet, SchedulerKind, SuspendReason,
+    ChaseConfig, ChaseOutcome, ChaseStats, ChaseVariant, FaultPlan, FaultSite, RuleSet,
+    SchedulerKind, SuspendReason,
 };
 
 use crate::job::{JobId, JobResult, JobStatus, Priority, QueryVerdict};
@@ -193,13 +193,6 @@ pub fn config_to_json(cfg: &ChaseConfig) -> Json {
         ),
         ("core_interval", Json::Int(cfg.core_interval as i64)),
         (
-            "core_maintenance",
-            Json::str(match cfg.core_maintenance {
-                CoreMaintenance::FullRecompute => "full",
-                CoreMaintenance::Incremental => "incremental",
-            }),
-        ),
-        (
             "mem_soft",
             cfg.mem_soft.map_or(Json::Null, |n| Json::Int(n as i64)),
         ),
@@ -221,14 +214,6 @@ pub fn config_to_json(cfg: &ChaseConfig) -> Json {
     ])
 }
 
-fn parse_core_maintenance(s: &str) -> Result<CoreMaintenance, String> {
-    match s {
-        "full" | "full-recompute" => Ok(CoreMaintenance::FullRecompute),
-        "incremental" => Ok(CoreMaintenance::Incremental),
-        other => Err(format!("unknown core_maintenance `{other}`")),
-    }
-}
-
 /// Deserializes a chase configuration.
 pub fn config_from_json(v: &Json) -> Result<ChaseConfig, String> {
     let mut cfg = ChaseConfig::variant(parse_variant(v.require_str("variant")?)?);
@@ -244,11 +229,6 @@ pub fn config_from_json(v: &Json) -> Result<ChaseConfig, String> {
     cfg.max_atoms = v.require_u64("max_atoms")? as usize;
     cfg.max_wall = v.opt_u64("max_wall_ms")?.map(Duration::from_millis);
     cfg.core_interval = (v.require_u64("core_interval")? as usize).max(1);
-    // Older checkpoints predate the field; they ran the full recompute.
-    cfg.core_maintenance = match v.opt_str("core_maintenance")? {
-        Some(s) => parse_core_maintenance(s)?,
-        None => CoreMaintenance::FullRecompute,
-    };
     // Older checkpoints predate the memory ceilings; absent means off.
     cfg.mem_soft = v.opt_u64("mem_soft")?.map(|n| n as usize);
     cfg.mem_hard = v.opt_u64("mem_hard")?.map(|n| n as usize);
@@ -309,9 +289,6 @@ fn submit_config(v: &Json) -> Result<ChaseConfig, String> {
     }
     if let Some(seed) = v.opt_u64("scheduler_seed")? {
         cfg.scheduler = SchedulerKind::Random(seed);
-    }
-    if let Some(s) = v.opt_str("core_maintenance")? {
-        cfg.core_maintenance = parse_core_maintenance(s)?;
     }
     if let Some(s) = v.opt_str("fault")? {
         cfg.fault = Some(parse_fault_plan(s)?);
@@ -1086,17 +1063,38 @@ mod tests {
         assert_eq!(back.max_atoms, cfg.max_atoms);
         assert_eq!(back.max_wall, cfg.max_wall);
         assert_eq!(back.core_interval, cfg.core_interval);
-        assert_eq!(back.core_maintenance, cfg.core_maintenance);
     }
 
     #[test]
-    fn config_without_core_maintenance_defaults_to_full() {
-        // Checkpoints from before the field existed ran the full
-        // recompute; parsing must preserve that behaviour.
-        let line = r#"{"variant":"core","scheduler":"deterministic","scheduler_seed":null,
-                       "max_applications":10,"max_atoms":100,"max_wall_ms":null,"core_interval":1}"#;
-        let cfg = config_from_json(&parse_json(line).unwrap()).unwrap();
-        assert_eq!(cfg.core_maintenance, CoreMaintenance::FullRecompute);
+    fn config_ignores_the_retired_core_maintenance_key() {
+        // Checkpoints and submits written while the core maintainer was
+        // selectable still carry the key; it parses and is ignored —
+        // every run starts from sigma_0 = core_of(F), so the one
+        // maintainer always starts from a core.
+        let decode = |extra: &str| {
+            let line = format!(
+                r#"{{"variant":"core","scheduler":"deterministic","scheduler_seed":null,
+                     "max_applications":10,"max_atoms":100,"max_wall_ms":null,
+                     "core_interval":1{extra}}}"#
+            );
+            let cfg = config_from_json(&parse_json(&line).unwrap()).unwrap();
+            format!("{cfg:?}")
+        };
+        let without = decode("");
+        assert_eq!(decode(r#","core_maintenance":"full""#), without);
+        assert_eq!(decode(r#","core_maintenance":"incremental""#), without);
+        assert!(!config_to_json(&ChaseConfig::default())
+            .to_string()
+            .contains("core_maintenance"));
+
+        let submit = |extra: &str| {
+            let line = format!(r#"{{"op":"submit","kb":"staircase","max_apps":5{extra}}}"#);
+            match parse_request(&parse_json(&line).unwrap()).unwrap() {
+                Request::Submit { config, .. } => format!("{config:?}"),
+                other => panic!("expected submit, got {other:?}"),
+            }
+        };
+        assert_eq!(submit(r#","core_maintenance":"full""#), submit(""));
     }
 
     #[test]
