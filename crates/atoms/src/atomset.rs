@@ -219,6 +219,11 @@ impl AtomSet {
         self.lookup.contains_key(atom)
     }
 
+    /// The id of the given atom, if the set contains it.
+    pub fn id_of(&self, atom: &Atom) -> Option<AtomId> {
+        self.lookup.get(atom).copied()
+    }
+
     /// Returns the atom behind an id, if still live.
     pub fn get(&self, id: AtomId) -> Option<&Atom> {
         self.slots.get(id.0 as usize).and_then(Option::as_ref)

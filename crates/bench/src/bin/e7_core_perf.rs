@@ -1,38 +1,31 @@
-//! **E7 — core maintenance performance**: the dirty-region maintainer
+//! **E7 — core maintenance performance**: the pivot-certified maintainer
 //! vs the from-scratch recompute it replaced.
 //!
-//! Runs the staircase `K_h` core chase under a fixed application budget
-//! on one probe thread — the deterministic run whose counters the gate
-//! below compares — and, for its time only, on two probe threads (run
-//! first, so that neither timed run is the cold first run of its
-//! budget). The from-scratch recompute is a reference loop over the
-//! one-thread run's own derivation: starting from `σ₀ = core_of(F)`, it
+//! Runs the staircase `K_h` core chase under a fixed application budget.
+//! Probing is serial, so the run is deterministic and the gate below
+//! compares its counters. The from-scratch recompute is a reference loop
+//! over the run's own derivation: starting from `σ₀ = core_of(F)`, it
 //! applies each logged trigger in place and re-cores the whole instance
 //! with `core_of` (the pre-maintainer behaviour). It checks that:
 //!
 //! 1. the reference recomputes exactly the maintainer's simplification
-//!    at every step, and all runs land on isomorphic final instances
-//!    (cores are unique up to isomorphism, so the maintainer must not
-//!    change the result);
+//!    at every step, and both land on isomorphic final instances (cores
+//!    are unique up to isomorphism, so the maintainer must not change
+//!    the result);
 //! 2. the maintainer spends at least 2× less time in the core phase at
-//!    the largest budget. Both run the same fold search, and on the
-//!    staircase they probe the same candidates and explore the same
-//!    trees at every budget, so dirty-region seeding saves no probe
-//!    there: the ratio is about 1×, and a full run reports this claim as
-//!    not met. The bar stays as the target for cutting failed probes.
+//!    the largest budget. Both run the same fold search; the maintainer
+//!    skips the probes of every old variable in a phase whose pivot
+//!    certificate holds.
 //!
 //! Besides the usual `results/e7-core-perf.jsonl` claims, the per-budget
 //! measurements are written to `BENCH_core.json` at the workspace root
 //! so the numbers ride along with the repository.
 //!
-//! The full run also measures the probe-thread exception on its own: the
-//! elevator `K_v` and the staircase core chases under the `DatalogFirst`
-//! scheduler at 120 applications (the admission gate's probe shape),
-//! incremental core-phase time on one and on two probe threads, median
-//! of seven alternating runs. On the elevator every fold probe fails, so
-//! both thread counts explore the same trees: their counters must be
-//! identical and their results isomorphic. These rows are written to
-//! `BENCH_core.json` under `probe_threads`.
+//! The full run also measures the admission gate's probe shape on its
+//! own: the elevator `K_v` and the staircase core chases under the
+//! `DatalogFirst` scheduler at 120 applications, median core-phase time
+//! of seven runs. These rows are written to `BENCH_core.json` under
+//! `gate_shape`.
 //!
 //! `--smoke` shrinks the budgets for CI: it still cross-checks
 //! isomorphism but reports the speedup informationally only (tiny runs
@@ -96,11 +89,9 @@ struct Measurement {
     /// Wall time of the reference loop (replay and core phases; no
     /// trigger discovery).
     full_wall_us: u64,
-    /// The incremental maintainer on one probe thread: deterministic.
+    /// The incremental maintainer.
     inc: ChaseStats,
     inc_wall_us: u64,
-    /// Core-phase time of the incremental maintainer on two probe threads.
-    inc_2t_core_us: u64,
     final_atoms: usize,
     same_steps: bool,
     isomorphic: bool,
@@ -138,10 +129,6 @@ impl Measurement {
                 "incremental_retractions",
                 Json::Int(self.inc.retractions as i64),
             ),
-            (
-                "incremental_2_threads_core_us",
-                Json::Int(self.inc_2t_core_us as i64),
-            ),
             ("final_atoms", Json::Int(self.final_atoms as i64)),
             ("core_phase_speedup", Json::Float(self.speedup())),
             ("same_simplifications", Json::Bool(self.same_steps)),
@@ -151,14 +138,11 @@ impl Measurement {
 }
 
 fn measure(kb: &KnowledgeBase, budget: usize) -> Measurement {
-    let cfg = |threads| {
-        ChaseConfig::variant(ChaseVariant::Core)
-            .with_max_applications(budget)
-            .with_probe_threads(threads)
-    };
-    let inc_2t = kb.chase(&cfg(2));
+    let cfg = ChaseConfig::variant(ChaseVariant::Core).with_max_applications(budget);
+    // A warm-up run, so that the timed run is not the cold first one.
+    kb.chase(&cfg);
     let t0 = Instant::now();
-    let inc = kb.chase(&cfg(1));
+    let inc = kb.chase(&cfg);
     let inc_wall_us = t0.elapsed().as_micros() as u64;
     let t1 = Instant::now();
     let full = full_recompute(&inc.derivation);
@@ -169,99 +153,60 @@ fn measure(kb: &KnowledgeBase, budget: usize) -> Measurement {
         full_wall_us,
         inc: inc.stats,
         inc_wall_us,
-        inc_2t_core_us: inc_2t.stats.core_time_us,
         final_atoms: inc.final_instance.len(),
         same_steps: full.same_steps,
-        isomorphic: isomorphism(&full.final_instance, &inc.final_instance).is_some()
-            && isomorphism(&inc.final_instance, &inc_2t.final_instance).is_some(),
+        isomorphic: isomorphism(&full.final_instance, &inc.final_instance).is_some(),
     }
 }
 
-/// Incremental core chase of one KB under `DatalogFirst`, on one and on
-/// two probe threads.
-struct ThreadRow {
+/// Incremental core chase of one KB in the admission gate's probe shape.
+struct GateShapeRow {
     kb: &'static str,
-    one: ChaseStats,
-    two: ChaseStats,
-    /// Median core-phase time over [`THREAD_ROW_RUNS`] runs, per thread
-    /// count.
-    core_us: [u64; 2],
-    isomorphic: bool,
+    stats: ChaseStats,
+    /// Median core-phase time over [`GATE_SHAPE_RUNS`] runs.
+    core_us: u64,
 }
 
-/// Application budget of the probe-thread rows: the gate's probe horizon.
-const THREAD_ROW_BUDGET: usize = 120;
+/// Application budget of the gate-shape rows: the gate's probe horizon.
+const GATE_SHAPE_BUDGET: usize = 120;
 
-/// Alternating runs per thread count behind each probe-thread row.
-const THREAD_ROW_RUNS: usize = 7;
+/// Runs behind each gate-shape row.
+const GATE_SHAPE_RUNS: usize = 7;
 
-impl ThreadRow {
-    fn measure(name: &'static str, kb: &KnowledgeBase) -> ThreadRow {
-        let cfg = |threads| {
-            ChaseConfig::variant(ChaseVariant::Core)
-                .with_scheduler(SchedulerKind::DatalogFirst)
-                .with_max_applications(THREAD_ROW_BUDGET)
-                .with_probe_threads(threads)
-        };
-        let mut times = [Vec::new(), Vec::new()];
-        let mut runs = Vec::new();
-        for _ in 0..THREAD_ROW_RUNS {
-            for (slot, threads) in [1, 2].into_iter().enumerate() {
-                let res = kb.chase(&cfg(threads));
-                times[slot].push(res.stats.core_time_us);
-                runs.push(res);
-            }
-        }
-        let median = |t: &mut Vec<u64>| {
-            t.sort_unstable();
-            t[t.len() / 2]
-        };
-        ThreadRow {
+impl GateShapeRow {
+    fn measure(name: &'static str, kb: &KnowledgeBase) -> GateShapeRow {
+        let cfg = ChaseConfig::variant(ChaseVariant::Core)
+            .with_scheduler(SchedulerKind::DatalogFirst)
+            .with_max_applications(GATE_SHAPE_BUDGET);
+        let runs: Vec<_> = (0..GATE_SHAPE_RUNS).map(|_| kb.chase(&cfg)).collect();
+        let mut times: Vec<u64> = runs.iter().map(|r| r.stats.core_time_us).collect();
+        times.sort_unstable();
+        GateShapeRow {
             kb: name,
-            one: runs[0].stats,
-            two: runs[1].stats,
-            core_us: [median(&mut times[0]), median(&mut times[1])],
-            isomorphic: runs
-                .iter()
-                .all(|r| isomorphism(&runs[0].final_instance, &r.final_instance).is_some()),
+            stats: runs[0].stats,
+            core_us: times[times.len() / 2],
         }
-    }
-
-    /// Did both thread counts explore the same fold search?
-    fn counters_identical(&self) -> bool {
-        (
-            self.one.match_nodes,
-            self.one.fold_candidates,
-            self.one.retractions,
-        ) == (
-            self.two.match_nodes,
-            self.two.fold_candidates,
-            self.two.retractions,
-        )
     }
 
     fn to_json(&self) -> Json {
         Json::obj([
             ("kb", Json::str(self.kb)),
             ("scheduler", Json::str("datalog-first")),
-            ("application_budget", Json::Int(THREAD_ROW_BUDGET as i64)),
-            ("one_thread_core_us", Json::Int(self.core_us[0] as i64)),
-            ("two_threads_core_us", Json::Int(self.core_us[1] as i64)),
-            ("match_nodes", Json::Int(self.one.match_nodes as i64)),
+            ("application_budget", Json::Int(GATE_SHAPE_BUDGET as i64)),
+            ("core_us", Json::Int(self.core_us as i64)),
+            ("match_nodes", Json::Int(self.stats.match_nodes as i64)),
             (
                 "fold_candidates",
-                Json::Int(self.one.fold_candidates as i64),
+                Json::Int(self.stats.fold_candidates as i64),
             ),
-            ("retractions", Json::Int(self.one.retractions as i64)),
-            ("counters_identical", Json::Bool(self.counters_identical())),
-            ("isomorphic", Json::Bool(self.isomorphic)),
+            ("retractions", Json::Int(self.stats.retractions as i64)),
         ])
     }
 }
 
 impl Measurement {
     /// The deterministic counters the smoke gate compares: pure functions
-    /// of (KB, budget, maintainer) on one probe thread, so any increase
+    /// of (KB, budget, maintainer), so any increase
     /// means the fold search explores a larger tree, not that the host
     /// was slow.
     fn gate_row(&self) -> GateRow {
@@ -294,13 +239,12 @@ fn main() {
     for &budget in budgets {
         let m = measure(&kb, budget);
         report.row(format!(
-            "budget {:>3}: core phase {:>9}us full vs {:>7}us incremental ({:.1}x; \
-             {}us on 2 threads); match nodes {} vs {}; fold candidates {} vs {}",
+            "budget {:>3}: core phase {:>9}us full vs {:>7}us incremental ({:.1}x); \
+             match nodes {} vs {}; fold candidates {} vs {}",
             m.budget,
             m.full.core_time_us,
             m.inc.core_time_us,
             m.speedup(),
-            m.inc_2t_core_us,
             m.full.match_nodes,
             m.inc.match_nodes,
             m.full.fold_candidates,
@@ -326,37 +270,20 @@ fn main() {
         no_truncation,
     );
 
-    let thread_rows = if smoke {
+    let gate_rows = if smoke {
         Vec::new()
     } else {
         vec![
-            ThreadRow::measure("elevator", &KnowledgeBase::elevator()),
-            ThreadRow::measure("staircase", &kb),
+            GateShapeRow::measure("elevator", &KnowledgeBase::elevator()),
+            GateShapeRow::measure("staircase", &kb),
         ]
     };
-    for t in &thread_rows {
+    for g in &gate_rows {
         report.row(format!(
-            "{} datalog-first {THREAD_ROW_BUDGET}: core phase {}us on 1 thread vs {}us on 2; \
-             match nodes {} vs {}; fold candidates {} vs {}; retractions {} vs {}",
-            t.kb,
-            t.core_us[0],
-            t.core_us[1],
-            t.one.match_nodes,
-            t.two.match_nodes,
-            t.one.fold_candidates,
-            t.two.fold_candidates,
-            t.one.retractions,
-            t.two.retractions,
+            "{} datalog-first {GATE_SHAPE_BUDGET}: core phase {}us; match nodes {}; \
+             fold candidates {}; retractions {}",
+            g.kb, g.core_us, g.stats.match_nodes, g.stats.fold_candidates, g.stats.retractions,
         ));
-    }
-    if let Some(elevator) = thread_rows.first() {
-        let same = elevator.counters_identical() && elevator.isomorphic;
-        report.claim(
-            "core/elevator-threads-same-search",
-            "elevator: 1 and 2 probe threads, identical counters and isomorphic results",
-            same,
-            same,
-        );
     }
 
     let last = rows.last().expect("at least one budget");
@@ -381,7 +308,7 @@ fn main() {
     if smoke && !write_baseline {
         report.claim_gate(
             "core/no-search-regression",
-            "single-thread core counters ≤ committed baseline, same final instance size",
+            "core counters ≤ committed baseline, same final instance size",
             &workspace_root().join("BENCH_core_baseline.json"),
             &rows.iter().map(Measurement::gate_row).collect::<Vec<_>>(),
         );
@@ -405,8 +332,8 @@ fn main() {
                 Json::Arr(rows.iter().map(Measurement::to_json).collect()),
             ),
             (
-                "probe_threads",
-                Json::Arr(thread_rows.iter().map(ThreadRow::to_json).collect()),
+                "gate_shape",
+                Json::Arr(gate_rows.iter().map(GateShapeRow::to_json).collect()),
             ),
         ]);
         write_json(&report, &workspace_root().join(file), &bench);

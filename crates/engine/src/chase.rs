@@ -138,11 +138,6 @@ pub struct ChaseConfig {
     /// budget stops the run with [`ChaseOutcome::Cancelled`]. Process
     /// state, never serialized.
     pub search_budget: SearchBudget,
-    /// Max concurrent core-maintenance probe threads. `None` (default)
-    /// uses `available_parallelism` capped at 8; `Some(1)` makes the core
-    /// variant's fold probing sequential and hence fully deterministic —
-    /// what the byte-identical-derivation regression tests pin.
-    pub probe_threads: Option<usize>,
 }
 
 impl Default for ChaseConfig {
@@ -160,7 +155,6 @@ impl Default for ChaseConfig {
             mem_hard: None,
             strata: None,
             search_budget: SearchBudget::unlimited(),
-            probe_threads: None,
         }
     }
 }
@@ -240,14 +234,6 @@ impl ChaseConfig {
     /// and polled between applications).
     pub fn with_search_budget(mut self, budget: SearchBudget) -> Self {
         self.search_budget = budget;
-        self
-    }
-
-    /// Pins the number of core-maintenance probe threads (`1` makes core
-    /// fold probing deterministic).
-    pub fn with_probe_threads(mut self, n: usize) -> Self {
-        assert!(n >= 1);
-        self.probe_threads = Some(n);
         self
     }
 }
@@ -504,9 +490,6 @@ pub fn run_chase_controlled(
     if let Some(token) = cancel {
         budget = budget.with_cancel(token.flag());
     }
-    let probe_threads = cfg
-        .probe_threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(8)));
 
     let mut degraded = false;
 
@@ -514,11 +497,15 @@ pub fn run_chase_controlled(
         peak_atoms: facts.len(),
         ..ChaseStats::default()
     };
+    // Whether the last core computation (σ₀, then each phase) ended at
+    // a core: only then may the next phase certify its old variables.
+    let mut at_core = false;
     let sigma0 = match cfg.variant {
         ChaseVariant::Core => {
             let phase = Instant::now();
             let (res, ms) = core_of_budgeted(facts, &budget);
             stats.tally_core_phase(ms, phase.elapsed());
+            at_core = !ms.truncated;
             res.retraction
         }
         _ => Substitution::new(),
@@ -559,12 +546,8 @@ pub fn run_chase_controlled(
 
     let mut skolem = SkolemTable::new();
     let mut since_core = 0usize;
-    // Dirty region accumulated since the last core step: the head images
-    // of each application, which hold every null it minted
-    // (over-approximating the truly-new atoms is harmless — it only
-    // widens the candidate seed). Valid because between core steps the
-    // instance only grows and no renaming happens (sigma is the identity
-    // off core steps).
+    // The atoms inserted since the last core phase: between phases the
+    // instance only grows, so the last phase's result is the rest.
     let mut added_since_core: Vec<chase_atoms::Atom> = Vec::new();
     let outcome = 'outer: loop {
         if cancelled() {
@@ -713,14 +696,11 @@ pub fn run_chase_controlled(
                     break 'outer ChaseOutcome::Stopped;
                 }
             }
-            if cfg.variant == ChaseVariant::Core {
-                for head_atom in rules.get(tr.rule).head().iter() {
-                    added_since_core.push(pi_safe.apply_atom(head_atom));
-                }
-            }
             let produced_len = instance.len();
             if monotonic {
                 delta.extend(added);
+            } else if cfg.variant == ChaseVariant::Core {
+                added_since_core.extend(added);
             }
             match cfg.variant {
                 ChaseVariant::Oblivious => {
@@ -739,21 +719,18 @@ pub fn run_chase_controlled(
                         panic!("injected fault: crash in core phase #{n}");
                     }
                     let phase = Instant::now();
-                    let (res, ms) =
-                        incremental_core(&instance, &added_since_core, &budget, probe_threads);
-                    instance = res.core;
-                    // A truncated phase leaves a non-core retract, but the
-                    // budget that cut it (deadline/cancel) is monotone, so
-                    // the run stops at the next between-steps poll — the
-                    // "pre-instance is a core" invariant is never consumed
-                    // in a broken state.
+                    let (sigma, ms) =
+                        incremental_core(&mut instance, &added_since_core, &budget, at_core);
+                    // A truncated phase (a degraded run's node limit)
+                    // leaves a sound retract that may not be a core.
+                    at_core = !ms.truncated;
                     added_since_core.clear();
                     stats.tally_core_phase(ms, phase.elapsed());
-                    if !res.retraction.is_empty() {
+                    if !sigma.is_empty() {
                         stats.retractions += 1;
                     }
                     phase_stats = ms;
-                    res.retraction
+                    sigma
                 }
                 ChaseVariant::Frugal => {
                     // Fold only the freshly minted nulls of this

@@ -41,8 +41,10 @@ pub fn find_retraction_eliminating(a: &AtomSet, x: VarId) -> Option<Substitution
 /// One pass suffices: eliminability only shrinks under retraction (see
 /// the `incremental` module docs), so a candidate whose probe failed
 /// conclusively never folds later. The budget is polled between probes
-/// and inside each; when it trips, the pass stops with `truncated` set
-/// and the retract reached so far.
+/// and inside each. A probe cut by the node limit leaves its candidate
+/// unresolved and the pass goes on; an expired deadline or a cancel ends
+/// the pass. Either way `truncated` is set and the result is a sound
+/// retract, possibly not a core.
 ///
 /// With `candidates` and `movable` the nulls minted by one rule
 /// application, this is the simplification step of the *frugal* chase
@@ -57,22 +59,39 @@ pub fn fold_variables(
 ) -> (Substitution, MatchStats) {
     let mut total = Substitution::new();
     let mut stats = MatchStats::default();
+    let mut candidates = candidates.into_iter();
+    while let Some(r) = next_fold(instance, &mut candidates, movable, budget, &mut stats) {
+        instance.apply_in_place(&r);
+        total = total.then(&r);
+    }
+    (total, stats)
+}
+
+/// Probes `candidates` in order until one folds, on one prober: the
+/// instance does not change between misses.
+fn next_fold(
+    instance: &AtomSet,
+    candidates: &mut impl Iterator<Item = VarId>,
+    movable: Option<&[VarId]>,
+    budget: &SearchBudget,
+    stats: &mut MatchStats,
+) -> Option<Substitution> {
+    let mut search = FoldSearch::new(instance, budget, movable);
     for x in candidates {
-        if stats.truncated || budget.interrupted() {
+        if budget.interrupted() {
             stats.truncated = true;
-            break;
+            return None;
         }
         if !instance.mentions(Term::Var(x)) {
             continue; // already folded away by an earlier retraction
         }
-        let probe = FoldSearch::new(instance, budget, movable).probe(x);
+        let probe = search.probe(x);
         stats.absorb(probe.outcome);
-        if let Some(r) = probe.retraction {
-            instance.apply_in_place(&r);
-            total = total.then(&r);
+        if probe.retraction.is_some() {
+            return probe.retraction;
         }
     }
-    (total, stats)
+    None
 }
 
 /// Finds a proper (non-identity) retraction of `a`, if one exists.

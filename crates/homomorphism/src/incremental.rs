@@ -1,115 +1,73 @@
 //! Incremental core maintenance: re-coring an instance that was a core
-//! before a batch of atoms was added, without re-probing every variable.
-//! This is the core chase's only maintainer; its reference, in tests
-//! and in experiment E7, is the from-scratch [`crate::core_of`] after
-//! every step.
+//! before a batch of atoms was inserted, without re-probing every
+//! variable. This is the core chase's only maintainer; its reference, in
+//! tests and in experiment E7, is the from-scratch [`crate::core_of`]
+//! after every step.
 //!
 //! The fold prober defined here, `FoldSearch`, is the crate's only
-//! retraction search: `core_of`, `is_core` and the frugal chase's
-//! `fold_variables` run on it too.
+//! retraction search: `core_of`, `is_core`, the frugal chase's
+//! `fold_variables` and the pivot certificate run on it too.
 //!
-//! ## The dirty-region invariant
+//! ## The pivot certificate
 //!
-//! Let `I` be a core and `J = I ∪ A` for a batch of added atoms `A` (the
-//! head images of one or more trigger applications). Two facts make an
-//! incremental recomputation sound and fast:
+//! Let `I` be a finite core and `J = I ∪ A` for a batch `A` of inserted
+//! atoms (`A ∩ I = ∅`). A variable of `I` is *old*; the other variables
+//! of `A` are its *fresh nulls*.
 //!
-//! 1. **Only the dirty region can fold.** If `h` is a proper retraction
-//!    of `J` with moved set `M`, then some atom containing a variable of
-//!    `M` either lies in `A` or is mapped by `h` onto an atom of `A` —
-//!    otherwise restricting `h` to `I` would contradict `I` being a core.
-//!    Either way that atom *matches onto* an atom of `A` pointwise, so at
-//!    least one eliminable variable occurs in an atom unifiable onto `A`.
-//!    Seeding the candidate set with the variables of all such atoms
-//!    (every atom of `A` unifies onto itself, so the seed holds `A`'s
-//!    fresh nulls too) therefore finds a fold whenever one exists; when a
-//!    fold lands, the same argument applies to its changed image atoms,
-//!    which is the transitive expansion below.
-//! 2. **Eliminability only shrinks.** If `x` survives a fold `r` (a
+//! 1. **Pivot lemma.** If a retraction `h` of `J` moves an old variable,
+//!    then `h` maps some atom `β ∈ I` onto an atom `α ∈ A`. Otherwise
+//!    `h` restricted to `I` is an endomorphism of the core `I`, hence an
+//!    automorphism, and an idempotent automorphism is the identity. The
+//!    pairs `(β, α)` with `β` unifiable onto `α` are the *pivots*, and
+//!    [`pivot_certificate`] runs one fold search per pivot with its root
+//!    forced to `β ↦ α` and no variable required to vanish. If every
+//!    pivot search fails conclusively, no old variable is eliminable.
+//! 2. **Exactness.** A successful pivot search is a retraction that moves
+//!    a variable of `β`, and an idempotent map eliminates every variable
+//!    it moves, so some old variable is eliminable. The certificate holds
+//!    exactly when no old variable is.
+//! 3. **Eliminability only shrinks.** If `x` survives a fold `r` (a
 //!    retraction of the current instance) and is eliminable afterwards
-//!    via `h`, then `h ∘ r` eliminates `x` before the fold too. So a
-//!    probe that *conclusively* fails never needs to be repeated — the
-//!    `failed` set below is sound, and each variable is probed at most
-//!    once per maintenance phase.
+//!    via `h`, then `h ∘ r` eliminates `x` before the fold too. So one
+//!    serial pass over the candidates reaches the core: a probe that
+//!    conclusively fails never needs repeating, and variables the
+//!    certificate rules out never need probing.
 //!
-//! ## Parallel probing
+//! ## The truncation guard
 //!
-//! Candidates in a batch are probed concurrently with
-//! [`std::thread::scope`]: the first probe to find a retraction raises a
-//! shared atomic flag (first-hit-wins) that truncates its siblings
-//! through their [`SearchBudget`]. Only the winning retraction is
-//! applied, so the *result* is deterministic up to isomorphism (the core
-//! is unique up to isomorphism) regardless of thread interleaving;
-//! counters such as nodes explored may vary between runs.
+//! The lemma needs `I` to be a core. A phase cut by its budget (a node
+//! limit, a deadline or a cancel) leaves a sound retract that may not be
+//! one, so [`incremental_core`] certifies only when the caller says the
+//! previous phase was conclusive. A certified phase probes the fresh
+//! nulls; any other phase probes every variable, so every conclusive
+//! phase ends at a core.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeSet;
 
 use chase_atoms::{Atom, AtomId, AtomSet, IdBits, Substitution, Term, VarId};
 
 use crate::budget::{MatchStats, SearchBudget, SearchOutcome};
-use crate::core_impl::CoreResult;
+use crate::core_impl::fold_variables;
 
 /// Can `beta` be mapped onto `alpha` by some per-atom variable
 /// assignment? (Constants must coincide; repeated variables must receive
-/// one image.) This is the cheap syntactic test behind the dirty region:
-/// any atom an endomorphism maps onto `alpha` necessarily passes it.
+/// one image.) Every pivot passes this cheap syntactic test.
 fn unifiable_onto(beta: &Atom, alpha: &Atom) -> bool {
-    if beta.pred() != alpha.pred() || beta.arity() != alpha.arity() {
-        return false;
-    }
-    let mut map: HashMap<VarId, Term> = HashMap::new();
-    for (&b, &a) in beta.args().iter().zip(alpha.args()) {
-        match b {
-            Term::Const(_) => {
-                if b != a {
-                    return false;
-                }
-            }
-            Term::Var(v) => match map.get(&v) {
-                Some(&img) => {
-                    if img != a {
-                        return false;
-                    }
-                }
-                None => {
-                    map.insert(v, a);
-                }
-            },
-        }
-    }
-    true
-}
-
-fn atom_vars(atom: &Atom, out: &mut BTreeSet<VarId>) {
-    for &t in atom.args() {
-        if let Term::Var(v) = t {
-            out.insert(v);
-        }
-    }
-}
-
-/// The variables of every atom of `instance` unifiable onto some atom of
-/// `anchors` (including the anchors' own variables — each atom unifies
-/// onto itself).
-fn dirty_vars(instance: &AtomSet, anchors: &[Atom]) -> BTreeSet<VarId> {
-    let mut dirty = BTreeSet::new();
-    for alpha in anchors {
-        atom_vars(alpha, &mut dirty);
-        for beta in instance.with_sig(alpha.pred(), alpha.arity()) {
-            if unifiable_onto(beta, alpha) {
-                atom_vars(beta, &mut dirty);
-            }
-        }
-    }
-    dirty
+    let (b, a) = (beta.args(), alpha.args());
+    beta.pred() == alpha.pred()
+        && b.len() == a.len()
+        && (0..b.len()).all(|i| match b[i] {
+            Term::Const(_) => b[i] == a[i],
+            // The first occurrence of a repeated variable fixes its image.
+            Term::Var(_) => (0..i).all(|j| b[j] != b[i] || a[j] == a[i]),
+        })
 }
 
 /// The result of one budgeted fold probe: a witnessing retraction if one
 /// was found, plus the search outcome. A probe with `retraction == None`
 /// and `outcome.truncated == true` is **inconclusive** — the variable may
 /// or may not be eliminable.
+#[derive(Default)]
 pub(crate) struct FoldProbe {
     /// A retraction of the probed atomset avoiding the probed variable.
     pub(crate) retraction: Option<Substitution>,
@@ -169,9 +127,9 @@ pub(crate) struct FoldSearch<'a> {
     /// The variables a retraction may move (`None`: every variable);
     /// all others are fixed.
     movable: Option<&'a [VarId]>,
-    /// The variable being eliminated: must move, may not appear in the
-    /// image.
-    x: VarId,
+    /// The variable being eliminated, as a term: it may not appear in
+    /// the image, so it must move (`None` in a pivot search).
+    forbidden: Option<Term>,
     /// Partial assignment, indexed by [`VarId::raw`].
     bind: Vec<Option<Term>>,
     /// Bound variables in binding order (the binding trail).
@@ -238,7 +196,7 @@ impl<'a> FoldSearch<'a> {
             instance,
             budget,
             movable,
-            x: VarId::from_raw(0),
+            forbidden: None,
             bind: Vec::new(),
             bound: Vec::new(),
             frontier: Vec::new(),
@@ -291,7 +249,7 @@ impl<'a> FoldSearch<'a> {
     /// Binds `v ↦ t`, pinning `t` as a fixpoint when it is a variable
     /// and dragging in `v`'s star when `v` moves.
     fn try_bind(&mut self, v: VarId, t: Term) -> bool {
-        if t == Term::Var(self.x) {
+        if Some(t) == self.forbidden {
             return false; // x may not occur in the image
         }
         let slot = v.raw() as usize;
@@ -451,6 +409,32 @@ impl<'a> FoldSearch<'a> {
     /// instance whose image avoids `x`, searched over the moved closure
     /// of `x` only. A truncated miss is inconclusive.
     pub(crate) fn probe(&mut self, x: VarId) -> FoldProbe {
+        let instance = self.instance;
+        // Root the search at the most constrained atom containing x.
+        let Some(beta0) = instance
+            .with_term(Term::Var(x))
+            .min_by_key(|beta| instance.matching_count(beta.pred(), beta.arity(), &[]))
+        else {
+            return FoldProbe::default();
+        };
+        self.search(Some(Term::Var(x)), beta0, None)
+    }
+
+    /// Searches for a retraction that maps `beta` onto the atom `alpha`
+    /// (a pivot of the certificate). No variable has to vanish, but one
+    /// of `beta` moves whenever `alpha` differs from `beta`.
+    fn probe_pivot(&mut self, beta: &'a Atom, alpha: AtomId) -> FoldProbe {
+        self.search(None, beta, Some(alpha))
+    }
+
+    /// Runs one search from a root frame on `root`, whose candidates are
+    /// `image` alone or, when `None`, every atom it matches.
+    fn search(
+        &mut self,
+        forbidden: Option<Term>,
+        root: &'a Atom,
+        image: Option<AtomId>,
+    ) -> FoldProbe {
         if self.budget.interrupted() {
             return FoldProbe {
                 retraction: None,
@@ -461,29 +445,24 @@ impl<'a> FoldSearch<'a> {
             };
         }
         self.rewind(Mark::default());
-        self.x = x;
+        self.forbidden = forbidden;
         self.nodes = 0;
         self.truncated = false;
-        let instance = self.instance;
-        // Root the search at the most constrained atom containing x.
-        let Some(beta0) = instance
-            .with_term(Term::Var(x))
-            .min_by_key(|beta| instance.matching_count(beta.pred(), beta.arity(), &[]))
-        else {
-            return FoldProbe {
-                retraction: None,
-                outcome: SearchOutcome::default(),
-            };
-        };
         // Root candidates through the positional index: the empty bind
-        // still pins beta0's constant positions, so this is already
-        // narrower than a predicate scan. Unifying beta0 with a candidate
-        // binds x; a candidate keeping x in place is rejected by
-        // try_bind.
+        // still pins the root's constant positions, so this is already
+        // narrower than a predicate scan. In a probe of x, unifying the
+        // root with a candidate binds x; a candidate keeping x in place
+        // is rejected by try_bind.
         let mut roots = self.spare.pop().unwrap_or_default();
-        self.candidates(beta0, &mut roots);
+        match image {
+            Some(id) => {
+                roots.clear();
+                roots.push(id);
+            }
+            None => self.candidates(root, &mut roots),
+        }
         self.frames.push(Frame {
-            pending: beta0,
+            pending: root,
             cands: roots,
             next: 0,
             mark: Mark::default(),
@@ -555,169 +534,110 @@ impl<'a> FoldSearch<'a> {
     }
 }
 
-/// What a worker concluded about the candidates it probed.
-struct WorkerReport {
-    stats: MatchStats,
-    /// Probed exhaustively, no retraction: never probe again this phase.
-    failed: Vec<VarId>,
-    /// Not conclusively probed (lost the first-hit race or was cut by the
-    /// winner's flag): back on the worklist.
-    retry: Vec<VarId>,
+/// The ids of `added` in `instance` (atoms it lacks are skipped).
+fn inserted_ids(instance: &AtomSet, added: &[Atom]) -> IdBits {
+    let mut ids = IdBits::new();
+    ids.ensure(instance.arena_len());
+    for id in added.iter().filter_map(|alpha| instance.id_of(alpha)) {
+        ids.insert(id.raw());
+    }
+    ids
 }
 
-/// Probes `batch` for eliminability, in parallel when `threads > 1`.
-/// Returns the first-found fold (if any) and the per-worker reports.
-fn probe_batch(
-    current: &AtomSet,
-    batch: &[VarId],
-    budget: &SearchBudget,
-    threads: usize,
-) -> (Option<Substitution>, Vec<WorkerReport>) {
-    let winner: Mutex<Option<Substitution>> = Mutex::new(None);
-    let stop = Arc::new(AtomicBool::new(false));
-    let probe_budget = budget.clone().with_cancel(Arc::clone(&stop));
-    let workers = threads.max(1).min(batch.len().max(1));
-    let run_worker = |chunk: &[VarId]| -> WorkerReport {
-        let mut report = WorkerReport {
-            stats: MatchStats::default(),
-            failed: Vec::new(),
-            retry: Vec::new(),
-        };
-        let mut search = FoldSearch::new(current, &probe_budget, None);
-        for (i, &x) in chunk.iter().enumerate() {
-            if stop.load(Ordering::Acquire) {
-                report.retry.extend_from_slice(&chunk[i..]);
-                break;
-            }
-            let probe = search.probe(x);
-            report.stats.absorb(probe.outcome);
-            match probe.retraction {
-                Some(r) => {
-                    let mut w = winner.lock().expect("winner lock poisoned");
-                    if w.is_none() {
-                        *w = Some(r);
-                    }
-                    stop.store(true, Ordering::Release);
-                    // Whether this probe won or lost the race, only one
-                    // fold is applied per batch; x may still be foldable
-                    // against the updated instance, so it goes back on
-                    // the worklist.
-                    report.retry.push(x);
-                }
-                None if !probe.outcome.truncated => report.failed.push(x),
-                None => {
-                    // Truncated miss: inconclusive. Retry only if the cut
-                    // came from a sibling's win — a caller-budget cut is
-                    // surfaced via the truncation flag instead (avoiding
-                    // a livelock under a caller node limit).
-                    if stop.load(Ordering::Acquire) && !budget.interrupted() {
-                        report.stats.truncated = false;
-                        report.retry.push(x);
-                    }
-                }
-            }
-        }
-        report
-    };
-    let reports = if workers <= 1 {
-        vec![run_worker(batch)]
-    } else {
-        // Round-robin split keeps low-numbered (old, rarely foldable)
-        // and high-numbered (fresh, often foldable) variables spread
-        // across workers.
-        let chunks: Vec<Vec<VarId>> = (0..workers)
-            .map(|w| batch.iter().copied().skip(w).step_by(workers).collect())
-            .collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| s.spawn(|| run_worker(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("probe worker panicked"))
-                .collect()
-        })
-    };
-    (winner.into_inner().expect("winner lock poisoned"), reports)
-}
-
-/// Re-cores `instance = known-core ∪ added` by probing only the dirty
-/// region, expanding it transitively as folds land.
+/// The pivot certificate: does no variable of `I = instance \ added`
+/// fold in `instance`?
 ///
-/// * `instance` — the full current instance;
-/// * `added` — the atoms added since the instance was last a core (the
-///   head images of the applications in between, which hold every null
-///   they minted; over-approximating is harmless, it only enlarges the
-///   candidate set);
-/// * `budget` — deadline/cancel polled between and *inside* probes; on a
-///   cut the result is a sound retract flagged `truncated`, not a core;
-/// * `threads` — max concurrent probes (1 = sequential, deterministic).
-pub fn incremental_core(
+/// Runs one fold search per pivot `(β, α)`, `β ∈ I` unifiable onto
+/// `α ∈ added`, with `β ↦ α` forced, and stops at the first one that
+/// succeeds or is cut by the budget. Returns whether every pivot search
+/// failed conclusively, with the searches' nodes (and their truncation
+/// flag) in the stats; pivot searches are not counted as fold
+/// candidates. When `I` is a core, the certificate holds exactly when
+/// no variable of `I` is eliminable in `instance` (module docs).
+pub fn pivot_certificate(
     instance: &AtomSet,
     added: &[Atom],
     budget: &SearchBudget,
-    threads: usize,
-) -> (CoreResult, MatchStats) {
-    let mut current = instance.clone();
-    let mut total = Substitution::new();
+) -> (bool, MatchStats) {
+    let inserted = inserted_ids(instance, added);
     let mut stats = MatchStats::default();
-    let mut failed: HashSet<VarId> = HashSet::new();
-
-    let mut worklist = dirty_vars(&current, added);
-
-    loop {
-        if budget.interrupted() {
-            stats.truncated = true;
-            break;
-        }
-        let batch: Vec<VarId> = worklist
-            .iter()
-            .copied()
-            .filter(|&x| !failed.contains(&x) && current.mentions(Term::Var(x)))
-            .collect();
-        worklist.clear();
-        if batch.is_empty() {
-            break;
-        }
-        let (fold, reports) = probe_batch(&current, &batch, budget, threads);
-        for report in reports {
-            stats.merge(report.stats);
-            failed.extend(report.failed);
-            worklist.extend(report.retry);
-        }
-        if let Some(r) = fold {
-            // Transitive expansion: the fold's changed images are the new
-            // anchors — exactly the `A` of the invariant, one level up.
-            let changed: Vec<Atom> = current
-                .iter()
-                .filter_map(|beta| {
-                    let gamma = r.apply_atom(beta);
-                    (gamma != *beta).then_some(gamma)
-                })
-                .collect();
-            // In place: a fold moves O(1) atoms out of a large instance,
-            // so rebuilding the whole set (and its positional indexes)
-            // per retraction would dominate. Removals may auto-compact
-            // the arena; no AtomIds are held across this point.
-            current.apply_in_place(&r);
-            total = total.then(&r);
-            worklist.extend(dirty_vars(&current, &changed));
+    let mut search = FoldSearch::new(instance, budget, None);
+    let (mut scratch, mut sig) = (IdBits::new(), Vec::new());
+    for alpha in added {
+        let Some(alpha_id) = instance.id_of(alpha) else {
+            continue;
+        };
+        instance.matching_ids(alpha.pred(), alpha.arity(), &[], &mut scratch, &mut sig);
+        for &beta_id in &sig {
+            let beta = instance
+                .get(beta_id)
+                .expect("matching_ids returned dead id");
+            if inserted.contains(beta_id.raw()) || !unifiable_onto(beta, alpha) {
+                continue;
+            }
+            let probe = search.probe_pivot(beta, alpha_id);
+            stats.nodes += probe.outcome.nodes;
+            stats.truncated |= probe.outcome.truncated;
+            if probe.retraction.is_some() || probe.outcome.truncated {
+                return (false, stats);
+            }
         }
     }
-    debug_assert!(total.is_retraction_of(instance));
-    debug_assert_eq!(total.apply_set(instance), current);
-    debug_assert!(
-        stats.truncated || crate::core_impl::is_core(&current),
-        "dirty-region maintenance must reach the core when not truncated"
-    );
-    (
-        CoreResult {
-            core: current,
-            retraction: total,
-        },
-        stats,
-    )
+    (true, stats)
+}
+
+/// Re-cores `instance = I ∪ added` in place, where `added` holds the
+/// atoms inserted since `instance` was last simplified, and returns the
+/// composed retraction with the phase's counters.
+///
+/// * `base_is_core` — whether `I` is a core (the previous phase, or
+///   `σ₀`, was not truncated). Only then is the [`pivot_certificate`]
+///   tried; when it holds, only the fresh nulls of `added` are probed.
+///   Otherwise every variable is.
+/// * `budget` — polled between and *inside* probes. A probe cut by the
+///   node limit leaves its variable unresolved; a deadline or cancel
+///   ends the phase. Either way the result is a sound retract flagged
+///   `truncated`, possibly not a core.
+pub fn incremental_core(
+    instance: &mut AtomSet,
+    added: &[Atom],
+    budget: &SearchBudget,
+    base_is_core: bool,
+) -> (Substitution, MatchStats) {
+    #[cfg(debug_assertions)]
+    let before = instance.clone();
+    let mut stats = MatchStats::default();
+    let certified = base_is_core && {
+        let (holds, pivots) = pivot_certificate(instance, added, budget);
+        stats.nodes += pivots.nodes;
+        holds
+    };
+    let candidates: BTreeSet<VarId> = if certified {
+        let inserted = inserted_ids(instance, added);
+        added
+            .iter()
+            .flat_map(Atom::vars)
+            .filter(|&v| {
+                instance
+                    .ids_with_term(Term::Var(v))
+                    .all(|id| inserted.contains(id.raw()))
+            })
+            .collect()
+    } else {
+        instance.vars()
+    };
+    let (total, probes) = fold_variables(instance, candidates, None, budget);
+    stats.merge(probes);
+    #[cfg(debug_assertions)]
+    {
+        assert!(total.is_retraction_of(&before));
+        assert_eq!(total.apply_set(&before), *instance);
+        assert!(
+            stats.truncated || crate::core_impl::is_core(instance),
+            "a conclusive phase must reach the core"
+        );
+    }
+    (total, stats)
 }
 
 #[cfg(test)]
@@ -762,42 +682,56 @@ mod tests {
         assert!(!unifiable_onto(&atom(1, &[c(0), c(1)]), &alpha));
     }
 
+    /// Inserts `added` into `base` and runs the maintainer on the result
+    /// in place, certifying when `base_is_core`.
+    fn recore(
+        base: &AtomSet,
+        added: &[Atom],
+        budget: &SearchBudget,
+        base_is_core: bool,
+    ) -> (AtomSet, Substitution, MatchStats) {
+        let mut j = base.clone();
+        for a in added {
+            j.insert(a.clone());
+        }
+        let (sigma, stats) = incremental_core(&mut j, added, budget, base_is_core);
+        (j, sigma, stats)
+    }
+
     #[test]
     fn fresh_null_folds_back_onto_existing_structure() {
         // Core {r(a,b)}; add r(a,z) with fresh null z — z folds onto b.
         let core = set(&[atom(0, &[c(0), c(1)])]);
         assert!(is_core(&core));
         let added = vec![atom(0, &[c(0), v(7)])];
-        let mut j = core.clone();
-        j.insert(added[0].clone());
-        let (res, stats) = incremental_core(&j, &added, &SearchBudget::default(), 1);
-        assert_eq!(res.core, core);
-        assert!(res.retraction.is_retraction_of(&j));
+        let (res, sigma, stats) = recore(&core, &added, &SearchBudget::default(), true);
+        assert_eq!(res, core);
+        assert_eq!(sigma.apply_atom(&added[0]), atom(0, &[c(0), c(1)]));
         assert!(!stats.truncated);
-        assert!(stats.candidates >= 1);
+        assert_eq!(stats.candidates, 1, "only the fresh null is probed");
     }
 
     #[test]
     fn old_variable_folds_when_new_atoms_enable_it() {
         // Core I = {p(a,x)} (x cannot fold). Adding the ground atom
-        // p(a,b) makes the *old* variable x eliminable — the dirty region
-        // must pick it up even though x is neither fresh nor in the new
-        // atom (p(a,x) is unifiable onto p(a,b)).
+        // p(a,b) makes the *old* variable x eliminable: the pivot
+        // p(a,x) ↦ p(a,b) succeeds, so the phase is not certified and
+        // every variable is probed.
         let i = set(&[atom(0, &[c(0), v(3)])]);
         assert!(is_core(&i));
         let added = vec![atom(0, &[c(0), c(1)])];
-        let mut j = i.clone();
-        j.insert(added[0].clone());
-        let (res, _) = incremental_core(&j, &added, &SearchBudget::default(), 1);
-        assert_eq!(res.core, set(&[atom(0, &[c(0), c(1)])]));
-        assert!(is_core(&res.core));
+        let j = set(&[atom(0, &[c(0), v(3)]), added[0].clone()]);
+        assert!(!pivot_certificate(&j, &added, &SearchBudget::default()).0);
+        let (res, _, _) = recore(&i, &added, &SearchBudget::default(), true);
+        assert_eq!(res, set(&[atom(0, &[c(0), c(1)])]));
+        assert!(is_core(&res));
     }
 
     #[test]
-    fn co_movement_folds_variables_outside_the_seed() {
+    fn co_movement_folds_variables_outside_the_pivot() {
         // I = {q(x,w), q(z,w'), p(w,a), p(w',b)} is a core. Adding
-        // p(w',a) lets w fold (w↦w'), which forces x↦z along — x is
-        // nowhere near the added atom, but the fold carries it.
+        // p(w',a) lets w fold (w↦w'), which forces x↦z along — x is in no
+        // pivot, but the fold carries it.
         let i = set(&[
             atom(1, &[v(0), v(1)]), // q(x, w)
             atom(1, &[v(2), v(3)]), // q(z, w')
@@ -806,68 +740,61 @@ mod tests {
         ]);
         assert!(is_core(&i));
         let added = vec![atom(0, &[v(3), c(0)])]; // p(w', a)
+        let (res, _, _) = recore(&i, &added, &SearchBudget::default(), true);
         let mut j = i.clone();
         j.insert(added[0].clone());
-        let (res, _) = incremental_core(&j, &added, &SearchBudget::default(), 1);
-        let full = core_of(&j);
-        assert!(isomorphism(&res.core, &full.core).is_some());
-        assert!(is_core(&res.core));
-        assert!(!j.is_subset_of(&res.core), "something folded");
+        assert!(isomorphism(&res, &core_of(&j).core).is_some());
+        assert!(is_core(&res));
+        assert!(!j.is_subset_of(&res), "something folded");
     }
 
     #[test]
     fn disjoint_edge_folds_onto_added_loop() {
         // I = {e(x1,x2)} core; adding e(y,y) (fresh null y) makes x1,x2
-        // fold onto y — candidates found via unifiable-onto, not
-        // membership in the new atom.
+        // fold onto y through the pivot e(x1,x2) ↦ e(y,y).
         let i = set(&[atom(0, &[v(0), v(1)])]);
         let added = vec![atom(0, &[v(9), v(9)])];
-        let mut j = i.clone();
-        j.insert(added[0].clone());
-        let (res, _) = incremental_core(&j, &added, &SearchBudget::default(), 1);
-        assert_eq!(res.core, set(&[atom(0, &[v(9), v(9)])]));
+        let (res, _, _) = recore(&i, &added, &SearchBudget::default(), true);
+        assert_eq!(res, set(&[atom(0, &[v(9), v(9)])]));
     }
 
     #[test]
-    fn parallel_probing_matches_sequential_up_to_iso() {
-        // Many interchangeable fresh nulls: parallel and sequential
-        // maintenance must land on isomorphic cores.
-        let mut j = set(&[atom(0, &[c(0), c(1)])]);
-        let mut added = Vec::new();
-        for k in 0..8u32 {
-            let a = atom(0, &[c(0), v(10 + k)]);
-            j.insert(a.clone());
-            added.push(a);
-        }
-        let (seq, _) = incremental_core(&j, &added, &SearchBudget::default(), 1);
-        let (par, _) = incremental_core(&j, &added, &SearchBudget::default(), 4);
-        assert!(isomorphism(&seq.core, &par.core).is_some());
-        assert!(is_core(&par.core));
-        assert_eq!(par.core, set(&[atom(0, &[c(0), c(1)])]));
+    fn uncertified_phase_recores_a_non_core_base() {
+        // The base {e(x,y), e(y,y)} is no core (x folds onto y), and no
+        // pivot reaches x: the certificate holds although x is
+        // eliminable. With the guard off, every variable is probed.
+        let base = set(&[atom(0, &[v(0), v(1)]), atom(0, &[v(1), v(1)])]);
+        assert!(!is_core(&base));
+        let added = vec![atom(1, &[v(1), v(5)])];
+        let mut j = base.clone();
+        j.insert(added[0].clone());
+        assert!(pivot_certificate(&j, &added, &SearchBudget::default()).0);
+        let (res, _, _) = recore(&base, &added, &SearchBudget::default(), false);
+        assert!(is_core(&res));
+        assert!(!res.mentions(v(0)));
     }
 
     #[test]
     fn truncated_budget_returns_sound_retract() {
-        let mut j = set(&[atom(0, &[c(0), c(1)])]);
         let mut added = Vec::new();
         for k in 0..4u32 {
-            let a = atom(0, &[c(0), v(10 + k)]);
-            j.insert(a.clone());
-            added.push(a);
+            added.push(atom(0, &[c(0), v(10 + k)]));
         }
         let expired = SearchBudget::default()
             .with_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        let (res, stats) = incremental_core(&j, &added, &expired, 1);
+        let core = set(&[atom(0, &[c(0), c(1)])]);
+        let (res, sigma, stats) = recore(&core, &added, &expired, true);
         assert!(stats.truncated);
-        assert_eq!(res.core, j, "no time to fold anything");
-        assert!(res.retraction.is_retraction_of(&j));
+        assert_eq!(res.len(), 5, "no time to fold anything");
+        assert!(sigma.is_empty());
     }
 
     #[test]
     fn empty_addition_is_a_no_op() {
         let core = set(&[atom(0, &[v(0), v(1)])]);
-        let (res, _) = incremental_core(&core, &[], &SearchBudget::default(), 4);
-        assert_eq!(res.core, core);
-        assert!(res.retraction.is_empty());
+        let (res, sigma, stats) = recore(&core, &[], &SearchBudget::default(), true);
+        assert_eq!(res, core);
+        assert!(sigma.is_empty());
+        assert_eq!(stats, MatchStats::default());
     }
 }

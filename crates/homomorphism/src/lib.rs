@@ -47,7 +47,7 @@ pub use core_impl::{
     core_of, core_of_budgeted, find_proper_retraction, find_retraction_eliminating, fold_variables,
     is_core, CoreResult,
 };
-pub use incremental::incremental_core;
+pub use incremental::{incremental_core, pivot_certificate};
 pub use iso::{hom_equivalent, isomorphism};
 pub use matcher::{
     all_homomorphisms, find_homomorphism, find_homomorphism_extending, for_each_homomorphism,

@@ -13,8 +13,11 @@
 # The recorder reads the instance each derivation step stored, so it
 # builds against revisions whose `ChaseResult::derivation` is an `Option`
 # keeping every `F_i`; the test replays the log-only derivation of later
-# revisions against the goldens those revisions recorded. Set
-# CARGO_TARGET_DIR to reuse a build directory across recordings.
+# revisions against the goldens those revisions recorded. Revisions that
+# still have `ChaseConfig::probe_threads` probe core folds on several
+# threads by default, so their core goldens repeat only up to
+# isomorphism. Set CARGO_TARGET_DIR to reuse a build directory across
+# recordings.
 set -eu
 REV=$1
 DIR=$(cd "$(dirname "$0")" && pwd)
@@ -51,9 +54,7 @@ fn main() {
     ];
     for (kb_name, kb, budget) in &kbs {
         for (variant_name, variant) in variants {
-            let cfg = ChaseConfig::variant(variant)
-                .with_max_applications(*budget)
-                .with_probe_threads(1);
+            let cfg = ChaseConfig::variant(variant).with_max_applications(*budget);
             let mut vocab = kb.vocab.clone();
             let res = run_chase(&mut vocab, &kb.facts, &kb.rules, &cfg);
             let d = res.derivation.expect("full record");

@@ -1,9 +1,7 @@
 //! Property tests for the incremental core maintainer: on seeded random
-//! inputs the dirty-region maintainer must agree with the from-scratch
+//! inputs the pivot-certified maintainer must agree with the from-scratch
 //! [`core_of`] up to isomorphism (cores are unique up to iso), both on
-//! single core-∪-added instances and along whole chase trajectories, and
-//! parallel probing must be deterministic in its *result* regardless of
-//! thread interleaving.
+//! single core-∪-inserted instances and along whole chase trajectories.
 //!
 //! Cases are generated with the engine's deterministic [`SplitMix64`]
 //! generator (fixed seeds), so failures are reproducible without a
@@ -29,14 +27,21 @@ fn random_atomset(rng: &mut SplitMix64, max_atoms: usize, vars: u32) -> AtomSet 
 }
 
 /// One random "core maintenance step": a cored base plus a batch of
-/// added atoms that may touch base terms and fresh nulls alike.
+/// inserted atoms that may touch base terms and fresh nulls alike. Only
+/// atoms the base lacks count as inserted, as in the engine.
 fn random_step(seed: u64) -> (AtomSet, Vec<Atom>) {
     let mut rng = SplitMix64::new(seed);
     let base = core_of(&random_atomset(&mut rng, 8, 6)).core;
     // Added atoms draw from a widened pool (0..10): ids 6..10 are fresh
     // nulls that the base cannot mention, the rest alias base variables.
     let n_added = 1 + rng.gen_range(4);
-    let added: Vec<Atom> = (0..n_added).map(|_| random_atom(&mut rng, 2, 10)).collect();
+    let mut added: Vec<Atom> = Vec::new();
+    for _ in 0..n_added {
+        let a = random_atom(&mut rng, 2, 10);
+        if !base.contains(&a) && !added.contains(&a) {
+            added.push(a);
+        }
+    }
     (base, added)
 }
 
@@ -51,49 +56,22 @@ fn incremental_matches_core_of_on_random_instances() {
         for a in &added {
             full.insert(a.clone());
         }
-        let (inc, inc_stats) = incremental_core(&full, &added, &SearchBudget::unlimited(), 1);
+        let mut inc = full.clone();
+        let (sigma, inc_stats) =
+            incremental_core(&mut inc, &added, &SearchBudget::unlimited(), true);
         let scratch = core_of(&full);
         assert!(
             !inc_stats.truncated,
             "seed {seed}: unlimited budget truncated"
         );
         assert!(
-            isomorphism(&inc.core, &scratch.core).is_some(),
-            "seed {seed}: incremental core not isomorphic to core_of\n  full: {full:?}\n  inc: {:?}\n  scratch: {:?}",
-            inc.core,
+            isomorphism(&inc, &scratch.core).is_some(),
+            "seed {seed}: incremental core not isomorphic to core_of\n  full: {full:?}\n  inc: {inc:?}\n  scratch: {:?}",
             scratch.core
         );
-        assert!(is_core(&inc.core), "seed {seed}: result is not a core");
-        assert!(inc.retraction.is_retraction_of(&full));
-        assert_eq!(inc.retraction.apply_set(&full), inc.core);
-    }
-}
-
-/// Parallel probing is deterministic in its *result*: whatever retract a
-/// 4-thread race lands on, it is a core isomorphic to the sequential
-/// one, across repeated runs (thread interleavings).
-#[test]
-fn parallel_probing_is_deterministic_up_to_isomorphism() {
-    for seed in 300..340u64 {
-        let (base, added) = random_step(seed);
-        let mut full = base.clone();
-        for a in &added {
-            full.insert(a.clone());
-        }
-        let (reference, _) = incremental_core(&full, &added, &SearchBudget::unlimited(), 1);
-        for _run in 0..4 {
-            let (par, par_stats) = incremental_core(&full, &added, &SearchBudget::unlimited(), 4);
-            assert!(!par_stats.truncated);
-            assert!(
-                is_core(&par.core),
-                "seed {seed}: parallel result not a core"
-            );
-            assert!(
-                isomorphism(&par.core, &reference.core).is_some(),
-                "seed {seed}: parallel core not isomorphic to sequential core"
-            );
-            assert!(par.retraction.is_retraction_of(&full));
-        }
+        assert!(is_core(&inc), "seed {seed}: result is not a core");
+        assert!(sigma.is_retraction_of(&full));
+        assert_eq!(sigma.apply_set(&full), inc);
     }
 }
 
@@ -161,22 +139,46 @@ mod trajectories {
 }
 
 /// Pins the incremental maintainer's search tree on the paper's staircase
-/// `K_h`: with one probe thread the probe order, and with it every node
-/// count, is a pure function of the input. A change to the fold search
-/// that explores a different tree (a different pending-atom choice or
-/// candidate order) moves these counters even when the cores agree.
+/// `K_h`: probing is serial, so the pivot searches, the probe order and
+/// with them every node count are a pure function of the input. A change
+/// to the fold search that explores a different tree (a different
+/// pending-atom choice or candidate order) moves these counters even
+/// when the cores agree.
 #[test]
 fn staircase_core_chase_explores_a_pinned_search_tree() {
     use treechase::engine::{ChaseConfig, ChaseVariant};
     use treechase::prelude::KnowledgeBase;
-    let res = KnowledgeBase::staircase().chase(
-        &ChaseConfig::variant(ChaseVariant::Core)
-            .with_max_applications(300)
-            .with_probe_threads(1),
-    );
+    let res = KnowledgeBase::staircase()
+        .chase(&ChaseConfig::variant(ChaseVariant::Core).with_max_applications(300));
     assert_eq!(res.stats.applications, 300);
-    assert_eq!(res.stats.match_nodes, 300_163);
-    assert_eq!(res.stats.fold_candidates, 5_907);
+    assert_eq!(res.stats.match_nodes, 138_195);
+    assert_eq!(res.stats.fold_candidates, 2_227);
     assert_eq!(res.stats.retractions, 91);
     assert_eq!(res.stats.core_truncations, 0);
+}
+
+/// The same pins for the admission gate's probe shape: the staircase and
+/// the elevator `K_v` core chases under `DatalogFirst` at 120
+/// applications.
+#[test]
+fn gate_shaped_core_chases_explore_pinned_search_trees() {
+    use treechase::engine::{ChaseConfig, ChaseVariant, SchedulerKind};
+    use treechase::prelude::KnowledgeBase;
+    let cfg = ChaseConfig::variant(ChaseVariant::Core)
+        .with_scheduler(SchedulerKind::DatalogFirst)
+        .with_max_applications(120);
+    for (name, kb, nodes, candidates, retractions) in [
+        ("staircase", KnowledgeBase::staircase(), 6_078, 151, 10),
+        ("elevator", KnowledgeBase::elevator(), 11_356, 90, 0),
+    ] {
+        let res = kb.chase(&cfg);
+        let got = (
+            res.stats.applications,
+            res.stats.match_nodes,
+            res.stats.fold_candidates,
+            res.stats.retractions,
+            res.stats.core_truncations,
+        );
+        assert_eq!(got, (120, nodes, candidates, retractions, 0), "{name}");
+    }
 }

@@ -23,9 +23,7 @@ const VARIANTS: [(&str, ChaseVariant); 5] = [
 /// with `testdata/derivations/<kb_name>.<variant>.golden`.
 fn check_against_goldens(kb_name: &str, kb: &KnowledgeBase, budget: usize) {
     for (variant_name, variant) in VARIANTS {
-        let cfg = ChaseConfig::variant(variant)
-            .with_max_applications(budget)
-            .with_probe_threads(1);
+        let cfg = ChaseConfig::variant(variant).with_max_applications(budget);
         let mut vocab = kb.vocab.clone();
         let res = run_chase(&mut vocab, &kb.facts, &kb.rules, &cfg);
         let d = &res.derivation;

@@ -9,6 +9,10 @@
 //!   with the same enumerator, restricted to retractions, on every
 //!   variable of a thousand random atomsets, half of them with only a
 //!   random subset of the variables allowed to move;
+//! * a pivot-certificate differential — on random `core ∪ inserted`
+//!   instances the incremental maintainer's certificate holds exactly
+//!   when the enumerator finds no retraction eliminating an old
+//!   variable;
 //! * chase determinism — the same KB chased twice produces
 //!   byte-identical derivation logs (the matcher's candidate order and
 //!   atom selection are fully deterministic);
@@ -23,8 +27,8 @@ use treechase::atoms::{Atom, AtomSet, ConstId, PredId, Substitution, Term, VarId
 use treechase::engine::prng::SplitMix64;
 use treechase::engine::{ChaseConfig, ChaseVariant};
 use treechase::homomorphism::{
-    find_retraction_eliminating, fold_variables, for_each_homomorphism, isomorphism, MatchConfig,
-    SearchBudget,
+    core_of, find_retraction_eliminating, fold_variables, for_each_homomorphism, isomorphism,
+    pivot_certificate, MatchConfig, SearchBudget,
 };
 use treechase::prelude::*;
 
@@ -226,6 +230,59 @@ fn fold_probe_equals_brute_force_retraction_search() {
     );
 }
 
+/// The incremental maintainer's pivot certificate against the
+/// brute-force enumerator, in both directions. Each case cores a random
+/// one-predicate atomset with constants and repeated variables into `I`,
+/// then inserts up to three atoms that may mention `I`'s variables,
+/// fresh nulls (ids 3 and 4) and constants. The certificate must hold
+/// exactly when no retraction of `I ∪ inserted` eliminates a variable of
+/// `I`.
+#[test]
+fn pivot_certificate_is_exact() {
+    let mut rng = SplitMix64::new(0x9170);
+    let budget = SearchBudget::default();
+    let (mut holds, mut fails) = (0usize, 0usize);
+    for case in 0..800 {
+        let core = core_of(&random_atomset(&mut rng, 1, 5, 3, 2)).core;
+        let mut j = core.clone();
+        let mut inserted = Vec::new();
+        for _ in 0..1 + rng.gen_range(3) {
+            let a = random_atom(&mut rng, 1, 5, 2);
+            if j.insert(a.clone()) {
+                inserted.push(a);
+            }
+        }
+        let (certified, stats) = pivot_certificate(&j, &inserted, &budget);
+        assert!(
+            !stats.truncated,
+            "case {case}: an unbudgeted pivot truncated"
+        );
+        let endos = brute_force(&j, &j, &MatchConfig::default());
+        let old_folds = core.vars().into_iter().any(|x| {
+            endos.iter().any(|pairs| {
+                is_fold(
+                    &Substitution::from_pairs(pairs.iter().copied()),
+                    &j,
+                    x,
+                    None,
+                )
+            })
+        });
+        assert_eq!(
+            certified, !old_folds,
+            "case {case}: certificate {certified} but an old variable folds: {old_folds}\n\
+             core {core:?}\ninserted {inserted:?}"
+        );
+        if certified {
+            holds += 1;
+        } else {
+            fails += 1;
+        }
+    }
+    // Both verdicts must actually be exercised.
+    assert!(holds >= 150 && fails >= 150, "{holds} hold, {fails} fail");
+}
+
 /// `const_only` prunes branches that bind an answer variable to a null.
 /// Over random answer-variable sets, the matcher enumerates the
 /// brute-force set, and it is exactly the unconstrained set filtered to
@@ -316,13 +373,11 @@ fn restricted_chase_log_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn core_chase_log_is_byte_identical_with_single_probe_thread() {
-    // Parallel core probing is made deterministic by pinning one probe
-    // thread; everything else (matching, scheduling) must already be.
+fn core_chase_log_is_byte_identical_across_runs() {
+    // Fold probing is serial, so the core chase is as deterministic as
+    // matching and scheduling.
     let kb = KnowledgeBase::elevator();
-    let cfg = ChaseConfig::variant(ChaseVariant::Core)
-        .with_max_applications(40)
-        .with_probe_threads(1);
+    let cfg = ChaseConfig::variant(ChaseVariant::Core).with_max_applications(40);
     let a = kb.chase(&cfg);
     let b = kb.chase(&cfg);
     assert_eq!(derivation_log(&a), derivation_log(&b));
@@ -335,9 +390,7 @@ fn core_chase_log_is_byte_identical_with_single_probe_thread() {
 #[test]
 fn mid_chase_compaction_is_transparent() {
     let kb = KnowledgeBase::staircase();
-    let cfg = ChaseConfig::variant(ChaseVariant::Core)
-        .with_max_applications(120)
-        .with_probe_threads(1);
+    let cfg = ChaseConfig::variant(ChaseVariant::Core).with_max_applications(120);
 
     let compacted = kb.chase(&cfg);
 
