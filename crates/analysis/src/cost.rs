@@ -127,12 +127,12 @@ pub struct BudgetEnvelope {
 }
 
 impl BudgetEnvelope {
-    /// Writes the envelope into `cfg`: the application ceiling is set
-    /// outright (the envelope *is* the budget decision), memory and
-    /// wall-clock ceilings only fill unpinned slots.
+    /// Writes the envelope into `cfg`: the application ceiling only
+    /// ever lowers, and memory and wall-clock ceilings only fill
+    /// unpinned slots.
     #[must_use]
     pub fn apply(&self, mut cfg: ChaseConfig) -> ChaseConfig {
-        cfg.max_applications = self.max_apps;
+        cfg.max_applications = cfg.max_applications.min(self.max_apps);
         if cfg.mem_soft.is_none() {
             cfg.mem_soft = Some(self.mem_soft);
         }
@@ -280,8 +280,13 @@ mod tests {
         assert_eq!(cfg.mem_soft, Some(env.mem_soft));
         assert_eq!(cfg.mem_hard, Some(env.mem_hard));
         assert_eq!(cfg.max_wall, Some(env.deadline));
-        // Pinned memory survives.
-        let pinned = env.apply(ChaseConfig::default().with_mem_soft(7));
+        // Pinned memory survives, and so does a lower application ceiling.
+        let pinned = env.apply(
+            ChaseConfig::default()
+                .with_mem_soft(7)
+                .with_max_applications(5),
+        );
         assert_eq!(pinned.mem_soft, Some(7));
+        assert_eq!(pinned.max_applications, 5);
     }
 }

@@ -33,7 +33,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use chase_engine::ChaseOutcome;
-use treechase_service::protocol::{event_to_json, outcome_name, stats_to_json, verdict_name};
+use treechase_service::protocol::{event_to_json, outcome_name, verdict_name};
 use treechase_service::{
     Checkpoint, EventReceiver, JobId, JobSpec, JobStatus, Json, Service, ServiceConfig, WaitResult,
 };
@@ -406,7 +406,6 @@ fn done_report(lease: &Lease, svc: &Service, spec: &JobSpec, local: JobId) -> Op
                 ("status", Json::str("ok")),
                 ("outcome", Json::str(outcome_name(r.outcome))),
                 ("terminated", Json::Bool(terminated)),
-                ("stats", stats_to_json(&r.stats)),
                 ("queries", Json::Arr(queries)),
                 ("checkpoint", final_ck.to_json()),
             ],

@@ -40,65 +40,32 @@ use crate::kb::KnowledgeBase;
 /// horizons, where the probe would also get expensive).
 pub const DEFAULT_PROBE_APPLICATIONS: usize = 120;
 
-/// Tunables of the dynamic width probe and its plateau heuristic —
-/// the constants that used to be scattered magic numbers, gathered so
-/// callers (and the `analyze --probe-apps` flag) can vary them
-/// coherently.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProbeConfig {
-    /// Chase applications granted to each probe run.
-    pub applications: usize,
-    /// Minimum profile length before the plateau heuristic speaks:
-    /// shorter prefixes have not left the fact base's influence yet and
-    /// read as [`WidthObservation::Unobserved`].
-    pub min_profile: usize,
-    /// Percentage of the profile forming the *leading* window; the
-    /// trailing window is the rest. The default 50/50 split compares
-    /// the two halves.
-    pub split_percent: usize,
-}
+/// Minimum profile length before the plateau heuristic speaks: shorter
+/// prefixes have not left the fact base's influence yet and read as
+/// [`WidthObservation::Unobserved`].
+const MIN_PROFILE: usize = 16;
 
-impl Default for ProbeConfig {
-    fn default() -> Self {
-        Self {
-            applications: DEFAULT_PROBE_APPLICATIONS,
-            min_profile: 16,
-            split_percent: 50,
-        }
+/// Reads a width profile into a [`WidthObservation`] by comparing its
+/// trailing half against its leading half. Three outcomes, kept
+/// deliberately distinct: a profile shorter than [`MIN_PROFILE`] is
+/// [`WidthObservation::Unobserved`] — *no signal*, never a divergence
+/// claim — while only a long-enough profile whose trailing half exceeds
+/// its leading half counts as [`WidthObservation::Climbing`].
+fn plateau(profile: &[usize], terminated: bool) -> WidthObservation {
+    if terminated {
+        // A terminated chase is trivially width-bounded by its max.
+        return WidthObservation::Plateau(profile.iter().copied().max().unwrap_or(0));
     }
-}
-
-impl ProbeConfig {
-    /// A default-shaped config with a different probe horizon.
-    pub fn with_applications(applications: usize) -> Self {
-        Self {
-            applications,
-            ..Self::default()
-        }
+    if profile.len() < MIN_PROFILE {
+        return WidthObservation::Unobserved;
     }
-
-    /// Reads a width profile into a [`WidthObservation`]. Three
-    /// outcomes, kept deliberately distinct: a profile shorter than
-    /// `min_profile` is [`WidthObservation::Unobserved`] — *no signal*,
-    /// never a divergence claim — while only a long-enough profile
-    /// whose trailing window exceeds its leading window counts as
-    /// [`WidthObservation::Climbing`].
-    pub fn plateau(&self, profile: &[usize], terminated: bool) -> WidthObservation {
-        if terminated {
-            // A terminated chase is trivially width-bounded by its max.
-            return WidthObservation::Plateau(profile.iter().copied().max().unwrap_or(0));
-        }
-        if profile.len() < self.min_profile.max(2) {
-            return WidthObservation::Unobserved;
-        }
-        let mid = (profile.len() * self.split_percent / 100).clamp(1, profile.len() - 1);
-        let leading = profile[..mid].iter().copied().max().unwrap_or(0);
-        let trailing = profile[mid..].iter().copied().max().unwrap_or(0);
-        if trailing <= leading {
-            WidthObservation::Plateau(trailing)
-        } else {
-            WidthObservation::Climbing
-        }
+    let (leading, trailing) = profile.split_at(profile.len() / 2);
+    let leading = leading.iter().copied().max().unwrap_or(0);
+    let trailing = trailing.iter().copied().max().unwrap_or(0);
+    if trailing <= leading {
+        WidthObservation::Plateau(trailing)
+    } else {
+        WidthObservation::Climbing
     }
 }
 
@@ -157,14 +124,13 @@ fn classify_cost(report: &RulesetReport) -> (CostClass, String) {
     (CostClass::Open, provenance.to_string())
 }
 
-/// Converts a raw class probe into evidence under an explicit
-/// [`ProbeConfig`].
-pub fn evidence_from_probe_with(probe: &ClassProbe, cfg: &ProbeConfig) -> DynamicEvidence {
+/// Converts a raw class probe into evidence.
+fn evidence_from_probe(probe: &ClassProbe) -> DynamicEvidence {
     DynamicEvidence {
         restricted_terminated: probe.restricted_chase_terminated,
-        restricted_width: cfg.plateau(&probe.restricted_profile, probe.restricted_chase_terminated),
+        restricted_width: plateau(&probe.restricted_profile, probe.restricted_chase_terminated),
         core_terminated: probe.core_chase_terminated,
-        core_width: cfg.plateau(&probe.core_profile, probe.core_chase_terminated),
+        core_width: plateau(&probe.core_profile, probe.core_chase_terminated),
     }
 }
 
@@ -188,22 +154,9 @@ pub fn analyze_kb(
     budget: &SearchBudget,
     probe_applications: usize,
 ) -> AnalysisGate {
-    analyze_kb_with(
-        kb,
-        budget,
-        &ProbeConfig::with_applications(probe_applications),
-    )
-}
-
-/// Like [`analyze_kb`], with full control over the probe tunables.
-pub fn analyze_kb_with(
-    kb: &KnowledgeBase,
-    budget: &SearchBudget,
-    probe: &ProbeConfig,
-) -> AnalysisGate {
     let mut report = analyze_with_budget(&kb.rules, budget);
-    let raw_probe = probe_classes_budgeted(kb, probe.applications, budget);
-    let evidence = evidence_from_probe_with(&raw_probe, probe);
+    let raw_probe = probe_classes_budgeted(kb, probe_applications, budget);
+    let evidence = evidence_from_probe(&raw_probe);
     report.attach_evidence(&evidence);
     let mut plan = stratified_plan_probed(&kb.rules, |scc| {
         if scc.len() == kb.rules.len() {
@@ -211,10 +164,7 @@ pub fn analyze_kb_with(
         }
         let sub_rules: RuleSet = scc.iter().map(|&r| kb.rules.get(r).clone()).collect();
         let sub = KnowledgeBase::new(kb.vocab.clone(), kb.facts.clone(), sub_rules);
-        evidence_from_probe_with(
-            &probe_classes_budgeted(&sub, probe.applications, budget),
-            probe,
-        )
+        evidence_from_probe(&probe_classes_budgeted(&sub, probe_applications, budget))
     });
     let (cost_class, provenance) = classify_cost(&report);
     let envelope = cost_model(cost_class, &RulesetShape::of(&kb.rules));
@@ -330,33 +280,9 @@ mod tests {
 
     #[test]
     fn probe_config_tunes_the_plateau_heuristic() {
-        let cfg = ProbeConfig::default();
-        // Too short to judge under the default minimum.
-        assert_eq!(cfg.plateau(&[1, 2, 3], false), WidthObservation::Unobserved);
-        let relaxed = ProbeConfig {
-            min_profile: 2,
-            ..ProbeConfig::default()
-        };
-        assert_eq!(
-            relaxed.plateau(&[1, 2, 3], false),
-            WidthObservation::Climbing
-        );
-        assert_eq!(
-            relaxed.plateau(&[3, 3, 3, 2], false),
-            WidthObservation::Plateau(3)
-        );
-        // A later split point moves the same profile from climbing to
-        // plateaued: the trailing window no longer sees the early rise.
-        let late_split = ProbeConfig {
-            min_profile: 2,
-            split_percent: 80,
-            ..ProbeConfig::default()
-        };
-        assert_eq!(
-            late_split.plateau(&[1, 2, 3, 3, 3], false),
-            WidthObservation::Plateau(3)
-        );
+        // Too short to judge under the minimum profile length.
+        assert_eq!(plateau(&[1, 2, 3], false), WidthObservation::Unobserved);
         // Termination trumps everything.
-        assert_eq!(cfg.plateau(&[5, 9], true), WidthObservation::Plateau(9));
+        assert_eq!(plateau(&[5, 9], true), WidthObservation::Plateau(9));
     }
 }

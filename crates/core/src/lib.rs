@@ -37,7 +37,5 @@ pub use cq::{
 };
 pub use decide::{decide, DecideConfig, DecideOutcome};
 pub use entail::{entail, Entailment};
-pub use gate::{
-    analyze_kb, analyze_kb_with, AnalysisGate, ProbeConfig, DEFAULT_PROBE_APPLICATIONS,
-};
+pub use gate::{analyze_kb, AnalysisGate, DEFAULT_PROBE_APPLICATIONS};
 pub use kb::KnowledgeBase;

@@ -335,7 +335,68 @@ pub struct ChaseStats {
     pub peak_index_postings: usize,
 }
 
+/// How two consecutive slices of one derivation combine a counter.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Combine {
+    /// The slices' values add up (applications, timers, search nodes).
+    Sum,
+    /// The larger value stands (gauges such as `peak_atoms`).
+    Peak,
+}
+
+/// One row of [`ChaseStats::FIELDS`].
+#[derive(Copy, Clone, Debug)]
+pub struct StatsField {
+    /// The counter's key on the wire (its field name).
+    pub name: &'static str,
+    /// Reads the counter.
+    pub get: fn(&ChaseStats) -> u64,
+    /// Writes the counter.
+    pub set: fn(&mut ChaseStats, u64),
+    /// How a resumed slice's value combines with its prefix's.
+    pub combine: Combine,
+    /// Decoders reject a record without this key; any other missing
+    /// counter reads as 0, so records written before it existed parse.
+    pub required: bool,
+}
+
+/// A [`StatsField`] row for the field `$field`.
+macro_rules! stats_field {
+    ($field:ident, $combine:ident, $required:literal) => {
+        StatsField {
+            name: stringify!($field),
+            get: |s| s.$field as u64,
+            set: |s, v| s.$field = v as _,
+            combine: Combine::$combine,
+            required: $required,
+        }
+    };
+}
+
 impl ChaseStats {
+    /// Every counter, in wire order: the one place that names them for
+    /// the stats codec and for combining a checkpoint's prefix with a
+    /// resumed slice. A new counter needs a field and a row here.
+    pub const FIELDS: [StatsField; 17] = [
+        stats_field!(applications, Sum, true),
+        stats_field!(rounds, Sum, true),
+        stats_field!(retractions, Sum, true),
+        stats_field!(peak_atoms, Peak, true),
+        stats_field!(core_steps, Sum, false),
+        stats_field!(match_nodes, Sum, false),
+        stats_field!(fold_candidates, Sum, false),
+        stats_field!(core_truncations, Sum, false),
+        stats_field!(core_time_us, Sum, false),
+        stats_field!(wall_us, Sum, false),
+        stats_field!(nulls_minted, Sum, false),
+        stats_field!(peak_trigger_queue, Peak, false),
+        stats_field!(peak_mem_units, Peak, false),
+        stats_field!(match_time_us, Sum, false),
+        stats_field!(match_searches, Sum, false),
+        stats_field!(match_trials, Sum, false),
+        stats_field!(peak_index_postings, Peak, false),
+    ];
+
     /// Counts one core or frugal phase: its matcher counters `ms` and the
     /// wall-clock time it took.
     pub fn tally_core_phase(&mut self, ms: MatchStats, elapsed: Duration) {
@@ -1248,6 +1309,37 @@ mod tests {
             "a slow:1:30 site sleeps 30ms, got {}us",
             res.stats.wall_us
         );
+    }
+
+    #[test]
+    fn conclusive_phase_after_a_truncated_one_reaches_the_core() {
+        // Under a 2-node limit σ₀ cuts the probe of x10, then folds x13
+        // onto x11: the retract r(x11, x10), r(x11, x11) is not a core.
+        // The next phase adds only n(c, Z), so its pivot certificate
+        // holds; it must still probe x10, which now folds cheaply.
+        let c = Term::Const(chase_atoms::ConstId::from_raw(0));
+        let facts = set(&[
+            atom(0, &[v(11), v(10)]),
+            atom(0, &[v(13), v(10)]),
+            atom(0, &[v(11), v(11)]),
+            atom(1, &[c]),
+        ]);
+        let rules: RuleSet = [Rule::new(
+            "mk",
+            set(&[atom(1, &[v(0)])]),
+            set(&[atom(2, &[v(0), v(1)])]),
+        )
+        .unwrap()]
+        .into_iter()
+        .collect();
+        let cfg = ChaseConfig::variant(ChaseVariant::Core)
+            .with_search_budget(SearchBudget::unlimited().with_node_limit(2));
+        let res = run_chase(&mut vocab(), &facts, &rules, &cfg);
+        assert!(res.outcome.terminated());
+        assert_eq!(res.stats.core_steps, 2);
+        assert_eq!(res.stats.core_truncations, 1, "σ₀ is cut, the phase is not");
+        assert!(is_core(&res.final_instance));
+        assert_eq!(res.final_instance.len(), 3);
     }
 }
 

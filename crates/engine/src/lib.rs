@@ -38,7 +38,7 @@ mod trigger;
 
 pub use chase::{
     run_chase, run_chase_controlled, run_chase_observed, ChaseConfig, ChaseOutcome, ChaseResult,
-    ChaseStats, ChaseVariant, SchedulerKind, SuspendReason,
+    ChaseStats, ChaseVariant, Combine, SchedulerKind, StatsField, SuspendReason,
 };
 pub use control::{CancelToken, ChaseEvent, FaultPlan, FaultSite};
 pub use derivation::{Derivation, DerivationElement, DerivationStep};

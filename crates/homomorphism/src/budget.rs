@@ -126,7 +126,8 @@ impl MatchStats {
         self.truncated |= outcome.truncated;
     }
 
-    /// Merges another aggregate (e.g. a parallel worker's share).
+    /// Merges another aggregate (e.g. a core phase's fold probes into
+    /// the nodes its pivot certificate spent).
     pub fn merge(&mut self, other: MatchStats) {
         self.nodes += other.nodes;
         self.candidates += other.candidates;

@@ -2,7 +2,7 @@
 
 use chase_atoms::{AtomSet, Vocabulary};
 use chase_core::KnowledgeBase;
-use chase_engine::{ChaseConfig, ChaseOutcome, ChaseStats};
+use chase_engine::{ChaseConfig, ChaseOutcome, ChaseStats, Combine};
 use chase_parser::{parse_program, Program};
 
 use crate::checkpoint::Checkpoint;
@@ -224,27 +224,19 @@ pub struct JobResult {
     pub wall_ms: u64,
 }
 
-/// Adds two counter sets (checkpoint carry-over + fresh slice).
+/// Adds two counter sets (checkpoint carry-over + fresh slice), each
+/// counter as its [`ChaseStats::FIELDS`] row says.
 pub fn add_stats(a: ChaseStats, b: ChaseStats) -> ChaseStats {
-    ChaseStats {
-        applications: a.applications + b.applications,
-        rounds: a.rounds + b.rounds,
-        retractions: a.retractions + b.retractions,
-        peak_atoms: a.peak_atoms.max(b.peak_atoms),
-        core_steps: a.core_steps + b.core_steps,
-        match_nodes: a.match_nodes + b.match_nodes,
-        fold_candidates: a.fold_candidates + b.fold_candidates,
-        core_truncations: a.core_truncations + b.core_truncations,
-        core_time_us: a.core_time_us + b.core_time_us,
-        wall_us: a.wall_us + b.wall_us,
-        nulls_minted: a.nulls_minted + b.nulls_minted,
-        peak_trigger_queue: a.peak_trigger_queue.max(b.peak_trigger_queue),
-        peak_mem_units: a.peak_mem_units.max(b.peak_mem_units),
-        match_time_us: a.match_time_us + b.match_time_us,
-        match_searches: a.match_searches + b.match_searches,
-        match_trials: a.match_trials + b.match_trials,
-        peak_index_postings: a.peak_index_postings.max(b.peak_index_postings),
+    let mut total = a;
+    for f in &ChaseStats::FIELDS {
+        let (x, y) = ((f.get)(&a), (f.get)(&b));
+        let v = match f.combine {
+            Combine::Sum => x + y,
+            Combine::Peak => x.max(y),
+        };
+        (f.set)(&mut total, v);
     }
+    total
 }
 
 #[cfg(test)]
@@ -268,65 +260,5 @@ mod tests {
     #[test]
     fn spec_from_bad_text_reports_error() {
         assert!(JobSpec::from_text("t", "r(a,", ChaseConfig::default()).is_err());
-    }
-
-    #[test]
-    fn stats_addition_accumulates() {
-        let a = ChaseStats {
-            applications: 5,
-            rounds: 2,
-            retractions: 1,
-            peak_atoms: 10,
-            core_steps: 4,
-            match_nodes: 100,
-            fold_candidates: 9,
-            core_truncations: 1,
-            core_time_us: 250,
-            wall_us: 1_000,
-            nulls_minted: 6,
-            peak_trigger_queue: 4,
-            peak_mem_units: 20,
-            match_time_us: 40,
-            match_searches: 7,
-            match_trials: 300,
-            peak_index_postings: 11,
-        };
-        let b = ChaseStats {
-            applications: 3,
-            rounds: 1,
-            retractions: 0,
-            peak_atoms: 7,
-            core_steps: 2,
-            match_nodes: 50,
-            fold_candidates: 4,
-            core_truncations: 0,
-            core_time_us: 100,
-            wall_us: 500,
-            nulls_minted: 2,
-            peak_trigger_queue: 9,
-            peak_mem_units: 15,
-            match_time_us: 60,
-            match_searches: 3,
-            match_trials: 200,
-            peak_index_postings: 13,
-        };
-        let s = add_stats(a, b);
-        assert_eq!(s.applications, 8);
-        assert_eq!(s.rounds, 3);
-        assert_eq!(s.retractions, 1);
-        assert_eq!(s.peak_atoms, 10);
-        assert_eq!(s.core_steps, 6);
-        assert_eq!(s.match_nodes, 150);
-        assert_eq!(s.fold_candidates, 13);
-        assert_eq!(s.core_truncations, 1);
-        assert_eq!(s.core_time_us, 350);
-        assert_eq!(s.wall_us, 1_500);
-        assert_eq!(s.nulls_minted, 8);
-        assert_eq!(s.peak_trigger_queue, 9);
-        assert_eq!(s.peak_mem_units, 20);
-        assert_eq!(s.match_time_us, 100);
-        assert_eq!(s.match_searches, 10);
-        assert_eq!(s.match_trials, 500);
-        assert_eq!(s.peak_index_postings, 13);
     }
 }

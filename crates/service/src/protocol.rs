@@ -488,57 +488,28 @@ pub fn status_name(s: &JobStatus) -> &'static str {
     }
 }
 
-/// Serializes run counters.
+/// Serializes run counters, one key per [`ChaseStats::FIELDS`] row.
 pub fn stats_to_json(stats: &ChaseStats) -> Json {
-    Json::obj([
-        ("applications", Json::Int(stats.applications as i64)),
-        ("rounds", Json::Int(stats.rounds as i64)),
-        ("retractions", Json::Int(stats.retractions as i64)),
-        ("peak_atoms", Json::Int(stats.peak_atoms as i64)),
-        ("core_steps", Json::Int(stats.core_steps as i64)),
-        ("match_nodes", Json::Int(stats.match_nodes as i64)),
-        ("fold_candidates", Json::Int(stats.fold_candidates as i64)),
-        ("core_truncations", Json::Int(stats.core_truncations as i64)),
-        ("core_time_us", Json::Int(stats.core_time_us as i64)),
-        ("wall_us", Json::Int(stats.wall_us as i64)),
-        ("nulls_minted", Json::Int(stats.nulls_minted as i64)),
-        (
-            "peak_trigger_queue",
-            Json::Int(stats.peak_trigger_queue as i64),
-        ),
-        ("peak_mem_units", Json::Int(stats.peak_mem_units as i64)),
-        ("match_time_us", Json::Int(stats.match_time_us as i64)),
-        ("match_searches", Json::Int(stats.match_searches as i64)),
-        ("match_trials", Json::Int(stats.match_trials as i64)),
-        (
-            "peak_index_postings",
-            Json::Int(stats.peak_index_postings as i64),
-        ),
-    ])
+    Json::obj(
+        ChaseStats::FIELDS
+            .iter()
+            .map(|f| (f.name, Json::Int((f.get)(stats) as i64))),
+    )
 }
 
-/// Deserializes run counters. The matcher counters default to zero so
-/// checkpoints written before they existed still parse.
+/// Deserializes run counters. A missing optional counter reads as 0, so
+/// checkpoints written before it existed still parse.
 pub fn stats_from_json(v: &Json) -> Result<ChaseStats, String> {
-    Ok(ChaseStats {
-        applications: v.require_u64("applications")? as usize,
-        rounds: v.require_u64("rounds")? as usize,
-        retractions: v.require_u64("retractions")? as usize,
-        peak_atoms: v.require_u64("peak_atoms")? as usize,
-        core_steps: v.opt_u64("core_steps")?.unwrap_or(0) as usize,
-        match_nodes: v.opt_u64("match_nodes")?.unwrap_or(0) as usize,
-        fold_candidates: v.opt_u64("fold_candidates")?.unwrap_or(0) as usize,
-        core_truncations: v.opt_u64("core_truncations")?.unwrap_or(0) as usize,
-        core_time_us: v.opt_u64("core_time_us")?.unwrap_or(0),
-        wall_us: v.opt_u64("wall_us")?.unwrap_or(0),
-        nulls_minted: v.opt_u64("nulls_minted")?.unwrap_or(0) as usize,
-        peak_trigger_queue: v.opt_u64("peak_trigger_queue")?.unwrap_or(0) as usize,
-        peak_mem_units: v.opt_u64("peak_mem_units")?.unwrap_or(0) as usize,
-        match_time_us: v.opt_u64("match_time_us")?.unwrap_or(0),
-        match_searches: v.opt_u64("match_searches")?.unwrap_or(0) as usize,
-        match_trials: v.opt_u64("match_trials")?.unwrap_or(0) as usize,
-        peak_index_postings: v.opt_u64("peak_index_postings")?.unwrap_or(0) as usize,
-    })
+    let mut stats = ChaseStats::default();
+    for f in &ChaseStats::FIELDS {
+        let value = if f.required {
+            v.require_u64(f.name)?
+        } else {
+            v.opt_u64(f.name)?.unwrap_or(0)
+        };
+        (f.set)(&mut stats, value);
+    }
+    Ok(stats)
 }
 
 /// Serializes one query verdict.
@@ -1098,28 +1069,105 @@ mod tests {
     }
 
     #[test]
-    fn stats_roundtrip_with_matcher_counters() {
-        let stats = ChaseStats {
-            applications: 3,
-            rounds: 2,
-            retractions: 1,
-            peak_atoms: 9,
-            core_steps: 4,
-            match_nodes: 1234,
-            fold_candidates: 17,
-            core_truncations: 1,
-            core_time_us: 5678,
-            wall_us: 91_011,
-            nulls_minted: 21,
-            peak_trigger_queue: 12,
-            peak_mem_units: 42,
-            match_time_us: 777,
-            match_searches: 31,
-            match_trials: 999,
-            peak_index_postings: 64,
+    fn stats_table_drives_codec_and_slice_arithmetic() {
+        use crate::job::add_stats;
+        use chase_engine::Combine;
+        let fields = ChaseStats::FIELDS;
+        // Row i writes i + 1 into `a`, so every counter is distinct, and
+        // into `b` a value above `a`'s on even rows and 0 on odd ones, so
+        // each slice holds the peak of some gauge.
+        let later = |i: usize| if i % 2 == 1 { 0 } else { 100 - i as u64 };
+        let (mut a, mut b) = (ChaseStats::default(), ChaseStats::default());
+        for (i, f) in fields.iter().enumerate() {
+            (f.set)(&mut a, i as u64 + 1);
+            (f.set)(&mut b, later(i));
+        }
+        // Destructured without `..`: a field added to `ChaseStats` breaks
+        // this line, and a field without a row leaves a 0 below.
+        let ChaseStats {
+            applications,
+            rounds,
+            retractions,
+            peak_atoms,
+            core_steps,
+            match_nodes,
+            fold_candidates,
+            core_truncations,
+            core_time_us,
+            wall_us,
+            nulls_minted,
+            peak_trigger_queue,
+            peak_mem_units,
+            match_time_us,
+            match_searches,
+            match_trials,
+            peak_index_postings,
+        } = a;
+        let mut seen = vec![
+            applications as u64,
+            rounds as u64,
+            retractions as u64,
+            peak_atoms as u64,
+            core_steps as u64,
+            match_nodes as u64,
+            fold_candidates as u64,
+            core_truncations as u64,
+            core_time_us,
+            wall_us,
+            nulls_minted as u64,
+            peak_trigger_queue as u64,
+            peak_mem_units as u64,
+            match_time_us,
+            match_searches as u64,
+            match_trials as u64,
+            peak_index_postings as u64,
+        ];
+        seen.sort_unstable();
+        assert_eq!(seen, (1..=fields.len() as u64).collect::<Vec<_>>());
+
+        let json = stats_to_json(&a);
+        assert_eq!(stats_from_json(&json).unwrap(), a);
+        let Json::Obj(pairs) = &json else {
+            panic!("stats encode as an object: {json}")
         };
-        let back = stats_from_json(&stats_to_json(&stats)).unwrap();
-        assert_eq!(back, stats);
+        assert!(pairs
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .eq(fields.iter().map(|f| f.name)));
+
+        let total = add_stats(a, b);
+        for (i, f) in fields.iter().enumerate() {
+            // The gauges, and only they, keep the peak across slices.
+            assert_eq!(f.combine == Combine::Peak, f.name.starts_with("peak_"));
+            let (x, y) = (i as u64 + 1, later(i));
+            let want = match f.combine {
+                Combine::Sum => x + y,
+                Combine::Peak => x.max(y),
+            };
+            assert_eq!((f.get)(&total), want, "{}", f.name);
+        }
+
+        // Only the four original counters are required; the rest read 0.
+        let minimal =
+            parse_json(r#"{"applications":1,"rounds":1,"retractions":0,"peak_atoms":1}"#).unwrap();
+        let decoded = stats_from_json(&minimal).unwrap();
+        for f in &fields {
+            let want = u64::from(matches!(f.name, "applications" | "rounds" | "peak_atoms"));
+            assert_eq!((f.get)(&decoded), want, "{}", f.name);
+        }
+        let required: Vec<&str> = fields
+            .iter()
+            .filter(|f| f.required)
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(
+            required,
+            ["applications", "rounds", "retractions", "peak_atoms"]
+        );
+        for name in required {
+            let without = Json::Obj(pairs.iter().filter(|(k, _)| k != name).cloned().collect());
+            assert!(stats_from_json(&without).is_err(), "{name} is required");
+        }
     }
 
     #[test]

@@ -261,16 +261,6 @@ pub struct Rejection {
     pub retry_after: Option<Duration>,
 }
 
-/// Application ceiling the cost model's `Open` envelope collapses to
-/// when no decidability route certifies: divergence is plausible, so
-/// cut early. Kept as a named constant because tests and operators
-/// reason about the worst-case admission budget by this number.
-pub const TIGHT_MAX_APPLICATIONS: usize = 1_000;
-/// Soft memory ceiling (abstract units) of the `Open` envelope.
-pub const TIGHT_MEM_SOFT: usize = 8_192;
-/// Hard memory ceiling (abstract units) of the `Open` envelope.
-pub const TIGHT_MEM_HARD: usize = 16_384;
-
 /// What [`Service::submit_analyzed`] decided at admission time.
 #[derive(Clone, Debug)]
 pub struct Admission {
@@ -331,24 +321,12 @@ pub fn apply_admission_gate(
         spec.config = gate.plan.apply(spec.config.clone());
     }
     // Certificate-priced budgets: the gate's cost model maps the best
-    // certificate (or its absence) to a budget envelope, which replaces
-    // the old flat "tighten to 1000 when refuted" rule. The envelope
-    // only ever *lowers* the application ceiling and fills memory/wall
-    // budgets the submit left open.
+    // certificate (or its absence) to a budget envelope.
     let mut budgets_tightened = false;
     if spec.auto_budgets {
         let before = spec.config.max_applications;
-        spec.config.max_applications = spec.config.max_applications.min(gate.envelope.max_apps);
+        spec.config = gate.envelope.apply(spec.config.clone());
         budgets_tightened = spec.config.max_applications < before;
-        if spec.config.mem_soft.is_none() {
-            spec.config.mem_soft = Some(gate.envelope.mem_soft);
-        }
-        if spec.config.mem_hard.is_none() {
-            spec.config.mem_hard = Some(gate.envelope.mem_hard);
-        }
-        if spec.config.max_wall.is_none() {
-            spec.config.max_wall = Some(gate.envelope.deadline);
-        }
     }
     Ok(Admission {
         gate: Some(Box::new(gate)),

@@ -49,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use treechase::analysis::{critical_instance_test, CriticalOutcome};
-use treechase::core::{analyze_kb_with, ProbeConfig};
+use treechase::core::analyze_kb;
 use treechase::engine::dot::instance_dot;
 use treechase::homomorphism::SearchBudget;
 use treechase::prelude::*;
@@ -603,8 +603,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     // probe budget, so one knob scales the whole analysis; `--probe-apps`
     // overrides just the dynamic probe's application horizon.
     let budget = SearchBudget::unlimited().with_node_limit(args.budget.saturating_mul(25));
-    let probe_cfg = ProbeConfig::with_applications(args.probe_apps.unwrap_or(args.budget));
-    let gate = analyze_kb_with(&kb, &budget, &probe_cfg);
+    let gate = analyze_kb(&kb, &budget, args.probe_apps.unwrap_or(args.budget));
     if args.json {
         println!("{}", protocol::analysis_to_json(&gate, &kb.rules));
         return Ok(());
