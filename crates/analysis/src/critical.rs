@@ -22,10 +22,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use chase_atoms::{Atom, AtomSet, ConstId, PredId, Term, VarId, Vocabulary};
-use chase_engine::{
-    all_triggers, apply_trigger, fresh_pi_safe, run_chase_controlled, ChaseConfig, ChaseVariant,
-    RuleId, RuleSet,
-};
+use chase_engine::{all_triggers, apply_trigger, fresh_pi_safe, RuleId, RuleSet};
 use chase_homomorphism::SearchBudget;
 
 /// The critical instance of a ruleset: every atom `p(c₁, …, cₖ)` over
@@ -251,36 +248,25 @@ impl CriticalChase {
     }
 }
 
-/// Runs the Marnette test under the shared [`SearchBudget`]: its node
-/// limit caps chase applications, and its deadline and cancel flags cut
-/// the run cooperatively — so a service can abort an admission-time
-/// analysis exactly like any other search.
+/// Runs the Marnette test on the one Skolem chase of the critical
+/// instance (the run MFA and k-boundedness read) under the shared
+/// [`SearchBudget`]: its node limit caps chase applications, and its
+/// deadline and cancel flags cut the run cooperatively — so a service
+/// can abort an admission-time analysis exactly like any other search.
+/// The test certifies termination exactly when that run saturates.
 ///
-/// The critical instance itself is built under the same ceiling as the
-/// chase's atom budget: a ruleset whose critical instance would already
-/// blow past it (high predicate arity over several constants) returns
-/// [`CriticalOutcome::BudgetExhausted`] immediately instead of stalling
-/// the caller on construction.
+/// The critical instance itself is built under an atom ceiling derived
+/// from the application limit: a ruleset whose critical instance would
+/// already blow past it (high predicate arity over several constants)
+/// returns [`CriticalOutcome::BudgetExhausted`] immediately instead of
+/// stalling the caller on construction.
 #[must_use]
 pub fn critical_instance_test(rules: &RuleSet, budget: &SearchBudget) -> CriticalOutcome {
-    let mut vocab = Vocabulary::new();
-    let applications = application_limit(budget);
-    let Some(facts) = critical_instance_capped(&mut vocab, rules, atom_cap(applications)) else {
-        return CriticalOutcome::BudgetExhausted;
-    };
-    let cfg = ChaseConfig::variant(ChaseVariant::SemiOblivious)
-        .with_max_applications(applications)
-        .with_max_atoms(atom_cap(applications))
-        .with_search_budget(budget.clone());
-    let res = run_chase_controlled(&mut vocab, &facts, rules, &cfg, None, |_| {
-        std::ops::ControlFlow::Continue(())
-    });
-    if res.outcome.terminated() {
-        CriticalOutcome::TerminatesEverywhere {
-            applications: res.stats.applications,
-        }
-    } else {
-        CriticalOutcome::BudgetExhausted
+    match CriticalChase::run(rules, budget, application_limit(budget), usize::MAX) {
+        Some(run) if run.saturated => CriticalOutcome::TerminatesEverywhere {
+            applications: run.applications,
+        },
+        _ => CriticalOutcome::BudgetExhausted,
     }
 }
 

@@ -1,6 +1,6 @@
 //! Conjunctive-query operations built on the homomorphism/core
 //! machinery: containment, equivalence, minimization (via cores), and
-//! certain answers for queries with answer variables.
+//! answer-tuple enumeration for queries with answer variables.
 //!
 //! These are the classical applications of the paper's Section 2 toolbox:
 //! CQ containment is homomorphism existence (Chandra–Merlin), and the
@@ -9,12 +9,9 @@
 use std::collections::BTreeSet;
 
 use chase_atoms::{AtomSet, ConstId, Substitution, Term, VarId};
-use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome};
 use chase_homomorphism::{
     core_of, find_homomorphism, for_each_homomorphism_budgeted, MatchConfig, SearchBudget,
 };
-
-use crate::kb::KnowledgeBase;
 
 /// A union of conjunctive queries (UCQ): entailed iff some disjunct is.
 #[derive(Clone, Debug, Default)]
@@ -51,48 +48,6 @@ impl Ucq {
         }
         Ucq { disjuncts: keep }
     }
-}
-
-/// Decides `K ⊨ Q₁ ∨ … ∨ Q_n` with the given chase configuration: the
-/// chase runs once, checking every disjunct after each application.
-pub fn entail_ucq(
-    kb: &KnowledgeBase,
-    ucq: &Ucq,
-    cfg: &chase_engine::ChaseConfig,
-) -> crate::entail::Entailment {
-    use crate::entail::Entailment;
-    if ucq.disjuncts.iter().any(|q| maps_to_facts(kb, q)) {
-        return Entailment::Entailed { applications: 0 };
-    }
-    let mut vocab = kb.vocab.clone();
-    let mut hit_at = None;
-    let res = run_chase_observed(&mut vocab, &kb.facts, &kb.rules, cfg, |inst, stats| {
-        if ucq
-            .disjuncts
-            .iter()
-            .any(|q| chase_homomorphism::maps_to(q, inst))
-        {
-            hit_at = Some(stats.applications);
-            std::ops::ControlFlow::Break(())
-        } else {
-            std::ops::ControlFlow::Continue(())
-        }
-    });
-    if let Some(applications) = hit_at {
-        return Entailment::Entailed { applications };
-    }
-    match res.outcome {
-        ChaseOutcome::Terminated => Entailment::NotEntailed {
-            universal_model_atoms: res.final_instance.len(),
-        },
-        _ => Entailment::Unknown {
-            applications: res.stats.applications,
-        },
-    }
-}
-
-fn maps_to_facts(kb: &KnowledgeBase, q: &AtomSet) -> bool {
-    chase_homomorphism::maps_to(q, &kb.facts)
 }
 
 /// Is `q1 ⊑ q2` (every KB entailing `q1` entails `q2`)?
@@ -135,62 +90,6 @@ impl AnswerQuery {
     }
 }
 
-/// The result of a certain-answer computation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CertainAnswers {
-    /// The answer tuples (constants only), sorted and deduplicated.
-    pub answers: Vec<Vec<ConstId>>,
-    /// Whether the set is *complete* (the chase terminated, so the final
-    /// instance is a universal model). When `false` the set is a sound
-    /// under-approximation computed from a universal chase prefix.
-    pub complete: bool,
-    /// Whether the search budget clipped the chase or the homomorphism
-    /// enumeration. A truncated run is never complete; its answers remain
-    /// sound (inconclusive-never-refutation).
-    pub truncated: bool,
-}
-
-/// Computes the certain answers of `query` over `kb`.
-///
-/// Soundness: an answer tuple of constants found in any chase element is
-/// certain, because chase elements map into every model fixing constants.
-/// Completeness requires chase termination (then the final instance is a
-/// universal model and answers are exactly the constant-tuples in it).
-pub fn certain_answers(
-    kb: &KnowledgeBase,
-    query: &AnswerQuery,
-    cfg: &ChaseConfig,
-) -> CertainAnswers {
-    certain_answers_budgeted(kb, query, cfg, &SearchBudget::unlimited())
-}
-
-/// Like [`certain_answers`], but both the chase *and* the homomorphism
-/// enumeration honor `budget` (deadline, node limit, cancel token), so a
-/// query can never outlive its operation deadline. When the budget fires,
-/// the result is flagged [`CertainAnswers::truncated`] and `complete`
-/// stays `false`: the answers found so far are still sound.
-pub fn certain_answers_budgeted(
-    kb: &KnowledgeBase,
-    query: &AnswerQuery,
-    cfg: &ChaseConfig,
-    budget: &SearchBudget,
-) -> CertainAnswers {
-    let mut vocab = kb.vocab.clone();
-    let run_cfg = cfg.clone().with_search_budget(budget.clone());
-    let res = run_chase_observed(&mut vocab, &kb.facts, &kb.rules, &run_cfg, |_, _| {
-        std::ops::ControlFlow::Continue(())
-    });
-    // An interrupted external budget stops the chase with `Cancelled`.
-    let chase_truncated = res.outcome == ChaseOutcome::Cancelled && budget.interrupted();
-    let answers = collect_answer_tuples(query, &res.final_instance, budget);
-    let truncated = chase_truncated || answers.truncated;
-    CertainAnswers {
-        answers: answers.tuples,
-        complete: res.outcome == ChaseOutcome::Terminated && !truncated,
-        truncated,
-    }
-}
-
 /// Constant-only answer tuples found by one budgeted enumeration.
 pub struct AnswerTuples {
     /// The tuples, sorted and deduplicated.
@@ -201,8 +100,10 @@ pub struct AnswerTuples {
 }
 
 /// Enumerates constant-only answer tuples of `query` over `instance`
-/// under `budget`. Shared by [`certain_answers_budgeted`] and the
-/// snapshot-serving query engine in `chase-query`.
+/// under `budget`: the evaluation step of the query engine in
+/// `chase-query`. Over a chase element the tuples are certain answers
+/// (chase elements map into every model fixing constants); over a
+/// terminated chase's final instance they are all of them.
 pub fn collect_answer_tuples(
     query: &AnswerQuery,
     instance: &AtomSet,
@@ -250,7 +151,6 @@ pub fn collect_answer_tuples(
 mod tests {
     use super::*;
     use chase_atoms::{Atom, PredId};
-    use chase_engine::ChaseVariant;
     use chase_homomorphism::isomorphism;
 
     fn v(i: u32) -> Term {
@@ -293,71 +193,16 @@ mod tests {
     }
 
     #[test]
-    fn certain_answers_on_terminating_kb() {
-        let mut kb =
-            KnowledgeBase::from_text("r(a, b). r(b, c). T: r(X, Y), r(Y, Z) -> r(X, Z).").unwrap();
-        let q_atoms = kb.parse_query("r(a, X)").unwrap();
-        let x = *q_atoms.vars().iter().next().unwrap();
-        let query = AnswerQuery::new(q_atoms, vec![x]).unwrap();
-        let res = certain_answers(&kb, &query, &ChaseConfig::variant(ChaseVariant::Core));
-        assert!(res.complete);
-        let names: Vec<&str> = res
-            .answers
-            .iter()
-            .map(|t| kb.vocab.const_name(t[0]).unwrap())
-            .collect();
-        assert_eq!(names, vec!["b", "c"]);
-    }
-
-    #[test]
-    fn nulls_are_not_certain_answers() {
-        // r(a, b) plus r(X,Y) → ∃Z. s(Y, Z): s's second position holds a
-        // null; asking for it must yield no certain answer.
-        let mut kb = KnowledgeBase::from_text("r(a, b). R: r(X, Y) -> s(Y, Z).").unwrap();
-        let q_atoms = kb.parse_query("s(b, W)").unwrap();
-        let w = *q_atoms.vars().iter().next().unwrap();
-        let query = AnswerQuery::new(q_atoms, vec![w]).unwrap();
-        let res = certain_answers(&kb, &query, &ChaseConfig::variant(ChaseVariant::Core));
-        assert!(res.complete);
-        assert!(res.answers.is_empty());
-    }
-
-    #[test]
     fn answer_vars_must_occur() {
         let q = set(&[atom(0, &[v(0), v(1)])]);
         assert!(AnswerQuery::new(q, vec![VarId::from_raw(99)]).is_err());
-    }
-
-    #[test]
-    fn incomplete_answers_flagged_on_budget() {
-        let mut kb = KnowledgeBase::from_text("r(a, b). R: r(X, Y) -> r(Y, Z).").unwrap();
-        let q_atoms = kb.parse_query("r(a, X)").unwrap();
-        let x = *q_atoms.vars().iter().next().unwrap();
-        let query = AnswerQuery::new(q_atoms, vec![x]).unwrap();
-        let cfg = ChaseConfig::variant(ChaseVariant::Restricted).with_max_applications(5);
-        let res = certain_answers(&kb, &query, &cfg);
-        assert!(!res.complete);
-        assert_eq!(res.answers.len(), 1, "r(a,b) still found");
     }
 }
 
 #[cfg(test)]
 mod ucq_tests {
     use super::*;
-    use chase_engine::{ChaseConfig, ChaseVariant};
-
-    #[test]
-    fn ucq_entailed_if_any_disjunct_is() {
-        let mut kb =
-            KnowledgeBase::from_text("r(a, b). r(b, c). T: r(X, Y), r(Y, Z) -> r(X, Z).").unwrap();
-        let q_yes = kb.parse_query("r(a, c)").unwrap();
-        let q_no = kb.parse_query("r(c, a)").unwrap();
-        let ucq = Ucq::new(vec![q_no.clone(), q_yes]);
-        let cfg = ChaseConfig::variant(ChaseVariant::Core);
-        assert!(entail_ucq(&kb, &ucq, &cfg).is_entailed());
-        let ucq_no = Ucq::new(vec![q_no]);
-        assert!(entail_ucq(&kb, &ucq_no, &cfg).is_not_entailed());
-    }
+    use crate::kb::KnowledgeBase;
 
     #[test]
     fn ucq_minimization_drops_subsumed_disjuncts() {
@@ -381,97 +226,18 @@ mod ucq_tests {
         let min = ucq.minimized();
         assert_eq!(min.disjuncts.len(), 1);
     }
-
-    #[test]
-    fn empty_ucq_never_entailed() {
-        let kb = KnowledgeBase::from_text("r(a, b).").unwrap();
-        let cfg = ChaseConfig::variant(ChaseVariant::Core);
-        assert!(entail_ucq(&kb, &Ucq::default(), &cfg).is_not_entailed());
-    }
 }
 
 #[cfg(test)]
 mod budget_tests {
     use super::*;
-    use chase_engine::{ChaseConfig, ChaseVariant};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use crate::kb::KnowledgeBase;
 
     fn query_of(kb: &mut KnowledgeBase, src: &str) -> AnswerQuery {
         let atoms = kb.parse_query(src).unwrap();
         let mut vars: Vec<VarId> = atoms.vars().iter().copied().collect();
         vars.sort();
         AnswerQuery::new(atoms, vars).unwrap()
-    }
-
-    #[test]
-    fn unlimited_budget_matches_unbudgeted() {
-        let mut kb =
-            KnowledgeBase::from_text("r(a, b). r(b, c). T: r(X, Y), r(Y, Z) -> r(X, Z).").unwrap();
-        let query = query_of(&mut kb, "r(a, X)");
-        let cfg = ChaseConfig::variant(ChaseVariant::Core);
-        let plain = certain_answers(&kb, &query, &cfg);
-        let budgeted = certain_answers_budgeted(&kb, &query, &cfg, &SearchBudget::unlimited());
-        assert_eq!(plain, budgeted);
-        assert!(plain.complete);
-        assert!(!plain.truncated);
-    }
-
-    #[test]
-    fn expired_deadline_truncates_nonterminating_chase() {
-        // r(X,Y) → ∃Z. r(Y,Z) never terminates under the restricted
-        // chase; an already-expired deadline must stop it immediately
-        // and flag the result truncated, not complete.
-        let mut kb = KnowledgeBase::from_text("r(a, b). R: r(X, Y) -> r(Y, Z).").unwrap();
-        let query = query_of(&mut kb, "r(a, X)");
-        let cfg = ChaseConfig::variant(ChaseVariant::Restricted);
-        let budget = SearchBudget::unlimited().with_deadline(Instant::now());
-        let started = Instant::now();
-        let res = certain_answers_budgeted(&kb, &query, &cfg, &budget);
-        assert!(started.elapsed() < Duration::from_secs(5));
-        assert!(res.truncated);
-        assert!(!res.complete);
-    }
-
-    #[test]
-    fn cancel_flag_truncates() {
-        let mut kb = KnowledgeBase::from_text("r(a, b). R: r(X, Y) -> r(Y, Z).").unwrap();
-        let query = query_of(&mut kb, "r(a, X)");
-        let cfg = ChaseConfig::variant(ChaseVariant::Restricted);
-        let flag = Arc::new(AtomicBool::new(true));
-        flag.store(true, Ordering::SeqCst);
-        let budget = SearchBudget::unlimited().with_cancel(flag);
-        let res = certain_answers_budgeted(&kb, &query, &cfg, &budget);
-        assert!(res.truncated);
-        assert!(!res.complete);
-    }
-
-    #[test]
-    fn truncated_answers_stay_sound() {
-        // Bound the chase by applications (sound prefix), then clip the
-        // match with a node budget: whatever comes back must be a subset
-        // of the true certain answers.
-        let mut kb =
-            KnowledgeBase::from_text("r(a, b). r(b, c). T: r(X, Y), r(Y, Z) -> r(X, Z).").unwrap();
-        let query = query_of(&mut kb, "r(X, Y)");
-        let cfg = ChaseConfig::variant(ChaseVariant::Core);
-        let full = certain_answers(&kb, &query, &cfg);
-        assert!(full.complete);
-        for limit in [0usize, 1, 2, 4, 8] {
-            let budget = SearchBudget::unlimited().with_node_limit(limit);
-            let clipped = certain_answers_budgeted(&kb, &query, &cfg, &budget);
-            for t in &clipped.answers {
-                assert!(
-                    full.answers.contains(t),
-                    "unsound tuple under limit {limit}"
-                );
-            }
-            if clipped.answers.len() < full.answers.len() {
-                assert!(clipped.truncated, "missing answers must flag truncation");
-                assert!(!clipped.complete);
-            }
-        }
     }
 
     #[test]
@@ -493,6 +259,8 @@ mod budget_tests {
 #[cfg(test)]
 mod ucq_property_tests {
     use super::*;
+    use crate::entail::entail;
+    use crate::kb::KnowledgeBase;
     use chase_atoms::{Atom, PredId, Vocabulary};
     use chase_engine::prng::SplitMix64;
 
@@ -594,6 +362,12 @@ mod ucq_property_tests {
             KnowledgeBase::new(vocab, facts, chase_engine::RuleSet::new())
         };
         let cfg = ChaseConfig::variant(ChaseVariant::Core);
+        // A UCQ is entailed iff some disjunct is.
+        let entailed = |ucq: &Ucq| {
+            ucq.disjuncts
+                .iter()
+                .any(|q| entail(&kb, q, &cfg).is_entailed())
+        };
         for round in 0..50 {
             let n_disjuncts = 1 + rng.gen_range(3);
             let ucq = Ucq::new(
@@ -601,9 +375,11 @@ mod ucq_property_tests {
                     .map(|_| random_cq(&mut rng, 2, 3))
                     .collect(),
             );
-            let before = entail_ucq(&kb, &ucq, &cfg).is_entailed();
-            let after = entail_ucq(&kb, &ucq.minimized(), &cfg).is_entailed();
-            assert_eq!(before, after, "round {round}: entailment changed");
+            assert_eq!(
+                entailed(&ucq),
+                entailed(&ucq.minimized()),
+                "round {round}: entailment changed"
+            );
         }
     }
 }

@@ -15,28 +15,27 @@
 //!    refutes the query).
 //!
 //! This module implements that architecture literally with two parallel
-//! chase workers (core + restricted — they terminate in incomparable
+//! [`entail`] runs (core + restricted — they terminate in incomparable
 //! situations, so racing both widens the certified-No reach), sharing an
 //! early-stop flag. The full MSO-over-bounded-treewidth decision
 //! procedure is non-implementable at astronomically large constants; the
 //! substitution is documented in `DESIGN.md` and the outcome type is
 //! explicit about certification.
 
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use chase_atoms::AtomSet;
-use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome, ChaseVariant};
-use chase_homomorphism::maps_to;
+use chase_engine::{ChaseConfig, ChaseVariant};
+use chase_homomorphism::{maps_to, SearchBudget};
 
+use crate::entail::{entail, Entailment};
 use crate::kb::KnowledgeBase;
 
 /// Budgets for the twin procedure.
 #[derive(Clone, Debug)]
 pub struct DecideConfig {
-    /// Rule-application budget for the restricted worker (and the
-    /// heuristic fallback probe).
+    /// Rule-application budget for the restricted worker.
     pub max_applications: usize,
     /// Atom budget per worker.
     pub max_atoms: usize,
@@ -77,16 +76,17 @@ pub enum DecideOutcome {
         universal_model_atoms: usize,
     },
     /// Both workers exhausted their budgets without a certificate. The
-    /// boolean reports the *heuristic* answer (did the query map into the
-    /// deepest universal prefix seen?) — `false` strongly suggests
-    /// non-entailment but is not a proof.
-    Exhausted {
-        /// Heuristic evidence: query present in some chase element.
-        heuristic_entailed: bool,
-    },
+    /// query maps into no chase element either worker built: evidence of
+    /// non-entailment, not a proof.
+    Exhausted,
 }
 
 /// Races the two semi-decision procedures of Theorem 1.
+///
+/// Each worker is an [`entail`] run. They share one cancel flag through
+/// [`ChaseConfig::search_budget`]: the first certificate raises it, and
+/// the engine polls it between applications and inside every core
+/// phase's retraction search, so the loser stops promptly.
 pub fn decide(kb: &KnowledgeBase, query: &AtomSet, cfg: &DecideConfig) -> DecideOutcome {
     if maps_to(query, &kb.facts) {
         return DecideOutcome::Entailed {
@@ -95,7 +95,7 @@ pub fn decide(kb: &KnowledgeBase, query: &AtomSet, cfg: &DecideConfig) -> Decide
         };
     }
 
-    let stop = AtomicBool::new(false);
+    let stop = Arc::new(AtomicBool::new(false));
     let verdict: Mutex<Option<DecideOutcome>> = Mutex::new(None);
 
     let worker = |variant: ChaseVariant| {
@@ -106,45 +106,25 @@ pub fn decide(kb: &KnowledgeBase, query: &AtomSet, cfg: &DecideConfig) -> Decide
         };
         let chase_cfg = ChaseConfig::variant(variant)
             .with_max_applications(budget)
-            .with_max_atoms(cfg.max_atoms);
-        let mut vocab = kb.vocab.clone();
-        let mut hit = None;
-        let res = run_chase_observed(
-            &mut vocab,
-            &kb.facts,
-            &kb.rules,
-            &chase_cfg,
-            |inst, stats| {
-                if stop.load(Ordering::Relaxed) {
-                    return ControlFlow::Break(());
-                }
-                if maps_to(query, inst) {
-                    hit = Some(stats.applications);
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            },
-        );
-        let outcome = if let Some(applications) = hit {
-            Some(DecideOutcome::Entailed {
+            .with_max_atoms(cfg.max_atoms)
+            .with_search_budget(SearchBudget::unlimited().with_cancel(Arc::clone(&stop)));
+        let outcome = match entail(kb, query, &chase_cfg) {
+            Entailment::Entailed { applications } => DecideOutcome::Entailed {
                 by: variant,
                 applications,
-            })
-        } else {
-            match res.outcome {
-                ChaseOutcome::Terminated => Some(DecideOutcome::NotEntailed {
-                    by: variant,
-                    universal_model_atoms: res.final_instance.len(),
-                }),
-                _ => None,
-            }
+            },
+            Entailment::NotEntailed {
+                universal_model_atoms,
+            } => DecideOutcome::NotEntailed {
+                by: variant,
+                universal_model_atoms,
+            },
+            Entailment::Unknown { .. } => return,
         };
-        if let Some(out) = outcome {
-            let mut slot = verdict.lock().expect("verdict lock poisoned");
-            if slot.is_none() {
-                *slot = Some(out);
-                stop.store(true, Ordering::Relaxed);
-            }
+        let mut slot = verdict.lock().expect("verdict lock poisoned");
+        if slot.is_none() {
+            *slot = Some(outcome);
+            stop.store(true, Ordering::Release);
         }
     };
 
@@ -153,27 +133,10 @@ pub fn decide(kb: &KnowledgeBase, query: &AtomSet, cfg: &DecideConfig) -> Decide
         s.spawn(|| worker(ChaseVariant::Restricted));
     });
 
-    if let Some(out) = verdict.into_inner().expect("verdict lock poisoned") {
-        return out;
-    }
-    // No certificate: fall back to a heuristic deep probe on the cheaper
-    // restricted chase.
-    let mut vocab = kb.vocab.clone();
-    let mut seen = false;
-    let chase_cfg = ChaseConfig::variant(ChaseVariant::Restricted)
-        .with_max_applications(cfg.max_applications)
-        .with_max_atoms(cfg.max_atoms);
-    let _ = run_chase_observed(&mut vocab, &kb.facts, &kb.rules, &chase_cfg, |inst, _| {
-        if maps_to(query, inst) {
-            seen = true;
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    });
-    DecideOutcome::Exhausted {
-        heuristic_entailed: seen,
-    }
+    verdict
+        .into_inner()
+        .expect("verdict lock poisoned")
+        .unwrap_or(DecideOutcome::Exhausted)
 }
 
 #[cfg(test)]
@@ -233,12 +196,7 @@ mod tests {
                 core_max_applications: 10,
             },
         );
-        assert_eq!(
-            out,
-            DecideOutcome::Exhausted {
-                heuristic_entailed: false
-            }
-        );
+        assert_eq!(out, DecideOutcome::Exhausted);
     }
 
     #[test]

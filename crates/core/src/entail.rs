@@ -18,7 +18,7 @@
 use std::ops::ControlFlow;
 
 use chase_atoms::AtomSet;
-use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome, ChaseVariant};
+use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome};
 use chase_homomorphism::maps_to;
 
 use crate::kb::KnowledgeBase;
@@ -81,17 +81,8 @@ pub fn entail(kb: &KnowledgeBase, query: &AtomSet, cfg: &ChaseConfig) -> Entailm
         return Entailment::Entailed { applications };
     }
     match res.outcome {
-        ChaseOutcome::Terminated
-            if matches!(cfg.variant, ChaseVariant::Restricted | ChaseVariant::Core) =>
-        {
-            Entailment::NotEntailed {
-                universal_model_atoms: res.final_instance.len(),
-            }
-        }
-        // An oblivious-variant fixpoint is also a universal model, but we
-        // only applied unsatisfied-trigger reasoning to the restricted
-        // family; the oblivious fixpoint satisfies all triggers too, so it
-        // is equally certifying.
+        // Every variant's fixpoint satisfies all triggers, so it is a
+        // universal model and certifies the miss.
         ChaseOutcome::Terminated => Entailment::NotEntailed {
             universal_model_atoms: res.final_instance.len(),
         },
@@ -104,6 +95,7 @@ pub fn entail(kb: &KnowledgeBase, query: &AtomSet, cfg: &ChaseConfig) -> Entailm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chase_engine::ChaseVariant;
 
     fn kb() -> KnowledgeBase {
         KnowledgeBase::from_text("r(a, b). r(b, c). T: r(X, Y), r(Y, Z) -> r(X, Z).").unwrap()

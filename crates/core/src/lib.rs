@@ -32,8 +32,8 @@ mod kb;
 pub mod prelude;
 
 pub use cq::{
-    certain_answers, certain_answers_budgeted, collect_answer_tuples, cq_contained_in,
-    cq_equivalent, entail_ucq, minimize_cq, AnswerQuery, AnswerTuples, CertainAnswers, Ucq,
+    collect_answer_tuples, cq_contained_in, cq_equivalent, minimize_cq, AnswerQuery, AnswerTuples,
+    Ucq,
 };
 pub use decide::{decide, DecideConfig, DecideOutcome};
 pub use entail::{entail, Entailment};

@@ -19,8 +19,8 @@ pub use chase_treewidth::{
 
 pub use crate::classes::{probe_classes, probe_classes_budgeted, ClassProbe};
 pub use crate::cq::{
-    certain_answers, certain_answers_budgeted, collect_answer_tuples, cq_contained_in,
-    cq_equivalent, entail_ucq, minimize_cq, AnswerQuery, AnswerTuples, CertainAnswers, Ucq,
+    collect_answer_tuples, cq_contained_in, cq_equivalent, minimize_cq, AnswerQuery, AnswerTuples,
+    Ucq,
 };
 pub use crate::decide::{decide, DecideConfig, DecideOutcome};
 pub use crate::entail::{entail, Entailment};

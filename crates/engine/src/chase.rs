@@ -865,30 +865,38 @@ pub fn run_chase_controlled(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rule::Rule;
-    use crate::trigger::is_model_of_rules;
-    use chase_atoms::{Atom, PredId, Term, VarId};
-    use chase_homomorphism::{is_core, maps_to};
+/// Term, atom and instance builders shared by this file's test modules.
+mod test_helpers {
+    use chase_atoms::{Atom, AtomSet, PredId, Term, VarId, Vocabulary};
 
-    fn v(i: u32) -> Term {
+    pub(super) fn v(i: u32) -> Term {
         Term::Var(VarId::from_raw(i))
     }
 
-    fn atom(pr: u32, args: &[Term]) -> Atom {
+    pub(super) fn atom(pr: u32, args: &[Term]) -> Atom {
         Atom::new(PredId::from_raw(pr), args.to_vec())
     }
 
-    fn set(atoms: &[Atom]) -> AtomSet {
+    pub(super) fn set(atoms: &[Atom]) -> AtomSet {
         atoms.iter().cloned().collect()
     }
 
-    fn vocab() -> Vocabulary {
+    /// A vocabulary whose null supply starts past every test variable.
+    pub(super) fn vocab() -> Vocabulary {
         let mut v = Vocabulary::new();
         v.ensure_var(VarId::from_raw(99));
         v
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chase::test_helpers::*;
+    use crate::rule::Rule;
+    use crate::trigger::is_model_of_rules;
+    use chase_atoms::{PredId, Term};
+    use chase_homomorphism::{is_core, maps_to};
 
     /// Transitivity (datalog, terminating).
     fn transitivity() -> RuleSet {
@@ -1346,27 +1354,10 @@ mod tests {
 #[cfg(test)]
 mod frugal_tests {
     use super::*;
+    use crate::chase::test_helpers::*;
     use crate::rule::{Rule, RuleSet};
-    use chase_atoms::{Atom, PredId, Term, VarId};
+    use chase_atoms::PredId;
     use chase_homomorphism::is_core;
-
-    fn v(i: u32) -> Term {
-        Term::Var(VarId::from_raw(i))
-    }
-
-    fn atom(pr: u32, args: &[Term]) -> Atom {
-        Atom::new(PredId::from_raw(pr), args.to_vec())
-    }
-
-    fn set(atoms: &[Atom]) -> AtomSet {
-        atoms.iter().cloned().collect()
-    }
-
-    fn vocab() -> Vocabulary {
-        let mut v = Vocabulary::new();
-        v.ensure_var(VarId::from_raw(99));
-        v
-    }
 
     #[test]
     fn frugal_folds_redundant_fresh_nulls() {
@@ -1475,20 +1466,9 @@ mod frugal_tests {
 #[cfg(test)]
 mod semi_naive_tests {
     use super::*;
+    use crate::chase::test_helpers::*;
     use crate::rule::{Rule, RuleSet};
-    use chase_atoms::{Atom, PredId, Term, VarId};
-
-    fn v(i: u32) -> Term {
-        Term::Var(VarId::from_raw(i))
-    }
-
-    fn atom(pr: u32, args: &[Term]) -> Atom {
-        Atom::new(PredId::from_raw(pr), args.to_vec())
-    }
-
-    fn set(atoms: &[Atom]) -> AtomSet {
-        atoms.iter().cloned().collect()
-    }
+    use chase_atoms::{PredId, VarId};
 
     /// On datalog the Frugal variant never folds (no fresh nulls to
     /// move), so it behaves as a full-rescan restricted chase — a perfect
@@ -1570,20 +1550,9 @@ mod semi_naive_tests {
 #[cfg(test)]
 mod control_tests {
     use super::*;
+    use crate::chase::test_helpers::*;
     use crate::rule::{Rule, RuleSet};
-    use chase_atoms::{Atom, PredId, Term, VarId};
-
-    fn v(i: u32) -> Term {
-        Term::Var(VarId::from_raw(i))
-    }
-
-    fn atom(pr: u32, args: &[Term]) -> Atom {
-        Atom::new(PredId::from_raw(pr), args.to_vec())
-    }
-
-    fn set(atoms: &[Atom]) -> AtomSet {
-        atoms.iter().cloned().collect()
-    }
+    use chase_atoms::VarId;
 
     /// r(X, Y) → ∃Z. r(Y, Z): divergent under the restricted chase.
     fn chain() -> (Vocabulary, RuleSet, AtomSet) {
@@ -1815,20 +1784,9 @@ mod control_tests {
 #[cfg(test)]
 mod skolem_chase_tests {
     use super::*;
+    use crate::chase::test_helpers::*;
     use crate::rule::{Rule, RuleSet};
-    use chase_atoms::{Atom, PredId, Term, VarId};
-
-    fn v(i: u32) -> Term {
-        Term::Var(VarId::from_raw(i))
-    }
-
-    fn atom(pr: u32, args: &[Term]) -> Atom {
-        Atom::new(PredId::from_raw(pr), args.to_vec())
-    }
-
-    fn set(atoms: &[Atom]) -> AtomSet {
-        atoms.iter().cloned().collect()
-    }
+    use chase_atoms::{PredId, VarId};
 
     /// Restart safety: two independent semi-oblivious runs on the same KB
     /// produce literally identical instances (not merely isomorphic).
@@ -1870,12 +1828,6 @@ mod skolem_chase_tests {
             ..s
         };
         assert_eq!(strip(a.stats), strip(b.stats));
-    }
-
-    fn vocab() -> Vocabulary {
-        let mut v = Vocabulary::new();
-        v.ensure_var(VarId::from_raw(99));
-        v
     }
 
     /// p(X) → ∃Z. e(X, Z) followed by a datalog projection of `e`.

@@ -185,13 +185,16 @@ mod tests {
     use super::*;
     use crate::snapshot::{Snapshot, SnapshotCache};
     use chase_engine::ChaseVariant;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn kb(src: &str) -> KnowledgeBase {
         KnowledgeBase::from_text(src).expect("valid KB source")
     }
 
     #[test]
-    fn kb_answers_match_library_certain_answers() {
+    fn kb_answers_are_the_certain_answers() {
         let kb = kb("r(a, b). r(b, c). T: r(X, Y), r(Y, Z) -> r(X, Z).");
         let cfg = ChaseConfig::variant(ChaseVariant::Core);
         let out = answer_kb(&kb, "?(X) :- r(a, X)", &cfg, &SearchBudget::unlimited()).unwrap();
@@ -201,14 +204,64 @@ mod tests {
             out.answers,
             vec![vec!["b".to_owned()], vec!["c".to_owned()]]
         );
-        // Differential check against the library path.
-        let mut kb2 = kb.clone();
-        let atoms = kb2.parse_query("r(a, X)").unwrap();
-        let x = *atoms.vars().iter().next().unwrap();
-        let query = chase_core::AnswerQuery::new(atoms, vec![x]).unwrap();
-        let lib = chase_core::certain_answers(&kb2, &query, &cfg);
-        assert!(lib.complete);
-        assert_eq!(lib.answers.len(), out.answers.len());
+    }
+
+    #[test]
+    fn application_budget_tags_a_sound_prefix() {
+        // r(X,Y) → ∃Z. r(Y,Z) diverges; five applications in, r(a, b) is
+        // still the only constant answer, and more may follow.
+        let kb = kb("r(a, b). R: r(X, Y) -> r(Y, Z).");
+        let cfg = ChaseConfig::variant(ChaseVariant::Restricted).with_max_applications(5);
+        let out = answer_kb(&kb, "?(X) :- r(a, X)", &cfg, &SearchBudget::unlimited()).unwrap();
+        assert_eq!(out.completeness, Completeness::SoundPrefix { horizon: 5 });
+        assert_eq!(out.answers, vec![vec!["b".to_owned()]]);
+    }
+
+    #[test]
+    fn interrupted_budget_truncates_a_nonterminating_chase() {
+        // An already-expired deadline or a raised cancel flag must stop
+        // the divergent chase at once and tag the reply truncated, not
+        // complete.
+        let kb = kb("r(a, b). R: r(X, Y) -> r(Y, Z).");
+        let cfg = ChaseConfig::variant(ChaseVariant::Restricted);
+        for budget in [
+            SearchBudget::unlimited().with_deadline(Instant::now()),
+            SearchBudget::unlimited().with_cancel(Arc::new(AtomicBool::new(true))),
+        ] {
+            let started = Instant::now();
+            let out = answer_kb(&kb, "?(X) :- r(a, X)", &cfg, &budget).unwrap();
+            assert!(started.elapsed() < Duration::from_secs(5));
+            assert_eq!(out.completeness, Completeness::Truncated, "{budget:?}");
+        }
+    }
+
+    #[test]
+    fn node_limited_answers_stay_sound() {
+        // Clip the enumeration over a terminated chase with a node
+        // budget: whatever comes back must be a subset of the complete
+        // answers, and a shortfall must be tagged truncated.
+        let kb = kb("r(a, b). r(b, c). T: r(X, Y), r(Y, Z) -> r(X, Z).");
+        let cfg = ChaseConfig::variant(ChaseVariant::Core);
+        let query = "?(X, Y) :- r(X, Y)";
+        let full = answer_kb(&kb, query, &cfg, &SearchBudget::unlimited()).unwrap();
+        assert_eq!(full.completeness, Completeness::Complete);
+        for limit in [0usize, 1, 2, 4, 8] {
+            let budget = SearchBudget::unlimited().with_node_limit(limit);
+            let clipped = answer_kb(&kb, query, &cfg, &budget).unwrap();
+            for t in &clipped.answers {
+                assert!(
+                    full.answers.contains(t),
+                    "unsound tuple under limit {limit}"
+                );
+            }
+            if clipped.answers.len() < full.answers.len() {
+                assert_eq!(
+                    clipped.completeness,
+                    Completeness::Truncated,
+                    "limit {limit}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -219,6 +272,24 @@ mod tests {
         assert!(yes.entailed());
         assert_eq!(yes.answers, vec![Vec::<String>::new()]);
         let no = answer_kb(&kb, "?- r(c, a)", &cfg, &SearchBudget::unlimited()).unwrap();
+        assert!(!no.entailed());
+        assert_eq!(no.completeness, Completeness::Complete);
+        // A boolean UCQ is entailed iff some disjunct is.
+        let yes = answer_kb(
+            &kb,
+            "?- r(c, a) ; r(a, c)",
+            &cfg,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
+        assert!(yes.entailed());
+        let no = answer_kb(
+            &kb,
+            "?- r(c, a) ; r(b, a)",
+            &cfg,
+            &SearchBudget::unlimited(),
+        )
+        .unwrap();
         assert!(!no.entailed());
         assert_eq!(no.completeness, Completeness::Complete);
         // UCQ: one bad disjunct, one good.

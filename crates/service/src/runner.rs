@@ -536,6 +536,48 @@ impl Inner {
         }
     }
 
+    /// Inserts the job into the table and queue. Caller holds the lock;
+    /// the `Queued` event is the caller's to emit after releasing it.
+    /// An unnamed job is named `job-<id>` here, where its id is minted,
+    /// so concurrent submits can never share a default name. A job
+    /// recovered from a durable store passes the checkpoint it resumes.
+    fn enqueue_locked(
+        &self,
+        st: &mut State,
+        mut spec: JobSpec,
+        last_checkpoint: Option<Checkpoint>,
+    ) -> (JobId, String) {
+        // No admitted job runs forever: jobs without their own wall
+        // budget inherit the service-level deadline.
+        if spec.config.max_wall.is_none() {
+            spec.config.max_wall = self.cfg.job_deadline;
+        }
+        let id = st.next_id;
+        st.next_id += 1;
+        if spec.name.is_empty() {
+            spec.name = format!("job-{id}");
+        }
+        let name = spec.name.clone();
+        let priority = spec.priority;
+        let submitter = spec.submitter.clone();
+        st.jobs.insert(
+            id,
+            JobEntry {
+                name: name.clone(),
+                status: JobStatus::Queued,
+                cancel: CancelToken::new(),
+                spec: Some(spec),
+                result: None,
+                last_checkpoint,
+                priority,
+                submitter,
+                queries_served: 0,
+            },
+        );
+        st.queue.push_back(id);
+        (id, name)
+    }
+
     /// Persists a checkpoint if a store is configured; a failed write is
     /// surfaced as a warning (the previous durable checkpoint, if any,
     /// is untouched by construction of [`CheckpointStore::save`]).
@@ -737,26 +779,7 @@ impl Service {
                 let (ck, spec) = decoded.into_parts();
                 let new_id = {
                     let mut st = inner.state.lock().expect("state lock poisoned");
-                    let id = st.next_id;
-                    st.next_id += 1;
-                    let priority = spec.priority;
-                    let submitter = spec.submitter.clone();
-                    st.jobs.insert(
-                        id,
-                        JobEntry {
-                            name: spec.name.clone(),
-                            status: JobStatus::Queued,
-                            cancel: CancelToken::new(),
-                            spec: Some(spec),
-                            result: None,
-                            last_checkpoint: Some(ck.clone()),
-                            priority,
-                            submitter,
-                            queries_served: 0,
-                        },
-                    );
-                    st.queue.push_back(id);
-                    id
+                    inner.enqueue_locked(&mut st, spec, Some(ck.clone())).0
                 };
                 // Re-home the durable file under the new id, so a second
                 // crash before the next periodic checkpoint still
@@ -805,48 +828,12 @@ impl Service {
         }
     }
 
-    /// Inserts the job into the table and queue. Caller holds the lock;
-    /// the `Queued` event is the caller's to emit after releasing it.
-    /// An unnamed job is named `job-<id>` here, where its id is minted,
-    /// so concurrent submits can never share a default name.
-    fn enqueue_locked(&self, st: &mut State, mut spec: JobSpec) -> (JobId, String) {
-        // No admitted job runs forever: jobs without their own wall
-        // budget inherit the service-level deadline.
-        if spec.config.max_wall.is_none() {
-            spec.config.max_wall = self.inner.cfg.job_deadline;
-        }
-        let id = st.next_id;
-        st.next_id += 1;
-        if spec.name.is_empty() {
-            spec.name = format!("job-{id}");
-        }
-        let name = spec.name.clone();
-        let priority = spec.priority;
-        let submitter = spec.submitter.clone();
-        st.jobs.insert(
-            id,
-            JobEntry {
-                name: name.clone(),
-                status: JobStatus::Queued,
-                cancel: CancelToken::new(),
-                spec: Some(spec),
-                result: None,
-                last_checkpoint: None,
-                priority,
-                submitter,
-                queries_served: 0,
-            },
-        );
-        st.queue.push_back(id);
-        (id, name)
-    }
-
     /// Enqueues a job unconditionally (the trusted in-process path used
     /// by tests and the bench drivers — admission control applies to
     /// [`Service::try_submit`], the wire path).
     pub fn submit(&self, spec: JobSpec) -> JobId {
         let mut st = self.inner.state.lock().expect("state lock poisoned");
-        let (id, name) = self.enqueue_locked(&mut st, spec);
+        let (id, name) = self.inner.enqueue_locked(&mut st, spec, None);
         drop(st);
         self.inner.cv.notify_all();
         self.inner.hub.emit(JobEvent {
@@ -899,7 +886,7 @@ impl Service {
                 });
             }
         }
-        let (id, name) = self.enqueue_locked(&mut st, spec);
+        let (id, name) = self.inner.enqueue_locked(&mut st, spec, None);
         drop(st);
         self.inner.cv.notify_all();
         self.inner.hub.emit(JobEvent {
@@ -1960,6 +1947,55 @@ mod tests {
             chase_core::KnowledgeBase::staircase(),
             ChaseConfig::variant(ChaseVariant::Oblivious).with_max_applications(500_000),
         )
+    }
+
+    /// `job_deadline` bounds every job that brings no wall budget of
+    /// its own: one submitted fresh, and one recovered from a durable
+    /// checkpoint that carries no `max_wall`.
+    #[test]
+    fn job_deadline_bounds_submitted_and_recovered_jobs() {
+        let dir = std::env::temp_dir().join(format!("treechase-deadline-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // r(X, Y) → ∃Z. r(Y, Z) never terminates; only the wall clock
+        // can stop it before its application budget.
+        let chain = "r(a, b). R: r(X, Y) -> r(Y, Z).";
+        let unbounded =
+            ChaseConfig::variant(ChaseVariant::Restricted).with_max_applications(10_000_000);
+        let orphan = Checkpoint {
+            name: "recovered".to_string(),
+            config: unbounded.clone(),
+            program: chain.to_string(),
+            stats: chase_engine::ChaseStats::default(),
+        };
+        CheckpointStore::open(dir.clone())
+            .unwrap()
+            .save(1, &orphan, None)
+            .unwrap();
+        let svc = Service::with_config(
+            1,
+            ServiceConfig {
+                state_dir: Some(dir.clone()),
+                job_deadline: Some(Duration::from_millis(50)),
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let recovered = svc.recovered_jobs().to_vec();
+        assert_eq!(recovered.len(), 1);
+        let submitted = svc.submit(JobSpec::from_text("submitted", chain, unbounded).unwrap());
+        for id in [recovered[0], submitted] {
+            let status = svc.wait_timeout(id, Some(Duration::from_secs(30)));
+            svc.cancel(id);
+            assert_eq!(
+                status,
+                WaitResult::Terminal(JobStatus::Finished),
+                "job {id}"
+            );
+            let outcome = svc.with_result(id, |r| r.outcome).unwrap();
+            assert_eq!(outcome, ChaseOutcome::WallBudgetExhausted, "job {id}");
+        }
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

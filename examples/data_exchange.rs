@@ -9,8 +9,9 @@
 //! ```
 
 use treechase::analysis::analyze;
-use treechase::core::cq::{certain_answers, AnswerQuery};
+use treechase::homomorphism::SearchBudget;
 use treechase::prelude::*;
+use treechase::query::{answer_kb, Completeness};
 
 fn main() {
     // Source schema: emp(name, dept); target schema: works_in(name, dept),
@@ -48,15 +49,18 @@ fn main() {
 
     // Certain answers: who works in cs? (Constants only — the invented
     // department heads are labeled nulls and must not be returned.)
-    let q_atoms = kb.parse_query("works_in(X, cs)").unwrap();
-    let x = *q_atoms.vars().iter().next().unwrap();
-    let query = AnswerQuery::new(q_atoms, vec![x]).unwrap();
-    let answers = certain_answers(&kb, &query, &ChaseConfig::variant(ChaseVariant::Core));
+    let answers = answer_kb(
+        &kb,
+        "?(X) :- works_in(X, cs)",
+        &ChaseConfig::variant(ChaseVariant::Core),
+        &SearchBudget::unlimited(),
+    )
+    .expect("query parses");
     println!("--- certain answers to works_in(X, cs) ---");
     for tuple in &answers.answers {
-        println!("  X = {}", kb.vocab.const_name(tuple[0]).unwrap_or("?"));
+        println!("  X = {}", tuple[0]);
     }
-    assert!(answers.complete);
+    assert_eq!(answers.completeness, Completeness::Complete);
     assert_eq!(answers.answers.len(), 2);
 
     // Boolean query: do two cs employees share a manager? True in every

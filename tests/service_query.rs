@@ -8,10 +8,10 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use treechase::core::{certain_answers, AnswerQuery, KnowledgeBase};
+use treechase::core::KnowledgeBase;
 use treechase::engine::{ChaseConfig, ChaseVariant, FaultPlan, FaultSite};
-use treechase::parser::parse_query_with;
-use treechase::query::Completeness;
+use treechase::homomorphism::SearchBudget;
+use treechase::query::{answer_kb, Completeness};
 use treechase::service::{parse_json, JobSpec, JobStatus, QueryError, Service, ServiceConfig};
 
 /// A transitive-closure chain over constants: terminating, and every
@@ -45,22 +45,11 @@ fn terminated_job_answers_match_library_certain_answers() {
     assert_eq!(reply.job, Some(id));
     assert!(reply.snapshot_age_ms.is_some());
 
-    // Library side: the same query through `certain_answers`.
-    let mut vocab = kb.vocab.clone();
-    let parsed = parse_query_with(&mut vocab, "q", query_src).expect("query parses");
-    let (atoms, answer_vars) = parsed.disjuncts.into_iter().next().expect("one disjunct");
-    let lib = certain_answers(&kb, &AnswerQuery::new(atoms, answer_vars).unwrap(), &cfg);
-    assert!(lib.complete);
-    let lib_names: Vec<Vec<String>> = lib
-        .answers
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|&c| vocab.const_name(c).expect("constant named").to_string())
-                .collect()
-        })
-        .collect();
-    assert_eq!(reply.outcome.answers, lib_names);
+    // Library side: the same query through `answer_kb`, which chases
+    // the KB itself instead of reading the job's snapshot.
+    let lib = answer_kb(&kb, query_src, &cfg, &SearchBudget::unlimited()).expect("query parses");
+    assert_eq!(lib.completeness, Completeness::Complete);
+    assert_eq!(reply.outcome.answers, lib.answers);
     // c0 reaches every other chain node under transitive closure.
     assert_eq!(reply.outcome.answers.len(), 6);
 }
