@@ -7,7 +7,7 @@
 //! because TCP is a byte stream and workers ship multi-kilobyte
 //! checkpoints that must not shear.
 
-use std::io::{ErrorKind, Read as _, Write as _};
+use std::io::{ErrorKind, Read, Write as _};
 use std::net::TcpStream;
 
 // The frame ceiling is the service-wide request limit (a `serve` line
@@ -69,13 +69,27 @@ pub fn read_frame(stream: &mut TcpStream) -> Result<FrameRead, String> {
     if len > MAX_FRAME {
         return Err(format!("frame length {len} exceeds limit {MAX_FRAME}"));
     }
-    let mut body = vec![0u8; len];
-    stream
-        .read_exact(&mut body)
-        .map_err(|e| format!("read frame body ({len} bytes): {e}"))?;
+    let mut body = Vec::new();
+    read_body(stream, len, &mut body)?;
     let text = String::from_utf8(body).map_err(|e| format!("frame not UTF-8: {e}"))?;
     let v = parse_json(&text)?;
     Ok(FrameRead::Frame(v))
+}
+
+/// Reads exactly `len` body bytes into `body`. The buffer grows with the
+/// bytes that arrive, not with the claimed length, so a header claiming
+/// up to [`MAX_FRAME`] costs memory only for what the peer really sends.
+fn read_body(r: impl Read, len: usize, body: &mut Vec<u8>) -> Result<(), String> {
+    r.take(len as u64)
+        .read_to_end(body)
+        .map_err(|e| format!("read frame body ({len} bytes): {e}"))?;
+    if body.len() < len {
+        return Err(format!(
+            "read frame body ({len} bytes): connection closed after {}",
+            body.len()
+        ));
+    }
+    Ok(())
 }
 
 /// Sends `msg` and reads the single framed reply — the synchronous
@@ -159,5 +173,25 @@ mod tests {
         let (mut conn, _) = listener.accept().unwrap();
         client.write_all(&u32::MAX.to_be_bytes()).unwrap();
         assert!(read_frame(&mut conn).unwrap_err().contains("exceeds limit"));
+    }
+
+    #[test]
+    fn short_body_under_a_large_claim_is_an_error_and_buffers_what_arrived() {
+        // A header claiming MAX_FRAME, then 10 bytes and EOF.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (mut conn, _) = listener.accept().unwrap();
+        client.write_all(&(MAX_FRAME as u32).to_be_bytes()).unwrap();
+        client.write_all(&[b' '; 10]).unwrap();
+        drop(client);
+        let err = read_frame(&mut conn).unwrap_err();
+        assert!(err.contains("connection closed after 10"), "{err}");
+
+        let mut body = Vec::new();
+        assert!(read_body(&[b' '; 10][..], MAX_FRAME, &mut body).is_err());
+        assert_eq!(body.len(), 10);
+        // At most one read chunk beyond the bytes received.
+        assert!(body.capacity() <= 10 + 8 * 1024, "{}", body.capacity());
     }
 }

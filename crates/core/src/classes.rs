@@ -14,7 +14,7 @@
 //!   Section 5's recurring μ-boundedness).
 
 use chase_engine::{
-    boundedness::treewidth_profile, run_chase, ChaseConfig, ChaseVariant, SchedulerKind,
+    boundedness::treewidth_profile, run_chase, ChaseConfig, ChaseVariant, Derivation, SchedulerKind,
 };
 use chase_homomorphism::SearchBudget;
 use chase_treewidth::measure::{recurring_bound_from, uniform_bound};
@@ -22,6 +22,11 @@ use chase_treewidth::measure::{recurring_bound_from, uniform_bound};
 use crate::kb::KnowledgeBase;
 
 /// Evidence gathered about one KB's class memberships.
+///
+/// The probe keeps the two probe chases' derivations; the treewidth
+/// profiles are read from them on demand. The admission gate reads only
+/// the part of each profile its verdict needs
+/// ([`crate::gate::analyze_kb`]).
 #[derive(Clone, Debug)]
 pub struct ClassProbe {
     /// Did the core chase terminate (fes evidence)?
@@ -31,29 +36,45 @@ pub struct ClassProbe {
     pub restricted_chase_terminated: bool,
     /// Applications performed by the core chase worker.
     pub core_applications: usize,
-    /// Certified per-step treewidth upper bounds of the restricted chase.
-    pub restricted_profile: Vec<usize>,
-    /// Certified per-step treewidth upper bounds of the core chase.
-    pub core_profile: Vec<usize>,
+    /// The restricted probe chase.
+    pub restricted: Derivation,
+    /// The core probe chase.
+    pub core: Derivation,
 }
 
 impl ClassProbe {
+    /// Certified per-step treewidth upper bounds of the restricted chase.
+    pub fn restricted_profile(&self) -> Vec<usize> {
+        upper_profile(&self.restricted)
+    }
+
+    /// Certified per-step treewidth upper bounds of the core chase.
+    pub fn core_profile(&self) -> Vec<usize> {
+        upper_profile(&self.core)
+    }
+
     /// The uniform treewidth bound observed on the restricted chase
     /// prefix (bts evidence when it stays flat as budgets grow).
     pub fn restricted_uniform_bound(&self) -> usize {
-        uniform_bound(&self.restricted_profile)
+        uniform_bound(&self.restricted_profile())
     }
 
     /// The uniform treewidth bound observed on the core chase prefix.
     pub fn core_uniform_bound(&self) -> usize {
-        uniform_bound(&self.core_profile)
+        uniform_bound(&self.core_profile())
     }
 
     /// The recurring-bound proxy on the core chase: the minimum certified
     /// upper bound over the trailing half of the profile.
     pub fn core_recurring_bound(&self) -> Option<usize> {
-        recurring_bound_from(&self.core_profile, self.core_profile.len() / 2)
+        let profile = self.core_profile();
+        recurring_bound_from(&profile, profile.len() / 2)
     }
+}
+
+/// The certified treewidth upper bound of every instance of `d`.
+fn upper_profile(d: &Derivation) -> Vec<usize> {
+    treewidth_profile(d).iter().map(|b| b.upper).collect()
 }
 
 /// Probes a KB's class memberships with the given application budget
@@ -100,14 +121,8 @@ pub fn probe_classes_budgeted(
         core_chase_terminated: core.outcome.terminated(),
         restricted_chase_terminated: restricted.outcome.terminated(),
         core_applications: core.stats.applications,
-        restricted_profile: treewidth_profile(&restricted.derivation)
-            .iter()
-            .map(|b| b.upper)
-            .collect(),
-        core_profile: treewidth_profile(&core.derivation)
-            .iter()
-            .map(|b| b.upper)
-            .collect(),
+        restricted: restricted.derivation,
+        core: core.derivation,
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! [`analyze_kb`] runs the static analyzer ([`chase_analysis::analyze_with_budget`])
 //! over the ruleset, probes the KB's chase behaviour
-//! ([`crate::classes::probe_classes`]), converts the probe's treewidth
+//! ([`crate::classes::probe_classes`]), reads the probe chases' treewidth
 //! profiles into [`DynamicEvidence`] via a plateau heuristic, upgrades
 //! the report's verdicts with that evidence, and derives a stratified
 //! [`ChasePlan`]. The result is everything a service needs at submit
@@ -20,14 +20,19 @@
 //! lands them in distinct plan shapes: the steepening staircase's
 //! restricted profile climbs while its core profile plateaus
 //! (`core-bounded-loop`), the inflating elevator's restricted profile
-//! plateaus (`bounded-width-loop`).
+//! plateaus (`bounded-width-loop`). The reading bounds only the instances
+//! its verdict depends on (see `read_width`); the full profiles stay
+//! available from the probe ([`ClassProbe::restricted_profile`]).
+
+use std::ops::ControlFlow;
 
 use chase_analysis::{
     analyze_with_budget, cost_model, stratified_plan_probed, BudgetEnvelope, ChasePlan, CostClass,
     DynamicEvidence, KBoundedOutcome, RulesetReport, RulesetShape, WidthObservation,
 };
-use chase_engine::RuleSet;
+use chase_engine::{Derivation, RuleSet};
 use chase_homomorphism::SearchBudget;
+use chase_treewidth::treewidth_upper_above;
 
 use crate::classes::{probe_classes_budgeted, ClassProbe};
 use crate::kb::KnowledgeBase;
@@ -45,28 +50,72 @@ pub const DEFAULT_PROBE_APPLICATIONS: usize = 120;
 /// [`WidthObservation::Unobserved`].
 const MIN_PROFILE: usize = 16;
 
-/// Reads a width profile into a [`WidthObservation`] by comparing its
-/// trailing half against its leading half. Three outcomes, kept
+/// One probe's [`WidthObservation`] and what reading it cost.
+struct WidthReading {
+    observation: WidthObservation,
+    /// Instances whose treewidth upper bound was computed.
+    #[cfg_attr(not(test), allow(dead_code))] // pinned by the counter test
+    bounded: usize,
+    /// Of those, the ones that needed the min-fill order.
+    #[cfg_attr(not(test), allow(dead_code))] // pinned by the counter test
+    min_fill_runs: usize,
+}
+
+/// Reads a probe's width profile into a [`WidthObservation`] by
+/// comparing the maximum certified treewidth upper bound of its
+/// trailing half against that of its leading half. Three outcomes, kept
 /// deliberately distinct: a profile shorter than [`MIN_PROFILE`] is
 /// [`WidthObservation::Unobserved`] — *no signal*, never a divergence
 /// claim — while only a long-enough profile whose trailing half exceeds
-/// its leading half counts as [`WidthObservation::Climbing`].
-fn plateau(profile: &[usize], terminated: bool) -> WidthObservation {
-    if terminated {
-        // A terminated chase is trivially width-bounded by its max.
-        return WidthObservation::Plateau(profile.iter().copied().max().unwrap_or(0));
+/// its leading half counts as [`WidthObservation::Climbing`]. A
+/// terminated chase is trivially width-bounded by its maximum.
+///
+/// The profile (one upper bound per instance of `d`) is never built
+/// whole; the reading computes only what the verdict depends on:
+///
+/// 1. no lower bound;
+/// 2. each instance's bound against the running maximum of its half as
+///    floor ([`treewidth_upper_above`]), so min-fill runs only when
+///    min-degree alone would raise that maximum;
+/// 3. the replay stops at the first trailing instance above the leading
+///    maximum (the verdict is then `Climbing`), and a profile too short
+///    to judge bounds no instance at all.
+fn read_width(d: &Derivation, terminated: bool) -> WidthReading {
+    let mut reading = WidthReading {
+        observation: WidthObservation::Unobserved,
+        bounded: 0,
+        min_fill_runs: 0,
+    };
+    if !terminated && d.len() < MIN_PROFILE {
+        return reading;
     }
-    if profile.len() < MIN_PROFILE {
-        return WidthObservation::Unobserved;
-    }
-    let (leading, trailing) = profile.split_at(profile.len() / 2);
-    let leading = leading.iter().copied().max().unwrap_or(0);
-    let trailing = trailing.iter().copied().max().unwrap_or(0);
-    if trailing <= leading {
+    // A terminated chase folds its whole profile into the leading half.
+    let half = if terminated { d.len() } else { d.len() / 2 };
+    let (mut leading, mut trailing) = (0, 0);
+    d.replay_while(|e| {
+        let max = if e.index < half {
+            &mut leading
+        } else {
+            &mut trailing
+        };
+        let upper = treewidth_upper_above(e.instance, *max);
+        reading.bounded += 1;
+        reading.min_fill_runs += usize::from(upper.min_fill);
+        *max = upper.width.max(*max);
+        if trailing > leading {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    reading.observation = if terminated {
+        WidthObservation::Plateau(leading)
+    } else if trailing <= leading {
         WidthObservation::Plateau(trailing)
     } else {
         WidthObservation::Climbing
-    }
+    };
+    reading
 }
 
 /// Everything the admission gate learned about one KB.
@@ -80,7 +129,7 @@ pub struct AnalysisGate {
     pub plan: ChasePlan,
     /// The dynamic evidence extracted from the probe.
     pub evidence: DynamicEvidence,
-    /// The raw probe (treewidth profiles, termination flags).
+    /// The raw probe (the probe chases and their termination flags).
     pub probe: ClassProbe,
     /// The complexity tier the certificates place the ruleset in.
     pub cost_class: CostClass,
@@ -128,9 +177,10 @@ fn classify_cost(report: &RulesetReport) -> (CostClass, String) {
 fn evidence_from_probe(probe: &ClassProbe) -> DynamicEvidence {
     DynamicEvidence {
         restricted_terminated: probe.restricted_chase_terminated,
-        restricted_width: plateau(&probe.restricted_profile, probe.restricted_chase_terminated),
+        restricted_width: read_width(&probe.restricted, probe.restricted_chase_terminated)
+            .observation,
         core_terminated: probe.core_chase_terminated,
-        core_width: plateau(&probe.core_profile, probe.core_chase_terminated),
+        core_width: read_width(&probe.core, probe.core_chase_terminated).observation,
     }
 }
 
@@ -190,6 +240,9 @@ pub fn analyze_kb(
 mod tests {
     use super::*;
     use chase_analysis::StratumShape;
+    use chase_atoms::{AtomSet, Vocabulary};
+    use chase_engine::boundedness::treewidth_profile;
+    use chase_kbs::random::{random_instance, random_linear_ruleset, InstanceConfig};
 
     fn budget() -> SearchBudget {
         SearchBudget::unlimited().with_node_limit(2_000)
@@ -278,11 +331,131 @@ mod tests {
         assert_eq!(gate.plan.max_apps, None);
     }
 
+    /// The full-profile reading [`read_width`] must agree with: the maximum
+    /// of each half of the whole profile.
+    fn plateau(profile: &[usize], terminated: bool) -> WidthObservation {
+        if terminated {
+            return WidthObservation::Plateau(profile.iter().copied().max().unwrap_or(0));
+        }
+        if profile.len() < MIN_PROFILE {
+            return WidthObservation::Unobserved;
+        }
+        let (leading, trailing) = profile.split_at(profile.len() / 2);
+        let leading = leading.iter().copied().max().unwrap_or(0);
+        let trailing = trailing.iter().copied().max().unwrap_or(0);
+        if trailing <= leading {
+            WidthObservation::Plateau(trailing)
+        } else {
+            WidthObservation::Climbing
+        }
+    }
+
     #[test]
-    fn probe_config_tunes_the_plateau_heuristic() {
+    fn plateau_oracle_reads_short_and_terminated_profiles() {
         // Too short to judge under the minimum profile length.
         assert_eq!(plateau(&[1, 2, 3], false), WidthObservation::Unobserved);
         // Termination trumps everything.
         assert_eq!(plateau(&[5, 9], true), WidthObservation::Plateau(9));
+    }
+
+    // The analyzer corpus: `corpus(testdata)`.
+    include!("../../../tests/support/analysis_corpus.rs");
+
+    /// Reads both probes of `kb` at `horizon` with [`read_width`] and
+    /// with [`plateau`] over the engine's full profile, asserts they
+    /// agree, and records which verdict each probe reached.
+    fn check_reading(name: &str, kb: &KnowledgeBase, horizon: usize, seen: &mut Vec<&str>) {
+        let probe = crate::classes::probe_classes(kb, horizon);
+        for (d, terminated) in [
+            (&probe.restricted, probe.restricted_chase_terminated),
+            (&probe.core, probe.core_chase_terminated),
+        ] {
+            let profile: Vec<usize> = treewidth_profile(d).iter().map(|b| b.upper).collect();
+            let want = plateau(&profile, terminated);
+            let got = read_width(d, terminated);
+            assert_eq!(got.observation, want, "{name} at {horizon}");
+            seen.push(match want {
+                _ if terminated => "terminated",
+                WidthObservation::Unobserved => "unobserved",
+                WidthObservation::Plateau(_) => "plateau",
+                WidthObservation::Climbing => "climbing",
+            });
+        }
+    }
+
+    #[test]
+    fn width_reading_equals_the_full_profile_plateau() {
+        let mut seen = Vec::new();
+        for w in chase_kbs::witnesses::all_witnesses() {
+            let kb = KnowledgeBase::new(w.vocab, w.facts, w.rules);
+            for horizon in [10, 60] {
+                check_reading(w.name, &kb, horizon, &mut seen);
+            }
+        }
+        let testdata = concat!(env!("CARGO_MANIFEST_DIR"), "/../../testdata");
+        let corpus = corpus(testdata);
+        // The paper's KBs and the testdata programs, on their own facts.
+        for (name, kb) in corpus.iter().filter(|(_, kb)| !kb.facts.is_empty()) {
+            for horizon in [10, 40, DEFAULT_PROBE_APPLICATIONS] {
+                check_reading(name, kb, horizon, &mut seen);
+            }
+        }
+        // Every ruleset of the corpus over a seeded random instance. The
+        // horizons stop at 20: past that, the core probe of a chain rule
+        // (`edge2`) over these instances costs seconds, its fold searches
+        // growing exponentially with the chain.
+        let cfg = InstanceConfig {
+            atoms: 12,
+            terms: 8,
+            ..InstanceConfig::default()
+        };
+        for (seed, (name, kb)) in (0..).zip(corpus) {
+            let KnowledgeBase {
+                mut vocab, rules, ..
+            } = kb;
+            let binary = |p: &&str| vocab.lookup_pred(p).is_some_and(|id| vocab.arity(id) == 2);
+            let preds: Vec<&'static str> = ["r", "s", "t", "h", "v", "e", "q"]
+                .into_iter()
+                .filter(binary)
+                .collect();
+            let cfg = InstanceConfig {
+                preds: if preds.is_empty() {
+                    vec!["noise"]
+                } else {
+                    preds
+                },
+                ..cfg.clone()
+            };
+            let facts = random_instance(&mut vocab, &cfg, seed);
+            let kb = KnowledgeBase::new(vocab, facts, rules);
+            for horizon in [10, 20] {
+                check_reading(&name, &kb, horizon, &mut seen);
+            }
+        }
+        for verdict in ["unobserved", "terminated", "plateau", "climbing"] {
+            assert!(seen.contains(&verdict), "no input read as {verdict}");
+        }
+    }
+
+    #[test]
+    fn staircase_reading_bounds_only_what_the_verdict_needs() {
+        // Pinned counters at the default horizon. The restricted profile
+        // climbs, so its replay stops at the first trailing instance above
+        // the leading maximum; the core profile plateaus and is read whole.
+        let kb = KnowledgeBase::staircase();
+        let probe = crate::classes::probe_classes(&kb, DEFAULT_PROBE_APPLICATIONS);
+        assert_eq!(probe.restricted.len(), DEFAULT_PROBE_APPLICATIONS + 1);
+        assert_eq!(probe.core.len(), DEFAULT_PROBE_APPLICATIONS + 1);
+        let restricted = read_width(&probe.restricted, false);
+        assert_eq!(restricted.observation, WidthObservation::Climbing);
+        assert_eq!((restricted.bounded, restricted.min_fill_runs), (85, 7));
+        let core = read_width(&probe.core, false);
+        assert_eq!(core.observation, WidthObservation::Plateau(2));
+        assert_eq!((core.bounded, core.min_fill_runs), (121, 2));
+        // A profile too short to judge bounds nothing.
+        let short = crate::classes::probe_classes(&kb, MIN_PROFILE - 2);
+        let unobserved = read_width(&short.restricted, false);
+        assert_eq!(unobserved.observation, WidthObservation::Unobserved);
+        assert_eq!(unobserved.bounded, 0);
     }
 }

@@ -22,13 +22,6 @@ pub fn certified_uniform_bound(d: &Derivation) -> usize {
         .unwrap_or(0)
 }
 
-/// A certified statement that the prefix treewidth *exceeds* `k` from step
-/// `from` on: every instance in the suffix has lower bound > `k`.
-pub fn certified_exceeds_from(d: &Derivation, from: usize, k: usize) -> bool {
-    let profile = treewidth_profile(d);
-    from < profile.len() && profile[from..].iter().all(|b| b.lower > k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,7 +62,5 @@ mod tests {
         assert_eq!(profile.len(), 7);
         assert!(profile.iter().all(|b| b.upper == 1));
         assert_eq!(certified_uniform_bound(&d), 1);
-        assert!(!certified_exceeds_from(&d, 0, 1));
-        assert!(certified_exceeds_from(&d, 0, 0));
     }
 }

@@ -31,7 +31,7 @@ use chase_homomorphism::{
 };
 
 use crate::control::{CancelToken, ChaseEvent, FaultPlan};
-use crate::derivation::{Derivation, DerivationStep};
+use crate::derivation::{first_instance, Derivation, DerivationStep};
 use crate::prng::SplitMix64;
 use crate::rule::RuleSet;
 use crate::skolem::SkolemTable;
@@ -575,7 +575,7 @@ pub fn run_chase_controlled(
     // every simplification retracts it in place (or replaces it by the
     // retract a core phase builds), and the derivation only logs what
     // happened to it.
-    let mut instance = sigma0.apply_set(facts);
+    let mut instance = first_instance(&sigma0, facts);
     let mut log: Vec<DerivationStep> = Vec::new();
 
     // Dedup memory for the oblivious variants (monotonic, so keys stay

@@ -7,10 +7,22 @@
 //! other instances are recomputed by [`Derivation::replay`], which walks
 //! one instance through the log.
 
+use std::ops::ControlFlow;
+
 use chase_atoms::{Atom, AtomSet, Substitution};
 
 use crate::rule::RuleSet;
 use crate::trigger::{all_triggers, apply_trigger, Trigger};
+
+/// `F_0 = σ_0(F)`. An empty `σ_0` (every variant but the core chase)
+/// copies `F` instead of rebuilding it and its indexes atom by atom.
+pub(crate) fn first_instance(sigma0: &Substitution, facts: &AtomSet) -> AtomSet {
+    if sigma0.is_empty() {
+        facts.clone()
+    } else {
+        sigma0.apply_set(facts)
+    }
+}
 
 /// One logged step `i ≥ 1` of a derivation: `(tr_i, π_safe, σ_i)`.
 #[derive(Clone, Debug)]
@@ -56,7 +68,7 @@ impl Derivation {
     pub fn start(rules: RuleSet, initial: AtomSet, sigma0: Substitution) -> Self {
         Derivation {
             rules,
-            last: sigma0.apply_set(&initial),
+            last: first_instance(&sigma0, &initial),
             initial,
             sigma0,
             steps: Vec::new(),
@@ -118,23 +130,38 @@ impl Derivation {
     /// each step inserts `π_safe(H)` in place, and only a step with a
     /// non-identity `σ_i` builds `F_i` beside `A_i`.
     pub fn replay(&self, mut visit: impl FnMut(DerivationElement<'_>)) {
-        let mut current = self.sigma0.apply_set(&self.initial);
-        visit(DerivationElement {
+        self.replay_while(|e| {
+            visit(e);
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// [`Derivation::replay`] that stops after the first element for
+    /// which `visit` breaks; the later instances are never built.
+    pub fn replay_while(&self, mut visit: impl FnMut(DerivationElement<'_>) -> ControlFlow<()>) {
+        let mut current = first_instance(&self.sigma0, &self.initial);
+        let first = DerivationElement {
             index: 0,
             pre: &self.initial,
             added: &[],
             instance: &current,
-        });
+        };
+        if visit(first).is_break() {
+            return;
+        }
         for (index, step) in (1..).zip(&self.steps) {
             let added = apply_trigger(&self.rules, &mut current, &step.trigger, &step.pi_safe);
             let sigma = &step.simplification;
             let folded = (!sigma.is_empty()).then(|| sigma.apply_set(&current));
-            visit(DerivationElement {
+            let flow = visit(DerivationElement {
                 index,
                 pre: &current,
                 added: &added,
                 instance: folded.as_ref().unwrap_or(&current),
             });
+            if flow.is_break() {
+                return;
+            }
             if let Some(folded) = folded {
                 current = folded;
             }

@@ -882,12 +882,9 @@ pub fn analysis_to_json(gate: &AnalysisGate, rules: &RuleSet) -> Json {
                 ),
                 (
                     "restricted_profile_len",
-                    Json::Int(gate.probe.restricted_profile.len() as i64),
+                    Json::Int(gate.probe.restricted.len() as i64),
                 ),
-                (
-                    "core_profile_len",
-                    Json::Int(gate.probe.core_profile.len() as i64),
-                ),
+                ("core_profile_len", Json::Int(gate.probe.core.len() as i64)),
             ]),
         ),
         ("admissible", Json::Bool(gate.admissible())),

@@ -365,6 +365,25 @@ mod tests {
     }
 
     #[test]
+    fn floored_upper_bound_agrees_above_its_floor() {
+        for seed in 0..300 {
+            let a = random_atomset(seed);
+            let upper = crate::treewidth_bounds(&a).upper;
+            let min_degree = greedy(&Graph::primal(&a), Heuristic::MinDegree).width;
+            // The floors at which the answer can change: around the
+            // upper bound and around min-degree's width.
+            let floors = [upper, min_degree].map(|w| [w.saturating_sub(1), w, w + 1]);
+            for floor in floors.into_iter().flatten().chain([0]) {
+                let got = crate::treewidth_upper_above(&a, floor);
+                assert_eq!(got.width.max(floor), upper.max(floor), "seed {seed}");
+                assert!(got.width >= upper, "seed {seed}: not an upper bound");
+                assert_eq!(got.min_fill, min_degree > floor, "seed {seed}");
+            }
+            assert_eq!(crate::treewidth_upper_above(&a, 0).width, upper);
+        }
+    }
+
+    #[test]
     fn score_evaluations_on_a_ternary_tree_are_linear() {
         // Vertex i > 0 hangs below vertex (i - 1) / 3. Every elimination
         // removes a leaf and rescores its parent only: n + (n - 1).

@@ -8,7 +8,8 @@
 //!   ([`TreeDecomposition::validate`]);
 //! * **heuristic** upper bounds from greedy min-degree / min-fill
 //!   elimination orders, one kernel rescoring only what each elimination
-//!   touches ([`treewidth_bounds`] reads widths without building bags;
+//!   touches ([`treewidth_bounds`] and the floor-aware
+//!   [`treewidth_upper_above`] read widths without building bags;
 //!   [`min_degree_decomposition`] / [`min_fill_decomposition`] build them);
 //! * an **exact** branch-and-bound solver over elimination orderings with
 //!   memoization and the simplicial-vertex reduction ([`exact_treewidth`]);
@@ -81,9 +82,44 @@ pub fn treewidth_bounds(a: &AtomSet) -> TwBounds {
     let g = Graph::primal(a);
     TwBounds {
         lower: degeneracy_lower_bound(&g),
-        upper: greedy(&g, Heuristic::MinDegree)
-            .width
-            .min(greedy(&g, Heuristic::MinFill).width),
+        upper: upper_above(&g, 0).width,
+    }
+}
+
+/// A treewidth upper bound read against a floor; see
+/// [`treewidth_upper_above`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct FlooredUpper {
+    /// A proven upper bound on the treewidth; it equals
+    /// `treewidth_bounds(a).upper` whenever that exceeds the floor.
+    pub width: usize,
+    /// Whether the min-fill order ran.
+    pub min_fill: bool,
+}
+
+/// The upper bound of [`treewidth_bounds`] as far as it shows above
+/// `floor`: `max(width, floor) == max(treewidth_bounds(a).upper, floor)`.
+///
+/// No lower bound is computed, and min-fill runs only when min-degree's
+/// width exceeds `floor`: the upper bound is the smaller of the two
+/// widths, so once min-degree is at or below the floor min-fill cannot
+/// lift the bound above it. A caller folding a running maximum passes
+/// that maximum as the floor; floor 0 reads the exact upper bound.
+pub fn treewidth_upper_above(a: &AtomSet, floor: usize) -> FlooredUpper {
+    upper_above(&Graph::primal(a), floor)
+}
+
+fn upper_above(g: &Graph, floor: usize) -> FlooredUpper {
+    let min_degree = greedy(g, Heuristic::MinDegree).width;
+    if min_degree <= floor {
+        return FlooredUpper {
+            width: min_degree,
+            min_fill: false,
+        };
+    }
+    FlooredUpper {
+        width: min_degree.min(greedy(g, Heuristic::MinFill).width),
+        min_fill: true,
     }
 }
 

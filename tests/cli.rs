@@ -353,6 +353,39 @@ fn analyze_json_elevator_snapshot() {
     assert_eq!(j.get("admissible").and_then(|b| b.as_bool()), Some(true));
 }
 
+/// `analyze --json` on the built-in KBs and the testdata programs is
+/// byte-identical to `testdata/analysis/analyze.golden.jsonl`, one line
+/// per input in the order `testdata/analysis/record.sh` records them.
+#[test]
+fn analyze_json_matches_its_golden() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let golden = std::fs::read_to_string(format!("{root}/testdata/analysis/analyze.golden.jsonl"))
+        .expect("golden present");
+    let inputs = [
+        "staircase",
+        "elevator",
+        "testdata/elevator.tc",
+        "testdata/family.tc",
+        "testdata/reachability.tc",
+        "testdata/staircase.tc",
+        "testdata/transitive.tc",
+    ];
+    assert_eq!(golden.lines().count(), inputs.len());
+    for (input, want) in inputs.iter().zip(golden.lines()) {
+        let out = bin()
+            .current_dir(root)
+            .args(["analyze", input, "--json"])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{input}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout).trim_end(),
+            want,
+            "{input}"
+        );
+    }
+}
+
 /// A weakly acyclic file KB: certified-terminating end to end, with a
 /// fully non-core plan.
 #[test]
