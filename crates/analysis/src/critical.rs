@@ -22,7 +22,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use chase_atoms::{Atom, AtomSet, ConstId, PredId, Term, VarId, Vocabulary};
-use chase_engine::{all_triggers, apply_trigger, fresh_pi_safe, RuleId, RuleSet};
+use chase_engine::{apply_trigger, fresh_pi_safe, triggers_using_delta, RuleId, RuleSet};
 use chase_homomorphism::SearchBudget;
 
 /// The critical instance of a ruleset: every atom `p(c₁, …, cₖ)` over
@@ -158,7 +158,9 @@ type Symbol = (RuleId, usize);
 type FrontierKey = (RuleId, Vec<(VarId, Term)>);
 
 /// The semi-oblivious (Skolem) chase of the critical instance, firing
-/// each round's unfired frontier keys in `all_triggers` order.
+/// each round's unfired frontier keys in (rule, π) order. A round
+/// matches only triggers using an atom the previous round inserted
+/// (every older key has fired), so n applications visit O(n) triggers.
 #[derive(Default)]
 pub(crate) struct CriticalChase {
     /// Atoms of the critical instance the run started from.
@@ -169,6 +171,8 @@ pub(crate) struct CriticalChase {
     pub outputs: HashMap<FrontierKey, Vec<Atom>>,
     /// Trigger applications performed.
     pub applications: usize,
+    /// Triggers the rounds enumerated, fired keys included.
+    pub visited: usize,
     /// Did a round find no unfired frontier key?
     pub saturated: bool,
     /// The first null whose Skolem term tree holds its own symbol: the
@@ -197,9 +201,11 @@ impl CriticalChase {
         };
         // Per null: the Skolem symbols of its term tree and its depth.
         let mut symbols: HashMap<VarId, (BTreeSet<Symbol>, usize)> = HashMap::new();
+        let mut delta: Vec<Atom> = run.instance.iter().cloned().collect();
         loop {
             let mut progressed = false;
-            for tr in all_triggers(rules, &run.instance) {
+            for tr in triggers_using_delta(rules, &run.instance, &std::mem::take(&mut delta)) {
+                run.visited += 1;
                 let key = tr.frontier_key(rules);
                 if run.outputs.contains_key(&key) {
                     continue;
@@ -209,7 +215,7 @@ impl CriticalChase {
                 }
                 let rule = rules.get(tr.rule);
                 let (pi_safe, nulls) = fresh_pi_safe(&mut vocab, rules, &tr);
-                apply_trigger(rules, &mut run.instance, &tr, &pi_safe);
+                delta.extend(apply_trigger(rules, &mut run.instance, &tr, &pi_safe));
                 run.applications += 1;
                 let out = rule.head().iter().map(|a| pi_safe.apply_atom(a)).collect();
                 run.outputs.insert(key, out);
@@ -384,6 +390,27 @@ mod tests {
         // A slice never stretches the run past its own limit.
         let capped = CriticalChase::run(&rs, &b, 30, 40).expect("fits");
         assert_eq!(capped.applications, 30);
+    }
+
+    #[test]
+    fn chain_chase_visits_a_linear_number_of_triggers() {
+        // Each round matches only the atom the previous round inserted:
+        // one trigger per application, plus the one the limit stops at.
+        // A full re-scan per round visits n(n + 1)/2.
+        let rs = rules("R: r(X, Y) -> r(Y, Z).");
+        let b = SearchBudget::unlimited();
+        for limit in [256, 2_000] {
+            let run = CriticalChase::run(&rs, &b, limit, usize::MAX).expect("fits");
+            assert_eq!(run.applications, limit);
+            assert_eq!(run.visited, limit + 1);
+        }
+        // A saturating ruleset: round 1 fires R and S on the critical
+        // instance; round 2 meets S again on R's output `s(∗, n)`, whose
+        // frontier key `X = ∗` has fired.
+        let rs = rules("R: r(X, Y) -> s(Y, Z). S: s(X, Y) -> t(X).");
+        let run = CriticalChase::run(&rs, &b, 1_000, usize::MAX).expect("fits");
+        assert!(run.saturated);
+        assert_eq!((run.applications, run.visited), (2, 3));
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! isomorphism but reports the speedup informationally only (tiny runs
 //! are noise-dominated). The smoke run also compares the deterministic
 //! counters — match nodes and fold candidates of the maintainer and of
-//! the reference, and the final atom count — against the committed
+//! the reference, the maintainer run's trigger-discovery match trials
+//! (semi-naive discovery keeps them linear in the applications), and the
+//! final atom count — against the committed
 //! `BENCH_core_baseline.json` at the workspace root, failing on any
 //! increase in the counters, any change in the result, or a missing
 //! baseline. `--write-baseline` regenerates that baseline from the smoke
@@ -126,6 +128,10 @@ impl Measurement {
                 Json::Int(self.inc.fold_candidates as i64),
             ),
             (
+                "incremental_match_trials",
+                Json::Int(self.inc.match_trials as i64),
+            ),
+            (
                 "incremental_retractions",
                 Json::Int(self.inc.retractions as i64),
             ),
@@ -206,9 +212,9 @@ impl GateShapeRow {
 
 impl Measurement {
     /// The deterministic counters the smoke gate compares: pure functions
-    /// of (KB, budget, maintainer), so any increase
-    /// means the fold search explores a larger tree, not that the host
-    /// was slow.
+    /// of (KB, budget, maintainer), so any increase means the fold
+    /// search or trigger discovery explores a larger tree, not that the
+    /// host was slow.
     fn gate_row(&self) -> GateRow {
         let up = Allow::UpPercent(0);
         GateRow {
@@ -222,6 +228,7 @@ impl Measurement {
                     self.inc.fold_candidates as u64,
                     up,
                 ),
+                ("incremental_match_trials", self.inc.match_trials as u64, up),
                 ("final_atoms", self.final_atoms as u64, Allow::Same),
             ],
         }

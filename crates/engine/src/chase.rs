@@ -36,8 +36,7 @@ use crate::prng::SplitMix64;
 use crate::rule::RuleSet;
 use crate::skolem::SkolemTable;
 use crate::trigger::{
-    all_triggers_counted, apply_trigger, fresh_pi_safe, triggers_using_delta_counted, MatchTally,
-    Trigger,
+    apply_trigger, fresh_pi_safe, triggers_using_delta_counted, MatchTally, Trigger,
 };
 
 /// Which chase variant to run.
@@ -578,22 +577,28 @@ pub fn run_chase_controlled(
     let mut instance = first_instance(&sigma0, facts);
     let mut log: Vec<DerivationStep> = Vec::new();
 
+    // Semi-naive discovery for every variant: a round matches only the
+    // triggers that use an atom inserted since the last discovery. Every
+    // simplification σᵢ is a retraction (Defs. 1–2) and fixes its image,
+    // so this holds for frugal and core too (DESIGN §7):
+    // 1. satisfaction survives a retraction r (witness r∘π′: the
+    //    frontier is fixed);
+    // 2. a retracted atom holds an eliminated null that never reappears,
+    //    so a body present at round k+1 and at round k's discovery was
+    //    present throughout, `tr.map(forward)` left it unchanged, and
+    //    round k applied the trigger or found it satisfied;
+    // 3. so every active trigger at round k+1 uses an atom inserted in
+    //    round k.
+    // The delta starts as the first instance (σ₀(F) for core) and
+    // collects the atoms whose `insert` succeeded. Debug builds check
+    // every frugal and core round against a full re-scan; the monotonic
+    // variants skip it, which keeps their long debug runs linear.
+    let mut delta: Vec<chase_atoms::Atom> = instance.iter().cloned().collect();
+
     // Dedup memory for the oblivious variants (monotonic, so keys stay
     // valid across the whole run).
     let mut applied_keys: HashSet<(usize, Vec<(chase_atoms::VarId, chase_atoms::Term)>)> =
         HashSet::new();
-
-    // Semi-naive discovery for the monotonic variants: a trigger only
-    // needs to be considered in the round after its last body atom
-    // appeared, because in a monotonic chase satisfaction is preserved
-    // under extension. The non-monotonic variants (frugal, core) re-scan,
-    // since retractions can invalidate earlier satisfaction. The delta is
-    // exactly the atoms whose insertion into the live instance succeeded.
-    let monotonic = matches!(
-        cfg.variant,
-        ChaseVariant::Oblivious | ChaseVariant::SemiOblivious | ChaseVariant::Restricted
-    );
-    let mut delta: Vec<chase_atoms::Atom> = facts.iter().cloned().collect();
 
     // Stratified schedule: only rules of the active stratum may fire;
     // when the active stratum saturates, the next one is enabled and the
@@ -620,31 +625,38 @@ pub fn run_chase_controlled(
         stats.peak_index_postings = stats.peak_index_postings.max(instance.index_postings());
         let match_phase = Instant::now();
         let mut tally = MatchTally::default();
-        let discovered = if monotonic {
-            let d = triggers_using_delta_counted(rules, &instance, &delta, &mut tally);
-            delta.clear();
-            d
-        } else {
-            all_triggers_counted(rules, &instance, &mut tally)
+        let discovered = triggers_using_delta_counted(rules, &instance, &delta, &mut tally);
+        delta.clear();
+        let pending = |t: &Trigger, tally: &mut MatchTally| {
+            strata_sets
+                .as_ref()
+                .is_none_or(|sets| sets.get(stratum).is_some_and(|s| s.contains(&t.rule)))
+                && match cfg.variant {
+                    ChaseVariant::Oblivious => !applied_keys.contains(&t.universal_key(rules)),
+                    ChaseVariant::SemiOblivious => !applied_keys.contains(&t.frontier_key(rules)),
+                    ChaseVariant::Restricted | ChaseVariant::Frugal | ChaseVariant::Core => {
+                        !t.is_satisfied_in_counted(rules, &instance, tally)
+                    }
+                }
         };
         let mut snapshot: Vec<Trigger> = discovered
             .into_iter()
-            .filter(|t| {
-                strata_sets
-                    .as_ref()
-                    .is_none_or(|sets| sets.get(stratum).is_some_and(|s| s.contains(&t.rule)))
-            })
-            .filter(|t| match cfg.variant {
-                ChaseVariant::Oblivious => !applied_keys.contains(&t.universal_key(rules)),
-                ChaseVariant::SemiOblivious => !applied_keys.contains(&t.frontier_key(rules)),
-                ChaseVariant::Restricted | ChaseVariant::Frugal | ChaseVariant::Core => {
-                    !t.is_satisfied_in_counted(rules, &instance, &mut tally)
-                }
-            })
+            .filter(|t| pending(t, &mut tally))
             .collect();
         stats.match_time_us += match_phase.elapsed().as_micros() as u64;
         stats.match_searches += tally.searches;
         stats.match_trials += tally.trials;
+        #[cfg(debug_assertions)]
+        if matches!(cfg.variant, ChaseVariant::Frugal | ChaseVariant::Core) {
+            let rescan: Vec<Trigger> = crate::trigger::all_triggers(rules, &instance)
+                .into_iter()
+                .filter(|t| pending(t, &mut MatchTally::default()))
+                .collect();
+            assert_eq!(
+                snapshot, rescan,
+                "semi-naive discovery must equal a re-scan"
+            );
+        }
         if snapshot.is_empty() {
             if let Some(sets) = &strata_sets {
                 if stratum + 1 < sets.len() {
@@ -758,11 +770,10 @@ pub fn run_chase_controlled(
                 }
             }
             let produced_len = instance.len();
-            if monotonic {
-                delta.extend(added);
-            } else if cfg.variant == ChaseVariant::Core {
-                added_since_core.extend(added);
+            if cfg.variant == ChaseVariant::Core {
+                added_since_core.extend(added.iter().cloned());
             }
+            delta.extend(added);
             match cfg.variant {
                 ChaseVariant::Oblivious => {
                     applied_keys.insert(tr.universal_key(rules));
@@ -1470,9 +1481,10 @@ mod semi_naive_tests {
     use crate::rule::{Rule, RuleSet};
     use chase_atoms::{PredId, VarId};
 
-    /// On datalog the Frugal variant never folds (no fresh nulls to
-    /// move), so it behaves as a full-rescan restricted chase — a perfect
-    /// oracle for the semi-naive Restricted runner.
+    /// Datalog has one fixpoint, so a naive loop that re-scans the whole
+    /// instance until no trigger is active is a perfect oracle for the
+    /// semi-naive runner; Frugal never folds here (no fresh nulls to move)
+    /// and must reach it too.
     #[test]
     fn semi_naive_matches_full_rescan_on_datalog() {
         let rules: RuleSet = [
@@ -1501,14 +1513,19 @@ mod semi_naive_tests {
             let mut vocab = Vocabulary::new();
             run_chase(&mut vocab, &facts, &rules, &ChaseConfig::variant(variant))
         };
-        let semi = run(ChaseVariant::Restricted);
-        let full = run(ChaseVariant::Frugal);
-        assert!(semi.outcome.terminated() && full.outcome.terminated());
-        assert_eq!(semi.final_instance, full.final_instance);
+        let mut full = facts.clone();
+        while let Some(tr) = crate::trigger::unsatisfied_triggers(&rules, &full).pop() {
+            let pi_safe = tr.pi.clone();
+            apply_trigger(&rules, &mut full, &tr, &pi_safe);
+        }
+        for variant in [ChaseVariant::Restricted, ChaseVariant::Frugal] {
+            let semi = run(variant);
+            assert!(semi.outcome.terminated(), "{variant:?}");
+            assert_eq!(semi.final_instance, full, "{variant:?}");
+        }
     }
 
-    /// Existential rules: semi-naive restricted still reaches the same
-    /// fixpoint as the (full-rescan) core chase up to hom-equivalence on
+    /// Existential rules: semi-naive restricted still reaches a model on
     /// a terminating KB.
     #[test]
     fn semi_naive_reaches_fixpoint_with_existentials() {

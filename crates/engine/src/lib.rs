@@ -45,6 +45,6 @@ pub use derivation::{Derivation, DerivationElement, DerivationStep};
 pub use robust::{RobustSequence, VarTrace};
 pub use rule::{Rule, RuleError, RuleId, RuleSet};
 pub use trigger::{
-    all_triggers, all_triggers_counted, apply_trigger, fresh_pi_safe, is_model_of_rules,
-    triggers_using_delta, triggers_using_delta_counted, unsatisfied_triggers, MatchTally, Trigger,
+    all_triggers, apply_trigger, fresh_pi_safe, is_model_of_rules, triggers_using_delta,
+    triggers_using_delta_counted, unsatisfied_triggers, MatchTally, Trigger,
 };

@@ -170,27 +170,16 @@ pub fn apply_trigger(
 /// Enumerates all triggers of `rules` for `instance`, in deterministic
 /// order (rule-major, then matcher order).
 pub fn all_triggers(rules: &RuleSet, instance: &AtomSet) -> Vec<Trigger> {
-    all_triggers_counted(rules, instance, &mut MatchTally::default())
-}
-
-/// [`all_triggers`], recording every body search in `tally`.
-pub fn all_triggers_counted(
-    rules: &RuleSet,
-    instance: &AtomSet,
-    tally: &mut MatchTally,
-) -> Vec<Trigger> {
     let mut out = Vec::new();
     let mcfg = MatchConfig::default();
     for (id, rule) in rules.iter() {
-        let outcome =
-            for_each_homomorphism(rule.body(), instance, &Substitution::new(), &mcfg, |pi| {
-                out.push(Trigger {
-                    rule: id,
-                    pi: pi.restrict(rule.universal_vars()),
-                });
-                ControlFlow::Continue(())
+        for_each_homomorphism(rule.body(), instance, &Substitution::new(), &mcfg, |pi| {
+            out.push(Trigger {
+                rule: id,
+                pi: pi.restrict(rule.universal_vars()),
             });
-        tally.absorb(outcome);
+            ControlFlow::Continue(())
+        });
     }
     // Matcher order depends on dynamic candidate counts; sort for a stable
     // cross-run order.
@@ -206,10 +195,11 @@ pub fn all_triggers_counted(
 }
 
 /// Enumerates the triggers for `instance` whose body image uses at least
-/// one atom from `delta` — the *semi-naive* discovery step: in a
-/// monotonic chase every trigger is discovered in the round after its
-/// last body atom appears, and (since satisfaction is preserved under
-/// extension) a trigger handled once never needs to be revisited.
+/// one atom from `delta` — the *semi-naive* discovery step: every
+/// trigger is discovered in the round after its last body atom appears,
+/// and a trigger handled once never needs to be revisited, because
+/// satisfaction survives both extension and retraction (DESIGN §7).
+/// A `delta` atom that `instance` no longer contains seeds nothing.
 ///
 /// The result is deduplicated and sorted like [`all_triggers`].
 pub fn triggers_using_delta(rules: &RuleSet, instance: &AtomSet, delta: &[Atom]) -> Vec<Trigger> {
@@ -232,9 +222,10 @@ pub fn triggers_using_delta_counted(
     // materialized once, instead of piling duplicates into `out` and
     // discarding them post-hoc in sort+dedup.
     let mut seen: HashSet<(RuleId, Vec<(VarId, Term)>)> = HashSet::new();
+    let delta: Vec<&Atom> = delta.iter().filter(|a| instance.contains(a)).collect();
     for (id, rule) in rules.iter() {
         for body_atom in rule.body().iter() {
-            for new_atom in delta {
+            for &new_atom in &delta {
                 if new_atom.pred() != body_atom.pred() || new_atom.arity() != body_atom.arity() {
                     continue;
                 }
@@ -302,30 +293,9 @@ pub fn unsatisfied_triggers(rules: &RuleSet, instance: &AtomSet) -> Vec<Trigger>
 
 /// Is `instance` a model of every rule (every trigger satisfied)?
 pub fn is_model_of_rules(rules: &RuleSet, instance: &AtomSet) -> bool {
-    let mut ok = true;
-    'outer: for (id, rule) in rules.iter() {
-        let mut triggers = Vec::new();
-        for_each_homomorphism(
-            rule.body(),
-            instance,
-            &Substitution::new(),
-            &MatchConfig::default(),
-            |pi| {
-                triggers.push(Trigger {
-                    rule: id,
-                    pi: pi.restrict(rule.universal_vars()),
-                });
-                ControlFlow::Continue(())
-            },
-        );
-        for t in triggers {
-            if !t.is_satisfied_in(rules, instance) {
-                ok = false;
-                break 'outer;
-            }
-        }
-    }
-    ok
+    all_triggers(rules, instance)
+        .iter()
+        .all(|t| t.is_satisfied_in(rules, instance))
 }
 
 #[cfg(test)]

@@ -130,17 +130,17 @@ fn recorded_derivations_validate_for_restricted_and_core() {
 }
 
 /// Differential regression for the semi-naive/retraction interplay
-/// (`crates/engine/src/chase.rs`, the non-monotonic re-scan): a KB
-/// whose core fold retracts an atom that had both *fired* a rule and
-/// *satisfied* another trigger. R2 fires on `r(a, n1)` and creates the
-/// very witness `r(a, n2), g(n2)` that the core then folds `n1` into —
-/// after the fold, the applied-trigger memory and satisfaction state
-/// both reference a retracted atom. A delta-tracking shortcut that
-/// survives retraction would either re-fire R2 into duplicate nulls or
-/// miss the datalog tail (R3, R4) behind the fold; the full re-scan
-/// must do neither. Restricted and core chase must agree up to core
-/// isomorphism (universal models have a unique core), and the tail
-/// facts must be derived exactly once.
+/// (`crates/engine/src/chase.rs`, discovery from the delta across
+/// retractions): a KB whose core fold retracts an atom that had both
+/// *fired* a rule and *satisfied* another trigger. R2 fires on
+/// `r(a, n1)` and creates the very witness `r(a, n2), g(n2)` that the
+/// core then folds `n1` into — after the fold, the applied-trigger
+/// memory and satisfaction state both reference a retracted atom. A
+/// discovery step that mishandled the retraction would either re-fire
+/// R2 into duplicate nulls or miss the datalog tail (R3, R4) behind the
+/// fold; the delta-seeded discovery must do neither. Restricted and core
+/// chase must agree up to core isomorphism (universal models have a
+/// unique core), and the tail facts must be derived exactly once.
 #[test]
 fn core_fold_invalidating_satisfied_trigger_matches_restricted_core() {
     use treechase::homomorphism::{core_of, is_core, isomorphism};
