@@ -1,45 +1,37 @@
 //! The Theorem 1 twin semi-decision procedure.
 //!
 //! The paper proves decidability of CQ entailment for KBs with a
-//! recurringly treewidth-bounded core chase by *racing two
-//! semi-decision procedures*:
+//! recurringly treewidth-bounded core chase by running two semi-decision
+//! procedures side by side: one detects `K ⊨ Q` in finite time
+//! (completeness of first-order logic — here, a fair chase whose elements
+//! are universal, checked against the query after every application);
+//! the other detects `K ⊭ Q` (satisfiability of `F ∧ Σ ∧ ¬Q` over
+//! structures of treewidth `k`, for growing `k` — here, the implementable
+//! fragment: a terminating chase yields a finite universal model that
+//! refutes the query). The full MSO-over-bounded-treewidth procedure is
+//! non-implementable at astronomically large constants; `DESIGN.md`
+//! documents the substitution, and the outcome type says what is
+//! certified.
 //!
-//! 1. a procedure guaranteed to detect `K ⊨ Q` in finite time
-//!    (completeness of first-order logic — here: a fair chase whose
-//!    elements are universal, checked against the query after every
-//!    application), and
-//! 2. a procedure guaranteed to detect `K ⊭ Q` (the paper: satisfiability
-//!    of `F ∧ Σ ∧ ¬Q` over structures of treewidth `k`, for growing `k`,
-//!    via Courcelle-style MSO decidability — here, the implementable
-//!    fragment: chase termination yields a finite universal model that
-//!    refutes the query).
-//!
-//! This module implements that architecture literally with two parallel
-//! [`entail`] runs (core + restricted — they terminate in incomparable
-//! situations, so racing both widens the certified-No reach), sharing an
-//! early-stop flag. The full MSO-over-bounded-treewidth decision
-//! procedure is non-implementable at astronomically large constants; the
-//! substitution is documented in `DESIGN.md` and the outcome type is
-//! explicit about certification.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+//! [`decide`] dovetails a core run and a restricted run in one thread
+//! (they terminate in incomparable situations, so both together widen
+//! the certified-No reach).
 
 use chase_atoms::AtomSet;
-use chase_engine::{ChaseConfig, ChaseVariant};
-use chase_homomorphism::{maps_to, SearchBudget};
+use chase_engine::{ChaseConfig, ChaseRun, ChaseVariant};
+use chase_homomorphism::maps_to;
 
-use crate::entail::{entail, Entailment};
+use crate::entail::{check_step, Entailment};
 use crate::kb::KnowledgeBase;
 
 /// Budgets for the twin procedure.
 #[derive(Clone, Debug)]
 pub struct DecideConfig {
-    /// Rule-application budget for the restricted worker.
+    /// Rule-application budget for the restricted run.
     pub max_applications: usize,
-    /// Atom budget per worker.
+    /// Atom budget per run.
     pub max_atoms: usize,
-    /// Rule-application budget for the core worker. The core worker's
+    /// Rule-application budget for the core run. The core run's
     /// role is *termination detection* (its per-step core computation is
     /// expensive and, on a divergent KB, pure overhead), so this is
     /// usually much smaller than `max_applications`.
@@ -62,31 +54,31 @@ pub enum DecideOutcome {
     /// `K ⊨ Q` — certified by a homomorphism into a universal chase
     /// element.
     Entailed {
-        /// Which worker found it.
+        /// Which run found it.
         by: ChaseVariant,
-        /// Applications performed by that worker.
+        /// Applications performed by that run.
         applications: usize,
     },
     /// `K ⊭ Q` — certified by a terminating chase (finite universal
     /// model not satisfying the query).
     NotEntailed {
-        /// Which worker terminated.
+        /// Which run terminated.
         by: ChaseVariant,
         /// Atoms of the finite universal model.
         universal_model_atoms: usize,
     },
-    /// Both workers exhausted their budgets without a certificate. The
-    /// query maps into no chase element either worker built: evidence of
+    /// Both runs exhausted their budgets without a certificate. The
+    /// query maps into no chase element either run built: evidence of
     /// non-entailment, not a proof.
     Exhausted,
 }
 
-/// Races the two semi-decision procedures of Theorem 1.
+/// Dovetails the two semi-decision procedures of Theorem 1.
 ///
-/// Each worker is an [`entail`] run. They share one cancel flag through
-/// [`ChaseConfig::search_budget`]: the first certificate raises it, and
-/// the engine polls it between applications and inside every core
-/// phase's retraction search, so the loser stops promptly.
+/// A core run and a restricted run take one application each in turn,
+/// core first, and each is checked against the query after every
+/// application. A run that ends without a certificate drops out; the
+/// first certificate wins, so the verdict depends only on the input.
 pub fn decide(kb: &KnowledgeBase, query: &AtomSet, cfg: &DecideConfig) -> DecideOutcome {
     if maps_to(query, &kb.facts) {
         return DecideOutcome::Entailed {
@@ -94,49 +86,47 @@ pub fn decide(kb: &KnowledgeBase, query: &AtomSet, cfg: &DecideConfig) -> Decide
             applications: 0,
         };
     }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let verdict: Mutex<Option<DecideOutcome>> = Mutex::new(None);
-
-    let worker = |variant: ChaseVariant| {
-        let budget = if variant == ChaseVariant::Core {
-            cfg.core_max_applications
-        } else {
-            cfg.max_applications
-        };
-        let chase_cfg = ChaseConfig::variant(variant)
+    let configs = [
+        (ChaseVariant::Core, cfg.core_max_applications),
+        (ChaseVariant::Restricted, cfg.max_applications),
+    ]
+    .map(|(variant, budget)| {
+        ChaseConfig::variant(variant)
             .with_max_applications(budget)
             .with_max_atoms(cfg.max_atoms)
-            .with_search_budget(SearchBudget::unlimited().with_cancel(Arc::clone(&stop)));
-        let outcome = match entail(kb, query, &chase_cfg) {
-            Entailment::Entailed { applications } => DecideOutcome::Entailed {
-                by: variant,
-                applications,
-            },
-            Entailment::NotEntailed {
-                universal_model_atoms,
-            } => DecideOutcome::NotEntailed {
-                by: variant,
-                universal_model_atoms,
-            },
-            Entailment::Unknown { .. } => return,
-        };
-        let mut slot = verdict.lock().expect("verdict lock poisoned");
-        if slot.is_none() {
-            *slot = Some(outcome);
-            stop.store(true, Ordering::Release);
-        }
-    };
-
-    std::thread::scope(|s| {
-        s.spawn(|| worker(ChaseVariant::Core));
-        s.spawn(|| worker(ChaseVariant::Restricted));
     });
-
-    verdict
-        .into_inner()
-        .expect("verdict lock poisoned")
-        .unwrap_or(DecideOutcome::Exhausted)
+    let mut vocabs = [kb.vocab.clone(), kb.vocab.clone()];
+    let mut runs: Vec<ChaseRun<'_>> = configs
+        .iter()
+        .zip(&mut vocabs)
+        .map(|(c, vocab)| ChaseRun::new(vocab, &kb.facts, &kb.rules, c, None))
+        .collect();
+    loop {
+        // An ended run's step returns its outcome again, so a run that
+        // ended without a certificate drops out.
+        let mut live = false;
+        for (run, c) in runs.iter_mut().zip(&configs) {
+            let by = c.variant;
+            match check_step(run, query) {
+                None => live = true,
+                Some(Entailment::Unknown { .. }) => {}
+                Some(Entailment::Entailed { applications }) => {
+                    return DecideOutcome::Entailed { by, applications };
+                }
+                Some(Entailment::NotEntailed {
+                    universal_model_atoms,
+                }) => {
+                    return DecideOutcome::NotEntailed {
+                        by,
+                        universal_model_atoms,
+                    };
+                }
+            }
+        }
+        if !live {
+            return DecideOutcome::Exhausted;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -162,24 +152,17 @@ mod tests {
 
     #[test]
     fn core_worker_certifies_no_where_restricted_diverges() {
-        // r(X,Y) → ∃Z. r(X,Z): the restricted chase from r(a,b) applies
-        // once (r(a,N)), then again on the new atom… while the core chase
-        // folds every new null back and terminates.
+        // r(X,Y) → ∃Z. r(X,Z) is satisfied on r(a,b) already, so both
+        // runs terminate before any application; the core run steps
+        // first, so its certificate wins.
         let mut kb = KnowledgeBase::from_text("r(a, b). R: r(X, Y) -> r(X, Z).").unwrap();
         let q = kb.parse_query("r(X, a)").unwrap();
-        let out = decide(&kb, &q, &DecideConfig::default());
-        assert!(
-            matches!(
-                out,
-                DecideOutcome::NotEntailed {
-                    by: ChaseVariant::Core,
-                    ..
-                } | DecideOutcome::NotEntailed {
-                    by: ChaseVariant::Restricted,
-                    ..
-                }
-            ),
-            "{out:?}"
+        assert_eq!(
+            decide(&kb, &q, &DecideConfig::default()),
+            DecideOutcome::NotEntailed {
+                by: ChaseVariant::Core,
+                universal_model_atoms: 1,
+            }
         );
     }
 

@@ -18,7 +18,7 @@
 use std::ops::ControlFlow;
 
 use chase_atoms::AtomSet;
-use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome};
+use chase_engine::{ChaseConfig, ChaseOutcome, ChaseRun};
 use chase_homomorphism::maps_to;
 
 use crate::kb::KnowledgeBase;
@@ -68,27 +68,28 @@ pub fn entail(kb: &KnowledgeBase, query: &AtomSet, cfg: &ChaseConfig) -> Entailm
         return Entailment::Entailed { applications: 0 };
     }
     let mut vocab = kb.vocab.clone();
-    let mut hit_at = None;
-    let res = run_chase_observed(&mut vocab, &kb.facts, &kb.rules, cfg, |inst, stats| {
-        if maps_to(query, inst) {
-            hit_at = Some(stats.applications);
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
+    let mut run = ChaseRun::new(&mut vocab, &kb.facts, &kb.rules, cfg, None);
+    loop {
+        if let Some(verdict) = check_step(&mut run, query) {
+            return verdict;
         }
-    });
-    if let Some(applications) = hit_at {
-        return Entailment::Entailed { applications };
     }
-    match res.outcome {
+}
+
+/// Steps `run` once and checks `query` against the instance it reached:
+/// `None` while the run goes on without a verdict.
+pub(crate) fn check_step(run: &mut ChaseRun<'_>, query: &AtomSet) -> Option<Entailment> {
+    let outcome = run.step(|_| ControlFlow::Continue(()));
+    let applications = run.stats().applications;
+    match outcome {
+        None if maps_to(query, run.instance()) => Some(Entailment::Entailed { applications }),
+        None => None,
         // Every variant's fixpoint satisfies all triggers, so it is a
         // universal model and certifies the miss.
-        ChaseOutcome::Terminated => Entailment::NotEntailed {
-            universal_model_atoms: res.final_instance.len(),
-        },
-        _ => Entailment::Unknown {
-            applications: res.stats.applications,
-        },
+        Some(ChaseOutcome::Terminated) => Some(Entailment::NotEntailed {
+            universal_model_atoms: run.instance().len(),
+        }),
+        Some(_) => Some(Entailment::Unknown { applications }),
     }
 }
 

@@ -9,10 +9,10 @@
 //!   certified positive answers (via universality of chase elements,
 //!   Proposition 1) and certified negative answers on termination (via
 //!   the finite-universal-model property of the core chase);
-//! * [`decide()`] — the Theorem 1 twin semi-decision procedure: two fair
-//!   chase processes race in parallel, one hunting for a query
-//!   homomorphism (detecting `K ⊨ Q`), one hunting for a terminating
-//!   universal model (detecting `K ⊭ Q`);
+//! * [`decide()`] — the Theorem 1 twin semi-decision procedure: a core
+//!   and a restricted chase run, dovetailed one application at a time in
+//!   one thread, each hunting for a query homomorphism (detecting
+//!   `K ⊨ Q`) and for a terminating universal model (detecting `K ⊭ Q`);
 //! * [`classes`] — empirical probes for the decidable classes of
 //!   Figure 1: fes (core-chase termination), bts (treewidth-bounded
 //!   restricted chase), core-bts (treewidth-bounded core chase);

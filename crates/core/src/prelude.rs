@@ -5,9 +5,9 @@ pub use chase_atoms::{
     Atom, AtomSet, ConstId, DisplayWith, PredId, Substitution, Term, VarId, Vocabulary,
 };
 pub use chase_engine::{
-    aggregation::natural_aggregation, boundedness::treewidth_profile, run_chase,
-    run_chase_observed, ChaseConfig, ChaseOutcome, ChaseResult, ChaseVariant, Derivation,
-    RobustSequence, Rule, RuleSet, SchedulerKind, Trigger,
+    aggregation::natural_aggregation, boundedness::treewidth_profile, run_chase, ChaseConfig,
+    ChaseOutcome, ChaseResult, ChaseVariant, Derivation, RobustSequence, Rule, RuleSet,
+    SchedulerKind, Trigger,
 };
 pub use chase_homomorphism::{
     core_of, find_homomorphism, hom_equivalent, is_core, isomorphism, maps_to,

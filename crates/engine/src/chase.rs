@@ -3,7 +3,7 @@
 //!
 //! ## Fairness
 //!
-//! The runner works in **rounds**: at the start of a round it snapshots
+//! A [`ChaseRun`] works in **rounds**: at the start of a round it snapshots
 //! the currently active triggers; during the round it applies them one by
 //! one, *forwarding* each queued trigger through the simplifications
 //! performed meanwhile (the trace maps `σ_i^j` of Definition 2) and
@@ -23,9 +23,10 @@
 //!   `core_interval` applications (Definition 1's simplifications).
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
-use chase_atoms::{AtomSet, Substitution, Term, Vocabulary};
+use chase_atoms::{Atom, AtomSet, Substitution, Term, VarId, Vocabulary};
 use chase_homomorphism::{
     core_of_budgeted, fold_variables, incremental_core, MatchStats, SearchBudget,
 };
@@ -191,13 +192,6 @@ impl ChaseConfig {
         self
     }
 
-    /// Sets the core retraction interval.
-    pub fn with_core_interval(mut self, k: usize) -> Self {
-        assert!(k >= 1);
-        self.core_interval = k;
-        self
-    }
-
     /// Sets the wall-clock time already consumed by earlier slices.
     pub fn with_consumed_wall(mut self, d: Duration) -> Self {
         self.consumed_wall = d;
@@ -249,7 +243,8 @@ pub enum ChaseOutcome {
     AtomBudgetExhausted,
     /// The wall-clock budget was exhausted.
     WallBudgetExhausted,
-    /// The observer callback requested a stop.
+    /// The observer callback requested a stop, or the driver finished
+    /// the run before its outcome.
     Stopped,
     /// A [`CancelToken`] requested a stop.
     Cancelled,
@@ -405,6 +400,14 @@ impl ChaseStats {
         self.core_truncations += ms.truncated as usize;
         self.core_time_us += elapsed.as_micros() as u64;
     }
+
+    /// Counts one match phase: its searches and trials, and the
+    /// wall-clock time it took.
+    pub fn tally_match(&mut self, tally: MatchTally, elapsed: Duration) {
+        self.match_time_us += elapsed.as_micros() as u64;
+        self.match_searches += tally.searches;
+        self.match_trials += tally.trials;
+    }
 }
 
 /// The result of a chase run.
@@ -420,38 +423,6 @@ pub struct ChaseResult {
     pub stats: ChaseStats,
 }
 
-fn order_snapshot(
-    snapshot: &mut [Trigger],
-    rules: &RuleSet,
-    cfg: &ChaseConfig,
-    rng: &mut SplitMix64,
-) {
-    match cfg.scheduler {
-        SchedulerKind::Deterministic => {}
-        SchedulerKind::Random(_) => rng.shuffle(snapshot),
-        SchedulerKind::DatalogFirst => {
-            snapshot.sort_by_key(|t| !rules.get(t.rule).is_datalog());
-        }
-        SchedulerKind::ExistentialLast => {
-            snapshot.sort_by_key(|t| {
-                let rule = rules.get(t.rule);
-                (!rule.is_datalog(), rule.existential_vars().len())
-            });
-        }
-        SchedulerKind::NullAverse => {
-            // Instance terms that are variables are labeled nulls, so
-            // the key counts nulls in the trigger's frontier image.
-            snapshot.sort_by_key(|t| {
-                let rule = rules.get(t.rule);
-                rule.frontier_vars()
-                    .iter()
-                    .filter(|&&x| matches!(t.pi.apply_term(Term::Var(x)), Term::Var(_)))
-                    .count()
-            });
-        }
-    }
-}
-
 /// Runs the chase from `(facts, rules)` under `cfg`, minting fresh nulls
 /// from `vocab`.
 pub fn run_chase(
@@ -460,418 +431,455 @@ pub fn run_chase(
     rules: &RuleSet,
     cfg: &ChaseConfig,
 ) -> ChaseResult {
-    run_chase_observed(vocab, facts, rules, cfg, |_, _| {
-        std::ops::ControlFlow::Continue(())
-    })
+    let no_observer = |_: ChaseEvent<'_>| ControlFlow::Continue(());
+    run_chase_controlled(vocab, facts, rules, cfg, None, no_observer)
 }
 
-/// Like [`run_chase`], but invokes `observer` after every rule
-/// application with the freshly produced instance `F_i` and the running
-/// stats. Returning `ControlFlow::Break` stops the chase with
-/// [`ChaseOutcome::Stopped`] — the mechanism behind the Theorem 1 twin
-/// semi-decision procedure in `chase-core`.
-pub fn run_chase_observed(
-    vocab: &mut Vocabulary,
-    facts: &AtomSet,
-    rules: &RuleSet,
-    cfg: &ChaseConfig,
-    mut observer: impl FnMut(&AtomSet, &ChaseStats) -> std::ops::ControlFlow<()>,
-) -> ChaseResult {
-    run_chase_controlled(vocab, facts, rules, cfg, None, |event| match event {
-        ChaseEvent::StepApplied {
-            instance, stats, ..
-        } => observer(instance, stats),
-        _ => std::ops::ControlFlow::Continue(()),
-    })
-}
-
-/// The fully controlled runner behind [`run_chase`] and
-/// [`run_chase_observed`]: adds cooperative cancellation (polled between
-/// trigger applications), the wall-clock budget of
-/// [`ChaseConfig::max_wall`], and a structured [`ChaseEvent`] stream in
-/// place of the post-hoc-only stats. This is the engine entry point of
-/// the `treechase-service` job runner.
+/// Steps one [`ChaseRun`] to its outcome, handing every [`ChaseEvent`]
+/// to `observer` (see [`ChaseRun::step`]); `cancel` is polled between
+/// applications and inside retraction searches. The engine entry point
+/// of the `treechase-service` job runner.
 pub fn run_chase_controlled(
     vocab: &mut Vocabulary,
     facts: &AtomSet,
     rules: &RuleSet,
     cfg: &ChaseConfig,
     cancel: Option<&CancelToken>,
-    mut observer: impl FnMut(ChaseEvent<'_>) -> std::ops::ControlFlow<()>,
+    mut observer: impl FnMut(ChaseEvent<'_>) -> ControlFlow<()>,
 ) -> ChaseResult {
-    // Once the soft memory ceiling is crossed, retraction searches run
-    // under this node limit: degraded mode trades core quality (a
-    // truncated phase is a sound non-core retract) for bounded memory
-    // and latency.
-    const DEGRADED_NODE_LIMIT: usize = 50_000;
+    let mut run = ChaseRun::new(vocab, facts, rules, cfg, cancel);
+    while run.step(&mut observer).is_none() {}
+    run.finish()
+}
 
-    // Make sure the supply is ahead of every variable already mentioned.
-    for v in facts.vars() {
-        vocab.ensure_var(v);
-    }
-    for (_, rule) in rules.iter() {
-        for v in rule.body().vars().union(&rule.head().vars()) {
-            vocab.ensure_var(*v);
-        }
-    }
+/// The retraction searches' node limit once the soft memory ceiling is
+/// crossed: a truncated phase is a sound non-core retract.
+const DEGRADED_NODE_LIMIT: usize = 50_000;
 
-    let mut rng = SplitMix64::new(match cfg.scheduler {
-        SchedulerKind::Random(seed) => seed,
-        _ => 0,
-    });
-    let started = Instant::now();
-    // What earlier slices of this derivation already spent comes off the
-    // wall budget: a resumed job continues the old clock, it does not get
-    // a fresh one.
-    let effective_wall = cfg
-        .max_wall
-        .map(|limit| limit.saturating_sub(cfg.consumed_wall));
-    let wall_exhausted = |started: Instant| match effective_wall {
-        Some(limit) => started.elapsed() >= limit,
-        None => false,
-    };
-    let cancelled =
-        || cancel.is_some_and(CancelToken::is_cancelled) || cfg.search_budget.interrupted();
+/// What an oblivious variant remembers an applied trigger by.
+type TriggerKey = (usize, Vec<(VarId, Term)>);
 
-    // The budget threaded into every retraction search: the caller's
-    // external budget, plus a deadline from `max_wall` and the cancel
-    // flag from the token. This is what keeps a single expensive core
-    // phase from overshooting the wall budget or ignoring a cancel — the
-    // matcher polls it inside its backtracking loop.
-    let mut budget = cfg.search_budget.clone();
-    if let Some(limit) = effective_wall {
-        let wall_deadline = started + limit;
-        budget.deadline = Some(
-            budget
-                .deadline
-                .map_or(wall_deadline, |d| d.min(wall_deadline)),
-        );
-    }
-    if let Some(token) = cancel {
-        budget = budget.with_cancel(token.flag());
-    }
-
-    let mut degraded = false;
-
-    let mut stats = ChaseStats {
-        peak_atoms: facts.len(),
-        ..ChaseStats::default()
-    };
+/// A chase run as a state machine: [`ChaseRun::step`] advances it to the
+/// next rule application or to its outcome, and the driver decides what
+/// happens between steps (DESIGN §3).
+pub struct ChaseRun<'a> {
+    vocab: &'a mut Vocabulary,
+    rules: &'a RuleSet,
+    cfg: &'a ChaseConfig,
+    started: Instant,
+    // `max_wall` less what earlier slices of this derivation already
+    // spent: a resumed job continues the old clock, not a fresh one.
+    deadline: Option<Instant>,
+    // The external budget plus the cancel token, polled between steps.
+    interrupt: SearchBudget,
+    // `interrupt` plus the wall deadline, polled inside every retraction
+    // search: a single core phase cannot overshoot it or ignore a cancel.
+    budget: SearchBudget,
+    degraded: bool,
+    rng: SplitMix64,
+    stats: ChaseStats,
     // Whether the last core computation (σ₀, then each phase) ended at
     // a core: only then may the next phase certify its old variables.
-    let mut at_core = false;
-    let sigma0 = match cfg.variant {
-        ChaseVariant::Core => {
+    at_core: bool,
+    // The one live instance: applications insert into it, simplifications
+    // retract it in place (or replace it by a core phase's retract); the
+    // derivation only logs what happened to it.
+    instance: AtomSet,
+    // The log of F, σ₀ and the steps; its last instance is set by `finish`.
+    derivation: Derivation,
+    // Semi-naive discovery for every variant: a round matches only the
+    // triggers that use an atom inserted since the last discovery. Every
+    // σᵢ is a retraction (Defs. 1–2), so this holds for frugal and core
+    // too (DESIGN §7): (1) satisfaction survives a retraction; (2) a
+    // retracted atom's null never reappears, so a body present at two
+    // discoveries was present throughout and its trigger was applied or
+    // found satisfied; (3) so every active trigger uses a new atom. The
+    // delta starts as the first instance (σ₀(F) for core) and collects
+    // the atoms whose `insert` succeeded. Debug builds check every
+    // frugal and core round against a full re-scan.
+    delta: Vec<Atom>,
+    // The round's ordered snapshot, consumed front to back; what is left
+    // of it counts towards the memory units.
+    queue: std::vec::IntoIter<Trigger>,
+    // Simplifications performed during this round, composed: each queued
+    // trigger is forwarded through them before its re-check.
+    forward: Substitution,
+    // Dedup memory for the oblivious variants (monotonic, so keys stay
+    // valid across the whole run).
+    applied_keys: HashSet<TriggerKey>,
+    // Stratified schedule: only rules of the active stratum may fire.
+    strata: Option<Vec<HashSet<usize>>>,
+    stratum: usize,
+    skolem: SkolemTable,
+    since_core: usize,
+    // The atoms inserted since the last core phase: between phases the
+    // instance only grows, so the last phase's result is the rest.
+    added_since_core: Vec<Atom>,
+    outcome: Option<ChaseOutcome>,
+}
+
+impl<'a> ChaseRun<'a> {
+    /// Starts a run from `(facts, rules)` under `cfg`, minting fresh
+    /// nulls from `vocab`. The core variant computes σ₀ here.
+    pub fn new(
+        vocab: &'a mut Vocabulary,
+        facts: &'a AtomSet,
+        rules: &'a RuleSet,
+        cfg: &'a ChaseConfig,
+        cancel: Option<&'a CancelToken>,
+    ) -> Self {
+        // Make sure the supply is ahead of every variable already mentioned.
+        for v in facts.vars() {
+            vocab.ensure_var(v);
+        }
+        for (_, rule) in rules.iter() {
+            for v in rule.body().vars().union(&rule.head().vars()) {
+                vocab.ensure_var(*v);
+            }
+        }
+        let started = Instant::now();
+        let deadline = cfg
+            .max_wall
+            .map(|limit| started + limit.saturating_sub(cfg.consumed_wall));
+        let mut interrupt = cfg.search_budget.clone();
+        if let Some(token) = cancel {
+            interrupt = interrupt.with_cancel(token.flag());
+        }
+        let mut budget = interrupt.clone();
+        if let Some(d) = deadline {
+            budget.deadline = Some(budget.deadline.map_or(d, |b| b.min(d)));
+        }
+        let mut stats = ChaseStats {
+            peak_atoms: facts.len(),
+            ..ChaseStats::default()
+        };
+        let (mut sigma0, mut at_core) = (Substitution::new(), false);
+        if cfg.variant == ChaseVariant::Core {
             let phase = Instant::now();
             let (res, ms) = core_of_budgeted(facts, &budget);
             stats.tally_core_phase(ms, phase.elapsed());
-            at_core = !ms.truncated;
-            res.retraction
+            (sigma0, at_core) = (res.retraction, !ms.truncated);
         }
-        _ => Substitution::new(),
-    };
-    // The one live instance: every application inserts into it in place,
-    // every simplification retracts it in place (or replaces it by the
-    // retract a core phase builds), and the derivation only logs what
-    // happened to it.
-    let mut instance = first_instance(&sigma0, facts);
-    let mut log: Vec<DerivationStep> = Vec::new();
-
-    // Semi-naive discovery for every variant: a round matches only the
-    // triggers that use an atom inserted since the last discovery. Every
-    // simplification σᵢ is a retraction (Defs. 1–2) and fixes its image,
-    // so this holds for frugal and core too (DESIGN §7):
-    // 1. satisfaction survives a retraction r (witness r∘π′: the
-    //    frontier is fixed);
-    // 2. a retracted atom holds an eliminated null that never reappears,
-    //    so a body present at round k+1 and at round k's discovery was
-    //    present throughout, `tr.map(forward)` left it unchanged, and
-    //    round k applied the trigger or found it satisfied;
-    // 3. so every active trigger at round k+1 uses an atom inserted in
-    //    round k.
-    // The delta starts as the first instance (σ₀(F) for core) and
-    // collects the atoms whose `insert` succeeded. Debug builds check
-    // every frugal and core round against a full re-scan; the monotonic
-    // variants skip it, which keeps their long debug runs linear.
-    let mut delta: Vec<chase_atoms::Atom> = instance.iter().cloned().collect();
-
-    // Dedup memory for the oblivious variants (monotonic, so keys stay
-    // valid across the whole run).
-    let mut applied_keys: HashSet<(usize, Vec<(chase_atoms::VarId, chase_atoms::Term)>)> =
-        HashSet::new();
-
-    // Stratified schedule: only rules of the active stratum may fire;
-    // when the active stratum saturates, the next one is enabled and the
-    // semi-naive delta is reset to the full instance so the newly
-    // enabled rules see every atom.
-    let strata_sets: Option<Vec<HashSet<usize>>> = cfg
-        .strata
-        .as_ref()
-        .map(|parts| parts.iter().map(|s| s.iter().copied().collect()).collect());
-    let mut stratum = 0usize;
-
-    let mut skolem = SkolemTable::new();
-    let mut since_core = 0usize;
-    // The atoms inserted since the last core phase: between phases the
-    // instance only grows, so the last phase's result is the rest.
-    let mut added_since_core: Vec<chase_atoms::Atom> = Vec::new();
-    let outcome = 'outer: loop {
-        if cancelled() {
-            break ChaseOutcome::Cancelled;
-        }
-        if wall_exhausted(started) {
-            break ChaseOutcome::WallBudgetExhausted;
-        }
-        stats.peak_index_postings = stats.peak_index_postings.max(instance.index_postings());
-        let match_phase = Instant::now();
-        let mut tally = MatchTally::default();
-        let discovered = triggers_using_delta_counted(rules, &instance, &delta, &mut tally);
-        delta.clear();
-        let pending = |t: &Trigger, tally: &mut MatchTally| {
-            strata_sets
+        let instance = first_instance(&sigma0, facts);
+        // Simplifications only remove postings, so after this the peak is
+        // always reached by an application.
+        stats.peak_index_postings = instance.index_postings();
+        ChaseRun {
+            delta: instance.iter().cloned().collect(),
+            derivation: Derivation {
+                rules: rules.clone(),
+                initial: facts.clone(),
+                sigma0,
+                steps: Vec::new(),
+                last: AtomSet::new(),
+            },
+            instance,
+            vocab,
+            rules,
+            cfg,
+            started,
+            deadline,
+            interrupt,
+            budget,
+            degraded: false,
+            rng: SplitMix64::new(match cfg.scheduler {
+                SchedulerKind::Random(seed) => seed,
+                _ => 0,
+            }),
+            stats,
+            at_core,
+            queue: Vec::new().into_iter(),
+            forward: Substitution::new(),
+            applied_keys: HashSet::new(),
+            strata: cfg
+                .strata
                 .as_ref()
-                .is_none_or(|sets| sets.get(stratum).is_some_and(|s| s.contains(&t.rule)))
-                && match cfg.variant {
-                    ChaseVariant::Oblivious => !applied_keys.contains(&t.universal_key(rules)),
-                    ChaseVariant::SemiOblivious => !applied_keys.contains(&t.frontier_key(rules)),
-                    ChaseVariant::Restricted | ChaseVariant::Frugal | ChaseVariant::Core => {
-                        !t.is_satisfied_in_counted(rules, &instance, tally)
-                    }
-                }
-        };
-        let mut snapshot: Vec<Trigger> = discovered
-            .into_iter()
-            .filter(|t| pending(t, &mut tally))
-            .collect();
-        stats.match_time_us += match_phase.elapsed().as_micros() as u64;
-        stats.match_searches += tally.searches;
-        stats.match_trials += tally.trials;
-        #[cfg(debug_assertions)]
-        if matches!(cfg.variant, ChaseVariant::Frugal | ChaseVariant::Core) {
-            let rescan: Vec<Trigger> = crate::trigger::all_triggers(rules, &instance)
-                .into_iter()
-                .filter(|t| pending(t, &mut MatchTally::default()))
-                .collect();
-            assert_eq!(
-                snapshot, rescan,
-                "semi-naive discovery must equal a re-scan"
-            );
+                .map(|parts| parts.iter().map(|s| s.iter().copied().collect()).collect()),
+            stratum: 0,
+            skolem: SkolemTable::new(),
+            since_core: 0,
+            added_since_core: Vec::new(),
+            outcome: None,
         }
-        if snapshot.is_empty() {
-            if let Some(sets) = &strata_sets {
-                if stratum + 1 < sets.len() {
-                    stratum += 1;
-                    // Re-prime discovery for the next stratum: its rules
-                    // have never matched, so every atom is "new" to them.
-                    delta = instance.iter().cloned().collect();
+    }
+
+    /// The live instance `F_i`.
+    pub fn instance(&self) -> &AtomSet {
+        &self.instance
+    }
+
+    /// The running counters.
+    pub fn stats(&self) -> &ChaseStats {
+        &self.stats
+    }
+
+    /// Runs to the next rule application (`None`) or to the run's
+    /// outcome, which every later call returns again; the events on the
+    /// way go to `observer`. A `Break` stops the run with
+    /// [`ChaseOutcome::Stopped`] at the end of this step, unless the step
+    /// ended it otherwise.
+    pub fn step(
+        &mut self,
+        mut observer: impl FnMut(ChaseEvent<'_>) -> ControlFlow<()>,
+    ) -> Option<ChaseOutcome> {
+        if self.outcome.is_none() {
+            let mut stop = false;
+            let outcome = self.advance(&mut |event| stop |= observer(event).is_break());
+            self.outcome = outcome.or(stop.then_some(ChaseOutcome::Stopped));
+        }
+        self.outcome
+    }
+
+    /// Ends the run; one finished before its outcome counts as
+    /// [`ChaseOutcome::Stopped`].
+    pub fn finish(mut self) -> ChaseResult {
+        self.stats.wall_us = self.started.elapsed().as_micros() as u64;
+        self.derivation.last = self.instance.clone();
+        ChaseResult {
+            derivation: self.derivation,
+            final_instance: self.instance,
+            outcome: self.outcome.unwrap_or(ChaseOutcome::Stopped),
+            stats: self.stats,
+        }
+    }
+
+    fn advance(&mut self, emit: &mut dyn FnMut(ChaseEvent<'_>)) -> Option<ChaseOutcome> {
+        let rules = self.rules;
+        loop {
+            if self.interrupt.interrupted() {
+                return Some(ChaseOutcome::Cancelled);
+            }
+            if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                return Some(ChaseOutcome::WallBudgetExhausted);
+            }
+            let Some(tr) = self.queue.next() else {
+                // Snapshot the next round's pending triggers.
+                let match_phase = Instant::now();
+                let mut tally = MatchTally::default();
+                let mut snapshot =
+                    triggers_using_delta_counted(rules, &self.instance, &self.delta, &mut tally);
+                self.delta.clear();
+                snapshot.retain(|t| self.pending(t, &mut tally));
+                self.stats.tally_match(tally, match_phase.elapsed());
+                #[cfg(debug_assertions)]
+                if matches!(self.cfg.variant, ChaseVariant::Frugal | ChaseVariant::Core) {
+                    let mut rescan = crate::trigger::all_triggers(rules, &self.instance);
+                    rescan.retain(|t| self.pending(t, &mut MatchTally::default()));
+                    assert_eq!(
+                        snapshot, rescan,
+                        "semi-naive discovery must equal a re-scan"
+                    );
+                }
+                if snapshot.is_empty() {
+                    if self.stratum + 1 >= self.strata.as_ref().map_or(0, Vec::len) {
+                        return Some(ChaseOutcome::Terminated);
+                    }
+                    // The next stratum's rules have never matched, so
+                    // every atom is "new" to them.
+                    self.stratum += 1;
+                    self.delta = self.instance.iter().cloned().collect();
                     continue;
                 }
+                self.order(&mut snapshot);
+                self.stats.rounds += 1;
+                self.stats.peak_trigger_queue = self.stats.peak_trigger_queue.max(snapshot.len());
+                emit(ChaseEvent::RoundStarted {
+                    round: self.stats.rounds,
+                    pending: snapshot.len(),
+                });
+                self.queue = snapshot.into_iter();
+                self.forward = Substitution::new();
+                continue;
+            };
+            if self.stats.applications >= self.cfg.max_applications {
+                return Some(ChaseOutcome::ApplicationBudgetExhausted);
             }
-            break ChaseOutcome::Terminated;
-        }
-        order_snapshot(&mut snapshot, rules, cfg, &mut rng);
-        stats.rounds += 1;
-        stats.peak_trigger_queue = stats.peak_trigger_queue.max(snapshot.len());
-        if observer(ChaseEvent::RoundStarted {
-            round: stats.rounds,
-            pending: snapshot.len(),
-        })
-        .is_break()
-        {
-            break 'outer ChaseOutcome::Stopped;
-        }
-
-        // Simplifications performed during this round, composed.
-        let mut forward = Substitution::new();
-        let snapshot_len = snapshot.len();
-        for (pos, tr) in snapshot.into_iter().enumerate() {
-            if cancelled() {
-                break 'outer ChaseOutcome::Cancelled;
-            }
-            if wall_exhausted(started) {
-                break 'outer ChaseOutcome::WallBudgetExhausted;
-            }
-            if stats.applications >= cfg.max_applications {
-                break 'outer ChaseOutcome::ApplicationBudgetExhausted;
-            }
-            let tr = tr.map(rules, &forward);
+            let tr = tr.map(rules, &self.forward);
             let match_phase = Instant::now();
             let mut tally = MatchTally::default();
-            let active = match cfg.variant {
-                ChaseVariant::Oblivious => !applied_keys.contains(&tr.universal_key(rules)),
-                ChaseVariant::SemiOblivious => !applied_keys.contains(&tr.frontier_key(rules)),
-                ChaseVariant::Restricted | ChaseVariant::Frugal | ChaseVariant::Core => {
-                    tr.is_trigger_for(rules, &instance)
-                        && !tr.is_satisfied_in_counted(rules, &instance, &mut tally)
-                }
-            };
-            stats.match_time_us += match_phase.elapsed().as_micros() as u64;
-            stats.match_searches += tally.searches;
-            stats.match_trials += tally.trials;
-            if !active {
-                continue;
-            }
-            // Skolem semantics intern the nulls per (rule, frontier
-            // image), making the run deterministic and restart-safe; every
-            // other variant mints fresh ones.
-            let (pi_safe, fresh) = if cfg.variant == ChaseVariant::SemiOblivious {
-                (skolem.pi_safe(vocab, rules, &tr), Vec::new())
-            } else {
-                fresh_pi_safe(vocab, rules, &tr)
-            };
-            let added = apply_trigger(rules, &mut instance, &tr, &pi_safe);
-            stats.applications += 1;
-            since_core += 1;
-            if let Some(n) = cfg.fault.as_ref().and_then(FaultPlan::on_application) {
-                panic!("injected fault: crash at application #{n}");
-            }
-            if let Some(ms) = cfg.fault.as_ref().and_then(FaultPlan::on_slow) {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            stats.nulls_minted += fresh.len();
-            stats.peak_atoms = stats.peak_atoms.max(instance.len());
-            stats.peak_index_postings = stats.peak_index_postings.max(instance.index_postings());
-
-            // Abstract memory accounting: instance atoms at their
-            // pre-retraction peak, plus the nulls this slice minted, plus
-            // the triggers still queued in this round. Deterministic, so
-            // ceiling behaviour is reproducible in tests without real
-            // memory pressure.
-            let mem_units = instance.len() + stats.nulls_minted + (snapshot_len - pos - 1);
-            stats.peak_mem_units = stats.peak_mem_units.max(mem_units);
-            let mem_fault = cfg
-                .fault
-                .as_ref()
-                .and_then(FaultPlan::on_memory_pressure)
-                .is_some();
-            let mem_hard_hit = mem_fault || cfg.mem_hard.is_some_and(|h| mem_units > h);
-            if !mem_hard_hit && !degraded && cfg.mem_soft.is_some_and(|s| mem_units > s) {
-                degraded = true;
-                // Degrade: force the core retraction pass to run on this
-                // very application (core variant; the others have no
-                // retraction to force) and shrink the search budget so
-                // later phases stay bounded.
-                since_core = cfg.core_interval;
-                budget = budget.tighten_node_limit(DEGRADED_NODE_LIMIT);
-                if observer(ChaseEvent::Degraded {
-                    mem_units,
-                    soft_limit: cfg.mem_soft.unwrap_or(0),
-                    stats: &stats,
-                })
-                .is_break()
-                {
-                    // The application is in the instance, so it is logged.
-                    log.push(DerivationStep {
-                        trigger: tr,
-                        pi_safe,
-                        simplification: Substitution::new(),
-                    });
-                    break 'outer ChaseOutcome::Stopped;
-                }
-            }
-            let produced_len = instance.len();
-            if cfg.variant == ChaseVariant::Core {
-                added_since_core.extend(added.iter().cloned());
-            }
-            delta.extend(added);
-            match cfg.variant {
-                ChaseVariant::Oblivious => {
-                    applied_keys.insert(tr.universal_key(rules));
-                }
-                ChaseVariant::SemiOblivious => {
-                    applied_keys.insert(tr.frontier_key(rules));
-                }
-                _ => {}
-            }
-            let mut phase_stats = MatchStats::default();
-            let sigma = match cfg.variant {
-                ChaseVariant::Core if since_core >= cfg.core_interval => {
-                    since_core = 0;
-                    if let Some(n) = cfg.fault.as_ref().and_then(FaultPlan::on_core_phase) {
-                        panic!("injected fault: crash in core phase #{n}");
-                    }
-                    let phase = Instant::now();
-                    let (sigma, ms) =
-                        incremental_core(&mut instance, &added_since_core, &budget, at_core);
-                    // A truncated phase (a degraded run's node limit)
-                    // leaves a sound retract that may not be a core.
-                    at_core = !ms.truncated;
-                    added_since_core.clear();
-                    stats.tally_core_phase(ms, phase.elapsed());
-                    if !sigma.is_empty() {
-                        stats.retractions += 1;
-                    }
-                    phase_stats = ms;
-                    sigma
-                }
-                ChaseVariant::Frugal => {
-                    // Fold only the freshly minted nulls of this
-                    // application; everything older stays fixed.
-                    let phase = Instant::now();
-                    let (sigma, ms) =
-                        fold_variables(&mut instance, fresh.iter().copied(), Some(&fresh), &budget);
-                    stats.tally_core_phase(ms, phase.elapsed());
-                    if !sigma.is_empty() {
-                        stats.retractions += 1;
-                    }
-                    phase_stats = ms;
-                    sigma
-                }
-                _ => Substitution::new(),
-            };
-            forward = forward.then(&sigma);
-            let retracted = instance.len() < produced_len;
-            let too_big = instance.len() > cfg.max_atoms;
-            log.push(DerivationStep {
-                trigger: tr,
-                pi_safe,
-                simplification: sigma,
-            });
-            if too_big {
-                break 'outer ChaseOutcome::AtomBudgetExhausted;
-            }
-            if mem_hard_hit {
-                // The application is recorded (it happened), then the run
-                // suspends cleanly: the caller checkpoints the instance
-                // exactly as for a budget stop.
-                break 'outer ChaseOutcome::Suspended(SuspendReason::MemoryCeiling);
-            }
-            if retracted
-                && observer(ChaseEvent::CoreRetracted {
-                    before: produced_len,
-                    after: instance.len(),
-                    match_stats: phase_stats,
-                    stats: &stats,
-                })
-                .is_break()
-            {
-                break 'outer ChaseOutcome::Stopped;
-            }
-            stats.wall_us = started.elapsed().as_micros() as u64;
-            if observer(ChaseEvent::StepApplied {
-                instance: &instance,
-                vocab: &*vocab,
-                stats: &stats,
-            })
-            .is_break()
-            {
-                break 'outer ChaseOutcome::Stopped;
+            let active = tr.is_trigger_for(rules, &self.instance) && self.pending(&tr, &mut tally);
+            self.stats.tally_match(tally, match_phase.elapsed());
+            if active {
+                return self.apply(tr, emit);
             }
         }
-    };
+    }
 
-    stats.wall_us = started.elapsed().as_micros() as u64;
-    ChaseResult {
-        derivation: Derivation {
-            rules: rules.clone(),
-            initial: facts.clone(),
-            sigma0,
-            steps: log,
-            last: instance.clone(),
-        },
-        final_instance: instance,
-        outcome,
-        stats,
+    /// Orders a round's snapshot by the scheduler.
+    fn order(&mut self, snapshot: &mut [Trigger]) {
+        let rules = self.rules;
+        match self.cfg.scheduler {
+            SchedulerKind::Deterministic => {}
+            SchedulerKind::Random(_) => self.rng.shuffle(snapshot),
+            SchedulerKind::DatalogFirst => {
+                snapshot.sort_by_key(|t| !rules.get(t.rule).is_datalog());
+            }
+            SchedulerKind::ExistentialLast => {
+                snapshot.sort_by_key(|t| {
+                    let rule = rules.get(t.rule);
+                    (!rule.is_datalog(), rule.existential_vars().len())
+                });
+            }
+            SchedulerKind::NullAverse => {
+                // Instance terms that are variables are labeled nulls, so
+                // the key counts nulls in the trigger's frontier image.
+                snapshot.sort_by_key(|t| {
+                    let rule = rules.get(t.rule);
+                    rule.frontier_vars()
+                        .iter()
+                        .filter(|&&x| matches!(t.pi.apply_term(Term::Var(x)), Term::Var(_)))
+                        .count()
+                });
+            }
+        }
+    }
+
+    /// Is `tr` due: its rule is in the active stratum, and the variant
+    /// still needs it — an oblivious variant has not applied its key, the
+    /// others find it unsatisfied.
+    fn pending(&self, tr: &Trigger, tally: &mut MatchTally) -> bool {
+        self.strata
+            .as_ref()
+            .is_none_or(|sets| sets.get(self.stratum).is_some_and(|s| s.contains(&tr.rule)))
+            && match self.dedup_key(tr) {
+                Some(key) => !self.applied_keys.contains(&key),
+                None => !tr.is_satisfied_in_counted(self.rules, &self.instance, tally),
+            }
+    }
+
+    /// The key an oblivious variant remembers `tr` by; `None` for the
+    /// variants that check satisfaction instead.
+    fn dedup_key(&self, tr: &Trigger) -> Option<TriggerKey> {
+        match self.cfg.variant {
+            ChaseVariant::Oblivious => Some(tr.universal_key(self.rules)),
+            ChaseVariant::SemiOblivious => Some(tr.frontier_key(self.rules)),
+            ChaseVariant::Restricted | ChaseVariant::Frugal | ChaseVariant::Core => None,
+        }
+    }
+
+    /// Applies the active trigger `tr`, simplifies, logs the step and
+    /// reports it; `Some` when the application ends the run.
+    fn apply(&mut self, tr: Trigger, emit: &mut dyn FnMut(ChaseEvent<'_>)) -> Option<ChaseOutcome> {
+        let (rules, cfg) = (self.rules, self.cfg);
+        // Skolem semantics intern the nulls per (rule, frontier image),
+        // making the run deterministic and restart-safe; every other
+        // variant mints fresh ones.
+        let (pi_safe, fresh) = if cfg.variant == ChaseVariant::SemiOblivious {
+            (self.skolem.pi_safe(self.vocab, rules, &tr), Vec::new())
+        } else {
+            fresh_pi_safe(self.vocab, rules, &tr)
+        };
+        let added = apply_trigger(rules, &mut self.instance, &tr, &pi_safe);
+        self.stats.applications += 1;
+        self.since_core += 1;
+        if let Some(n) = cfg.fault.as_ref().and_then(FaultPlan::on_application) {
+            panic!("injected fault: crash at application #{n}");
+        }
+        if let Some(ms) = cfg.fault.as_ref().and_then(FaultPlan::on_slow) {
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        let stats = &mut self.stats;
+        stats.nulls_minted += fresh.len();
+        stats.peak_atoms = stats.peak_atoms.max(self.instance.len());
+        let postings = self.instance.index_postings();
+        stats.peak_index_postings = stats.peak_index_postings.max(postings);
+
+        // Abstract memory units: instance atoms at their pre-retraction
+        // peak, nulls minted this slice and the triggers still queued.
+        // Deterministic, so ceilings are testable without real pressure.
+        let mem_units = self.instance.len() + stats.nulls_minted + self.queue.len();
+        stats.peak_mem_units = stats.peak_mem_units.max(mem_units);
+        let mem_fault = cfg.fault.as_ref().and_then(FaultPlan::on_memory_pressure);
+        let mem_hard_hit = mem_fault.is_some() || cfg.mem_hard.is_some_and(|h| mem_units > h);
+        if !mem_hard_hit && !self.degraded && cfg.mem_soft.is_some_and(|s| mem_units > s) {
+            // Degrade: force a core phase on this very application (core
+            // variant) and shrink the search budget for later phases.
+            self.degraded = true;
+            self.since_core = cfg.core_interval;
+            self.budget = self.budget.clone().tighten_node_limit(DEGRADED_NODE_LIMIT);
+            emit(ChaseEvent::Degraded {
+                mem_units,
+                soft_limit: cfg.mem_soft.unwrap_or(0),
+                stats: &self.stats,
+            });
+        }
+        let produced_len = self.instance.len();
+        if cfg.variant == ChaseVariant::Core {
+            self.added_since_core.extend(added.iter().cloned());
+        }
+        self.delta.extend(added);
+        if let Some(key) = self.dedup_key(&tr) {
+            self.applied_keys.insert(key);
+        }
+        let (sigma, phase_stats) = self.simplify(&fresh);
+        self.forward = self.forward.then(&sigma);
+        self.derivation.steps.push(DerivationStep {
+            trigger: tr,
+            pi_safe,
+            simplification: sigma,
+        });
+        if self.instance.len() > cfg.max_atoms {
+            return Some(ChaseOutcome::AtomBudgetExhausted);
+        }
+        if mem_hard_hit {
+            // The application is recorded (it happened), then the run
+            // suspends cleanly: the caller checkpoints the instance
+            // exactly as for a budget stop.
+            return Some(ChaseOutcome::Suspended(SuspendReason::MemoryCeiling));
+        }
+        if self.instance.len() < produced_len {
+            emit(ChaseEvent::CoreRetracted {
+                before: produced_len,
+                after: self.instance.len(),
+                match_stats: phase_stats,
+                stats: &self.stats,
+            });
+        }
+        self.stats.wall_us = self.started.elapsed().as_micros() as u64;
+        emit(ChaseEvent::StepApplied {
+            instance: &self.instance,
+            vocab: &*self.vocab,
+            stats: &self.stats,
+        });
+        None
+    }
+
+    /// The simplification σᵢ: a core phase every `core_interval`
+    /// applications (core), a fold of the fresh nulls (frugal), or none.
+    fn simplify(&mut self, fresh: &[VarId]) -> (Substitution, MatchStats) {
+        let phase = Instant::now();
+        let (sigma, ms) = match self.cfg.variant {
+            ChaseVariant::Core if self.since_core >= self.cfg.core_interval => {
+                self.since_core = 0;
+                if let Some(n) = self.cfg.fault.as_ref().and_then(FaultPlan::on_core_phase) {
+                    panic!("injected fault: crash in core phase #{n}");
+                }
+                let (sigma, ms) = incremental_core(
+                    &mut self.instance,
+                    &self.added_since_core,
+                    &self.budget,
+                    self.at_core,
+                );
+                // A truncated phase (a degraded run's node limit) leaves
+                // a sound retract that may not be a core.
+                self.at_core = !ms.truncated;
+                self.added_since_core.clear();
+                (sigma, ms)
+            }
+            // Fold only the fresh nulls; everything older stays fixed.
+            ChaseVariant::Frugal => fold_variables(
+                &mut self.instance,
+                fresh.iter().copied(),
+                Some(fresh),
+                &self.budget,
+            ),
+            _ => return (Substitution::new(), MatchStats::default()),
+        };
+        self.stats.tally_core_phase(ms, phase.elapsed());
+        if !sigma.is_empty() {
+            self.stats.retractions += 1;
+        }
+        (sigma, ms)
     }
 }
 
@@ -1276,26 +1284,30 @@ mod tests {
 
     #[test]
     fn stop_on_degraded_logs_the_crossing_application() {
-        let rules = chain();
-        let facts = set(&[atom(0, &[v(10), v(11)])]);
-        let mut vocab = vocab();
-        let cfg = ChaseConfig::default()
-            .with_max_applications(12)
-            .with_mem_soft(5);
-        let res = run_chase_controlled(&mut vocab, &facts, &rules, &cfg, None, |ev| {
-            if matches!(ev, ChaseEvent::Degraded { .. }) {
-                std::ops::ControlFlow::Break(())
-            } else {
-                std::ops::ControlFlow::Continue(())
-            }
-        });
-        assert_eq!(res.outcome, ChaseOutcome::Stopped);
-        let d = &res.derivation;
-        assert_eq!(d.len(), res.stats.applications + 1);
-        assert_eq!(d.validate(), Ok(()));
-        let mut replayed = None;
-        d.replay(|e| replayed = Some(e.instance.clone()));
-        assert_eq!(replayed.as_ref(), Some(&res.final_instance));
+        // A `Break` on `Degraded` takes effect once the crossing step is
+        // done — for the core variant, after its forced core phase.
+        for variant in [ChaseVariant::Restricted, ChaseVariant::Core] {
+            let rules = chain();
+            let facts = set(&[atom(0, &[v(10), v(11)])]);
+            let mut vocab = vocab();
+            let cfg = ChaseConfig::variant(variant)
+                .with_max_applications(12)
+                .with_mem_soft(5);
+            let res = run_chase_controlled(&mut vocab, &facts, &rules, &cfg, None, |ev| {
+                if matches!(ev, ChaseEvent::Degraded { .. }) {
+                    std::ops::ControlFlow::Break(())
+                } else {
+                    std::ops::ControlFlow::Continue(())
+                }
+            });
+            assert_eq!(res.outcome, ChaseOutcome::Stopped, "{variant:?}");
+            let d = &res.derivation;
+            assert_eq!(d.len(), res.stats.applications + 1, "{variant:?}");
+            assert_eq!(d.validate(), Ok(()), "{variant:?}");
+            let mut replayed = None;
+            d.replay(|e| replayed = Some(e.instance.clone()));
+            assert_eq!(replayed.as_ref(), Some(&res.final_instance), "{variant:?}");
+        }
     }
 
     #[test]

@@ -4,18 +4,21 @@
 //! The paper's interesting derivations do not terminate (the staircase
 //! `K_h` and elevator `K_v` of Sections 6–7 are *designed* not to), so a
 //! production runner cannot treat `run_chase` as a blocking black box.
-//! This module provides the two hooks the job-runner layer
-//! (`treechase-service`) builds on:
+//! A driver that steps a [`crate::ChaseRun`] itself decides between steps
+//! whether to go on; for one that hands the whole run to
+//! [`crate::chase::run_chase_controlled`] (the `treechase-service` job
+//! runner), this module provides the two hooks:
 //!
-//! * [`CancelToken`] — a shared flag the chase loop polls between trigger
-//!   applications. Cancellation is cooperative: a pending application
-//!   (including its per-step core computation) finishes, then the run
-//!   stops with [`crate::ChaseOutcome::Cancelled`]. On the workloads of
-//!   the paper a single step is far below the 100 ms latency envelope.
-//! * [`ChaseEvent`] — the in-band progress stream handed to the observer
-//!   of [`crate::chase::run_chase_controlled`]: round boundaries, applied
-//!   steps and core retractions, each carrying the running
-//!   [`crate::ChaseStats`].
+//! * [`CancelToken`] — a shared flag polled between trigger applications
+//!   and inside retraction searches. A cancel lands at the next poll,
+//!   then the run stops with [`crate::ChaseOutcome::Cancelled`]. On the
+//!   workloads of the paper a single step is far below the 100 ms
+//!   latency envelope.
+//! * [`ChaseEvent`] — the in-band progress stream that
+//!   [`crate::ChaseRun::step`] hands to its observer: round boundaries,
+//!   applied steps, degradation and core retractions, each carrying the
+//!   running [`crate::ChaseStats`]. An observer's `Break` stops the run
+//!   at the end of the step that raised it.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

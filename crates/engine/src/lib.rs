@@ -12,7 +12,8 @@
 //!   into the instances on demand, with the trace maps `σ_i^j` of
 //!   Definition 2 and the fairness notion of Definition 3;
 //! * [`chase::run_chase`] — a budgeted, fair, deterministic chase runner
-//!   for the oblivious, semi-oblivious, restricted and core variants;
+//!   for the oblivious, semi-oblivious, restricted and core variants,
+//!   built on the steppable [`ChaseRun`];
 //! * [`robust`] — the robust renaming (Definition 14), robust sequence
 //!   (Definition 15) and robust aggregation (Definition 16), which turn a
 //!   non-monotonic derivation into a finitely universal model while
@@ -37,8 +38,8 @@ pub mod skolem;
 mod trigger;
 
 pub use chase::{
-    run_chase, run_chase_controlled, run_chase_observed, ChaseConfig, ChaseOutcome, ChaseResult,
-    ChaseStats, ChaseVariant, Combine, SchedulerKind, StatsField, SuspendReason,
+    run_chase, run_chase_controlled, ChaseConfig, ChaseOutcome, ChaseResult, ChaseRun, ChaseStats,
+    ChaseVariant, Combine, SchedulerKind, StatsField, SuspendReason,
 };
 pub use control::{CancelToken, ChaseEvent, FaultPlan, FaultSite};
 pub use derivation::{Derivation, DerivationElement, DerivationStep};

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use chase_atoms::{AtomSet, Vocabulary};
 use chase_core::{collect_answer_tuples, AnswerQuery, KnowledgeBase};
-use chase_engine::{run_chase_observed, ChaseConfig, ChaseOutcome};
+use chase_engine::{run_chase, ChaseConfig, ChaseOutcome};
 use chase_homomorphism::SearchBudget;
 use chase_parser::{parse_query_with, ParseError, ParsedQuery};
 
@@ -159,9 +159,7 @@ pub fn answer_kb(
     let mut vocab = kb.vocab.clone();
     let parsed = parse_query_with(&mut vocab, "q", query_src)?;
     let run_cfg = cfg.clone().with_search_budget(budget.clone());
-    let res = run_chase_observed(&mut vocab, &kb.facts, &kb.rules, &run_cfg, |_, _| {
-        std::ops::ControlFlow::Continue(())
-    });
+    let res = run_chase(&mut vocab, &kb.facts, &kb.rules, &run_cfg);
     let (tuples, match_truncated) = evaluate_disjuncts(&parsed, &res.final_instance, budget);
     let chase_truncated = res.outcome == ChaseOutcome::Cancelled && budget.interrupted();
     let completeness = if match_truncated || chase_truncated {

@@ -29,7 +29,7 @@
 //! file against the result; `analyze` runs the admission-time analysis
 //! gate — static certificates, the Figure 1 dynamic probes, and the
 //! derived stratified chase plan (`--json` emits the wire-format
-//! report); `decide` races the Theorem 1 twin procedure
+//! report); `decide` dovetails the Theorem 1 twin procedure
 //! on an ad-hoc query; `query` answers a CQ/UCQ with answer variables
 //! (`?(X) :- p(X, Y)`) over a budgeted chase of the file or a named
 //! built-in KB, tagging the reply `complete` / `sound-prefix` /

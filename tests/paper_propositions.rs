@@ -161,3 +161,44 @@ fn thm2_decidability_on_core_bts_kb() {
         }
     }
 }
+
+/// Theorem 1's procedure dovetails its two chases in a fixed order (one
+/// core application, then one restricted), so which run certifies, and
+/// after how many applications, depends only on the input.
+#[test]
+fn thm1_dovetail_order_fixes_the_certifying_run() {
+    let cfg = DecideConfig {
+        max_applications: 150,
+        max_atoms: 20_000,
+        core_max_applications: 30,
+    };
+    let decided = |kb: &KnowledgeBase,
+                   suite: fn(&mut Vocabulary) -> Vec<queries::GroundTruthQuery>,
+                   name: &str| {
+        let mut vocab = kb.vocab.clone();
+        let gt = suite(&mut vocab).into_iter().find(|gt| gt.name == name);
+        decide(kb, &gt.expect(name).query, &cfg)
+    };
+    let (staircase, elevator) = (KnowledgeBase::staircase(), KnowledgeBase::elevator());
+    assert_eq!(
+        decided(&staircase, queries::staircase_queries, "v-path-3"),
+        DecideOutcome::Entailed {
+            by: ChaseVariant::Core,
+            applications: 12
+        }
+    );
+    assert_eq!(
+        decided(&elevator, queries::elevator_queries, "h-path-3"),
+        DecideOutcome::Entailed {
+            by: ChaseVariant::Restricted,
+            applications: 80
+        }
+    );
+    assert_eq!(
+        decided(&elevator, queries::elevator_queries, "v-loop-f"),
+        DecideOutcome::Entailed {
+            by: ChaseVariant::Core,
+            applications: 6
+        }
+    );
+}
