@@ -48,9 +48,10 @@ pub struct PredDecl {
 /// supply.
 ///
 /// All symbol names live here; the hot data structures only carry ids.
-/// Cloning a `Vocabulary` is cheap enough for snapshotting (it is all
-/// `String`s and `u32`s) and the chase engine takes `&mut Vocabulary` only
-/// when it needs to mint nulls.
+/// The chase engine takes `&mut Vocabulary` only when it needs to mint
+/// nulls. Cloning one is not free: it copies every name, 0.21–0.30 ms at
+/// 3 012 constants (release build), so readers such as query parsing
+/// borrow it instead.
 #[derive(Clone, Debug, Default)]
 pub struct Vocabulary {
     preds: Vec<PredDecl>,
@@ -115,6 +116,11 @@ impl Vocabulary {
         &self.pred_decl(id).name
     }
 
+    /// The id [`Vocabulary::pred`] gives the next new predicate.
+    pub fn next_pred(&self) -> PredId {
+        PredId(self.preds.len() as u32)
+    }
+
     /// Iterates over all declared predicates in declaration order.
     pub fn preds(&self) -> impl Iterator<Item = (PredId, &PredDecl)> {
         self.preds
@@ -142,6 +148,16 @@ impl Vocabulary {
     /// The name of a constant, if it belongs to this vocabulary.
     pub fn const_name(&self, id: ConstId) -> Option<&str> {
         self.consts.get(id.raw() as usize).map(String::as_str)
+    }
+
+    /// The id [`Vocabulary::constant`] gives the next new constant.
+    pub fn next_const(&self) -> ConstId {
+        ConstId::from_raw(self.consts.len() as u32)
+    }
+
+    /// The variable [`Vocabulary::fresh_var`] mints next.
+    pub fn next_var(&self) -> VarId {
+        VarId::from_raw(self.next_var)
     }
 
     /// Mints a fresh, never-before-seen variable (a labeled null).

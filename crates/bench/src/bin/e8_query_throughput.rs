@@ -15,9 +15,20 @@
 //! 3. throughput is positive at every refresh interval (readers are
 //!    never starved by the writer).
 //!
+//! A second measurement times the read path alone over a realistic
+//! symbol table: an ingest-shaped fanout program (12 sources × 250
+//! constants, `E: p(X) -> e(X, Z), p(Z)`) chased restricted for 120
+//! applications and published as a terminal snapshot, then read through
+//! [`answer_snapshot`] with the fanout queries `?- q(s, u)` and
+//! `?(X) :- p(X), q(X, u)`. The rule only derives `e` and `p` atoms
+//! over fresh nulls, so each query's answers over the prefix are its
+//! certain answers and a `complete` tag is right for them; the run
+//! checks that every reply is `complete` and carries the expected
+//! answer.
+//!
 //! The per-interval measurements (queries/sec, snapshots published,
-//! cache counters, horizon span) go to `BENCH_query.json` at the
-//! workspace root. `--smoke` shrinks the wall budgets for CI and skips
+//! cache counters, horizon span) and the fanout row go to
+//! `BENCH_query.json` at the workspace root. `--smoke` shrinks the wall budgets for CI and skips
 //! that write and the `results/` record, so committed full-run numbers
 //! are never clobbered.
 
@@ -26,8 +37,11 @@ use std::time::{Duration, Instant};
 use chase_bench::{exit_with, results_dir, Report};
 use chase_core::KnowledgeBase;
 use chase_engine::{ChaseConfig, ChaseVariant};
-use chase_query::Completeness;
-use treechase_service::{JobSpec, JobStatus, Json, QueryError, Service, ServiceConfig};
+use chase_homomorphism::SearchBudget;
+use chase_query::{Completeness, Snapshot, SnapshotCache};
+use treechase_service::{
+    answer_snapshot, JobSpec, JobStatus, Json, QueryError, Service, ServiceConfig,
+};
 
 struct Measurement {
     snapshot_every: usize,
@@ -118,6 +132,83 @@ fn measure(snapshot_every: usize, wall: Duration) -> Measurement {
     }
 }
 
+/// The read path over a terminal snapshot of the fanout program.
+struct FanoutMeasurement {
+    constants: usize,
+    queries: u64,
+    wall_us: u64,
+    /// Every reply was `complete` and carried the expected answer.
+    all_correct: bool,
+}
+
+impl FanoutMeasurement {
+    fn qps(&self) -> f64 {
+        self.queries as f64 / (self.wall_us.max(1) as f64 / 1_000_000.0)
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            (
+                "program",
+                Json::str("fanout 12x250, restricted, 120 applications"),
+            ),
+            ("constants", Json::Int(self.constants as i64)),
+            ("queries", Json::Int(self.queries as i64)),
+            ("wall_us", Json::Int(self.wall_us as i64)),
+            ("queries_per_sec", Json::Float(self.qps())),
+        ])
+    }
+}
+
+fn measure_fanout(wall: Duration) -> FanoutMeasurement {
+    const SOURCES: usize = 12;
+    const NOISE: usize = 250;
+    let mut lines = Vec::new();
+    let mut queries = Vec::new();
+    for i in 0..SOURCES {
+        let s = format!("s{i:05x}");
+        lines.push(format!("p({s})."));
+        for j in 0..NOISE {
+            let u = format!("u{:07x}", i * NOISE + j);
+            lines.push(format!("q({s}, {u})."));
+            // The two query shapes of the fanout mix, over one pair per
+            // source.
+            if j == i {
+                queries.push((format!("?- q({s}, {u})"), Vec::new()));
+                queries.push((format!("?(X) :- p(X), q(X, {u})"), vec![s.clone()]));
+            }
+        }
+    }
+    lines.push("E: p(X) -> e(X, Z), p(Z).".to_string());
+    let kb = KnowledgeBase::from_text(&lines.join("\n")).expect("fanout program parses");
+    let cfg = ChaseConfig::variant(ChaseVariant::Restricted).with_max_applications(120);
+    let mut vocab = kb.vocab.clone();
+    let res = chase_engine::run_chase(&mut vocab, &kb.facts, &kb.rules, &cfg);
+    let constants = res.final_instance.constants().len();
+    let cache = SnapshotCache::default();
+    let apps = res.stats.applications as u64;
+    cache.publish(1, Snapshot::terminal(vocab, res.final_instance, apps));
+
+    let budget = SearchBudget::unlimited();
+    let mut count = 0u64;
+    let mut all_correct = true;
+    let t0 = Instant::now();
+    while t0.elapsed() < wall {
+        for (query, answer) in &queries {
+            let reply = answer_snapshot(&cache, 1, query, &budget).expect("fanout query answers");
+            count += 1;
+            all_correct &= reply.outcome.completeness == Completeness::Complete
+                && reply.outcome.answers == [answer.clone()];
+        }
+    }
+    FanoutMeasurement {
+        constants,
+        queries: count,
+        wall_us: t0.elapsed().as_micros() as u64,
+        all_correct,
+    }
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut report = Report::new("e8-query-throughput").recording(!smoke);
@@ -144,6 +235,14 @@ fn main() {
         rows.push(m);
     }
 
+    let fanout = measure_fanout(wall);
+    report.row(format!(
+        "fanout terminal snapshot: {:>8.0} queries/s ({} queries, {} constants)",
+        fanout.qps(),
+        fanout.queries,
+        fanout.constants,
+    ));
+
     let all_sound = rows.iter().all(|m| m.all_sound_prefix);
     report.claim(
         "query/live-replies-sound-prefix",
@@ -169,6 +268,13 @@ fn main() {
         throughput_positive,
     );
 
+    report.claim(
+        "query/terminal-replies-complete-and-correct",
+        "fanout replies over a terminal snapshot are complete and carry the expected answer",
+        fanout.all_correct,
+        fanout.all_correct && fanout.queries > 0,
+    );
+
     if !smoke {
         let bench = Json::obj([
             ("experiment", Json::str("e8-query-throughput")),
@@ -178,6 +284,7 @@ fn main() {
                 "measurements",
                 Json::Arr(rows.iter().map(Measurement::to_json).collect()),
             ),
+            ("fanout_terminal", fanout.to_json()),
         ]);
         let mut root = results_dir();
         root.pop();

@@ -32,9 +32,14 @@
 //! ## Entry points
 //!
 //! [`parse_program`] parses a whole source text into a [`Program`]
-//! (vocabulary + facts + rules + named queries); [`parse_atoms_with`],
-//! [`parse_rule_with`] and [`parse_query_with`] parse fragments against
-//! an existing vocabulary.
+//! (vocabulary + facts + rules + named queries);
+//! [`parse_program_trusted`] also accepts the printer's reserved null
+//! spelling, for checkpoint programs. [`parse_atoms_with`] and
+//! [`parse_rule_with`] parse fragments into an existing vocabulary,
+//! interning new symbols. [`parse_query`] lowers an answer query
+//! against a vocabulary it only borrows, so a reader never copies the
+//! symbol table. [`program_to_text`] prints a program back;
+//! [`program_parts_to_text`] prints one from borrowed parts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,8 +51,8 @@ mod printer;
 
 pub use lexer::{Lexer, Token, TokenKind};
 pub use lower::{
-    is_reserved_null_name, parse_atoms_with, parse_program, parse_program_trusted,
-    parse_query_with, parse_query_with_trusted, parse_rule_with, ParsedQuery, Program,
+    is_reserved_null_name, parse_atoms_with, parse_program, parse_program_trusted, parse_query,
+    parse_rule_with, ParsedQuery, Program,
 };
 pub use parser_impl::{AtomAst, ParseError, QueryAst, RuleAst, Span, StmtAst, TermAst};
-pub use printer::{program_to_text, rule_to_text};
+pub use printer::{program_parts_to_text, program_to_text, rule_to_text};

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use chase_atoms::{Atom, AtomSet, Term, VarId, Vocabulary};
+use chase_atoms::{Atom, AtomSet, ConstId, PredId, Term, VarId, Vocabulary};
 use chase_engine::{Rule, RuleSet};
 
 use crate::parser_impl::{parse_query_ast, parse_stmts, AtomAst, ParseError, StmtAst, TermAst};
@@ -29,19 +29,112 @@ pub fn is_reserved_null_name(name: &str) -> bool {
         .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
 }
 
-struct Scope<'v> {
-    vocab: &'v mut Vocabulary,
-    vars: HashMap<String, chase_atoms::VarId>,
+/// Where a lowering resolves symbols: a [`Vocabulary`] interns what it
+/// has not seen (programs, fragments), a [`QueryScope`] only reads one
+/// (answer queries).
+trait Symbols {
+    /// The id of predicate `name` used at `arity`, or `Err` with the
+    /// arity it is declared with when that differs.
+    fn pred(&mut self, name: &str, arity: usize) -> Result<PredId, usize>;
+    /// The id of constant `name`.
+    fn constant(&mut self, name: &str) -> ConstId;
+    /// A fresh variable, spelled `name` in the statement scope `prefix`.
+    fn var(&mut self, prefix: &str, name: &str) -> VarId;
+}
+
+impl Symbols for Vocabulary {
+    fn pred(&mut self, name: &str, arity: usize) -> Result<PredId, usize> {
+        match self.lookup_pred(name).map(|p| self.arity(p)) {
+            Some(declared) if declared != arity => Err(declared),
+            _ => Ok(Vocabulary::pred(self, name, arity)),
+        }
+    }
+
+    fn constant(&mut self, name: &str) -> ConstId {
+        Vocabulary::constant(self, name)
+    }
+
+    fn var(&mut self, prefix: &str, name: &str) -> VarId {
+        let v = self.fresh_var();
+        self.set_var_name(v, &format!("{prefix}{name}"));
+        v
+    }
+}
+
+/// A borrowed vocabulary as a query sees it. Symbols the vocabulary
+/// lacks get the ids interning them would give (past the table's end,
+/// in order of first use), so they match nothing; variables count up
+/// from the vocabulary's next fresh variable. Nothing is written back.
+struct QueryScope<'v> {
+    vocab: &'v Vocabulary,
+    preds: HashMap<String, (PredId, usize)>,
+    consts: HashMap<String, ConstId>,
+    next_var: u32,
+}
+
+impl Symbols for QueryScope<'_> {
+    fn pred(&mut self, name: &str, arity: usize) -> Result<PredId, usize> {
+        let (id, declared) = match self.vocab.lookup_pred(name) {
+            Some(p) => (p, self.vocab.arity(p)),
+            None => {
+                let next = self
+                    .vocab
+                    .next_pred()
+                    .raw()
+                    .checked_add(self.preds.len() as u32)
+                    .expect("too many predicates");
+                *self
+                    .preds
+                    .entry(name.to_owned())
+                    .or_insert((PredId::from_raw(next), arity))
+            }
+        };
+        if declared == arity {
+            Ok(id)
+        } else {
+            Err(declared)
+        }
+    }
+
+    fn constant(&mut self, name: &str) -> ConstId {
+        if let Some(c) = self.vocab.lookup_constant(name) {
+            return c;
+        }
+        let next = self
+            .vocab
+            .next_const()
+            .raw()
+            .checked_add(self.consts.len() as u32)
+            .expect("too many constants");
+        *self
+            .consts
+            .entry(name.to_owned())
+            .or_insert(ConstId::from_raw(next))
+    }
+
+    fn var(&mut self, _prefix: &str, _name: &str) -> VarId {
+        let v = VarId::from_raw(self.next_var);
+        self.next_var = self
+            .next_var
+            .checked_add(1)
+            .expect("variable supply exhausted");
+        v
+    }
+}
+
+struct Scope<'s, S: Symbols> {
+    syms: &'s mut S,
+    vars: HashMap<String, VarId>,
     prefix: String,
     /// Accept the reserved `_N<digits>` null spelling (printer output,
     /// i.e. checkpoint programs) instead of rejecting it as user input.
     allow_reserved: bool,
 }
 
-impl<'v> Scope<'v> {
-    fn new(vocab: &'v mut Vocabulary, prefix: impl Into<String>) -> Self {
+impl<'s, S: Symbols> Scope<'s, S> {
+    fn new(syms: &'s mut S, prefix: impl Into<String>) -> Self {
         Scope {
-            vocab,
+            syms,
             vars: HashMap::new(),
             prefix: prefix.into(),
             allow_reserved: false,
@@ -50,25 +143,24 @@ impl<'v> Scope<'v> {
 
     fn lower_atom(&mut self, ast: &AtomAst) -> Result<Atom, ParseError> {
         // Arity checking against earlier uses.
-        if let Some(pred) = self.vocab.lookup_pred(&ast.pred) {
-            let expected = self.vocab.arity(pred);
-            if expected != ast.args.len() {
-                return Err(ParseError::new(
+        let pred = self
+            .syms
+            .pred(&ast.pred, ast.args.len())
+            .map_err(|expected| {
+                ParseError::new(
                     ast.span,
                     format!(
                         "predicate `{}` used with arity {}, but declared with arity {expected}",
                         ast.pred,
                         ast.args.len()
                     ),
-                ));
-            }
-        }
-        let pred = self.vocab.pred(&ast.pred, ast.args.len());
+                )
+            })?;
         let args: Vec<Term> = ast
             .args
             .iter()
             .map(|t| match t {
-                TermAst::Const(name) => Ok(Term::Const(self.vocab.constant(name))),
+                TermAst::Const(name) => Ok(Term::Const(self.syms.constant(name))),
                 TermAst::Var(name) => {
                     if !self.allow_reserved && is_reserved_null_name(name) {
                         return Err(ParseError::new(
@@ -80,12 +172,10 @@ impl<'v> Scope<'v> {
                             ),
                         ));
                     }
-                    let id = *self.vars.entry(name.clone()).or_insert_with(|| {
-                        let v = self.vocab.fresh_var();
-                        self.vocab
-                            .set_var_name(v, &format!("{}{}", self.prefix, name));
-                        v
-                    });
+                    let id = *self
+                        .vars
+                        .entry(name.clone())
+                        .or_insert_with(|| self.syms.var(&self.prefix, name));
                     Ok(Term::Var(id))
                 }
             })
@@ -213,39 +303,25 @@ pub struct ParsedQuery {
 }
 
 /// Parses an answer query (`?(X, Y) :- p(X, Z) ; q(X, Y)`, `?- p(X)`, or
-/// a bare atom list) against an existing vocabulary. Each disjunct gets a
-/// fresh variable scope with prefix `{prefix}.d{i}.`; every disjunct must
-/// use every answer variable.
-pub fn parse_query_with(
-    vocab: &mut Vocabulary,
-    prefix: &str,
-    src: &str,
-) -> Result<ParsedQuery, ParseError> {
-    parse_query_impl(vocab, prefix, src, false)
-}
-
-/// Like [`parse_query_with`], but accepts the reserved `_N<digits>` null
-/// spelling (printer output). Never feed untrusted user input through
-/// this entry point.
-pub fn parse_query_with_trusted(
-    vocab: &mut Vocabulary,
-    prefix: &str,
-    src: &str,
-) -> Result<ParsedQuery, ParseError> {
-    parse_query_impl(vocab, prefix, src, true)
-}
-
-fn parse_query_impl(
-    vocab: &mut Vocabulary,
-    prefix: &str,
-    src: &str,
-    trusted: bool,
-) -> Result<ParsedQuery, ParseError> {
+/// a bare atom list) against a vocabulary it only reads. Known names
+/// take the vocabulary's ids; an unknown predicate or constant takes the
+/// id interning it would give, so it matches nothing; arities are
+/// checked against the vocabulary and against earlier atoms of the
+/// query. Each disjunct gets a fresh variable scope, numbered upward
+/// from the vocabulary's next fresh variable; every disjunct must use
+/// every answer variable. The reserved `_N<digits>` spelling is
+/// rejected.
+pub fn parse_query(vocab: &Vocabulary, src: &str) -> Result<ParsedQuery, ParseError> {
     let ast = parse_query_ast(src)?;
+    let mut syms = QueryScope {
+        vocab,
+        preds: HashMap::new(),
+        consts: HashMap::new(),
+        next_var: vocab.next_var().raw(),
+    };
     let mut disjuncts = Vec::with_capacity(ast.disjuncts.len());
     for (i, atoms) in ast.disjuncts.iter().enumerate() {
-        let mut scope = Scope::new(&mut *vocab, format!("{prefix}.d{i}."));
-        scope.allow_reserved = trusted;
+        let mut scope = Scope::new(&mut syms, String::new());
         let lowered = scope.lower_atoms(atoms)?;
         if lowered.is_empty() {
             return Err(ParseError::new(ast.span, "query must not be empty"));
@@ -367,36 +443,77 @@ mod tests {
 
     #[test]
     fn lowers_answer_query() {
-        let mut vocab = Vocabulary::new();
-        let q = parse_query_with(&mut vocab, "q", "?(X, Y) :- p(X, Z), r(Z, Y) ; s(X, Y)").unwrap();
+        let prog = parse_program("p(a, b). R: p(X, Y) -> p(Y, Z).").unwrap();
+        let vocab = prog.vocab;
+        let first = vocab.next_var().raw();
+        let q = parse_query(&vocab, "?(X, Y) :- p(X, Z), r(Z, Y) ; s(X, Y)").unwrap();
         assert_eq!(q.var_names, vec!["X".to_owned(), "Y".to_owned()]);
         assert_eq!(q.disjuncts.len(), 2);
         let (atoms0, vars0) = &q.disjuncts[0];
         assert_eq!(atoms0.len(), 2);
         assert_eq!(vars0.len(), 2);
-        // Variables are scoped per disjunct: X in d0 ≠ X in d1.
-        let (_, vars1) = &q.disjuncts[1];
-        assert_ne!(vars0[0], vars1[0]);
-        assert_eq!(vocab.var_name(vars0[0]), Some("q.d0.X"));
-        assert_eq!(vocab.var_name(vars1[0]), Some("q.d1.X"));
+        // Variables are scoped per disjunct: X in d0 ≠ X in d1. They
+        // count up from the vocabulary's next fresh variable: d0 holds
+        // X, Z, Y, d1 holds X, Y.
+        let (atoms1, vars1) = &q.disjuncts[1];
+        let raws = |atoms: &AtomSet| atoms.vars().iter().map(|v| v.raw()).collect::<Vec<_>>();
+        assert_eq!(raws(atoms0), vec![first, first + 1, first + 2]);
+        assert_eq!(raws(atoms1), vec![first + 3, first + 4]);
+        assert_eq!(vars0, &[VarId::from_raw(first), VarId::from_raw(first + 2)]);
+        assert_eq!(
+            vars1,
+            &[VarId::from_raw(first + 3), VarId::from_raw(first + 4)]
+        );
+        // The vocabulary is only read: the unknown `r` and `s` are not
+        // interned, and no variable is minted or named.
+        assert!(vocab.lookup_pred("r").is_none() && vocab.lookup_pred("s").is_none());
+        assert_eq!(vocab.next_var().raw(), first);
+        assert_eq!(vocab.var_name(VarId::from_raw(first)), None);
+    }
+
+    #[test]
+    fn unknown_query_symbols_take_the_ids_interning_would_give() {
+        let vocab = parse_program("p(a, b).").unwrap().vocab;
+        let q = parse_query(&vocab, "?- r(c, a), s(d), r(d, c)").unwrap();
+        let mut interned = vocab.clone();
+        let r = interned.pred("r", 2);
+        let c = interned.constant("c");
+        let s = interned.pred("s", 1);
+        let d = interned.constant("d");
+        let a = interned.lookup_constant("a").unwrap();
+        let expected: AtomSet = [
+            Atom::new(r, vec![Term::Const(c), Term::Const(a)]),
+            Atom::new(s, vec![Term::Const(d)]),
+            Atom::new(r, vec![Term::Const(d), Term::Const(c)]),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(q.disjuncts[0].0, expected);
     }
 
     #[test]
     fn answer_query_validation() {
         let mut vocab = Vocabulary::new();
+        vocab.pred("p", 2);
         // Answer var missing from the second disjunct.
-        let err = parse_query_with(&mut vocab, "q", "?(X, Y) :- p(X, Y) ; p(X, X)").unwrap_err();
+        let err = parse_query(&vocab, "?(X, Y) :- p(X, Y) ; p(X, X)").unwrap_err();
         assert!(err.message.contains("does not occur"), "{}", err.message);
         // Boolean forms lower with empty answer tuples.
-        let q = parse_query_with(&mut vocab, "q", "?- p(X, X)").unwrap();
+        let q = parse_query(&vocab, "?- p(X, X)").unwrap();
         assert!(q.var_names.is_empty());
         assert_eq!(q.disjuncts[0].1.len(), 0);
-        // Reserved nulls rejected strictly, accepted trusted.
-        assert!(parse_query_with(&mut vocab, "q", "?- p(_N1, _N1)").is_err());
-        assert!(parse_query_with_trusted(&mut vocab, "q", "?- p(_N1, _N1)").is_ok());
-        // Arity checking runs against the shared vocabulary.
-        let err = parse_query_with(&mut vocab, "q", "?- p(X)").unwrap_err();
+        // Reserved nulls are rejected.
+        let err = parse_query(&vocab, "?- p(_N1, _N1)").unwrap_err();
+        assert!(err.message.contains("reserved"), "{}", err.message);
+        // Arity checking runs against the vocabulary…
+        let err = parse_query(&vocab, "?- p(X)").unwrap_err();
         assert!(err.message.contains("arity"), "{}", err.message);
+        // …and against earlier atoms of the same query, across disjuncts.
+        let err = parse_query(&vocab, "?- zzz(X) ; zzz(X, X)").unwrap_err();
+        assert_eq!(
+            err.message,
+            "predicate `zzz` used with arity 2, but declared with arity 1"
+        );
     }
 
     #[test]

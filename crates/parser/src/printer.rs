@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use chase_atoms::{Atom, AtomSet, Term, VarId, Vocabulary};
-use chase_engine::Rule;
+use chase_engine::{Rule, RuleSet};
 
 use crate::lower::{is_reserved_null_name, Program};
 
@@ -119,21 +119,32 @@ pub fn rule_to_text(vocab: &Vocabulary, rule: &Rule) -> String {
 /// yields a program with the same facts (up to null renaming), rules and
 /// queries.
 pub fn program_to_text(prog: &Program) -> String {
+    program_parts_to_text(&prog.vocab, &prog.facts, &prog.rules, &prog.queries)
+}
+
+/// [`program_to_text`] over borrowed parts, for callers that hold a
+/// vocabulary, an instance and rules but no [`Program`] (checkpoints).
+pub fn program_parts_to_text(
+    vocab: &Vocabulary,
+    facts: &AtomSet,
+    rules: &RuleSet,
+    queries: &[(String, AtomSet)],
+) -> String {
     let mut out = String::new();
-    if !prog.facts.is_empty() {
+    if !facts.is_empty() {
         // Facts keep one statement so shared nulls stay shared.
-        let names = fact_var_names(&prog.vocab, &prog.facts);
+        let names = fact_var_names(vocab, facts);
         let _ = writeln!(
             out,
             "{}.",
-            atoms_text_with(&prog.vocab, &prog.facts, "f0", Some(&names))
+            atoms_text_with(vocab, facts, "f0", Some(&names))
         );
     }
-    for (_, rule) in prog.rules.iter() {
-        let _ = writeln!(out, "{}", rule_to_text(&prog.vocab, rule));
+    for (_, rule) in rules.iter() {
+        let _ = writeln!(out, "{}", rule_to_text(vocab, rule));
     }
-    for (name, atoms) in &prog.queries {
-        let _ = writeln!(out, "{name}: ?- {}.", atoms_text(&prog.vocab, atoms, name));
+    for (name, atoms) in queries {
+        let _ = writeln!(out, "{name}: ?- {}.", atoms_text(vocab, atoms, name));
     }
     out
 }

@@ -8,7 +8,7 @@ use chase_atoms::{AtomSet, Vocabulary};
 use chase_core::{collect_answer_tuples, AnswerQuery, KnowledgeBase};
 use chase_engine::{run_chase, ChaseConfig, ChaseOutcome};
 use chase_homomorphism::SearchBudget;
-use chase_parser::{parse_query_with, ParseError, ParsedQuery};
+use chase_parser::{parse_query, ParseError, ParsedQuery};
 
 use crate::snapshot::QueryView;
 
@@ -115,17 +115,17 @@ fn render_tuples(
 
 /// Answers `query_src` against a snapshot view (the cache read path).
 ///
-/// The query is parsed strictly against a clone of the view's
-/// vocabulary, so predicate and constant identifiers line up with the
-/// snapshot instance; unknown predicates simply match nothing. The view
-/// itself is never mutated — concurrent readers share it by `Arc`.
+/// The query is parsed strictly against the view's vocabulary, borrowed
+/// (see [`parse_query`]), so predicate and constant identifiers line up
+/// with the snapshot instance; unknown predicates and constants simply
+/// match nothing. Parsing, evaluation and rendering only read the view,
+/// which concurrent readers share by `Arc`: no symbol table is copied.
 pub fn answer_view(
     view: &QueryView,
     query_src: &str,
     budget: &SearchBudget,
 ) -> Result<QueryOutcome, ParseError> {
-    let mut vocab = (*view.vocab).clone();
-    let parsed = parse_query_with(&mut vocab, "q", query_src)?;
+    let parsed = parse_query(&view.vocab, query_src)?;
     let (tuples, truncated) = evaluate_disjuncts(&parsed, &view.instance, budget);
     let completeness = if truncated {
         Completeness::Truncated
@@ -138,7 +138,7 @@ pub fn answer_view(
     };
     Ok(QueryOutcome {
         var_names: parsed.var_names,
-        answers: render_tuples(&vocab, tuples),
+        answers: render_tuples(&view.vocab, tuples),
         completeness,
     })
 }
@@ -156,8 +156,15 @@ pub fn answer_kb(
     cfg: &ChaseConfig,
     budget: &SearchBudget,
 ) -> Result<QueryOutcome, ParseError> {
+    let parsed = parse_query(&kb.vocab, query_src)?;
     let mut vocab = kb.vocab.clone();
-    let parsed = parse_query_with(&mut vocab, "q", query_src)?;
+    // The query's variables count up from the vocabulary's next fresh
+    // one: reserve them, so the chase's nulls stay distinct from them.
+    for (atoms, _) in &parsed.disjuncts {
+        for v in atoms.vars() {
+            vocab.ensure_var(v);
+        }
+    }
     let run_cfg = cfg.clone().with_search_budget(budget.clone());
     let res = run_chase(&mut vocab, &kb.facts, &kb.rules, &run_cfg);
     let (tuples, match_truncated) = evaluate_disjuncts(&parsed, &res.final_instance, budget);
@@ -362,5 +369,85 @@ mod tests {
         let cfg = ChaseConfig::default();
         assert!(answer_kb(&kb, "?(X) :-", &cfg, &SearchBudget::unlimited()).is_err());
         assert!(answer_kb(&kb, "?(a) :- r(a, b)", &cfg, &SearchBudget::unlimited()).is_err());
+    }
+
+    /// A KB whose restricted chase terminates with a null: `r(c, n)`,
+    /// `t(n, d)`.
+    const NULLS_KB: &str = "r(a, b). r(b, c). s(c). N: s(X) -> r(X, Y), t(Y, d).";
+
+    /// A query's answer tuples, or its parse error.
+    type Expected = Result<&'static [&'static [&'static str]], &'static str>;
+
+    /// Each query with its answers over the terminated chase of
+    /// [`NULLS_KB`] (all complete), or its parse error.
+    const SEMANTICS: &[(&str, Expected)] = &[
+        ("?(X) :- r(X, Y), t(Y, d)", Ok(&[&["c"]])),
+        ("?- r(c, Y), t(Y, d)", Ok(&[&[]])),
+        ("?(X) :- zzz(X)", Ok(&[])),
+        ("?(X) :- r(X, nosuch)", Ok(&[])),
+        (
+            "?- r(a)",
+            Err("1:4: predicate `r` used with arity 1, but declared with arity 2"),
+        ),
+        (
+            "?- zzz(a) ; zzz(a, b)",
+            Err("1:13: predicate `zzz` used with arity 2, but declared with arity 1"),
+        ),
+        (
+            "?- r(_N1, b)",
+            Err(
+                "1:4: variable name `_N1` is reserved for printed labeled nulls; \
+                 rename it (e.g. `N1`)",
+            ),
+        ),
+        (
+            "?(X, Y) :- r(X, Y) ; r(X, X)",
+            Err("1:1: answer variable `Y` does not occur in disjunct 2"),
+        ),
+    ];
+
+    /// A cache view of the terminated restricted chase of `kb`.
+    fn terminal_view(kb: &KnowledgeBase) -> QueryView {
+        let mut vocab = kb.vocab.clone();
+        let cfg = ChaseConfig::variant(ChaseVariant::Restricted);
+        let res = run_chase(&mut vocab, &kb.facts, &kb.rules, &cfg);
+        assert_eq!(res.outcome, ChaseOutcome::Terminated);
+        let cache = SnapshotCache::default();
+        let apps = res.stats.applications as u64;
+        cache.publish(1, Snapshot::terminal(vocab, res.final_instance, apps));
+        cache.view(1).unwrap()
+    }
+
+    #[test]
+    fn query_semantics_table() {
+        let view = terminal_view(&kb(NULLS_KB));
+        assert!(!view.instance.vars().is_empty(), "the instance holds nulls");
+        for &(query, expected) in SEMANTICS {
+            let got = answer_view(&view, query, &SearchBudget::unlimited());
+            match (got, expected) {
+                (Ok(out), Ok(answers)) => {
+                    assert_eq!(out.answers, answers, "{query}");
+                    assert_eq!(out.completeness, Completeness::Complete, "{query}");
+                }
+                (Err(e), Err(message)) => assert_eq!(e.to_string(), message, "{query}"),
+                (got, _) => panic!("{query}: {got:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn kb_and_terminal_view_answer_alike() {
+        let kb = kb(NULLS_KB);
+        let view = terminal_view(&kb);
+        let cfg = ChaseConfig::variant(ChaseVariant::Restricted);
+        let budget = SearchBudget::unlimited();
+        let message = |e: ParseError| e.to_string();
+        for &(query, _) in SEMANTICS {
+            assert_eq!(
+                answer_kb(&kb, query, &cfg, &budget).map_err(message),
+                answer_view(&view, query, &budget).map_err(message),
+                "{query}"
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@
 //!   answer substrate for every chase variant. Readers never block the
 //!   writer.
 //! * [`answer_view`] — evaluate a query text on a cache view (the hot
-//!   read path).
+//!   read path); it borrows the view's vocabulary and copies nothing.
 //! * [`answer_kb`] — one-shot budgeted chase + evaluation for ad-hoc
 //!   queries against a KB source.
 //! * [`Completeness`] — the `complete` / `sound-prefix{horizon}` /

@@ -22,7 +22,7 @@
 use std::time::Duration;
 
 use chase_engine::{ChaseConfig, ChaseStats, ChaseVariant};
-use chase_parser::{parse_program_trusted, program_to_text, Program};
+use chase_parser::{parse_program_trusted, program_parts_to_text, Program};
 
 use crate::job::JobSpec;
 use crate::json::Json;
@@ -51,12 +51,7 @@ impl Checkpoint {
         instance: &chase_atoms::AtomSet,
         total_stats: ChaseStats,
     ) -> Checkpoint {
-        let program = program_to_text(&Program {
-            vocab: vocab.clone(),
-            facts: instance.clone(),
-            rules: spec.kb.rules.clone(),
-            queries: spec.queries.clone(),
-        });
+        let program = program_parts_to_text(vocab, instance, &spec.kb.rules, &spec.queries);
         Checkpoint::with_program(spec, program, total_stats)
     }
 

@@ -11,7 +11,7 @@
 use treechase::atoms::Vocabulary;
 use treechase::engine::prng::SplitMix64;
 use treechase::homomorphism::isomorphism;
-use treechase::parser::{parse_program, parse_query_with, program_to_text};
+use treechase::parser::{parse_program, parse_query, program_to_text};
 
 const PREDS: [&str; 3] = ["r", "s", "t"];
 const CONS: [&str; 3] = ["a", "b", "c"];
@@ -130,7 +130,7 @@ fn mutate(rng: &mut SplitMix64, text: &mut Vec<char>) {
     }
 }
 
-/// `parse_program` and `parse_query_with` on seeded character mutations
+/// `parse_program` and `parse_query` on seeded character mutations
 /// of every `testdata/*.tc` program and of sample answer queries: each
 /// call returns `Ok` or `Err`, never panics.
 #[test]
@@ -152,7 +152,7 @@ fn seeded_mutations_never_panic() {
         let text: String = text.into_iter().collect();
         std::panic::catch_unwind(|| {
             let _ = parse_program(&text);
-            let _ = parse_query_with(&mut Vocabulary::new(), "q", &text);
+            let _ = parse_query(&Vocabulary::new(), &text);
         })
         .unwrap_or_else(|_| panic!("the parser panicked on {text:?}"));
     }
