@@ -42,6 +42,12 @@ impl AtomId {
     pub const fn raw(self) -> u32 {
         self.0
     }
+
+    /// The id with raw index `raw`: for numbering atoms held outside an
+    /// atomset (a compiled search pattern) in the same id space.
+    pub const fn from_raw(raw: u32) -> Self {
+        AtomId(raw)
+    }
 }
 
 /// The per-(predicate, arity) slice of the positional index.

@@ -206,15 +206,15 @@ fn main() {
     let first_instance = first_slice_instance.expect("first slice ran");
     let emb_cfg = chase_homomorphism::MatchConfig {
         injective_vars: true,
-        node_limit: Some(3_000_000),
         ..chase_homomorphism::MatchConfig::default()
     };
     let mut embeds = false;
-    let emb_outcome = chase_homomorphism::for_each_homomorphism(
+    let emb_outcome = chase_homomorphism::for_each_homomorphism_budgeted(
         &cabin1,
         &first_instance,
         &chase_atoms::Substitution::new(),
         &emb_cfg,
+        &chase_homomorphism::SearchBudget::unlimited().with_node_limit(3_000_000),
         |_| {
             embeds = true;
             std::ops::ControlFlow::Break(())

@@ -104,6 +104,17 @@ pub struct SearchOutcome {
     pub nodes: usize,
 }
 
+impl SearchOutcome {
+    /// The outcome of a search whose budget had tripped before it began:
+    /// inconclusive, with no work done.
+    pub(crate) fn interrupted() -> Self {
+        SearchOutcome {
+            truncated: true,
+            nodes: 0,
+        }
+    }
+}
+
 /// Aggregated matcher counters for one core-maintenance phase: how many
 /// search nodes were explored across how many fold-candidate probes, and
 /// whether any search was budget-truncated.

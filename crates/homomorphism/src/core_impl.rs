@@ -10,7 +10,7 @@
 use chase_atoms::{AtomSet, Substitution, Term, VarId};
 
 use crate::budget::{MatchStats, SearchBudget};
-use crate::incremental::FoldSearch;
+use crate::incremental::Kernel;
 
 /// The result of [`core_of`]: the core together with the retraction that
 /// witnesses it.
@@ -28,15 +28,18 @@ pub struct CoreResult {
 /// Returns `None` iff *no endomorphism* of `a` avoids `x` (not merely no
 /// retraction — see the completeness argument in the crate docs).
 pub fn find_retraction_eliminating(a: &AtomSet, x: VarId) -> Option<Substitution> {
-    FoldSearch::new(a, &SearchBudget::default(), None)
-        .probe(x)
-        .retraction
+    Kernel::fold(a, &SearchBudget::default(), None).probe(x).0
 }
 
 /// Folds away, in order, each of `candidates` that some retraction of
 /// `instance` moving only variables of `movable` (`None`: any variable)
 /// eliminates, retracting `instance` in place. Returns the composed
 /// retraction and the probes' counters.
+///
+/// A fold moves only variables of the instance it retracts, and a moved
+/// variable leaves the instance, so successive folds have disjoint
+/// domains: their composition resolves each binding once, latest fold
+/// first, instead of rebuilding the running total per fold.
 ///
 /// One pass suffices: eliminability only shrinks under retraction (see
 /// the `incremental` module docs), so a candidate whose probe failed
@@ -57,12 +60,16 @@ pub fn fold_variables(
     movable: Option<&[VarId]>,
     budget: &SearchBudget,
 ) -> (Substitution, MatchStats) {
-    let mut total = Substitution::new();
+    let mut folds = Vec::new();
     let mut stats = MatchStats::default();
     let mut candidates = candidates.into_iter();
     while let Some(r) = next_fold(instance, &mut candidates, movable, budget, &mut stats) {
         instance.apply_in_place(&r);
-        total = total.then(&r);
+        folds.push(r);
+    }
+    let mut total = Substitution::new();
+    for (v, t) in folds.iter().rev().flat_map(Substitution::iter) {
+        total.bind(v, t.as_var().and_then(|u| total.get(u)).unwrap_or(t));
     }
     (total, stats)
 }
@@ -76,7 +83,7 @@ fn next_fold(
     budget: &SearchBudget,
     stats: &mut MatchStats,
 ) -> Option<Substitution> {
-    let mut search = FoldSearch::new(instance, budget, movable);
+    let mut search = Kernel::fold(instance, budget, movable);
     for x in candidates {
         if budget.interrupted() {
             stats.truncated = true;
@@ -85,10 +92,10 @@ fn next_fold(
         if !instance.mentions(Term::Var(x)) {
             continue; // already folded away by an earlier retraction
         }
-        let probe = search.probe(x);
-        stats.absorb(probe.outcome);
-        if probe.retraction.is_some() {
-            return probe.retraction;
+        let (retraction, outcome) = search.probe(x);
+        stats.absorb(outcome);
+        if retraction.is_some() {
+            return retraction;
         }
     }
     None
@@ -100,10 +107,8 @@ fn next_fold(
 /// it suffices to try to eliminate each variable in turn.
 pub fn find_proper_retraction(a: &AtomSet) -> Option<Substitution> {
     let budget = SearchBudget::default();
-    let mut search = FoldSearch::new(a, &budget, None);
-    a.vars()
-        .into_iter()
-        .find_map(|x| search.probe(x).retraction)
+    let mut search = Kernel::fold(a, &budget, None);
+    a.vars().into_iter().find_map(|x| search.probe(x).0)
 }
 
 /// Is `a` a core (its only retraction is the identity)?

@@ -1,12 +1,26 @@
-//! Incremental core maintenance: re-coring an instance that was a core
+//! The crate's one homomorphism search, and incremental core maintenance
+//! on top of it.
+//!
+//! [`Kernel`] is a depth-first search for a substitution mapping pending
+//! pattern atoms into a target atomset. Two front ends drive it; they
+//! differ only in their inputs and in the constraints a binding must
+//! meet:
+//!
+//! * **enumerate homomorphisms** of a fixed pattern (`matcher.rs`): the
+//!   pattern is renamed onto dense variables, every pattern atom must be
+//!   matched, and bindings respect `injective_vars` and `const_only`;
+//! * **search a moved closure** (here): the pattern is the target
+//!   itself, only the atoms dragged in by moved variables must be
+//!   matched, and bindings respect a movable set, fixpoint pins and a
+//!   forbidden image. This is the fold probe behind `core_of`,
+//!   `is_core`, the frugal chase's `fold_variables` and the pivot
+//!   certificate below.
+//!
+//! Incremental core maintenance re-cores an instance that was a core
 //! before a batch of atoms was inserted, without re-probing every
-//! variable. This is the core chase's only maintainer; its reference, in
+//! variable. It is the core chase's only maintainer; its reference, in
 //! tests and in experiment E7, is the from-scratch [`crate::core_of`]
 //! after every step.
-//!
-//! The fold prober defined here, `FoldSearch`, is the crate's only
-//! retraction search: `core_of`, `is_core`, the frugal chase's
-//! `fold_variables` and the pivot certificate run on it too.
 //!
 //! ## The pivot certificate
 //!
@@ -42,12 +56,14 @@
 //! nulls; any other phase probes every variable, so every conclusive
 //! phase ends at a core.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
-use chase_atoms::{Atom, AtomId, AtomSet, IdBits, Substitution, Term, VarId};
+use chase_atoms::{Atom, AtomId, AtomSet, IdBits, PredId, Substitution, Term, VarId};
 
 use crate::budget::{MatchStats, SearchBudget, SearchOutcome};
 use crate::core_impl::fold_variables;
+use crate::matcher::Compiled;
 
 /// Can `beta` be mapped onto `alpha` by some per-atom variable
 /// assignment? (Constants must coincide; repeated variables must receive
@@ -63,19 +79,29 @@ fn unifiable_onto(beta: &Atom, alpha: &Atom) -> bool {
         })
 }
 
-/// The result of one budgeted fold probe: a witnessing retraction if one
-/// was found, plus the search outcome. A probe with `retraction == None`
-/// and `outcome.truncated == true` is **inconclusive** — the variable may
-/// or may not be eliminable.
-#[derive(Default)]
-pub(crate) struct FoldProbe {
-    /// A retraction of the probed atomset avoiding the probed variable.
-    pub(crate) retraction: Option<Substitution>,
-    /// Work done and whether the budget cut the search short.
-    pub(crate) outcome: SearchOutcome,
+/// A front end: what the search maps, and the constraints a new binding
+/// must meet.
+pub(crate) enum Front<'a> {
+    /// Homomorphisms of a fixed `pattern` (renamed by the matcher):
+    /// variables of `const_only` (original ids) map to constants, and
+    /// with `injective`, variables map to distinct variables.
+    Match {
+        pattern: &'a Compiled,
+        injective: bool,
+        const_only: &'a BTreeSet<VarId>,
+    },
+    /// Retractions of the target that move only variables of `movable`
+    /// (`None`: any variable), pin every image as a fixpoint and never
+    /// bind to `forbidden` (the variable a probe eliminates).
+    Fold {
+        movable: Option<&'a [VarId]>,
+        forbidden: Option<Term>,
+    },
 }
 
-/// The moved-closure fold prober — the crate's only retraction search.
+/// The homomorphism search kernel, shared by both front ends.
+///
+/// ## The moved closure
 ///
 /// A partial substitution `p` extended by the identity is a retraction of
 /// `J` iff (a) every term in its image is a fixpoint and (b) every atom
@@ -99,56 +125,69 @@ pub(crate) struct FoldProbe {
 ///
 /// A probe never assigns the rest of the instance, so its cost is a
 /// function of the fold's locality rather than the instance size — the
-/// point of maintaining the core incrementally.
+/// point of maintaining the core incrementally. A match drags in the
+/// star of every bound variable; the pattern atoms no binding has
+/// reached yet wait in a queue ranked once, by their constants alone.
 ///
 /// ## Per-node work
 ///
-/// A node pays for what its binding adds, not for the whole closure:
+/// A node pays for what its binding adds, not for the whole pattern:
 ///
-/// * the **dragged-in frontier** lists each atom containing a moved
-///   variable once — a variable's star is appended when it starts to
-///   move, deduplicated through a bitset;
-/// * a frontier atom whose image is fully determined and present is
-///   marked **done** and skipped for the rest of the branch;
+/// * the **dragged-in frontier** lists each atom containing a bound
+///   (in a fold: moved) variable once — a variable's star is appended
+///   when it is bound;
+/// * the atom a node matched is marked **done**, and so is, in a fold,
+///   any frontier atom whose image is fully determined and present; done
+///   atoms are skipped for the rest of the branch, and a done prefix of
+///   the frontier is not scanned at all;
 /// * each atom's candidate count is memoised until one of its positions
 ///   becomes determined;
 /// * bindings live in a dense table indexed by [`VarId::raw`];
-/// * all of these are undone by truncating their trails back to the
-///   [`Mark`] taken when a node was entered.
+/// * all of these are undone by popping one trail back to the [`Mark`]
+///   taken when a node was entered.
 ///
-/// The pending atom is the one with the fewest candidates; ties go to
-/// the smallest key *(smallest moved variable in the atom, `AtomId`)*,
-/// which is the order in which a scan over the movers' stars meets the
-/// atoms. The depth-first search runs on an explicit frame stack, so
-/// deep closures never grow the thread's stack.
-pub(crate) struct FoldSearch<'a> {
-    instance: &'a AtomSet,
+/// The pending atom is the one with the fewest candidates, tried in
+/// ascending `AtomId` order. In a fold, ties go to the smallest key
+/// *(smallest moved variable in the atom, `AtomId`)*, which is the order
+/// in which a scan over the movers' stars meets the atoms; in a match,
+/// to the smallest `AtomId`, which is pattern order. The depth-first
+/// search runs on an explicit frame stack, so deep patterns never grow
+/// the thread's stack.
+pub(crate) struct Kernel<'a> {
+    target: &'a AtomSet,
     budget: &'a SearchBudget,
-    /// The variables a retraction may move (`None`: every variable);
-    /// all others are fixed.
-    movable: Option<&'a [VarId]>,
-    /// The variable being eliminated, as a term: it may not appear in
-    /// the image, so it must move (`None` in a pivot search).
-    forbidden: Option<Term>,
+    front: Front<'a>,
+    b: Buffers,
+    /// Trials so far, and whether the budget cut the search short.
+    pub(crate) outcome: SearchOutcome,
+}
+
+thread_local! {
+    /// The buffers of the last kernel dropped on this thread, clean: a
+    /// chase runs thousands of small matches, and reusing them spares
+    /// each one its allocations.
+    static POOL: Cell<Buffers> = Cell::default();
+}
+
+/// The kernel's search state, all of it undone on backtracking.
+#[derive(Default)]
+struct Buffers {
     /// Partial assignment, indexed by [`VarId::raw`].
     bind: Vec<Option<Term>>,
-    /// Bound variables in binding order (the binding trail).
-    bound: Vec<VarId>,
-    /// Atoms containing a moved variable, in the order they were dragged
-    /// in (the frontier trail), and their membership bits.
+    /// Per-atom state, indexed by `AtomId::raw`.
+    atoms: Vec<AtomState>,
+    /// What to undo, newest last.
+    trail: Vec<Undo>,
+    /// Atoms containing a bound variable, in the order they were dragged
+    /// in, and the index before which every one is done.
     frontier: Vec<AtomId>,
-    in_frontier: IdBits,
-    /// Frontier atoms already confirmed on this branch, and their trail.
-    done: IdBits,
-    done_trail: Vec<AtomId>,
-    /// Per-atom candidate count with the number of determined positions
-    /// it was computed at, indexed by `AtomId::raw`. Determined positions
-    /// only accumulate along a branch, so an unchanged number means an
-    /// unchanged count. The trail keeps overwritten entries for undo.
-    counts: Vec<Option<(usize, usize)>>,
-    count_trail: Vec<(AtomId, Option<(usize, usize)>)>,
+    live: usize,
+    /// Pattern atoms no binding has reached, by (count, `AtomId`), and
+    /// the index of the first one that may still be untouched.
+    untouched: Vec<(u32, AtomId)>,
+    next_untouched: usize,
     /// The open nodes of the depth-first search, root first.
-    frames: Vec<Frame<'a>>,
+    frames: Vec<Frame>,
     /// Candidate buffers of popped frames, reused by the next push.
     spare: Vec<Vec<AtomId>>,
     /// Determined `(position, image)` pairs of the atom being ranked.
@@ -158,379 +197,486 @@ pub(crate) struct FoldSearch<'a> {
     scratch: IdBits,
     /// Id buffer for candidate counts that need an intersection.
     count_buf: Vec<AtomId>,
-    nodes: usize,
-    truncated: bool,
+    /// The images taken by injective bindings.
+    used: BTreeSet<Term>,
 }
 
-/// Trail lengths to rewind to: the search state on entry to a node.
+/// The search state of one atom.
+#[derive(Clone, Copy, Default)]
+struct AtomState {
+    /// On the frontier.
+    dragged: bool,
+    /// Matched or confirmed on this branch.
+    done: bool,
+    /// Candidate count with the number of determined positions it was
+    /// computed at. Determined positions only accumulate along a branch,
+    /// so an unchanged number means an unchanged count.
+    count: Option<(u32, u32)>,
+}
+
+/// One change to undo on backtracking.
+#[derive(Clone, Copy)]
+enum Undo {
+    Bind(VarId),
+    /// An image taken by an injective binding.
+    Image(Term),
+    Done(AtomId),
+    Count(AtomId, Option<(u32, u32)>),
+}
+
+/// Trail lengths and cursors to rewind to: the search state on entry to
+/// a node.
 #[derive(Clone, Copy, Default)]
 struct Mark {
-    bound: usize,
+    trail: usize,
     frontier: usize,
-    done: usize,
-    counts: usize,
+    live: usize,
+    next_untouched: usize,
 }
 
 /// One open node: the pending atom, its candidate images and the next
 /// one to try.
-struct Frame<'a> {
-    pending: &'a Atom,
+struct Frame {
+    pending: AtomId,
     cands: Vec<AtomId>,
     next: usize,
     mark: Mark,
 }
 
-impl<'a> FoldSearch<'a> {
-    /// A prober over `instance` whose retractions move only variables of
-    /// `movable` (`None`: any variable).
+impl<'a> Kernel<'a> {
+    /// A search driven by `front` into `target`, over pattern atoms with
+    /// ids below `atoms`.
     pub(crate) fn new(
+        target: &'a AtomSet,
+        budget: &'a SearchBudget,
+        front: Front<'a>,
+        atoms: usize,
+    ) -> Self {
+        let mut b = POOL.take();
+        b.atoms.truncate(atoms);
+        b.atoms.resize(atoms, AtomState::default());
+        Kernel {
+            target,
+            budget,
+            front,
+            b,
+            outcome: SearchOutcome::default(),
+        }
+    }
+
+    /// A fold prober over `instance` whose retractions move only
+    /// variables of `movable` (`None`: any variable).
+    pub(crate) fn fold(
         instance: &'a AtomSet,
         budget: &'a SearchBudget,
         movable: Option<&'a [VarId]>,
     ) -> Self {
-        let mut in_frontier = IdBits::new();
-        in_frontier.ensure(instance.arena_len());
-        let mut done = IdBits::new();
-        done.ensure(instance.arena_len());
-        FoldSearch {
-            instance,
-            budget,
-            movable,
-            forbidden: None,
-            bind: Vec::new(),
-            bound: Vec::new(),
-            frontier: Vec::new(),
-            in_frontier,
-            done,
-            done_trail: Vec::new(),
-            counts: vec![None; instance.arena_len()],
-            count_trail: Vec::new(),
-            frames: Vec::new(),
-            spare: Vec::new(),
-            positions: Vec::new(),
-            scratch: IdBits::new(),
-            count_buf: Vec::new(),
-            nodes: 0,
-            truncated: false,
-        }
+        let forbidden = None;
+        let front = Front::Fold { movable, forbidden };
+        Kernel::new(instance, budget, front, instance.arena_len())
     }
 
     fn mark(&self) -> Mark {
         Mark {
-            bound: self.bound.len(),
-            frontier: self.frontier.len(),
-            done: self.done_trail.len(),
-            counts: self.count_trail.len(),
+            trail: self.b.trail.len(),
+            frontier: self.b.frontier.len(),
+            live: self.b.live,
+            next_untouched: self.b.next_untouched,
         }
+    }
+
+    /// Empties the search state.
+    fn reset(&mut self) {
+        self.rewind(Mark::default());
+        let frames = self.b.frames.drain(..);
+        self.b.spare.extend(frames.map(|frame| frame.cands));
+        self.b.untouched.clear();
+    }
+
+    /// The current bindings of the pattern's variables.
+    pub(crate) fn bindings(&self) -> impl Iterator<Item = (VarId, Term)> + '_ {
+        self.b.trail.iter().filter_map(|u| match *u {
+            Undo::Bind(v) => Some((v, self.image(Term::Var(v))?)),
+            _ => None,
+        })
     }
 
     fn rewind(&mut self, to: Mark) {
-        for v in self.bound.drain(to.bound..) {
-            self.bind[v.raw() as usize] = None;
-        }
-        for id in self.frontier.drain(to.frontier..) {
-            self.in_frontier.remove(id.raw());
-        }
-        for id in self.done_trail.drain(to.done..) {
-            self.done.remove(id.raw());
-        }
-        for (id, old) in self.count_trail.drain(to.counts..).rev() {
-            self.counts[id.raw() as usize] = old;
-        }
-    }
-
-    fn image(&self, t: Term) -> Option<Term> {
-        match t {
-            Term::Const(_) => Some(t),
-            Term::Var(v) => self.bind.get(v.raw() as usize).copied().flatten(),
-        }
-    }
-
-    /// Binds `v ↦ t`, pinning `t` as a fixpoint when it is a variable
-    /// and dragging in `v`'s star when `v` moves.
-    fn try_bind(&mut self, v: VarId, t: Term) -> bool {
-        if Some(t) == self.forbidden {
-            return false; // x may not occur in the image
-        }
-        let slot = v.raw() as usize;
-        if slot >= self.bind.len() {
-            self.bind.resize(slot + 1, None);
-        }
-        if let Some(existing) = self.bind[slot] {
-            return existing == t;
-        }
-        if t != Term::Var(v) && self.movable.is_some_and(|m| !m.contains(&v)) {
-            return false; // a fixed variable may only map to itself
-        }
-        self.bind[slot] = Some(t);
-        self.bound.push(v);
-        if t == Term::Var(v) {
-            return true; // pinned fixpoint: its atoms ride on movers
-        }
-        for id in self.instance.ids_with_term(Term::Var(v)) {
-            if !self.in_frontier.contains(id.raw()) {
-                self.in_frontier.insert(id.raw());
-                self.frontier.push(id);
+        for undo in self.b.trail.drain(to.trail..).rev() {
+            match undo {
+                Undo::Bind(v) => self.b.bind[v.raw() as usize] = None,
+                Undo::Image(t) => _ = self.b.used.remove(&t),
+                Undo::Done(id) => self.b.atoms[id.raw() as usize].done = false,
+                Undo::Count(id, old) => self.b.atoms[id.raw() as usize].count = old,
             }
         }
+        for id in self.b.frontier.drain(to.frontier..) {
+            self.b.atoms[id.raw() as usize].dragged = false;
+        }
+        self.b.live = to.live;
+        self.b.next_untouched = to.next_untouched;
+    }
+
+    pub(crate) fn image(&self, t: Term) -> Option<Term> {
         match t {
-            Term::Var(u) => self.try_bind(u, t),
-            Term::Const(_) => true,
+            Term::Const(_) => Some(t),
+            Term::Var(v) => self.b.bind.get(v.raw() as usize).copied().flatten(),
         }
     }
 
-    /// Fully binds `beta ↦ gamma` positionally.
-    fn unify(&mut self, beta: &Atom, gamma: &Atom) -> bool {
-        for (&b, &g) in beta.args().iter().zip(gamma.args()) {
-            match b {
-                Term::Const(_) => {
-                    if b != g {
-                        return false;
-                    }
+    /// The predicate and arguments of pattern atom `id`.
+    fn atom(&self, id: AtomId) -> (PredId, &'a [Term]) {
+        match self.front {
+            Front::Match { pattern, .. } => pattern.atom(id),
+            Front::Fold { .. } => {
+                let atom = self.target.get(id).expect("pattern ids are live");
+                (atom.pred(), atom.args())
+            }
+        }
+    }
+
+    /// Adds an atom to the frontier unless it is there already.
+    fn drag(&mut self, id: AtomId) {
+        let state = &mut self.b.atoms[id.raw() as usize];
+        if !state.dragged {
+            state.dragged = true;
+            self.b.frontier.push(id);
+        }
+    }
+
+    fn mark_done(&mut self, id: AtomId) {
+        self.b.atoms[id.raw() as usize].done = true;
+        self.b.trail.push(Undo::Done(id));
+    }
+
+    /// Binds `v ↦ t` under the front end's constraints, dragging in `v`'s
+    /// star. In a fold, a variable image is pinned as a fixpoint, and a
+    /// pinned variable drags nothing in: its atoms ride on movers.
+    pub(crate) fn try_bind(&mut self, v: VarId, t: Term) -> bool {
+        let slot = v.raw() as usize;
+        if slot >= self.b.bind.len() {
+            self.b.bind.resize(slot + 1, None);
+        }
+        if let Some(existing) = self.b.bind[slot] {
+            return existing == t;
+        }
+        let moves = match self.front {
+            Front::Match {
+                pattern,
+                injective,
+                const_only,
+            } => {
+                if t.is_var() && const_only.contains(&pattern.vars[slot]) {
+                    return false;
                 }
-                Term::Var(v) => {
-                    if !self.try_bind(v, g) {
+                // Injectivity covers identity bindings too: `u ↦ u`
+                // after `w ↦ u` would give `u` two preimages.
+                if injective {
+                    if !t.is_var() || !self.b.used.insert(t) {
                         return false;
                     }
+                    self.b.trail.push(Undo::Image(t));
+                }
+                true
+            }
+            Front::Fold { movable, forbidden } => {
+                if Some(t) == forbidden {
+                    return false; // x may not occur in the image
+                }
+                if t != Term::Var(v) && movable.is_some_and(|m| !m.contains(&v)) {
+                    return false; // a fixed variable may only map to itself
+                }
+                t != Term::Var(v)
+            }
+        };
+        self.b.bind[slot] = Some(t);
+        self.b.trail.push(Undo::Bind(v));
+        if !moves {
+            return true;
+        }
+        match self.front {
+            Front::Match { pattern, .. } => pattern.star(v).for_each(|id| self.drag(id)),
+            Front::Fold { .. } => {
+                let target = self.target;
+                target
+                    .ids_with_term(Term::Var(v))
+                    .for_each(|id| self.drag(id));
+                if let Term::Var(u) = t {
+                    return self.try_bind(u, t);
                 }
             }
         }
         true
     }
 
-    /// Fills [`FoldSearch::positions`] with `beta`'s determined
-    /// positions; returns whether every position is determined.
-    fn determine(&mut self, beta: &Atom) -> bool {
-        self.positions.clear();
-        for (pos, &t) in beta.args().iter().enumerate() {
+    /// Fully binds `beta ↦ gamma` positionally.
+    fn unify(&mut self, beta: &[Term], gamma: &Atom) -> bool {
+        beta.iter().zip(gamma.args()).all(|(&b, &g)| match b {
+            Term::Const(_) => b == g,
+            Term::Var(v) => self.try_bind(v, g),
+        })
+    }
+
+    /// Fills the positions buffer with `beta`'s determined positions;
+    /// returns whether every position is determined.
+    fn determine(&mut self, beta: &[Term]) -> bool {
+        self.b.positions.clear();
+        for (pos, &t) in beta.iter().enumerate() {
             if let Some(img) = self.image(t) {
-                self.positions.push((pos, img));
+                self.b.positions.push((pos, img));
             }
         }
-        self.positions.len() == beta.arity()
+        self.b.positions.len() == beta.len()
     }
 
     /// The exact candidate images of `beta` under the current binding:
-    /// the intersection of the instance's positional postings over its
-    /// determined positions — the same [`AtomSet::matching_ids`] API the
-    /// general matcher enumerates through, so the prober cannot drift
-    /// from its semantics.
-    fn candidates(&mut self, beta: &Atom, out: &mut Vec<AtomId>) {
+    /// the intersection of the target's positional postings over its
+    /// determined positions, in ascending `AtomId` order.
+    fn candidates(&mut self, (pred, beta): (PredId, &[Term]), out: &mut Vec<AtomId>) {
         self.determine(beta);
-        self.instance.matching_ids(
-            beta.pred(),
-            beta.arity(),
-            &self.positions,
-            &mut self.scratch,
+        self.target.matching_ids(
+            pred,
+            beta.len(),
+            &self.b.positions,
+            &mut self.b.scratch,
             out,
         );
     }
 
-    /// Exact candidate count for `beta` once [`FoldSearch::determine`]
-    /// has run, without materialising the list when ≤ 1 position is
+    /// Exact candidate count for `beta` once [`Kernel::determine`] has
+    /// run, without materialising the list when ≤ 1 position is
     /// determined. For a fully determined atom it is 1 if its image is
     /// present and 0 otherwise.
-    fn count_matches(&mut self, beta: &Atom) -> usize {
-        if self.positions.len() >= 2 {
-            self.instance.matching_ids(
-                beta.pred(),
-                beta.arity(),
-                &self.positions,
-                &mut self.scratch,
-                &mut self.count_buf,
+    fn count_matches(&mut self, pred: PredId, arity: usize) -> u32 {
+        let count = if self.b.positions.len() >= 2 {
+            self.target.matching_ids(
+                pred,
+                arity,
+                &self.b.positions,
+                &mut self.b.scratch,
+                &mut self.b.count_buf,
             );
-            self.count_buf.len()
+            self.b.count_buf.len()
         } else {
-            self.instance
-                .matching_count(beta.pred(), beta.arity(), &self.positions)
-        }
+            self.target.matching_count(pred, arity, &self.b.positions)
+        };
+        count as u32
     }
 
-    /// [`FoldSearch::count_matches`] through the per-atom memo: no
-    /// position determined since the last count means the same count.
-    fn candidate_count(&mut self, id: AtomId, beta: &Atom) -> usize {
-        let slot = id.raw() as usize;
-        let determined = self.positions.len();
-        if let Some((at, count)) = self.counts[slot] {
+    /// [`Kernel::count_matches`] through the per-atom memo: no position
+    /// determined since the last count means the same count.
+    fn candidate_count(&mut self, id: AtomId, pred: PredId, arity: usize) -> u32 {
+        let determined = self.b.positions.len() as u32;
+        let old = self.b.atoms[id.raw() as usize].count;
+        if let Some((at, count)) = old {
             if at == determined {
                 return count;
             }
         }
-        let count = self.count_matches(beta);
-        self.count_trail.push((id, self.counts[slot]));
-        self.counts[slot] = Some((determined, count));
+        let count = self.count_matches(pred, arity);
+        self.b.trail.push(Undo::Count(id, old));
+        self.b.atoms[id.raw() as usize].count = Some((determined, count));
         count
     }
 
-    /// The smallest moved variable of a frontier atom: the first key of
-    /// the pending-atom tie-break.
-    fn first_mover(&self, beta: &Atom) -> VarId {
-        beta.vars()
-            .filter(|&v| self.image(Term::Var(v)).is_some_and(|t| t != Term::Var(v)))
-            .min()
-            .expect("frontier atoms contain a moved variable")
+    /// The middle key of the pending-atom order: in a fold, the smallest
+    /// moved variable of a frontier atom; in a match, nothing.
+    fn tie(&self, beta: &[Term]) -> VarId {
+        match self.front {
+            Front::Match { .. } => VarId::from_raw(0),
+            Front::Fold { .. } => beta
+                .iter()
+                .filter_map(|t| t.as_var())
+                .filter(|&v| self.image(Term::Var(v)).is_some_and(|t| t != Term::Var(v)))
+                .min()
+                .expect("frontier atoms contain a moved variable"),
+        }
     }
 
-    /// Picks the frontier atom to extend the fold through next — the
-    /// smallest key *(candidate count, smallest moved variable,
-    /// `AtomId`)* — marking the newly confirmed ones done. `Err(())`
-    /// signals a dead branch (a fully bound atom whose image is missing,
-    /// or an atom with no candidate); `Ok(None)` a complete fold.
-    fn select_pending(&mut self) -> Result<Option<&'a Atom>, ()> {
-        let instance = self.instance;
-        let mut best: Option<(usize, VarId, AtomId)> = None;
-        for i in 0..self.frontier.len() {
-            let id = self.frontier[i];
-            if self.done.contains(id.raw()) {
+    /// Puts the ground pattern atoms on the frontier, so the root
+    /// resolves every determined atom by lookup, and queues the atoms no
+    /// binding has reached yet, ranked by the candidate count their
+    /// constants allow.
+    pub(crate) fn queue_untouched(&mut self) {
+        for raw in 0..self.b.atoms.len() as u32 {
+            let id = AtomId::from_raw(raw);
+            let (pred, beta) = self.atom(id);
+            if beta.iter().all(|t| t.is_const()) {
+                self.drag(id);
+            } else if !self.b.atoms[raw as usize].dragged {
+                self.determine(beta);
+                let count = self.count_matches(pred, beta.len());
+                self.b.untouched.push((count, id));
+            }
+        }
+        self.b.untouched.sort_unstable();
+    }
+
+    /// Picks the atom to extend the search through next — the smallest
+    /// key *(candidate count, tie, `AtomId`)*. With `confirm`, fully
+    /// determined frontier atoms are checked and marked done instead of
+    /// ranked (each then costs no trial). `Err(())` signals a dead branch
+    /// (an atom with no candidate); `Ok(None)` a complete search.
+    fn select_pending(&mut self, confirm: bool) -> Result<Option<AtomId>, ()> {
+        let mut best: Option<(u32, VarId, AtomId)> = None;
+        for i in self.b.live..self.b.frontier.len() {
+            let id = self.b.frontier[i];
+            if self.b.atoms[id.raw() as usize].done {
+                // Skip a done prefix from the next scan on.
+                self.b.live += usize::from(i == self.b.live);
                 continue;
             }
-            let beta = instance.get(id).expect("frontier holds live ids");
-            if self.determine(beta) {
-                if self.count_matches(beta) == 0 {
+            let (pred, beta) = self.atom(id);
+            if self.determine(beta) && confirm {
+                let image: Box<[Term]> = self.b.positions.iter().map(|&(_, t)| t).collect();
+                if !self.target.contains(&Atom::new(pred, image)) {
                     return Err(()); // its image is missing
                 }
-                self.done.insert(id.raw());
-                self.done_trail.push(id);
+                self.mark_done(id);
                 continue;
             }
-            let est = self.candidate_count(id, beta);
+            let est = self.candidate_count(id, pred, beta.len());
             if est == 0 {
                 return Err(());
             }
-            let key = (est, self.first_mover(beta), id);
+            let key = (est, self.tie(beta), id);
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
             }
         }
-        Ok(best.map(|(_, _, id)| instance.get(id).expect("frontier holds live ids")))
-    }
-
-    /// Probes whether `x` can be folded away: a retraction of the
-    /// instance whose image avoids `x`, searched over the moved closure
-    /// of `x` only. A truncated miss is inconclusive.
-    pub(crate) fn probe(&mut self, x: VarId) -> FoldProbe {
-        let instance = self.instance;
-        // Root the search at the most constrained atom containing x.
-        let Some(beta0) = instance
-            .with_term(Term::Var(x))
-            .min_by_key(|beta| instance.matching_count(beta.pred(), beta.arity(), &[]))
-        else {
-            return FoldProbe::default();
-        };
-        self.search(Some(Term::Var(x)), beta0, None)
-    }
-
-    /// Searches for a retraction that maps `beta` onto the atom `alpha`
-    /// (a pivot of the certificate). No variable has to vanish, but one
-    /// of `beta` moves whenever `alpha` differs from `beta`.
-    fn probe_pivot(&mut self, beta: &'a Atom, alpha: AtomId) -> FoldProbe {
-        self.search(None, beta, Some(alpha))
-    }
-
-    /// Runs one search from a root frame on `root`, whose candidates are
-    /// `image` alone or, when `None`, every atom it matches.
-    fn search(
-        &mut self,
-        forbidden: Option<Term>,
-        root: &'a Atom,
-        image: Option<AtomId>,
-    ) -> FoldProbe {
-        if self.budget.interrupted() {
-            return FoldProbe {
-                retraction: None,
-                outcome: SearchOutcome {
-                    truncated: true,
-                    nodes: 0,
-                },
-            };
-        }
-        self.rewind(Mark::default());
-        self.forbidden = forbidden;
-        self.nodes = 0;
-        self.truncated = false;
-        // Root candidates through the positional index: the empty bind
-        // still pins the root's constant positions, so this is already
-        // narrower than a predicate scan. In a probe of x, unifying the
-        // root with a candidate binds x; a candidate keeping x in place
-        // is rejected by try_bind.
-        let mut roots = self.spare.pop().unwrap_or_default();
-        match image {
-            Some(id) => {
-                roots.clear();
-                roots.push(id);
+        while let Some(&(count, id)) = self.b.untouched.get(self.b.next_untouched) {
+            if self.b.atoms[id.raw() as usize].dragged {
+                self.b.next_untouched += 1;
+                continue;
             }
-            None => self.candidates(root, &mut roots),
+            // A count of 0 ranks first and opens a frame with nothing to try.
+            let key = (count, VarId::from_raw(0), id);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+            break;
         }
-        self.frames.push(Frame {
-            pending: root,
-            cands: roots,
+        Ok(best.map(|(_, _, id)| id))
+    }
+
+    /// Opens a frame on `pending`, whose candidates are `image` alone or,
+    /// when `None`, every atom it matches under the current binding.
+    fn push(&mut self, pending: AtomId, image: Option<AtomId>) {
+        let mut cands = self.b.spare.pop().unwrap_or_default();
+        cands.clear();
+        cands.extend(image);
+        if image.is_none() {
+            self.candidates(self.atom(pending), &mut cands);
+        }
+        let mark = self.mark();
+        self.b.frames.push(Frame {
+            pending,
+            cands,
             next: 0,
-            mark: Mark::default(),
+            mark,
         });
-        let retraction = self.solve().then(|| {
-            Substitution::from_pairs(self.bound.iter().map(|&v| {
-                (
-                    v,
-                    self.bind[v.raw() as usize].expect("trailed vars are bound"),
-                )
-            }))
-            .normalized()
-        });
-        while let Some(frame) = self.frames.pop() {
-            self.spare.push(frame.cands);
-        }
-        FoldProbe {
-            retraction,
-            outcome: SearchOutcome {
-                truncated: self.truncated,
-                nodes: self.nodes,
-            },
+    }
+
+    /// Selects the next pending atom and opens its frame. Returns `true`
+    /// when nothing is pending: the search is complete.
+    pub(crate) fn descend(&mut self, confirm: bool) -> bool {
+        match self.select_pending(confirm) {
+            Err(()) => false,
+            Ok(None) => true,
+            Ok(Some(id)) => {
+                self.push(id, None);
+                false
+            }
         }
     }
 
-    /// Depth-first completion of the open frames. Returns `true` with the
-    /// fold left bound, or `false` when the tree is exhausted or the
-    /// budget cut it (`truncated`).
-    fn solve(&mut self) -> bool {
-        while let Some(frame) = self.frames.last_mut() {
+    /// Depth-first completion of the open frames. Returns `true` with a
+    /// complete binding — call again for the next one — or `false` when
+    /// the tree is exhausted or the budget cut it (`truncated`).
+    pub(crate) fn solve(&mut self) -> bool {
+        let confirm = matches!(self.front, Front::Fold { .. });
+        while let Some(frame) = self.b.frames.last_mut() {
             let (pending, mark) = (frame.pending, frame.mark);
             let Some(&cand) = frame.cands.get(frame.next) else {
-                let exhausted = self.frames.pop().expect("non-empty stack");
-                self.spare.push(exhausted.cands);
+                let exhausted = self.b.frames.pop().expect("non-empty stack");
+                self.b.spare.push(exhausted.cands);
                 continue;
             };
             frame.next += 1;
             // Undo the previous candidate of this node.
             self.rewind(mark);
-            self.nodes += 1;
-            if self.budget.exhausted_at(self.nodes) {
-                self.truncated = true;
+            self.outcome.nodes += 1;
+            if self.budget.exhausted_at(self.outcome.nodes) {
+                self.outcome.truncated = true;
                 return false;
             }
             let gamma = self
-                .instance
+                .target
                 .get(cand)
                 .expect("matching_ids returned dead id");
-            if !self.unify(pending, gamma) {
-                continue;
-            }
-            match self.select_pending() {
-                Err(()) => {}
-                Ok(None) => return true,
-                Ok(Some(beta)) => {
-                    let mut cands = self.spare.pop().unwrap_or_default();
-                    self.candidates(beta, &mut cands);
-                    let mark = self.mark();
-                    self.frames.push(Frame {
-                        pending: beta,
-                        cands,
-                        next: 0,
-                        mark,
-                    });
+            if self.unify(self.atom(pending).1, gamma) {
+                self.mark_done(pending);
+                if self.descend(confirm) {
+                    return true;
                 }
             }
         }
         false
+    }
+
+    /// Probes whether `x` can be folded away: a retraction of the
+    /// instance whose image avoids `x`, searched over the moved closure
+    /// of `x` only. A truncated miss is inconclusive.
+    pub(crate) fn probe(&mut self, x: VarId) -> (Option<Substitution>, SearchOutcome) {
+        let instance = self.target;
+        // Root the search at the most constrained atom containing x.
+        let Some(root) = instance.ids_with_term(Term::Var(x)).min_by_key(|&id| {
+            let beta = instance.get(id).expect("posted ids are live");
+            instance.matching_count(beta.pred(), beta.arity(), &[])
+        }) else {
+            return (None, SearchOutcome::default());
+        };
+        self.search(Some(Term::Var(x)), root, None)
+    }
+
+    /// Runs one fold search from a root frame on `root`, whose candidates
+    /// are `image` alone or, when `None`, every atom it matches. With
+    /// `image` the root is a pivot `(β, α)` of the certificate: no
+    /// variable has to vanish, but one of `β` moves whenever `α ≠ β`.
+    /// Returns a retraction, if one is found, and the search's outcome.
+    fn search(
+        &mut self,
+        forbidden: Option<Term>,
+        root: AtomId,
+        image: Option<AtomId>,
+    ) -> (Option<Substitution>, SearchOutcome) {
+        if self.budget.interrupted() {
+            return (None, SearchOutcome::interrupted());
+        }
+        self.reset();
+        if let Front::Fold { forbidden: f, .. } = &mut self.front {
+            *f = forbidden;
+        }
+        self.outcome = SearchOutcome::default();
+        // Root candidates through the positional index: the empty bind
+        // still pins the root's constant positions, so this is already
+        // narrower than a predicate scan. In a probe of x, unifying the
+        // root with a candidate binds x; a candidate keeping x in place
+        // is rejected by try_bind.
+        self.push(root, image);
+        let retraction = self
+            .solve()
+            .then(|| Substitution::from_pairs(self.bindings()).normalized());
+        (retraction, self.outcome)
+    }
+}
+
+impl Drop for Kernel<'_> {
+    /// Returns the buffers to the pool, clean (unless the thread is
+    /// exiting and its pool is gone).
+    fn drop(&mut self) {
+        self.reset();
+        _ = POOL.try_with(|pool| pool.set(std::mem::take(&mut self.b)));
     }
 }
 
@@ -561,7 +707,7 @@ pub fn pivot_certificate(
 ) -> (bool, MatchStats) {
     let inserted = inserted_ids(instance, added);
     let mut stats = MatchStats::default();
-    let mut search = FoldSearch::new(instance, budget, None);
+    let mut search = Kernel::fold(instance, budget, None);
     let (mut scratch, mut sig) = (IdBits::new(), Vec::new());
     for alpha in added {
         let Some(alpha_id) = instance.id_of(alpha) else {
@@ -575,10 +721,10 @@ pub fn pivot_certificate(
             if inserted.contains(beta_id.raw()) || !unifiable_onto(beta, alpha) {
                 continue;
             }
-            let probe = search.probe_pivot(beta, alpha_id);
-            stats.nodes += probe.outcome.nodes;
-            stats.truncated |= probe.outcome.truncated;
-            if probe.retraction.is_some() || probe.outcome.truncated {
+            let (retraction, outcome) = search.search(None, beta_id, Some(alpha_id));
+            stats.nodes += outcome.nodes;
+            stats.truncated |= outcome.truncated;
+            if retraction.is_some() || outcome.truncated {
                 return (false, stats);
             }
         }

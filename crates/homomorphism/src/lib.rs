@@ -1,19 +1,21 @@
 //! # chase-homomorphism
 //!
-//! Homomorphism machinery for atomsets: the backtracking matcher, trigger
+//! Homomorphism machinery for atomsets: homomorphism enumeration, trigger
 //! satisfaction, retraction search, core computation and isomorphism
 //! testing.
 //!
 //! This crate implements the homomorphism-theoretic toolbox of Section 2 of
-//! *Bounded Treewidth and the Infinite Core Chase* (PODS 2023):
+//! *Bounded Treewidth and the Infinite Core Chase* (PODS 2023). It has one
+//! backtracking search, with two front ends that differ only in their
+//! inputs and in the constraints a binding must meet:
 //!
 //! * a **homomorphism** from `A` to `B` is a substitution `π` with
 //!   `π(A) ⊆ B` — found by [`find_homomorphism`] / enumerated by
-//!   [`for_each_homomorphism`];
+//!   [`for_each_homomorphism`], the match front end;
 //! * a **retraction** of `A` is an endomorphism that is the identity on the
 //!   terms of its image — searched directly by
-//!   [`find_retraction_eliminating`] and [`fold_variables`], which share
-//!   one fold search over the moved closure of the eliminated variable;
+//!   [`find_retraction_eliminating`] and [`fold_variables`], the fold front
+//!   end, which searches the moved closure of the eliminated variable;
 //! * the **core** of a finite atomset is its unique (up to isomorphism)
 //!   retract that is a core — computed by [`core_of`];
 //! * **isomorphism** is a bijective homomorphism with homomorphic inverse —

@@ -1,31 +1,36 @@
-//! The backtracking homomorphism matcher.
+//! Homomorphism enumeration: the match front end of the crate's one
+//! search kernel (`incremental.rs`).
 //!
 //! The matcher finds substitutions `π` with `π(pattern) ⊆ target`,
 //! optionally extending a seed assignment and optionally subject to the
-//! constraints in [`MatchConfig`] (injectivity, constant-only variables,
-//! a node limit). Retractions are not searched here: the fold search in
-//! `incremental.rs` is the crate's only retraction search.
+//! constraints in [`MatchConfig`] (injectivity, constant-only variables).
+//! A [`SearchBudget`] bounds the search.
 //!
-//! Search strategy: pattern atoms whose arguments are all determined by
+//! The pattern is first renamed onto dense variables, so a search's
+//! state is sized by the pattern (and the seed), never by the target or
+//! the vocabulary. Pattern atoms whose arguments are all determined by
 //! the seed are resolved by one lookup each up front; then at each step
-//! the search picks the unmatched pattern atom with the fewest candidate
+//! the kernel picks the unmatched pattern atom with the fewest candidate
 //! target atoms under the current partial assignment
-//! (most-constrained-first). Candidates are the *exact* intersection of
-//! the target's positional `(pred, arity, position, term)` postings
-//! ([`AtomSet::matching_ids`]), computed via bitset pruning — so the
-//! selector ranks atoms by their true candidate count and the enumeration
-//! visits exactly that set, in ascending atom-id order. This is the
-//! classic CSP ordering used by CQ evaluators; it makes the crafted
-//! instances in this workspace (grids, staircases, elevator columns)
-//! match in near-linear time. `tests/matcher_differential.rs` checks the
-//! enumeration against a brute-force enumerator in every constraint mode.
+//! (most-constrained-first), ties broken by pattern order. Candidates
+//! are the *exact* intersection of the target's positional
+//! `(pred, arity, position, term)` postings ([`AtomSet::matching_ids`]),
+//! so the ranking uses true candidate counts and the enumeration visits
+//! exactly that set, in ascending atom-id order. This is the classic CSP
+//! ordering used by CQ evaluators; it makes the crafted instances in
+//! this workspace (grids, staircases, elevator columns) match in
+//! near-linear time. `tests/matcher_differential.rs` checks the
+//! enumeration against a brute-force enumerator in every constraint
+//! mode.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
-use chase_atoms::{Atom, AtomId, AtomSet, IdBits, Substitution, Term, VarId};
+use chase_atoms::{Atom, AtomId, AtomSet, PredId, Substitution, Term, VarId};
 
 use crate::budget::{SearchBudget, SearchOutcome};
+use crate::incremental::{Front, Kernel};
 
 /// Constraints layered on top of plain homomorphism search.
 #[derive(Clone, Default, Debug)]
@@ -37,309 +42,73 @@ pub struct MatchConfig {
     /// to their answer variables: a branch binding one to a null could
     /// only yield a tuple the caller discards.
     pub const_only: BTreeSet<VarId>,
-    /// Abort the search after this many candidate trials (`None` =
-    /// unbounded). A budgeted search that finds a homomorphism is still a
-    /// certificate; a budgeted *miss* is inconclusive — callers that need
-    /// refutations must leave this unset.
-    pub node_limit: Option<usize>,
 }
 
-struct Search<'a> {
-    pattern: Vec<&'a Atom>,
-    target: &'a AtomSet,
-    cfg: &'a MatchConfig,
-    budget: &'a SearchBudget,
-    /// Partial assignment. Ordered so both the search trajectory and the
-    /// emitted substitutions are deterministic across runs and platforms.
-    bind: BTreeMap<VarId, Term>,
-    used_images: HashSet<Term>,
-    /// Scratch bitset for posting intersection, reused across every node
-    /// of the search ([`AtomSet::matching_ids`] leaves it clean).
-    scratch: IdBits,
-    matched: Vec<bool>,
-    n_matched: usize,
-    nodes: usize,
-    truncated: bool,
+/// A pattern renamed onto dense variables: the `i`-th smallest variable
+/// of the pattern and the seed becomes `VarId` `i`, and the `i`-th atom
+/// in pattern order becomes `AtomId` `i`.
+#[derive(Default)]
+pub(crate) struct Compiled {
+    /// Each atom's predicate and the range of its arguments in `args`.
+    atoms: Vec<(PredId, usize, usize)>,
+    args: Vec<Term>,
+    /// The original variable behind each dense one.
+    pub(crate) vars: Vec<VarId>,
+    /// `(variable, atom)` occurrences, sorted and deduplicated: a
+    /// variable's star is one run of it.
+    occurs: Vec<(VarId, AtomId)>,
 }
 
-impl<'a> Search<'a> {
-    fn new(
-        pattern: &'a AtomSet,
-        target: &'a AtomSet,
-        seed: &Substitution,
-        cfg: &'a MatchConfig,
-        budget: &'a SearchBudget,
-    ) -> Option<Self> {
-        let pattern_atoms: Vec<&Atom> = pattern.iter().collect();
-        let mut s = Search {
-            matched: vec![false; pattern_atoms.len()],
-            pattern: pattern_atoms,
-            target,
-            cfg,
-            budget,
-            bind: BTreeMap::new(),
-            used_images: HashSet::new(),
-            scratch: IdBits::new(),
-            n_matched: 0,
-            nodes: 0,
-            truncated: false,
-        };
-        for (v, t) in seed.iter() {
-            let mut trail = Vec::new();
-            if !s.try_bind(v, t, &mut trail) {
-                return None;
-            }
-        }
-        Some(s)
-    }
+thread_local! {
+    /// The emptied buffers of the last pattern compiled on this thread:
+    /// a chase compiles thousands of small patterns.
+    static SPARE: Cell<Compiled> = Cell::default();
+}
 
-    /// Attempts to bind `v ↦ t` under the active constraints, recording
-    /// a new binding in `trail`.
-    fn try_bind(&mut self, v: VarId, t: Term, trail: &mut Vec<VarId>) -> bool {
-        if let Some(&existing) = self.bind.get(&v) {
-            return existing == t;
-        }
-        if t.is_var() && self.cfg.const_only.contains(&v) {
-            return false;
-        }
-        // Injectivity covers identity bindings too: `u ↦ u` after
-        // `w ↦ u` would give `u` two preimages.
-        if self.cfg.injective_vars && (!t.is_var() || self.used_images.contains(&t)) {
-            return false;
-        }
-        self.bind.insert(v, t);
-        if self.cfg.injective_vars {
-            self.used_images.insert(t);
-        }
-        trail.push(v);
-        true
-    }
+/// The dense variable of `v` among the sorted `vars`.
+fn dense(vars: &[VarId], v: VarId) -> VarId {
+    VarId::from_raw(vars.binary_search(&v).expect("every variable is listed") as u32)
+}
 
-    fn undo(&mut self, trail: &[VarId]) {
-        for &v in trail {
-            if let Some(t) = self.bind.remove(&v) {
-                if self.cfg.injective_vars {
-                    self.used_images.remove(&t);
-                }
-            }
-        }
-    }
-
-    /// Image of a pattern term under the current partial assignment, if
-    /// determined.
-    fn image(&self, t: Term) -> Option<Term> {
-        match t {
-            Term::Const(_) => Some(t),
-            Term::Var(v) => self.bind.get(&v).copied(),
-        }
-    }
-
-    /// Root-level fast path: a pattern atom whose arguments are all
-    /// determined (constants, or variables bound by the seed) either has
-    /// its image already in the target — matched without entering the
-    /// backtracking search — or refutes the whole search conclusively.
-    /// The constraints (`injective_vars`, `const_only`) restrict only
-    /// *new* variable bindings, which determined atoms never create, so
-    /// the shortcut is mode-independent. Resolved atoms are hash probes, not
-    /// backtracking nodes, so they do not count against `nodes` budgets.
-    fn resolve_determined(&mut self) -> bool {
-        for i in 0..self.pattern.len() {
-            let atom = self.pattern[i];
-            let mut img: Vec<Term> = Vec::with_capacity(atom.arity());
+impl Compiled {
+    fn new(pattern: &AtomSet, seed: &Substitution) -> Self {
+        let mut c = SPARE.take();
+        c.atoms.clear();
+        c.args.clear();
+        c.vars.clear();
+        c.occurs.clear();
+        c.vars
+            .extend(pattern.iter().flat_map(Atom::vars).chain(seed.domain()));
+        c.vars.sort_unstable();
+        c.vars.dedup();
+        for (i, atom) in pattern.iter().enumerate() {
+            let start = c.args.len();
             for &t in atom.args() {
-                let Some(u) = self.image(t) else {
-                    img.clear();
-                    break;
-                };
-                img.push(u);
+                let t = t.as_var().map_or(t, |v| Term::Var(dense(&c.vars, v)));
+                c.args.push(t);
+                if let Term::Var(v) = t {
+                    c.occurs.push((v, AtomId::from_raw(i as u32)));
+                }
             }
-            if img.len() < atom.arity() {
-                continue;
-            }
-            if !self.target.contains(&Atom::new(atom.pred(), img)) {
-                return false;
-            }
-            self.matched[i] = true;
-            self.n_matched += 1;
+            c.atoms.push((atom.pred(), start, c.args.len()));
         }
-        true
+        c.occurs.sort_unstable();
+        c.occurs.dedup();
+        c
     }
 
-    /// Picks the unmatched pattern atom with the fewest candidates and
-    /// returns its exact candidate set.
-    ///
-    /// Selection and enumeration are one pass: every unmatched atom's
-    /// true candidate set is computed from the positional postings
-    /// ([`AtomSet::matching_ids`]) and the smallest one is memoized as
-    /// the winner — the count that ranks an atom is *exactly* the set the
-    /// search will try, so the most-constrained-first ordering can no
-    /// longer be misled by cross-predicate term occurrences.
-    fn select(&mut self) -> (usize, Vec<&'a Atom>) {
-        let target = self.target;
-        let mut best_idx = usize::MAX;
-        let mut best_count = usize::MAX;
-        // Ids for the current best atom — only valid when `best_listed`:
-        // atoms with ≤ 1 determined position are counted exactly through
-        // two O(1) index lookups without materialising anything, and the
-        // winner's list is (re)built once at the end.
-        let mut best: Vec<AtomId> = Vec::new();
-        let mut best_listed = false;
-        let mut tmp: Vec<AtomId> = Vec::new();
-        let mut bound: Vec<(usize, Term)> = Vec::new();
-        for i in 0..self.pattern.len() {
-            if self.matched[i] {
-                continue;
-            }
-            let atom = self.pattern[i];
-            bound.clear();
-            for (pos, &t) in atom.args().iter().enumerate() {
-                if let Some(img) = self.image(t) {
-                    bound.push((pos, img));
-                }
-            }
-            let (count, listed) = if bound.len() >= 2 {
-                target.matching_ids(
-                    atom.pred(),
-                    atom.arity(),
-                    &bound,
-                    &mut self.scratch,
-                    &mut tmp,
-                );
-                (tmp.len(), true)
-            } else {
-                (
-                    target.matching_count(atom.pred(), atom.arity(), &bound),
-                    false,
-                )
-            };
-            if best_idx == usize::MAX || count < best_count {
-                best_idx = i;
-                best_count = count;
-                best_listed = listed;
-                if listed {
-                    std::mem::swap(&mut best, &mut tmp);
-                }
-                if count == 0 {
-                    break;
-                }
-            }
-        }
-        if !best_listed {
-            if best_count == 0 {
-                best.clear();
-            } else {
-                let atom = self.pattern[best_idx];
-                bound.clear();
-                for (pos, &t) in atom.args().iter().enumerate() {
-                    if let Some(img) = self.image(t) {
-                        bound.push((pos, img));
-                    }
-                }
-                target.matching_ids(
-                    atom.pred(),
-                    atom.arity(),
-                    &bound,
-                    &mut self.scratch,
-                    &mut best,
-                );
-            }
-        }
-        let atoms = best
-            .iter()
-            .map(|&id| target.get(id).expect("matching_ids returned dead id"))
-            .collect();
-        (best_idx, atoms)
+    /// The predicate and renamed arguments of atom `id`.
+    pub(crate) fn atom(&self, id: AtomId) -> (PredId, &[Term]) {
+        let (pred, start, end) = self.atoms[id.raw() as usize];
+        (pred, &self.args[start..end])
     }
 
-    fn try_unify(&mut self, pattern: &Atom, cand: &Atom, trail: &mut Vec<VarId>) -> bool {
-        for (&pt, &tt) in pattern.args().iter().zip(cand.args()) {
-            match pt {
-                Term::Const(_) => {
-                    if pt != tt {
-                        return false;
-                    }
-                }
-                Term::Var(v) => {
-                    if !self.try_bind(v, tt, trail) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+    /// The atoms containing dense variable `v`, ascending.
+    pub(crate) fn star(&self, v: VarId) -> impl Iterator<Item = AtomId> + '_ {
+        let from = self.occurs.partition_point(|&(u, _)| u < v);
+        let to = self.occurs.partition_point(|&(u, _)| u <= v);
+        self.occurs[from..to].iter().map(|&(_, id)| id)
     }
-
-    /// Depth-first enumeration on an explicit frame stack — one frame per
-    /// pattern atom being matched, so a deep pattern never grows the
-    /// thread's stack. Entering a node picks the next pattern atom (or
-    /// reports a complete assignment to `on_found`); each frame then
-    /// tries its candidates in order, undoing the previous candidate's
-    /// bindings (one trail for the whole search) first.
-    fn run(
-        &mut self,
-        on_found: &mut dyn FnMut(Substitution) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        let mut stack: Vec<Frame<'a>> = Vec::new();
-        let mut trail: Vec<VarId> = Vec::new();
-        let mut enter = true;
-        loop {
-            if enter {
-                enter = false;
-                if self.n_matched == self.pattern.len() {
-                    let sub = Substitution::from_pairs(self.bind.iter().map(|(&v, &t)| (v, t)));
-                    if on_found(sub).is_break() {
-                        return ControlFlow::Break(());
-                    }
-                } else {
-                    let (idx, cands) = self.select();
-                    if cands.is_empty() {
-                        // A dead end: no frame (and no allocation) needed.
-                        continue;
-                    }
-                    self.matched[idx] = true;
-                    self.n_matched += 1;
-                    stack.push(Frame {
-                        idx,
-                        cands,
-                        next: 0,
-                        mark: trail.len(),
-                    });
-                }
-            }
-            let Some(frame) = stack.last_mut() else {
-                return ControlFlow::Continue(());
-            };
-            self.undo(&trail[frame.mark..]);
-            trail.truncate(frame.mark);
-            let Some(&cand) = frame.cands.get(frame.next) else {
-                self.matched[frame.idx] = false;
-                self.n_matched -= 1;
-                stack.pop();
-                continue;
-            };
-            frame.next += 1;
-            self.nodes += 1;
-            // A budget-exhausted break sets `truncated`, distinguishing it
-            // from a callback-requested stop (which is a conclusive hit).
-            let over_cfg_limit = self.cfg.node_limit.is_some_and(|l| self.nodes > l);
-            if over_cfg_limit || self.budget.exhausted_at(self.nodes) {
-                self.truncated = true;
-                return ControlFlow::Break(());
-            }
-            let pattern_atom = self.pattern[frame.idx];
-            enter = self.try_unify(pattern_atom, cand, &mut trail);
-        }
-    }
-}
-
-/// One open node of [`Search::run`]: the pattern atom being matched, its
-/// candidate images, the next one to try and the binding-trail length
-/// to undo back to before trying it.
-struct Frame<'a> {
-    idx: usize,
-    cands: Vec<&'a Atom>,
-    next: usize,
-    mark: usize,
 }
 
 /// Enumerates homomorphisms `π` extending `seed` with
@@ -347,12 +116,8 @@ struct Frame<'a> {
 ///
 /// Return [`ControlFlow::Break`] from the callback to stop early. Each
 /// reported substitution binds exactly the variables of `pattern` plus the
-/// seed domain.
-///
-/// The returned [`SearchOutcome`] says whether the search was cut short by
-/// [`MatchConfig::node_limit`]: a truncated enumeration that reported no
-/// hit is **inconclusive**, not a refutation. Callers that need a
-/// refutation must check `truncated` (or leave the limit unset).
+/// seed domain. Unbudgeted, the returned [`SearchOutcome`] is never
+/// truncated; see [`for_each_homomorphism_budgeted`].
 pub fn for_each_homomorphism(
     pattern: &AtomSet,
     target: &AtomSet,
@@ -370,10 +135,16 @@ pub fn for_each_homomorphism(
     )
 }
 
-/// [`for_each_homomorphism`] with an explicit [`SearchBudget`] layered on
-/// top of `cfg.node_limit` (whichever bound trips first wins): the
-/// budget's deadline and cancel flags are polled *inside* the
-/// backtracking loop, so a cancel reaches a long answer search.
+/// [`for_each_homomorphism`] under a [`SearchBudget`]: its node limit is
+/// checked on every candidate trial, and its deadline and cancel flags
+/// are polled *inside* the backtracking loop, so a cancel reaches a long
+/// answer search.
+///
+/// The returned [`SearchOutcome`] says whether the budget cut the search
+/// short: a truncated enumeration that reported no hit is
+/// **inconclusive**, not a refutation. A contradictory seed, or a
+/// pattern atom the seed determines onto a missing image, refutes
+/// conclusively without a trial.
 pub fn for_each_homomorphism_budgeted(
     pattern: &AtomSet,
     target: &AtomSet,
@@ -384,28 +155,36 @@ pub fn for_each_homomorphism_budgeted(
 ) -> SearchOutcome {
     if budget.interrupted() {
         // An already-tripped budget makes even an empty search inconclusive.
-        return SearchOutcome {
-            truncated: true,
-            nodes: 0,
-        };
+        return SearchOutcome::interrupted();
     }
-    let Some(mut search) = Search::new(pattern, target, seed, cfg, budget) else {
-        // A contradictory seed refutes conclusively without any trials.
-        return SearchOutcome::default();
+    let compiled = Compiled::new(pattern, seed);
+    let front = Front::Match {
+        pattern: &compiled,
+        injective: cfg.injective_vars,
+        const_only: &cfg.const_only,
     };
-    if !search.resolve_determined() {
-        // A determined atom with no image in the target refutes
-        // conclusively; `nodes` keeps the lookups that got here.
-        return SearchOutcome {
-            truncated: false,
-            nodes: search.nodes,
-        };
+    let mut search = Kernel::new(target, budget, front, compiled.atoms.len());
+    let seeded = seed
+        .iter()
+        .all(|(v, t)| search.try_bind(dense(&compiled.vars, v), t));
+    if !seeded {
+        return SearchOutcome::default();
     }
-    let _ = search.run(&mut on_found);
-    SearchOutcome {
-        truncated: search.truncated,
-        nodes: search.nodes,
+    search.queue_untouched();
+    let mut complete = search.descend(true) || search.solve();
+    while complete {
+        let sub = search
+            .bindings()
+            .map(|(v, t)| (compiled.vars[v.raw() as usize], t));
+        if on_found(sub.collect()).is_break() {
+            break;
+        }
+        complete = search.solve();
     }
+    let outcome = search.outcome;
+    drop(search);
+    SPARE.set(compiled);
+    outcome
 }
 
 /// Finds one homomorphism from `pattern` to `target`, if any.
@@ -633,15 +412,18 @@ mod tests {
             }
         }
         let grid = set(&atoms);
-        let cfg = MatchConfig {
-            node_limit: Some(1),
-            ..MatchConfig::default()
-        };
         let mut found = false;
-        let out = for_each_homomorphism(&grid, &grid, &Substitution::new(), &cfg, |_| {
-            found = true;
-            ControlFlow::Break(())
-        });
+        let out = for_each_homomorphism_budgeted(
+            &grid,
+            &grid,
+            &Substitution::new(),
+            &MatchConfig::default(),
+            &SearchBudget::unlimited().with_node_limit(1),
+            |_| {
+                found = true;
+                ControlFlow::Break(())
+            },
+        );
         assert!(!found);
         assert!(out.truncated, "a budgeted miss must be inconclusive");
     }

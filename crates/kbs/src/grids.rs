@@ -4,7 +4,7 @@
 use std::ops::ControlFlow;
 
 use chase_atoms::{Atom, AtomSet, PredId, Substitution, Term, VarId, Vocabulary};
-use chase_homomorphism::{for_each_homomorphism, MatchConfig};
+use chase_homomorphism::{for_each_homomorphism_budgeted, MatchConfig, SearchBudget};
 use chase_treewidth::GridLabeling;
 
 /// Builds a fresh `n × n` grid instance over predicates `h`/`v` with
@@ -118,14 +118,15 @@ pub fn find_grid(a: &AtomSet, n: usize, h: PredId, v: PredId) -> GridSearch {
     }
     let cfg = MatchConfig {
         injective_vars: true,
-        node_limit: Some(500_000),
         ..MatchConfig::default()
     };
+    let budget = SearchBudget::unlimited().with_node_limit(500_000);
     let mut found = None;
-    let outcome = for_each_homomorphism(&pattern, a, &Substitution::new(), &cfg, |sub| {
-        found = Some(sub);
-        ControlFlow::Break(())
-    });
+    let outcome =
+        for_each_homomorphism_budgeted(&pattern, a, &Substitution::new(), &cfg, &budget, |sub| {
+            found = Some(sub);
+            ControlFlow::Break(())
+        });
     match found {
         Some(sub) => GridSearch::Found(GridLabeling::from_fn(n, |i, j| {
             sub.apply_term(var_at(i, j))

@@ -4,7 +4,13 @@
 //!   brute-force enumerator (every map from the pattern's variables to
 //!   the target's terms, filtered) agree on the homomorphism set over
 //!   hundreds of random pattern/target pairs, across injective mode,
-//!   constant-only variables and budget truncation;
+//!   constant-only variables, budget truncation and seeds (consistent,
+//!   contradictory, and binding variables outside the pattern);
+//! * order digests — FNV-1a digests of the matcher's enumeration order and
+//!   of the fold search's first folds, recorded once, so a change to
+//!   either order contract fails loudly;
+//! * a composition check — `fold_variables` composes its folds exactly as
+//!   the sequential `Substitution::then` fold does;
 //! * a fold-probe differential — the crate's retraction search agrees
 //!   with the same enumerator, restricted to retractions, on every
 //!   variable of a thousand random atomsets, half of them with only a
@@ -27,8 +33,8 @@ use treechase::atoms::{Atom, AtomSet, ConstId, PredId, Substitution, Term, VarId
 use treechase::engine::prng::SplitMix64;
 use treechase::engine::{ChaseConfig, ChaseVariant};
 use treechase::homomorphism::{
-    core_of, find_retraction_eliminating, fold_variables, for_each_homomorphism, isomorphism,
-    pivot_certificate, MatchConfig, SearchBudget,
+    core_of, find_retraction_eliminating, fold_variables, for_each_homomorphism_budgeted,
+    isomorphism, pivot_certificate, MatchConfig, SearchBudget, SearchOutcome,
 };
 use treechase::prelude::*;
 
@@ -68,16 +74,39 @@ type Homs = Vec<Vec<(VarId, Term)>>;
 /// Every homomorphism found under `cfg`, as a canonically sorted list of
 /// binding vectors, plus whether the enumeration was truncated.
 fn enumerate(pattern: &AtomSet, target: &AtomSet, cfg: &MatchConfig) -> (Homs, bool) {
-    let mut found = Vec::new();
-    let outcome = for_each_homomorphism(pattern, target, &Substitution::new(), cfg, |sub| {
-        found.push(sub.iter().collect::<Vec<_>>());
-        ControlFlow::Continue(())
-    });
+    enumerate_budgeted(pattern, target, cfg, &SearchBudget::default())
+}
+
+/// [`enumerate`] under `budget`.
+fn enumerate_budgeted(
+    pattern: &AtomSet,
+    target: &AtomSet,
+    cfg: &MatchConfig,
+    budget: &SearchBudget,
+) -> (Homs, bool) {
+    let (mut found, outcome) = enumerate_seeded(pattern, target, &Substitution::new(), cfg, budget);
     found.sort();
     (found, outcome.truncated)
 }
 
-/// Does `sub` meet every constraint of `cfg` (the node limit aside)?
+/// Every homomorphism extending `seed`, in the order the matcher
+/// reports them, with the search's outcome.
+fn enumerate_seeded(
+    pattern: &AtomSet,
+    target: &AtomSet,
+    seed: &Substitution,
+    cfg: &MatchConfig,
+    budget: &SearchBudget,
+) -> (Homs, SearchOutcome) {
+    let mut found = Vec::new();
+    let outcome = for_each_homomorphism_budgeted(pattern, target, seed, cfg, budget, |sub| {
+        found.push(sub.iter().collect::<Vec<_>>());
+        ControlFlow::Continue(())
+    });
+    (found, outcome)
+}
+
+/// Does `sub` meet every constraint of `cfg`?
 fn meets_constraints(sub: &Substitution, cfg: &MatchConfig) -> bool {
     let violates = |(v, t): (VarId, Term)| {
         (cfg.const_only.contains(&v) && t.is_var()) || (cfg.injective_vars && !t.is_var())
@@ -332,11 +361,9 @@ fn budget_truncation_stays_sound() {
         let pattern = random_atomset(&mut rng, 3, 4, 4, 2);
         let target = random_atomset(&mut rng, 3, 10, 3, 3);
         let limit = 1 + rng.gen_range(12);
-        let cfg = MatchConfig {
-            node_limit: Some(limit),
-            ..MatchConfig::default()
-        };
-        let (got, truncated) = enumerate(&pattern, &target, &cfg);
+        let cfg = MatchConfig::default();
+        let budget = SearchBudget::unlimited().with_node_limit(limit);
+        let (got, truncated) = enumerate_budgeted(&pattern, &target, &cfg, &budget);
         let want = brute_force(&pattern, &target, &cfg);
         assert!(
             got.iter().all(|h| want.contains(h)),
@@ -346,6 +373,268 @@ fn budget_truncation_stays_sound() {
             assert_eq!(got, want, "untruncated budgeted case {case} differs");
         }
     }
+}
+
+/// FNV-1a over 64 bits: a digest of an ordered stream of words, shared
+/// with nothing the searches use.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.0 ^= u64::from(b);
+        self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+    }
+
+    fn word(&mut self, w: u32) {
+        w.to_le_bytes().into_iter().for_each(|b| self.byte(b));
+    }
+
+    fn term(&mut self, t: Term) {
+        match t {
+            Term::Var(v) => {
+                self.byte(b'v');
+                self.word(v.raw());
+            }
+            Term::Const(c) => {
+                self.byte(b'c');
+                self.word(c.raw());
+            }
+        }
+    }
+
+    fn bindings(&mut self, pairs: impl IntoIterator<Item = (VarId, Term)>) {
+        self.byte(b'{');
+        for (v, t) in pairs {
+            self.word(v.raw());
+            self.term(t);
+        }
+        self.byte(b'}');
+    }
+}
+
+/// The order contract of the match front end: the unsorted sequence of
+/// reported homomorphisms over the three random corpora above (plain,
+/// injective, const-only), digested. Candidates go in ascending
+/// `AtomId` order and the most constrained pattern atom goes first, ties
+/// broken by pattern order; any change to that order changes a digest.
+#[test]
+fn matcher_enumeration_order_is_pinned() {
+    let budget = SearchBudget::default();
+    let seeded = |pattern: &AtomSet, target: &AtomSet, cfg: &MatchConfig, fnv: &mut Fnv| {
+        let (homs, _) = enumerate_seeded(pattern, target, &Substitution::new(), cfg, &budget);
+        fnv.byte(b'[');
+        homs.into_iter().for_each(|h| fnv.bindings(h));
+        fnv.byte(b']');
+    };
+    let mut plain = Fnv::new();
+    let mut rng = SplitMix64::new(0x9E37);
+    for _ in 0..200 {
+        let pattern = random_atomset(&mut rng, 3, 4, 4, 3);
+        let target = random_atomset(&mut rng, 3, 10, 3, 3);
+        seeded(&pattern, &target, &MatchConfig::default(), &mut plain);
+    }
+    let mut injective = Fnv::new();
+    let mut rng = SplitMix64::new(0xA5A5);
+    for _ in 0..100 {
+        let pattern = random_atomset(&mut rng, 3, 4, 4, 0);
+        let target = random_atomset(&mut rng, 3, 8, 4, 0);
+        let cfg = MatchConfig {
+            injective_vars: true,
+            ..MatchConfig::default()
+        };
+        seeded(&pattern, &target, &cfg, &mut injective);
+    }
+    let mut const_only = Fnv::new();
+    let mut rng = SplitMix64::new(0xC0_57);
+    for _ in 0..200 {
+        let pattern = random_atomset(&mut rng, 3, 4, 4, 3);
+        let target = random_atomset(&mut rng, 3, 10, 3, 3);
+        let cfg = MatchConfig {
+            const_only: (0..4)
+                .filter(|_| rng.gen_bool())
+                .map(VarId::from_raw)
+                .collect(),
+            ..MatchConfig::default()
+        };
+        seeded(&pattern, &target, &cfg, &mut const_only);
+    }
+    assert_eq!(
+        [plain.0, injective.0, const_only.0],
+        [
+            0xa19b_5232_2d97_eebb,
+            0x9b42_fb3d_093e_b042,
+            0xca5f_3829_9795_e884
+        ],
+        "enumeration order changed"
+    );
+}
+
+/// The order contract of the fold front end: on the fold corpus of
+/// `fold_probe_equals_brute_force_retraction_search`, the retraction
+/// each probe finds first (or its miss), digested — for every variable
+/// without a movable set, and through `fold_variables` with it.
+#[test]
+fn fold_search_results_are_pinned() {
+    let mut rng = SplitMix64::new(0x5EED);
+    let budget = SearchBudget::default();
+    let (mut free, mut within) = (Fnv::new(), Fnv::new());
+    for case in 0..1000 {
+        let a = random_atomset(&mut rng, 1, 8, 4, 2);
+        let vars: Vec<VarId> = a.vars().into_iter().collect();
+        let movable: Option<Vec<VarId>> =
+            (case % 2 == 1).then(|| vars.iter().copied().filter(|_| rng.gen_bool()).collect());
+        for &x in &vars {
+            match find_retraction_eliminating(&a, x) {
+                Some(r) => free.bindings(r.iter()),
+                None => free.byte(b'-'),
+            }
+            if let Some(m) = &movable {
+                let (r, _) = fold_variables(&mut a.clone(), [x], Some(m), &budget);
+                within.bindings(r.iter());
+            }
+        }
+    }
+    assert_eq!(
+        [free.0, within.0],
+        [0xf1fb_f400_bcde_08ec, 0x0445_ea48_fb45_42e8],
+        "first folds changed"
+    );
+}
+
+/// The seeded searches the engine runs (semi-naive discovery seeds the
+/// new atom, satisfaction seeds `π`) against the brute-force
+/// enumerator filtered by agreement with the seed, on three kinds of
+/// seed: consistent ones (restrictions of a homomorphism, so one
+/// extension exists), contradictory ones (one pattern atom fully
+/// determined onto a missing image, which must refute without a trial)
+/// and ones that also bind variables outside the pattern (reported
+/// alongside the pattern's). Plain, injective and const-only modes.
+#[test]
+fn seeded_matcher_equals_filtered_brute_force() {
+    let mut rng = SplitMix64::new(0x5EED_0001);
+    let budget = SearchBudget::default();
+    let (mut extended, mut refuted) = (0usize, 0usize);
+    for case in 0..1500 {
+        let injective = case % 3 == 1;
+        let consts = if injective { 0 } else { 3 };
+        let pattern = random_atomset(&mut rng, 2, 4, 4, consts);
+        let target = random_atomset(&mut rng, 2, 10, 3, consts);
+        let cfg = MatchConfig {
+            injective_vars: injective,
+            const_only: if case % 3 == 2 {
+                (0..4)
+                    .filter(|_| rng.gen_bool())
+                    .map(VarId::from_raw)
+                    .collect()
+            } else {
+                BTreeSet::new()
+            },
+        };
+        let all = brute_force(&pattern, &target, &cfg);
+        let terms: Vec<Term> = target.terms().into_iter().collect();
+        let pick = |rng: &mut SplitMix64| terms[rng.gen_range(terms.len())];
+        let pattern_atoms: Vec<&Atom> = pattern.iter().collect();
+        let mut seed = Substitution::new();
+        let kind = rng.gen_range(3);
+        match kind {
+            // Contradictory: one atom's variables all bound, image missing.
+            1 => {
+                let atom = pattern_atoms[rng.gen_range(pattern_atoms.len())];
+                for v in atom.vars() {
+                    seed.bind(v, pick(&mut rng));
+                }
+                if target.contains(&seed.apply_atom(atom)) {
+                    continue;
+                }
+            }
+            // Consistent, possibly with variables outside the pattern.
+            _ => {
+                if let Some(h) = (!all.is_empty()).then(|| &all[rng.gen_range(all.len())]) {
+                    for &(v, t) in h {
+                        if rng.gen_bool() {
+                            seed.bind(v, t);
+                        }
+                    }
+                }
+                if kind == 2 {
+                    for k in 0..1 + rng.gen_range(2) as u32 {
+                        seed.bind(VarId::from_raw(10 + k), pick(&mut rng));
+                    }
+                }
+            }
+        }
+        let (mut got, outcome) = enumerate_seeded(&pattern, &target, &seed, &cfg, &budget);
+        got.sort();
+        let pattern_vars = pattern.vars();
+        let mut want: Homs = all
+            .iter()
+            .filter(|h| h.iter().all(|&(v, t)| seed.get(v).is_none_or(|s| s == t)))
+            .map(|h| {
+                let mut sub = Substitution::from_pairs(h.iter().copied());
+                for (v, t) in seed.iter().filter(|(v, _)| !pattern_vars.contains(v)) {
+                    sub.bind(v, t);
+                }
+                sub
+            })
+            .filter(|sub| meets_constraints(sub, &cfg))
+            .map(|sub| sub.iter().collect())
+            .collect();
+        want.sort();
+        assert!(
+            !outcome.truncated,
+            "case {case}: unbudgeted search truncated"
+        );
+        assert_eq!(
+            got, want,
+            "case {case} (seed kind {kind}): {seed:?}\n{pattern:?}\n{target:?}\n{cfg:?}"
+        );
+        if kind == 1 {
+            assert_eq!(outcome.nodes, 0, "case {case}: refutation cost trials");
+            refuted += 1;
+        } else if !got.is_empty() {
+            extended += 1;
+        }
+    }
+    assert!(
+        extended >= 120 && refuted >= 120,
+        "{extended} extended, {refuted} refuted"
+    );
+}
+
+/// `fold_variables` composes its folds into one retraction. On random
+/// atomsets, with and without a movable set, the composition equals the
+/// sequential `Substitution::then` fold of one-candidate passes, and
+/// both passes end on the same instance.
+#[test]
+fn fold_composition_equals_sequential_then() {
+    let mut rng = SplitMix64::new(0xF01D);
+    let budget = SearchBudget::default();
+    let mut multi = 0usize;
+    for case in 0..400 {
+        let a = random_atomset(&mut rng, 1, 12, 8, 2);
+        let vars: Vec<VarId> = a.vars().into_iter().collect();
+        let movable: Option<Vec<VarId>> =
+            (case % 2 == 1).then(|| vars.iter().copied().filter(|_| rng.gen_bool()).collect());
+        let mut once = a.clone();
+        let (total, _) =
+            fold_variables(&mut once, vars.iter().copied(), movable.as_deref(), &budget);
+        let mut stepwise = a.clone();
+        let mut reference = Substitution::new();
+        let mut folds = 0;
+        for &x in &vars {
+            let (r, _) = fold_variables(&mut stepwise, [x], movable.as_deref(), &budget);
+            folds += usize::from(!r.is_empty());
+            reference = reference.then(&r);
+        }
+        assert_eq!(total, reference, "case {case}: {a:?}");
+        assert_eq!(once, stepwise, "case {case}");
+        multi += usize::from(folds >= 2);
+    }
+    assert!(multi >= 50, "{multi} cases compose two or more folds");
 }
 
 /// One line per derivation step — triggers, safe substitutions and
