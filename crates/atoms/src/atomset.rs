@@ -319,18 +319,27 @@ impl AtomSet {
 
     /// Applies a substitution in place: atoms whose image differs are
     /// removed and the images inserted. Equivalent to
-    /// `*self = self.apply(sigma)` as a set. Finding the moved atoms
-    /// scans every atom, but only moved ones touch the indexes — far
-    /// cheaper than a full rebuild when a retraction folds away a
-    /// handful of nulls from a large instance. Removals may trigger
-    /// auto-compaction, so callers must not hold [`AtomId`]s across the
-    /// call.
+    /// `*self = self.apply(sigma)` as a set. An atom moves exactly when it
+    /// mentions a variable that σ does not fix, so the moved atoms are
+    /// read from those variables' postings and visited in ascending id
+    /// (= iteration) order, as a scan would meet them. Removals may
+    /// trigger auto-compaction, so callers must not hold [`AtomId`]s
+    /// across the call.
     pub fn apply_in_place(&mut self, sigma: &Substitution) {
-        let moved: Vec<(Atom, Atom)> = self
+        let mut ids: Vec<u32> = sigma
             .iter()
-            .filter_map(|a| {
-                let b = sigma.apply_atom(a);
-                (b != *a).then(|| (a.clone(), b))
+            .filter(|&(x, t)| t != Term::Var(x))
+            .filter_map(|(x, _)| self.by_term.get(&Term::Var(x)))
+            .flatten()
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let moved: Vec<(Atom, Atom)> = ids
+            .into_iter()
+            .map(|i| {
+                let a = self.get(AtomId(i)).expect("index/slot desync");
+                (a.clone(), sigma.apply_atom(a))
             })
             .collect();
         for (old, _) in &moved {
@@ -906,6 +915,66 @@ mod tests {
             }
         }
         assert_eq!(s.index_postings(), postings.len(), "step {step}: postings");
+    }
+
+    /// The reference for [`AtomSet::apply_in_place`]: rebuild every atom
+    /// and move the ones whose image differs, in iteration order.
+    fn apply_by_scan(s: &mut AtomSet, sigma: &Substitution) {
+        let moved: Vec<(Atom, Atom)> = s
+            .iter()
+            .filter_map(|a| {
+                let b = sigma.apply_atom(a);
+                (b != *a).then(|| (a.clone(), b))
+            })
+            .collect();
+        for (old, _) in &moved {
+            s.remove(old);
+        }
+        for (_, new) in moved {
+            s.insert(new);
+        }
+    }
+
+    #[test]
+    fn apply_in_place_equals_the_full_scan() {
+        // Seeded random atomsets and substitutions: bindings to variables
+        // inside and outside the set, to constants, and identity bindings.
+        let domain: Vec<Term> = (0..10)
+            .map(v)
+            .chain((0..3).map(|i| Term::Const(ConstId::from_raw(i))))
+            .collect();
+        let mut seed = 0x9e37_79b9_u64;
+        let mut next = move |n: usize| {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (seed >> 33) as usize % n
+        };
+        for case in 0..2_000 {
+            let mut s = AtomSet::new();
+            for _ in 0..next(40) {
+                let arity = 1 + next(3);
+                let args: Vec<Term> = (0..arity).map(|_| domain[next(domain.len())]).collect();
+                s.insert(atom(next(3) as u32, &args));
+            }
+            // Some removals leave tombstones, so ids are not dense.
+            let live: Vec<Atom> = s.iter().cloned().collect();
+            for a in live.iter().filter(|_| next(4) == 0) {
+                s.remove(a);
+            }
+            let sigma = Substitution::from_pairs((0..next(5)).map(|_| {
+                let x = VarId::from_raw(next(12) as u32);
+                let t = if next(4) == 0 {
+                    Term::Var(x)
+                } else {
+                    domain[next(domain.len())]
+                };
+                (x, t)
+            }));
+            let mut want = s.clone();
+            apply_by_scan(&mut want, &sigma);
+            s.apply_in_place(&sigma);
+            let (got, want): (Vec<&Atom>, Vec<&Atom>) = (s.iter().collect(), want.iter().collect());
+            assert_eq!(got, want, "case {case}: {sigma:?}");
+        }
     }
 
     #[test]

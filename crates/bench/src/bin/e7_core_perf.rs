@@ -36,8 +36,9 @@
 //! final atom count — against the committed
 //! `BENCH_core_baseline.json` at the workspace root, failing on any
 //! increase in the counters, any change in the result, or a missing
-//! baseline. `--write-baseline` regenerates that baseline from the smoke
-//! budgets. Neither profile touches `results/`.
+//! baseline. `--write-baseline` regenerates that baseline, the gated
+//! counters only, from the smoke budgets. Neither profile touches
+//! `results/`.
 
 use std::time::Instant;
 
@@ -216,7 +217,7 @@ impl Measurement {
     /// search or trigger discovery explores a larger tree, not that the
     /// host was slow.
     fn gate_row(&self) -> GateRow {
-        let up = Allow::UpPercent(0);
+        let up = Allow::NoIncrease;
         GateRow {
             key: vec![("application_budget", Json::Int(self.budget as i64))],
             checks: vec![
@@ -312,24 +313,21 @@ fn main() {
         );
     }
 
-    if smoke && !write_baseline {
+    let gated: Vec<GateRow> = rows.iter().map(Measurement::gate_row).collect();
+    let baseline = workspace_root().join("BENCH_core_baseline.json");
+    if write_baseline {
+        chase_bench::write_baseline(&report, &baseline, "e7-core-perf", &gated);
+    } else if smoke {
         report.claim_gate(
             "core/no-search-regression",
             "core counters ≤ committed baseline, same final instance size",
-            &workspace_root().join("BENCH_core_baseline.json"),
-            &rows.iter().map(Measurement::gate_row).collect::<Vec<_>>(),
+            &baseline,
+            &gated,
         );
-    }
-
-    // Persist the measurements next to the repository sources. Plain
-    // smoke runs skip the write so CI never clobbers the committed
-    // full-run numbers with noise-dominated tiny budgets.
-    let file = match (smoke, write_baseline) {
-        (_, true) => Some("BENCH_core_baseline.json"),
-        (false, false) => Some("BENCH_core.json"),
-        (true, false) => None,
-    };
-    if let Some(file) = file {
+    } else {
+        // Persist the full-run measurements next to the repository
+        // sources; smoke runs never clobber them with noise-dominated
+        // tiny budgets.
         let bench = Json::obj([
             ("experiment", Json::str("e7-core-perf")),
             ("kb", Json::str("staircase")),
@@ -343,7 +341,7 @@ fn main() {
                 Json::Arr(gate_rows.iter().map(GateShapeRow::to_json).collect()),
             ),
         ]);
-        write_json(&report, &workspace_root().join(file), &bench);
+        write_json(&report, &workspace_root().join("BENCH_core.json"), &bench);
     }
 
     exit_with(report.finish());

@@ -19,8 +19,8 @@
 //! `indexed_match_trials` and the final atom count per row — against the
 //! committed `BENCH_match_baseline.json` at the workspace root, failing
 //! on any trial increase, any change in the chased result, or a missing
-//! baseline. `--write-baseline` regenerates that baseline from
-//! the smoke budgets. Field names keep the `indexed_` prefix of that
+//! baseline. `--write-baseline` regenerates that baseline, the gated
+//! counters only, from the smoke budgets. Field names keep the `indexed_` prefix of that
 //! baseline's schema. Neither profile touches `results/`.
 
 use std::fmt::Write as _;
@@ -124,7 +124,7 @@ impl Measurement {
                 (
                     "indexed_match_trials",
                     self.stats.match_trials as u64,
-                    Allow::UpPercent(0),
+                    Allow::NoIncrease,
                 ),
                 ("final_atoms", self.final_atoms as u64, Allow::Same),
             ],
@@ -227,12 +227,12 @@ fn main() {
 
     let rows_json = |f: fn(&Measurement) -> Json| Json::Arr(rows.iter().map(f).collect());
     if write_baseline {
-        let bench = Json::obj([
-            ("experiment", Json::str("e9-match-perf")),
-            ("profile", Json::str("smoke-baseline")),
-            ("measurements", rows_json(Measurement::to_match_json)),
-        ]);
-        write_json(&report, &root.join("BENCH_match_baseline.json"), &bench);
+        chase_bench::write_baseline(
+            &report,
+            &root.join("BENCH_match_baseline.json"),
+            "e9-match-perf",
+            &rows.iter().map(Measurement::gate_row).collect::<Vec<_>>(),
+        );
     } else if !smoke {
         for (file, json) in [
             ("BENCH_match.json", rows_json(Measurement::to_match_json)),

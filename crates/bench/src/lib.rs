@@ -133,15 +133,12 @@ impl Report {
                 let (limit, ok) = match (base, allow) {
                     (None, _) => (String::from("missing"), false),
                     (Some(b), Allow::Same) => (format!("{b}"), measured == b),
-                    (Some(b), Allow::UpPercent(p)) => {
-                        let limit = b + (b * p).div_ceil(100);
-                        (format!("{b}, limit {limit}"), measured <= limit)
-                    }
+                    (Some(b), Allow::NoIncrease) => (format!("{b}"), measured <= b),
                 };
                 let verdict = match (ok, allow) {
                     (true, _) => "ok",
                     (false, Allow::Same) => "CHANGED",
-                    (false, Allow::UpPercent(_)) => "REGRESSED",
+                    (false, Allow::NoIncrease) => "REGRESSED",
                 };
                 self.row(format!(
                     "gate {label}: {field} {measured} (baseline {limit}) {verdict}"
@@ -205,14 +202,13 @@ pub fn write_json(report: &Report, path: &Path, json: &Json) {
     }
 }
 
-/// How far a gated counter may move from its committed baseline value.
+/// How a gated counter may move from its committed baseline value.
 #[derive(Clone, Copy, Debug)]
 pub enum Allow {
     /// Must equal the baseline: a result, not a cost.
     Same,
-    /// May exceed the baseline by at most this many percent (rounded
-    /// up); `UpPercent(0)` fails on any increase.
-    UpPercent(u64),
+    /// May fall but not rise: a cost.
+    NoIncrease,
 }
 
 /// One measured row for [`Report::claim_gate`].
@@ -222,6 +218,24 @@ pub struct GateRow {
     pub key: Vec<(&'static str, Json)>,
     /// `(field, measured value, allowance)` for every gated counter.
     pub checks: Vec<(&'static str, u64, Allow)>,
+}
+
+/// Writes the baseline [`Report::claim_gate`] reads to `path`: one entry
+/// per row, holding the row's key and its checked counters and nothing
+/// else, so a re-record moves only what the gate compares.
+pub fn write_baseline(report: &Report, path: &Path, experiment: &str, rows: &[GateRow]) {
+    let entries = rows.iter().map(|row| {
+        let checks = row
+            .checks
+            .iter()
+            .map(|&(field, value, _)| (field, Json::Int(value as i64)));
+        Json::obj(row.key.iter().cloned().chain(checks))
+    });
+    let baseline = Json::obj([
+        ("experiment", Json::str(experiment)),
+        ("measurements", Json::Arr(entries.collect())),
+    ]);
+    write_json(report, path, &baseline);
 }
 
 /// Exit with a conventional status after finishing a report.
@@ -276,20 +290,41 @@ mod tests {
             r.claim_gate("gate", "x", path, &[row]);
             r.claims[0].ok
         };
-        assert!(gate(100, Allow::UpPercent(0), 7, 10, &path));
-        assert!(gate(90, Allow::UpPercent(0), 7, 10, &path));
-        assert!(!gate(101, Allow::UpPercent(0), 7, 10, &path));
-        assert!(gate(120, Allow::UpPercent(20), 7, 10, &path));
-        assert!(!gate(121, Allow::UpPercent(20), 7, 10, &path));
-        assert!(!gate(100, Allow::UpPercent(0), 6, 10, &path));
-        assert!(!gate(100, Allow::UpPercent(0), 7, 20, &path));
+        assert!(gate(100, Allow::NoIncrease, 7, 10, &path));
+        assert!(gate(90, Allow::NoIncrease, 7, 10, &path));
+        assert!(!gate(101, Allow::NoIncrease, 7, 10, &path));
+        assert!(!gate(100, Allow::NoIncrease, 6, 10, &path));
+        assert!(!gate(100, Allow::NoIncrease, 7, 20, &path));
         assert!(!gate(
             100,
-            Allow::UpPercent(0),
+            Allow::NoIncrease,
             7,
             10,
             &dir.join("absent.json")
         ));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn written_baseline_holds_only_the_gated_fields() {
+        let dir = std::env::temp_dir().join(format!("chase-bench-write-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.json");
+        let rows = || {
+            vec![GateRow {
+                key: vec![("kb", Json::str("k")), ("budget", Json::Int(10))],
+                checks: vec![("nodes", 100, Allow::NoIncrease), ("atoms", 7, Allow::Same)],
+            }]
+        };
+        let mut r = Report::new("e0-write-test").recording(false);
+        write_baseline(&r, &path, "e0-write-test", &rows());
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "{\"experiment\":\"e0-write-test\",\"measurements\":\
+             [{\"kb\":\"k\",\"budget\":10,\"nodes\":100,\"atoms\":7}]}\n"
+        );
+        r.claim_gate("gate", "x", &path, &rows());
+        assert!(r.claims[0].ok);
         let _ = fs::remove_dir_all(dir);
     }
 }

@@ -1,17 +1,13 @@
 //! Conjunctive-query operations built on the homomorphism/core
-//! machinery: containment, equivalence, minimization (via cores), and
-//! answer-tuple enumeration for queries with answer variables.
+//! machinery: containment, equivalence and minimization (via cores).
+//! Answer-tuple enumeration lives in `chase-query`.
 //!
 //! These are the classical applications of the paper's Section 2 toolbox:
 //! CQ containment is homomorphism existence (Chandra–Merlin), and the
 //! unique minimal equivalent CQ is the *core* of the query.
 
-use std::collections::BTreeSet;
-
-use chase_atoms::{AtomSet, ConstId, Substitution, Term, VarId};
-use chase_homomorphism::{
-    core_of, find_homomorphism, for_each_homomorphism_budgeted, MatchConfig, SearchBudget,
-};
+use chase_atoms::AtomSet;
+use chase_homomorphism::{core_of, find_homomorphism};
 
 /// A union of conjunctive queries (UCQ): entailed iff some disjunct is.
 #[derive(Clone, Debug, Default)]
@@ -67,90 +63,10 @@ pub fn minimize_cq(q: &AtomSet) -> AtomSet {
     core_of(q).core
 }
 
-/// A conjunctive query with distinguished answer variables.
-#[derive(Clone, Debug)]
-pub struct AnswerQuery {
-    /// The query atoms.
-    pub atoms: AtomSet,
-    /// The answer (distinguished) variables, in output order.
-    pub answer_vars: Vec<VarId>,
-}
-
-impl AnswerQuery {
-    /// Builds an answer query; every answer variable must occur in the
-    /// atoms.
-    pub fn new(atoms: AtomSet, answer_vars: Vec<VarId>) -> Result<Self, String> {
-        let vars = atoms.vars();
-        for v in &answer_vars {
-            if !vars.contains(v) {
-                return Err(format!("answer variable {v:?} does not occur in the query"));
-            }
-        }
-        Ok(AnswerQuery { atoms, answer_vars })
-    }
-}
-
-/// Constant-only answer tuples found by one budgeted enumeration.
-pub struct AnswerTuples {
-    /// The tuples, sorted and deduplicated.
-    pub tuples: Vec<Vec<ConstId>>,
-    /// Whether the budget clipped the enumeration (a miss is then
-    /// inconclusive, never a refutation).
-    pub truncated: bool,
-}
-
-/// Enumerates constant-only answer tuples of `query` over `instance`
-/// under `budget`: the evaluation step of the query engine in
-/// `chase-query`. Over a chase element the tuples are certain answers
-/// (chase elements map into every model fixing constants); over a
-/// terminated chase's final instance they are all of them.
-pub fn collect_answer_tuples(
-    query: &AnswerQuery,
-    instance: &AtomSet,
-    budget: &SearchBudget,
-) -> AnswerTuples {
-    let mut answers: BTreeSet<Vec<ConstId>> = BTreeSet::new();
-    // Nulls are not certain answers: prune every branch that binds an
-    // answer variable to one instead of enumerating and discarding it.
-    let cfg = MatchConfig {
-        const_only: query.answer_vars.iter().copied().collect(),
-        ..MatchConfig::default()
-    };
-    let outcome = for_each_homomorphism_budgeted(
-        &query.atoms,
-        instance,
-        &Substitution::new(),
-        &cfg,
-        budget,
-        |sub| {
-            let tuple: Option<Vec<ConstId>> = query
-                .answer_vars
-                .iter()
-                .map(|&v| match sub.apply_term(Term::Var(v)) {
-                    Term::Const(c) => Some(c),
-                    Term::Var(_) => None, // an answer variable absent from the body
-                })
-                .collect();
-            if let Some(t) = tuple {
-                answers.insert(t);
-            }
-            // A boolean query's one possible tuple is found: stop.
-            if query.answer_vars.is_empty() {
-                return std::ops::ControlFlow::Break(());
-            }
-            std::ops::ControlFlow::Continue(())
-        },
-    );
-    AnswerTuples {
-        tuples: answers.into_iter().collect(),
-        truncated: outcome.truncated,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chase_atoms::{Atom, PredId};
+    use chase_atoms::{Atom, PredId, Term, VarId};
     use chase_homomorphism::isomorphism;
 
     fn v(i: u32) -> Term {
@@ -191,12 +107,6 @@ mod tests {
         let q = set(&[atom(0, &[v(0), v(1)]), atom(1, &[v(1), v(2)])]);
         assert_eq!(minimize_cq(&q), q);
     }
-
-    #[test]
-    fn answer_vars_must_occur() {
-        let q = set(&[atom(0, &[v(0), v(1)])]);
-        assert!(AnswerQuery::new(q, vec![VarId::from_raw(99)]).is_err());
-    }
 }
 
 #[cfg(test)]
@@ -229,39 +139,11 @@ mod ucq_tests {
 }
 
 #[cfg(test)]
-mod budget_tests {
-    use super::*;
-    use crate::kb::KnowledgeBase;
-
-    fn query_of(kb: &mut KnowledgeBase, src: &str) -> AnswerQuery {
-        let atoms = kb.parse_query(src).unwrap();
-        let mut vars: Vec<VarId> = atoms.vars().iter().copied().collect();
-        vars.sort();
-        AnswerQuery::new(atoms, vars).unwrap()
-    }
-
-    #[test]
-    fn boolean_query_stops_at_its_first_witness() {
-        // Enumerating every r-atom overruns a two-node budget; a boolean
-        // query needs only the first one.
-        let mut kb = KnowledgeBase::from_text("r(a, b). r(b, c). r(c, d). r(d, e). r(e, f).")
-            .expect("facts parse");
-        let budget = SearchBudget::unlimited().with_node_limit(2);
-        let all = query_of(&mut kb, "r(X, Y)");
-        assert!(collect_answer_tuples(&all, &kb.facts, &budget).truncated);
-        let boolean = AnswerQuery::new(kb.parse_query("r(X, Y)").unwrap(), Vec::new()).unwrap();
-        let found = collect_answer_tuples(&boolean, &kb.facts, &budget);
-        assert_eq!(found.tuples, vec![Vec::<ConstId>::new()]);
-        assert!(!found.truncated);
-    }
-}
-
-#[cfg(test)]
 mod ucq_property_tests {
     use super::*;
     use crate::entail::entail;
     use crate::kb::KnowledgeBase;
-    use chase_atoms::{Atom, PredId, Vocabulary};
+    use chase_atoms::{Atom, PredId, Term, VarId, Vocabulary};
     use chase_engine::prng::SplitMix64;
 
     /// A random CQ over `preds` binary predicates and `vars` variables.

@@ -31,10 +31,7 @@ pub mod gate;
 mod kb;
 pub mod prelude;
 
-pub use cq::{
-    collect_answer_tuples, cq_contained_in, cq_equivalent, minimize_cq, AnswerQuery, AnswerTuples,
-    Ucq,
-};
+pub use cq::{cq_contained_in, cq_equivalent, minimize_cq, Ucq};
 pub use decide::{decide, DecideConfig, DecideOutcome};
 pub use entail::{entail, Entailment};
 pub use gate::{analyze_kb, AnalysisGate, DEFAULT_PROBE_APPLICATIONS};

@@ -18,10 +18,7 @@ pub use chase_treewidth::{
 };
 
 pub use crate::classes::{probe_classes, probe_classes_budgeted, ClassProbe};
-pub use crate::cq::{
-    collect_answer_tuples, cq_contained_in, cq_equivalent, minimize_cq, AnswerQuery, AnswerTuples,
-    Ucq,
-};
+pub use crate::cq::{cq_contained_in, cq_equivalent, minimize_cq, Ucq};
 pub use crate::decide::{decide, DecideConfig, DecideOutcome};
 pub use crate::entail::{entail, Entailment};
 pub use crate::kb::KnowledgeBase;

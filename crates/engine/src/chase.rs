@@ -17,6 +17,9 @@
 //! * **Oblivious** — applies every trigger once (deduplicated by rule +
 //!   full body image), regardless of satisfaction.
 //! * **Semi-oblivious** (skolem) — deduplicates by rule + frontier image.
+//!   Each frontier image fires once, so the fresh nulls of its one
+//!   application are its Skolem terms `f_{R,z}(x̄)`: every variant takes
+//!   `π_safe` from the same fresh-null supply.
 //! * **Restricted** (standard) — applies only triggers not satisfied in
 //!   the current instance; simplifications are the identity.
 //! * **Core** — restricted, plus a retraction to the core after every
@@ -35,7 +38,6 @@ use crate::control::{CancelToken, ChaseEvent, FaultPlan};
 use crate::derivation::{first_instance, Derivation, DerivationStep};
 use crate::prng::SplitMix64;
 use crate::rule::RuleSet;
-use crate::skolem::SkolemTable;
 use crate::trigger::{
     apply_trigger, fresh_pi_safe, triggers_using_delta_counted, MatchTally, Trigger,
 };
@@ -302,8 +304,8 @@ pub struct ChaseStats {
     /// the service accumulates it, so a checkpoint knows how much of the
     /// `max_wall` budget the derivation has already spent.
     pub wall_us: u64,
-    /// Fresh nulls minted by trigger applications in this slice (the
-    /// skolem variant interns nulls, so its reused ones do not count).
+    /// Fresh nulls minted by trigger applications in this slice: one per
+    /// existential variable of every applied rule, in every variant.
     pub nulls_minted: usize,
     /// Largest round snapshot of pending triggers ever taken.
     pub peak_trigger_queue: usize,
@@ -510,7 +512,6 @@ pub struct ChaseRun<'a> {
     // Stratified schedule: only rules of the active stratum may fire.
     strata: Option<Vec<HashSet<usize>>>,
     stratum: usize,
-    skolem: SkolemTable,
     since_core: usize,
     // The atoms inserted since the last core phase: between phases the
     // instance only grows, so the last phase's result is the rest.
@@ -596,7 +597,6 @@ impl<'a> ChaseRun<'a> {
                 .as_ref()
                 .map(|parts| parts.iter().map(|s| s.iter().copied().collect()).collect()),
             stratum: 0,
-            skolem: SkolemTable::new(),
             since_core: 0,
             added_since_core: Vec::new(),
             outcome: None,
@@ -761,14 +761,7 @@ impl<'a> ChaseRun<'a> {
     /// reports it; `Some` when the application ends the run.
     fn apply(&mut self, tr: Trigger, emit: &mut dyn FnMut(ChaseEvent<'_>)) -> Option<ChaseOutcome> {
         let (rules, cfg) = (self.rules, self.cfg);
-        // Skolem semantics intern the nulls per (rule, frontier image),
-        // making the run deterministic and restart-safe; every other
-        // variant mints fresh ones.
-        let (pi_safe, fresh) = if cfg.variant == ChaseVariant::SemiOblivious {
-            (self.skolem.pi_safe(self.vocab, rules, &tr), Vec::new())
-        } else {
-            fresh_pi_safe(self.vocab, rules, &tr)
-        };
+        let (pi_safe, fresh) = fresh_pi_safe(self.vocab, rules, &tr);
         let added = apply_trigger(rules, &mut self.instance, &tr, &pi_safe);
         self.stats.applications += 1;
         self.since_core += 1;
@@ -1817,11 +1810,10 @@ mod skolem_chase_tests {
     use crate::rule::{Rule, RuleSet};
     use chase_atoms::{PredId, VarId};
 
-    /// Restart safety: two independent semi-oblivious runs on the same KB
-    /// produce literally identical instances (not merely isomorphic).
-    #[test]
-    fn semi_oblivious_runs_are_bitwise_reproducible() {
-        let rules: RuleSet = [
+    /// r(X, Y) → ∃Z. s(Y, Z) and s(X, Y) → r(Y, X): a frontier image
+    /// shared by two `r`-atoms, and a null-fed loop.
+    fn mk_back_rules() -> RuleSet {
+        [
             Rule::new(
                 "mk",
                 set(&[atom(0, &[v(0), v(1)])]),
@@ -1836,18 +1828,27 @@ mod skolem_chase_tests {
             .unwrap(),
         ]
         .into_iter()
-        .collect();
+        .collect()
+    }
+
+    fn semi_oblivious_run(rules: &RuleSet) -> ChaseResult {
         let facts = set(&[atom(0, &[v(10), v(11)]), atom(0, &[v(12), v(11)])]);
-        let run = || {
-            let mut vocab = Vocabulary::new();
-            vocab.ensure_var(VarId::from_raw(50));
-            run_chase(
-                &mut vocab,
-                &facts,
-                &rules,
-                &ChaseConfig::variant(ChaseVariant::SemiOblivious).with_max_applications(20),
-            )
-        };
+        let mut vocab = Vocabulary::new();
+        vocab.ensure_var(VarId::from_raw(50));
+        run_chase(
+            &mut vocab,
+            &facts,
+            rules,
+            &ChaseConfig::variant(ChaseVariant::SemiOblivious).with_max_applications(20),
+        )
+    }
+
+    /// Restart safety: two independent semi-oblivious runs on the same KB
+    /// produce literally identical instances (not merely isomorphic).
+    #[test]
+    fn semi_oblivious_runs_are_bitwise_reproducible() {
+        let rules = mk_back_rules();
+        let run = || semi_oblivious_run(&rules);
         let a = run();
         let b = run();
         assert_eq!(a.final_instance, b.final_instance);
@@ -1857,6 +1858,22 @@ mod skolem_chase_tests {
             ..s
         };
         assert_eq!(strip(a.stats), strip(b.stats));
+    }
+
+    /// Each frontier image fires once, so every existential binding of
+    /// every step's `π_safe` is a null the run minted.
+    #[test]
+    fn semi_oblivious_counts_every_minted_null() {
+        let rules = mk_back_rules();
+        let res = semi_oblivious_run(&rules);
+        let bindings: usize = res
+            .derivation
+            .steps
+            .iter()
+            .map(|step| rules.get(step.trigger.rule).existential_vars().len())
+            .sum();
+        assert!(bindings > 0);
+        assert_eq!(res.stats.nulls_minted, bindings);
     }
 
     /// p(X) → ∃Z. e(X, Z) followed by a datalog projection of `e`.

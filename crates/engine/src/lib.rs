@@ -34,7 +34,6 @@ pub mod dot;
 pub mod prng;
 pub mod robust;
 mod rule;
-pub mod skolem;
 mod trigger;
 
 pub use chase::{

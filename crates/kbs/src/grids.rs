@@ -3,38 +3,20 @@
 
 use std::ops::ControlFlow;
 
-use chase_atoms::{Atom, AtomSet, PredId, Substitution, Term, VarId, Vocabulary};
+use chase_atoms::{AtomSet, PredId, Substitution, Term, VarId, Vocabulary};
 use chase_homomorphism::{for_each_homomorphism_budgeted, MatchConfig, SearchBudget};
-use chase_treewidth::GridLabeling;
+use chase_treewidth::{grid_atoms, GridLabeling};
 
 /// Builds a fresh `n × n` grid instance over predicates `h`/`v` with
 /// vocabulary-registered nulls; returns the atomset and its labeling.
 pub fn labeled_grid(vocab: &mut Vocabulary, n: usize) -> (AtomSet, GridLabeling) {
     let h = vocab.pred("h", 2);
     let v = vocab.pred("v", 2);
-    let mut terms = vec![vec![Term::Var(VarId::from_raw(0)); n]; n];
-    for (i, row) in terms.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            let var = vocab.fresh_var();
-            vocab.set_var_name(var, &format!("g{i}_{j}"));
-            *cell = Term::Var(var);
-        }
-    }
-    let labeling = GridLabeling {
-        terms: terms.clone(),
-    };
-    let mut set = AtomSet::new();
-    for i in 0..n {
-        for j in 0..n {
-            if i + 1 < n {
-                set.insert(Atom::new(h, vec![terms[i][j], terms[i + 1][j]]));
-            }
-            if j + 1 < n {
-                set.insert(Atom::new(v, vec![terms[i][j], terms[i][j + 1]]));
-            }
-        }
-    }
-    (set, labeling)
+    grid_atoms(n, h, v, |i, j| {
+        let var = vocab.fresh_var();
+        vocab.set_var_name(var, &format!("g{i}_{j}"));
+        Term::Var(var)
+    })
 }
 
 /// The three-valued outcome of a budgeted grid search: the search runs
@@ -95,17 +77,7 @@ pub fn find_grid(a: &AtomSet, n: usize, h: PredId, v: PredId) -> GridSearch {
     let var_at = |i: usize, j: usize| -> Term {
         Term::Var(VarId::from_raw(max_var + 1 + (i * n + j) as u32))
     };
-    let mut pattern = AtomSet::new();
-    for i in 0..n {
-        for j in 0..n {
-            if i + 1 < n {
-                pattern.insert(Atom::new(h, vec![var_at(i, j), var_at(i + 1, j)]));
-            }
-            if j + 1 < n {
-                pattern.insert(Atom::new(v, vec![var_at(i, j), var_at(i, j + 1)]));
-            }
-        }
-    }
+    let (pattern, _) = grid_atoms(n, h, v, var_at);
     if n == 1 {
         // No adjacency constraints; any term works if the instance is
         // nonempty.
@@ -163,6 +135,7 @@ pub fn best_grid_lower_bound(a: &AtomSet, cap: usize, h: PredId, v: PredId) -> G
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chase_atoms::Atom;
     use chase_treewidth::contains_grid;
 
     #[test]

@@ -3,11 +3,12 @@
 //! every reply with its completeness status.
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
-use chase_atoms::{AtomSet, Vocabulary};
-use chase_core::{collect_answer_tuples, AnswerQuery, KnowledgeBase};
+use chase_atoms::{AtomSet, ConstId, Substitution, Term, Vocabulary};
+use chase_core::KnowledgeBase;
 use chase_engine::{run_chase, ChaseConfig, ChaseOutcome};
-use chase_homomorphism::SearchBudget;
+use chase_homomorphism::{for_each_homomorphism_budgeted, MatchConfig, SearchBudget};
 use chase_parser::{parse_query, ParseError, ParsedQuery};
 
 use crate::snapshot::QueryView;
@@ -79,30 +80,54 @@ impl QueryOutcome {
 /// unioning the constant-only answer tuples. Over a single instance the
 /// union over disjuncts is exactly UCQ evaluation; over a universal
 /// model it is exactly the certain answers (UCQs are preserved by
-/// homomorphisms).
+/// homomorphisms), and over a chase element the tuples are certain
+/// answers (chase elements map into every model fixing constants).
+/// The flag says whether the budget clipped some enumeration (a miss is
+/// then inconclusive, never a refutation).
 fn evaluate_disjuncts(
     parsed: &ParsedQuery,
     instance: &AtomSet,
     budget: &SearchBudget,
-) -> (BTreeSet<Vec<chase_atoms::ConstId>>, bool) {
+) -> (BTreeSet<Vec<ConstId>>, bool) {
     let mut tuples = BTreeSet::new();
     let mut truncated = false;
     for (atoms, answer_vars) in &parsed.disjuncts {
-        let query = AnswerQuery {
-            atoms: atoms.clone(),
-            answer_vars: answer_vars.clone(),
+        // Nulls are not certain answers: prune every branch that binds an
+        // answer variable to one instead of enumerating and discarding it.
+        let cfg = MatchConfig {
+            const_only: answer_vars.iter().copied().collect(),
+            ..MatchConfig::default()
         };
-        let found = collect_answer_tuples(&query, instance, budget);
-        truncated |= found.truncated;
-        tuples.extend(found.tuples);
+        let outcome = for_each_homomorphism_budgeted(
+            atoms,
+            instance,
+            &Substitution::new(),
+            &cfg,
+            budget,
+            |sub| {
+                let tuple: Option<Vec<ConstId>> = answer_vars
+                    .iter()
+                    .map(|&v| match sub.apply_term(Term::Var(v)) {
+                        Term::Const(c) => Some(c),
+                        Term::Var(_) => None, // an answer variable absent from the body
+                    })
+                    .collect();
+                if let Some(t) = tuple {
+                    tuples.insert(t);
+                }
+                // A boolean query's one possible tuple is found: stop.
+                if answer_vars.is_empty() {
+                    return ControlFlow::Break(());
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        truncated |= outcome.truncated;
     }
     (tuples, truncated)
 }
 
-fn render_tuples(
-    vocab: &Vocabulary,
-    tuples: BTreeSet<Vec<chase_atoms::ConstId>>,
-) -> Vec<Vec<String>> {
+fn render_tuples(vocab: &Vocabulary, tuples: BTreeSet<Vec<ConstId>>) -> Vec<Vec<String>> {
     tuples
         .into_iter()
         .map(|t| {
@@ -361,6 +386,20 @@ mod tests {
         for t in &out.answers {
             assert!(full.answers.contains(t), "truncated answers must be sound");
         }
+    }
+
+    #[test]
+    fn boolean_query_stops_at_its_first_witness() {
+        // Enumerating every r-atom overruns a two-node budget; a boolean
+        // query needs only the first one.
+        let kb = kb("r(a, b). r(b, c). r(c, d). r(d, e). r(e, f).");
+        let budget = SearchBudget::unlimited().with_node_limit(2);
+        let all = parse_query(&kb.vocab, "?(X, Y) :- r(X, Y)").unwrap();
+        assert!(evaluate_disjuncts(&all, &kb.facts, &budget).1);
+        let boolean = parse_query(&kb.vocab, "?- r(X, Y)").unwrap();
+        let (tuples, truncated) = evaluate_disjuncts(&boolean, &kb.facts, &budget);
+        assert_eq!(tuples.into_iter().collect::<Vec<_>>(), vec![Vec::new()]);
+        assert!(!truncated);
     }
 
     #[test]

@@ -174,9 +174,6 @@ pub struct ServiceConfig {
     /// refutes every decidability route instead of admitting a job that
     /// can only burn its budget.
     pub strict_admission: bool,
-    /// Homomorphism-search node limit granted to the admission-time
-    /// static analyzer (the MFA critical-instance test).
-    pub analysis_node_limit: usize,
     /// Chase applications granted to the admission-time dynamic probe.
     pub analysis_probe: usize,
     /// Wall-clock ceiling for the whole admission-time analysis (static
@@ -212,7 +209,6 @@ impl Default for ServiceConfig {
             op_deadline: None,
             drain_grace: Duration::from_secs(5),
             strict_admission: false,
-            analysis_node_limit: 2_000,
             analysis_probe: chase_core::DEFAULT_PROBE_APPLICATIONS,
             analysis_deadline: Some(Duration::from_secs(2)),
             snapshot_every: 64,
@@ -220,6 +216,10 @@ impl Default for ServiceConfig {
         }
     }
 }
+
+/// Homomorphism-search node limit granted to the admission-time static
+/// analyzer (the MFA critical-instance test).
+const ANALYSIS_NODE_LIMIT: usize = 2_000;
 
 /// Why an admission-controlled submission was shed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -300,7 +300,7 @@ pub fn apply_admission_gate(
             budgets_tightened: false,
         });
     }
-    let mut budget = SearchBudget::unlimited().with_node_limit(cfg.analysis_node_limit);
+    let mut budget = SearchBudget::unlimited().with_node_limit(ANALYSIS_NODE_LIMIT);
     if let Some(d) = cfg.analysis_deadline {
         budget = budget.with_deadline(Instant::now() + d);
     }

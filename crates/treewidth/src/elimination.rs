@@ -10,7 +10,8 @@
 //! `Elimination` is the crate's one elimination kernel: a flat adjacency
 //! copied once from the [`Graph`], plus a stamp array. `eliminate(v)` costs
 //! `Σ_{u ∈ N(v)} (deg u + |N(v)|)`; `fill_in(v)` counts the missing edges
-//! inside `N(v)` in one stamp pass over the neighbours' lists.
+//! inside `N(v)` in one stamp pass over the neighbours' lists; `restore`
+//! undoes an elimination, for the exact solver's branch-and-bound.
 //!
 //! `greedy` eliminates the live vertex of least `(score, v)`, the one a
 //! `min_by_key` over ascending vertex indices picks, from a `BTreeSet`
@@ -30,14 +31,15 @@ use crate::decomposition::TreeDecomposition;
 use crate::graph::Graph;
 
 /// A working copy of a graph that vertices are eliminated from.
-struct Elimination {
-    adj: Vec<Vec<usize>>,
+pub(crate) struct Elimination {
+    /// The live vertices' neighbour lists; an eliminated vertex's is empty.
+    pub(crate) adj: Vec<Vec<usize>>,
     stamp: Vec<usize>,
     epoch: usize,
 }
 
 impl Elimination {
-    fn new(g: &Graph) -> Self {
+    pub(crate) fn new(g: &Graph) -> Self {
         let adj = (0..g.len()).map(|v| g.neighbors(v).iter().copied().collect());
         let (adj, stamp, epoch) = (adj.collect(), vec![0; g.len()], 0);
         Elimination { adj, stamp, epoch }
@@ -58,7 +60,7 @@ impl Elimination {
     }
 
     /// The number of missing edges inside `N(v)`.
-    fn fill_in(&mut self, v: usize) -> usize {
+    pub(crate) fn fill_in(&mut self, v: usize) -> usize {
         let e = self.mark(v);
         let inside: usize = self.adj[v].iter().map(|&x| self.marked(x, e).count()).sum();
         let d = self.adj[v].len();
@@ -76,7 +78,7 @@ impl Elimination {
 
     /// Eliminates `v`: removes it, makes its former neighbours a clique,
     /// sets `fill` to the fill edges added and returns the neighbours.
-    fn eliminate(&mut self, v: usize, fill: &mut Vec<(usize, usize)>) -> Vec<usize> {
+    pub(crate) fn eliminate(&mut self, v: usize, fill: &mut Vec<(usize, usize)>) -> Vec<usize> {
         let neighbors = self.remove(v);
         fill.clear();
         for &x in &neighbors {
@@ -91,6 +93,19 @@ impl Elimination {
             }
         }
         neighbors
+    }
+
+    /// Undoes `eliminate(v)`, given the neighbours and fill edges it
+    /// returned. Neighbour lists come back as sets, not in their old order.
+    pub(crate) fn restore(&mut self, v: usize, neighbors: Vec<usize>, fill: &[(usize, usize)]) {
+        for &(x, y) in fill {
+            self.adj[x].retain(|&z| z != y);
+            self.adj[y].retain(|&z| z != x);
+        }
+        for &x in &neighbors {
+            self.adj[x].push(v);
+        }
+        self.adj[v] = neighbors;
     }
 }
 

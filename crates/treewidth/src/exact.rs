@@ -11,6 +11,10 @@
 //! of optimality. That is the only reduction rule; almost-simplicial
 //! vertices are branched on like any other.
 //!
+//! The search runs on the crate's one elimination kernel
+//! ([`crate::elimination`]), undoing each branch's elimination on return:
+//! a vertex is simplicial when its elimination adds no fill edge.
+//!
 //! Intended for primal graphs of up to roughly 30–40 vertices, which
 //! covers every structure appearing in the paper's figures. Larger
 //! instances should use [`crate::treewidth_bounds`].
@@ -19,7 +23,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use chase_atoms::AtomSet;
 
-use crate::elimination::{greedy, Heuristic};
+use crate::elimination::{greedy, Elimination, Heuristic};
 use crate::graph::Graph;
 
 /// The degeneracy of the graph: `max` over the elimination process of the
@@ -31,65 +35,12 @@ pub fn degeneracy_lower_bound(g: &Graph) -> usize {
 }
 
 struct Solver {
-    adj: Vec<BTreeSet<usize>>,
+    graph: Elimination,
     best: usize,
     memo: HashMap<u128, usize>,
 }
 
 impl Solver {
-    /// Minimum degree over the live vertices (cheap lower bound for the
-    /// remaining subproblem).
-    fn min_degree_lb(&self, alive: &BTreeSet<usize>) -> usize {
-        alive.iter().map(|&v| self.adj[v].len()).min().unwrap_or(0)
-    }
-
-    fn is_simplicial(&self, v: usize) -> bool {
-        let neigh: Vec<usize> = self.adj[v].iter().copied().collect();
-        for (i, &x) in neigh.iter().enumerate() {
-            for &y in &neigh[i + 1..] {
-                if !self.adj[x].contains(&y) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Eliminates `v`: removes it and makes its neighbourhood a clique.
-    /// Returns the degree at elimination time plus the list of fill edges
-    /// added, for undoing.
-    fn eliminate(&mut self, v: usize) -> (usize, Vec<(usize, usize)>) {
-        let neigh: Vec<usize> = self.adj[v].iter().copied().collect();
-        let mut fill = Vec::new();
-        for (i, &x) in neigh.iter().enumerate() {
-            for &y in &neigh[i + 1..] {
-                if self.adj[x].insert(y) {
-                    self.adj[y].insert(x);
-                    fill.push((x, y));
-                }
-            }
-        }
-        for &u in &neigh {
-            self.adj[u].remove(&v);
-        }
-        let deg = neigh.len();
-        self.adj[v].clear();
-        // Keep v's neighbourhood so we can restore it.
-        self.adj[v].extend(neigh.iter().copied());
-        (deg, fill)
-    }
-
-    fn restore(&mut self, v: usize, fill: &[(usize, usize)]) {
-        let neigh: Vec<usize> = self.adj[v].iter().copied().collect();
-        for &u in &neigh {
-            self.adj[u].insert(v);
-        }
-        for &(x, y) in fill {
-            self.adj[x].remove(&y);
-            self.adj[y].remove(&x);
-        }
-    }
-
     fn search(&mut self, alive: &mut BTreeSet<usize>, mask: u128, width_so_far: usize) {
         if width_so_far >= self.best {
             return; // cannot improve
@@ -110,28 +61,35 @@ impl Solver {
         }
         self.memo.insert(mask, width_so_far);
 
-        if self.min_degree_lb(alive).max(width_so_far) >= self.best {
+        // The minimum live degree is a lower bound for the rest.
+        let min_degree = alive.iter().map(|&v| self.graph.adj[v].len()).min();
+        if min_degree.unwrap_or(0).max(width_so_far) >= self.best {
             return;
         }
 
         // Simplicial rule: eliminate a simplicial vertex greedily.
-        let simplicial = alive.iter().copied().find(|&v| self.is_simplicial(v));
+        let simplicial = alive.iter().copied().find(|&v| self.graph.fill_in(v) == 0);
         let candidates: Vec<usize> = match simplicial {
             Some(v) => vec![v],
             None => {
                 let mut c: Vec<usize> = alive.iter().copied().collect();
                 // Branch on low-degree vertices first.
-                c.sort_by_key(|&v| self.adj[v].len());
+                c.sort_by_key(|&v| self.graph.adj[v].len());
                 c
             }
         };
 
+        let mut fill = Vec::new();
         for v in candidates {
-            let (deg, fill) = self.eliminate(v);
+            let neighbors = self.graph.eliminate(v, &mut fill);
             alive.remove(&v);
-            self.search(alive, mask | (1u128 << v), width_so_far.max(deg));
+            self.search(
+                alive,
+                mask | (1u128 << v),
+                width_so_far.max(neighbors.len()),
+            );
             alive.insert(v);
-            self.restore(v, &fill);
+            self.graph.restore(v, neighbors, &fill);
         }
     }
 }
@@ -153,7 +111,7 @@ pub fn exact_treewidth_graph(g: &Graph) -> usize {
         return ub;
     }
     let mut solver = Solver {
-        adj: g.adjacency(),
+        graph: Elimination::new(g),
         best: ub,
         memo: HashMap::new(),
     };
