@@ -17,12 +17,17 @@
 //!
 //! [`CriticalChase`] is the one Skolem chase of the critical instance
 //! that both the MFA test ([`crate::mfa`]) and the k-boundedness rank
-//! analysis ([`crate::kbounded`]) read.
+//! analysis ([`crate::kbounded`]) read. It is the engine's own
+//! semi-oblivious chase: a [`ChaseRun`] under the deterministic
+//! scheduler, which this module only steps and observes, so the
+//! certificates and the engine's semi-oblivious runs come from one
+//! implementation.
 
 use std::collections::{BTreeSet, HashMap};
+use std::ops::ControlFlow;
 
 use chase_atoms::{Atom, AtomSet, ConstId, PredId, Term, VarId, Vocabulary};
-use chase_engine::{apply_trigger, fresh_pi_safe, triggers_using_delta, RuleId, RuleSet};
+use chase_engine::{ChaseConfig, ChaseOutcome, ChaseRun, ChaseVariant, RuleId, RuleSet};
 use chase_homomorphism::SearchBudget;
 
 /// The critical instance of a ruleset: every atom `p(c₁, …, cₖ)` over
@@ -157,22 +162,20 @@ type Symbol = (RuleId, usize);
 /// A fired application's identity: the semi-oblivious frontier key.
 type FrontierKey = (RuleId, Vec<(VarId, Term)>);
 
-/// The semi-oblivious (Skolem) chase of the critical instance, firing
-/// each round's unfired frontier keys in (rule, π) order. A round
-/// matches only triggers using an atom the previous round inserted
-/// (every older key has fired), so n applications visit O(n) triggers.
+/// The semi-oblivious (Skolem) chase of the critical instance: a
+/// [`ChaseRun`] firing each round's unfired frontier keys in (rule, π)
+/// order. Its discovery is semi-naive, so n applications visit O(n)
+/// triggers.
 #[derive(Default)]
 pub(crate) struct CriticalChase {
     /// Atoms of the critical instance the run started from.
     pub critical_atoms: usize,
-    /// The instance the run stopped at.
+    /// The instance the run saturated at (empty when it did not).
     pub instance: AtomSet,
     /// Head images of every fired frontier key.
     pub outputs: HashMap<FrontierKey, Vec<Atom>>,
     /// Trigger applications performed.
     pub applications: usize,
-    /// Triggers the rounds enumerated, fired keys included.
-    pub visited: usize,
     /// Did a round find no unfired frontier key?
     pub saturated: bool,
     /// The first null whose Skolem term tree holds its own symbol: the
@@ -193,64 +196,70 @@ impl CriticalChase {
         cycle_slice: usize,
     ) -> Option<Self> {
         let mut vocab = Vocabulary::new();
-        let instance = critical_instance_capped(&mut vocab, rules, atom_cap(limit))?;
+        let critical = critical_instance_capped(&mut vocab, rules, atom_cap(limit))?;
+        // Deterministic scheduler. The node limit bounds retraction
+        // searches, which this variant never runs; the chase polls the
+        // deadline and cancel flags.
+        let cfg = ChaseConfig::variant(ChaseVariant::SemiOblivious)
+            .with_max_applications(usize::MAX)
+            .with_max_atoms(usize::MAX)
+            .with_search_budget(budget.clone());
         let mut run = CriticalChase {
-            critical_atoms: instance.len(),
-            instance,
+            critical_atoms: critical.len(),
             ..CriticalChase::default()
         };
         // Per null: the Skolem symbols of its term tree and its depth.
-        let mut symbols: HashMap<VarId, (BTreeSet<Symbol>, usize)> = HashMap::new();
-        let mut delta: Vec<Atom> = run.instance.iter().cloned().collect();
-        loop {
-            let mut progressed = false;
-            for tr in triggers_using_delta(rules, &run.instance, &std::mem::take(&mut delta)) {
-                run.visited += 1;
-                let key = tr.frontier_key(rules);
-                if run.outputs.contains_key(&key) {
-                    continue;
-                }
-                if run.applications >= limit || budget.interrupted() {
-                    return Some(run);
-                }
-                let rule = rules.get(tr.rule);
-                let (pi_safe, nulls) = fresh_pi_safe(&mut vocab, rules, &tr);
-                delta.extend(apply_trigger(rules, &mut run.instance, &tr, &pi_safe));
-                run.applications += 1;
-                let out = rule.head().iter().map(|a| pi_safe.apply_atom(a)).collect();
-                run.outputs.insert(key, out);
-                progressed = true;
-                if run.cycle.is_some() {
-                    continue; // only the first cyclic term is read
-                }
-                // Symbols below this application: everything in the term
-                // trees of the nulls in the frontier image.
-                let mut below: BTreeSet<Symbol> = BTreeSet::new();
-                let mut depth = 1usize;
-                for &x in rule.frontier_vars() {
-                    if let Term::Var(u) = tr.pi.apply_term(Term::Var(x)) {
-                        if let Some((syms, d)) = symbols.get(&u) {
-                            below.extend(syms.iter().copied());
-                            depth = depth.max(d + 1);
-                        }
-                    }
-                }
-                for (j, null) in nulls.into_iter().enumerate() {
-                    if below.contains(&(tr.rule, j)) {
-                        run.cycle = Some((tr.rule, depth));
-                        limit = limit.min(run.applications.max(cycle_slice));
-                        break;
-                    }
-                    let mut syms = below.clone();
-                    syms.insert((tr.rule, j));
-                    symbols.insert(null, (syms, depth));
+        let mut symbols: HashMap<Term, (BTreeSet<Symbol>, usize)> = HashMap::new();
+        let mut chase = ChaseRun::new(&mut vocab, &critical, rules, &cfg, None);
+        let outcome = loop {
+            if let Some(outcome) = chase.step(|_| ControlFlow::Continue(())) {
+                break Some(outcome);
+            }
+            // An application past the limit proves an unfired frontier
+            // key remained: the run stops unsaturated.
+            if run.applications >= limit {
+                break None;
+            }
+            run.applications += 1;
+            let step = chase.last_step().expect("a step applied a trigger");
+            let (tr, pi_safe) = (&step.trigger, &step.pi_safe);
+            let rule = rules.get(tr.rule);
+            let out = rule.head().iter().map(|a| pi_safe.apply_atom(a)).collect();
+            run.outputs.insert(tr.frontier_key(rules), out);
+            if run.cycle.is_some() {
+                continue; // only the first cyclic term is read
+            }
+            // Symbols below this application: everything in the term
+            // trees of the nulls in the frontier image.
+            let mut below: BTreeSet<Symbol> = BTreeSet::new();
+            let mut depth = 1usize;
+            for &x in rule.frontier_vars() {
+                if let Some((syms, d)) = symbols.get(&tr.pi.apply_term(Term::Var(x))) {
+                    below.extend(syms.iter().copied());
+                    depth = depth.max(d + 1);
                 }
             }
-            if !progressed {
-                run.saturated = true;
-                return Some(run);
+            // π_safe binds the existentials, in variable order, to the
+            // application's fresh nulls.
+            let nulls = pi_safe
+                .iter()
+                .filter(|(z, _)| rule.existential_vars().contains(z));
+            for (j, (_, null)) in nulls.enumerate() {
+                if below.contains(&(tr.rule, j)) {
+                    run.cycle = Some((tr.rule, depth));
+                    limit = limit.min(run.applications.max(cycle_slice));
+                    break;
+                }
+                let mut syms = below.clone();
+                syms.insert((tr.rule, j));
+                symbols.insert(null, (syms, depth));
             }
+        };
+        run.saturated = outcome.is_some_and(ChaseOutcome::terminated);
+        if run.saturated {
+            run.instance = chase.instance().clone();
         }
+        Some(run)
     }
 }
 
@@ -393,24 +402,20 @@ mod tests {
     }
 
     #[test]
-    fn chain_chase_visits_a_linear_number_of_triggers() {
-        // Each round matches only the atom the previous round inserted:
-        // one trigger per application, plus the one the limit stops at.
-        // A full re-scan per round visits n(n + 1)/2.
-        let rs = rules("R: r(X, Y) -> r(Y, Z).");
-        let b = SearchBudget::unlimited();
-        for limit in [256, 2_000] {
-            let run = CriticalChase::run(&rs, &b, limit, usize::MAX).expect("fits");
-            assert_eq!(run.applications, limit);
-            assert_eq!(run.visited, limit + 1);
-        }
-        // A saturating ruleset: round 1 fires R and S on the critical
-        // instance; round 2 meets S again on R's output `s(∗, n)`, whose
-        // frontier key `X = ∗` has fired.
+    fn saturation_at_exactly_the_limit_counts() {
+        // Round 1 fires R and S on the critical instance; round 2 meets
+        // S again on R's output `s(∗, n)`, whose frontier key `X = ∗`
+        // has fired. Two applications saturate the run.
         let rs = rules("R: r(X, Y) -> s(Y, Z). S: s(X, Y) -> t(X).");
-        let run = CriticalChase::run(&rs, &b, 1_000, usize::MAX).expect("fits");
+        let b = SearchBudget::unlimited();
+        let run = CriticalChase::run(&rs, &b, 2, usize::MAX).expect("fits");
         assert!(run.saturated);
-        assert_eq!((run.applications, run.visited), (2, 3));
+        assert_eq!(run.applications, 2);
+        assert_eq!(run.outputs.len(), 2);
+        let run = CriticalChase::run(&rs, &b, 1, usize::MAX).expect("fits");
+        assert!(!run.saturated, "S's key was still unfired");
+        assert_eq!(run.applications, 1);
+        assert_eq!(run.outputs.len(), 1);
     }
 
     #[test]

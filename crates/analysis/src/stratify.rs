@@ -99,8 +99,8 @@ pub struct ChasePlan {
 }
 
 impl ChasePlan {
-    /// The rule-id partition in execution order, the format consumed by
-    /// `ChaseConfig::with_strata`.
+    /// The rule-id partition in execution order, the format of
+    /// `ChaseConfig::strata`.
     #[must_use]
     pub fn partition(&self) -> Vec<Vec<RuleId>> {
         self.strata.iter().map(|s| s.rules.clone()).collect()

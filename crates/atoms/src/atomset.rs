@@ -364,16 +364,6 @@ impl AtomSet {
             .collect()
     }
 
-    /// Removes every atom mentioning the given term; returns how many were
-    /// removed.
-    pub fn remove_term(&mut self, term: Term) -> usize {
-        let victims: Vec<Atom> = self.with_term(term).cloned().collect();
-        for a in &victims {
-            self.remove(a);
-        }
-        victims.len()
-    }
-
     /// Inserts all atoms of `other`; returns how many were new.
     pub fn union_with(&mut self, other: &AtomSet) -> usize {
         let mut added = 0;
@@ -637,17 +627,6 @@ mod tests {
         let ind = s.induced_by_terms(&keep);
         assert_eq!(ind.len(), 1);
         assert!(ind.contains(&atom(0, &[v(1), v(2)])));
-    }
-
-    #[test]
-    fn remove_term_drops_all_occurrences() {
-        let mut s = AtomSet::new();
-        s.insert(atom(0, &[v(1), v(2)]));
-        s.insert(atom(0, &[v(2), v(3)]));
-        s.insert(atom(1, &[v(3)]));
-        assert_eq!(s.remove_term(v(2)), 2);
-        assert_eq!(s.len(), 1);
-        assert!(s.contains(&atom(1, &[v(3)])));
     }
 
     #[test]

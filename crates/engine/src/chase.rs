@@ -38,9 +38,7 @@ use crate::control::{CancelToken, ChaseEvent, FaultPlan};
 use crate::derivation::{first_instance, Derivation, DerivationStep};
 use crate::prng::SplitMix64;
 use crate::rule::RuleSet;
-use crate::trigger::{
-    apply_trigger, fresh_pi_safe, triggers_using_delta_counted, MatchTally, Trigger,
-};
+use crate::trigger::{apply_trigger, fresh_pi_safe, triggers_using_delta, MatchTally, Trigger};
 
 /// Which chase variant to run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -215,13 +213,6 @@ impl ChaseConfig {
     /// Sets the hard memory ceiling (abstract units; suspend cleanly).
     pub fn with_mem_hard(mut self, units: usize) -> Self {
         self.mem_hard = Some(units);
-        self
-    }
-
-    /// Sets a stratified rule schedule (an ordered partition of rule
-    /// ids; each stratum saturates before the next starts).
-    pub fn with_strata(mut self, strata: Vec<Vec<usize>>) -> Self {
-        self.strata = Some(strata);
         self
     }
 
@@ -466,6 +457,7 @@ type TriggerKey = (usize, Vec<(VarId, Term)>);
 /// happens between steps (DESIGN §3).
 pub struct ChaseRun<'a> {
     vocab: &'a mut Vocabulary,
+    facts: &'a AtomSet,
     rules: &'a RuleSet,
     cfg: &'a ChaseConfig,
     started: Instant,
@@ -487,8 +479,11 @@ pub struct ChaseRun<'a> {
     // retract it in place (or replace it by a core phase's retract); the
     // derivation only logs what happened to it.
     instance: AtomSet,
-    // The log of F, σ₀ and the steps; its last instance is set by `finish`.
-    derivation: Derivation,
+    // The derivation's log past F: σ₀ and the steps. `finish` assembles
+    // the `Derivation`, so a driver that never calls it copies neither
+    // F nor the rules.
+    sigma0: Substitution,
+    steps: Vec<DerivationStep>,
     // Semi-naive discovery for every variant: a round matches only the
     // triggers that use an atom inserted since the last discovery. Every
     // σᵢ is a retraction (Defs. 1–2), so this holds for frugal and core
@@ -534,8 +529,8 @@ impl<'a> ChaseRun<'a> {
             vocab.ensure_var(v);
         }
         for (_, rule) in rules.iter() {
-            for v in rule.body().vars().union(&rule.head().vars()) {
-                vocab.ensure_var(*v);
+            for &v in rule.universal_vars().iter().chain(rule.existential_vars()) {
+                vocab.ensure_var(v);
             }
         }
         let started = Instant::now();
@@ -567,15 +562,11 @@ impl<'a> ChaseRun<'a> {
         stats.peak_index_postings = instance.index_postings();
         ChaseRun {
             delta: instance.iter().cloned().collect(),
-            derivation: Derivation {
-                rules: rules.clone(),
-                initial: facts.clone(),
-                sigma0,
-                steps: Vec::new(),
-                last: AtomSet::new(),
-            },
+            sigma0,
+            steps: Vec::new(),
             instance,
             vocab,
+            facts,
             rules,
             cfg,
             started,
@@ -613,6 +604,12 @@ impl<'a> ChaseRun<'a> {
         &self.stats
     }
 
+    /// The last rule application: its trigger, `π_safe` and
+    /// simplification (`None` before the first).
+    pub fn last_step(&self) -> Option<&DerivationStep> {
+        self.steps.last()
+    }
+
     /// Runs to the next rule application (`None`) or to the run's
     /// outcome, which every later call returns again; the events on the
     /// way go to `observer`. A `Break` stops the run with
@@ -634,9 +631,14 @@ impl<'a> ChaseRun<'a> {
     /// [`ChaseOutcome::Stopped`].
     pub fn finish(mut self) -> ChaseResult {
         self.stats.wall_us = self.started.elapsed().as_micros() as u64;
-        self.derivation.last = self.instance.clone();
         ChaseResult {
-            derivation: self.derivation,
+            derivation: Derivation {
+                rules: self.rules.clone(),
+                initial: self.facts.clone(),
+                sigma0: self.sigma0,
+                steps: self.steps,
+                last: self.instance.clone(),
+            },
             final_instance: self.instance,
             outcome: self.outcome.unwrap_or(ChaseOutcome::Stopped),
             stats: self.stats,
@@ -657,7 +659,7 @@ impl<'a> ChaseRun<'a> {
                 let match_phase = Instant::now();
                 let mut tally = MatchTally::default();
                 let mut snapshot =
-                    triggers_using_delta_counted(rules, &self.instance, &self.delta, &mut tally);
+                    triggers_using_delta(rules, &self.instance, &self.delta, &mut tally);
                 self.delta.clear();
                 snapshot.retain(|t| self.pending(t, &mut tally));
                 self.stats.tally_match(tally, match_phase.elapsed());
@@ -694,10 +696,23 @@ impl<'a> ChaseRun<'a> {
             if self.stats.applications >= self.cfg.max_applications {
                 return Some(ChaseOutcome::ApplicationBudgetExhausted);
             }
-            let tr = tr.map(rules, &self.forward);
+            // Def. 2: the round's simplifications are homomorphisms, so
+            // the forwarded trigger is still a trigger, and the stratum
+            // is the snapshot's: only the variant's own test remains.
+            let tr = if self.forward.is_empty() {
+                tr
+            } else {
+                tr.map(rules, &self.forward)
+            };
+            debug_assert!(tr.is_trigger_for(rules, &self.instance));
             let match_phase = Instant::now();
             let mut tally = MatchTally::default();
-            let active = tr.is_trigger_for(rules, &self.instance) && self.pending(&tr, &mut tally);
+            // An oblivious variant marks the key applied as it decides:
+            // an active trigger is applied right away.
+            let active = match self.dedup_key(&tr) {
+                Some(key) => self.applied_keys.insert(key),
+                None => !tr.is_satisfied_in_counted(rules, &self.instance, &mut tally),
+            };
             self.stats.tally_match(tally, match_phase.elapsed());
             if active {
                 return self.apply(tr, emit);
@@ -801,12 +816,9 @@ impl<'a> ChaseRun<'a> {
             self.added_since_core.extend(added.iter().cloned());
         }
         self.delta.extend(added);
-        if let Some(key) = self.dedup_key(&tr) {
-            self.applied_keys.insert(key);
-        }
         let (sigma, phase_stats) = self.simplify(&fresh);
         self.forward = self.forward.then(&sigma);
-        self.derivation.steps.push(DerivationStep {
+        self.steps.push(DerivationStep {
             trigger: tr,
             pi_safe,
             simplification: sigma,
@@ -1906,7 +1918,10 @@ mod skolem_chase_tests {
         };
         let strat = {
             let mut vocab = vocab();
-            let cfg = ChaseConfig::default().with_strata(vec![vec![0], vec![1]]);
+            let cfg = ChaseConfig {
+                strata: Some(vec![vec![0], vec![1]]),
+                ..ChaseConfig::default()
+            };
             run_chase(&mut vocab, &facts, &rules, &cfg)
         };
         assert!(unstrat.outcome.terminated());
@@ -1929,7 +1944,10 @@ mod skolem_chase_tests {
         let rules = two_strata_rules();
         let facts = set(&[atom(0, &[v(10)])]);
         let mut vocab = vocab();
-        let cfg = ChaseConfig::default().with_strata(vec![vec![1], vec![0]]);
+        let cfg = ChaseConfig {
+            strata: Some(vec![vec![1], vec![0]]),
+            ..ChaseConfig::default()
+        };
         let res = run_chase(&mut vocab, &facts, &rules, &cfg);
         assert!(res.outcome.terminated());
         assert!(!crate::trigger::is_model_of_rules(

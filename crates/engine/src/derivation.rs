@@ -255,13 +255,6 @@ impl Derivation {
         self.replay(|e| all = all && chase_homomorphism::maps_to(e.instance, model));
         all
     }
-
-    /// Convenience: does the final instance satisfy every trigger (i.e. is
-    /// it a model of the rules)? Together with `F ⊆`-reachability this is
-    /// the termination criterion of the chase.
-    pub fn final_is_model(&self) -> bool {
-        crate::trigger::is_model_of_rules(&self.rules, &self.last)
-    }
 }
 
 #[cfg(test)]
@@ -446,7 +439,10 @@ mod tests {
         while extend_once(&mut vocab, &mut d) {}
         assert_eq!(d.validate(), Ok(()));
         assert!(d.check_fair_up_to_horizon().is_ok());
-        assert!(d.final_is_model());
+        assert!(crate::trigger::is_model_of_rules(
+            d.rules(),
+            d.last_instance()
+        ));
         assert!(d.all_instances_map_into(d.last_instance()));
     }
 }

@@ -46,5 +46,5 @@ pub use robust::{RobustSequence, VarTrace};
 pub use rule::{Rule, RuleError, RuleId, RuleSet};
 pub use trigger::{
     all_triggers, apply_trigger, fresh_pi_safe, is_model_of_rules, triggers_using_delta,
-    triggers_using_delta_counted, unsatisfied_triggers, MatchTally, Trigger,
+    unsatisfied_triggers, MatchTally, Trigger,
 };

@@ -1,5 +1,6 @@
 //! Triggers and trigger application (`α(I, tr)`).
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 
@@ -61,6 +62,12 @@ impl Trigger {
 
     /// Is the trigger *satisfied* in `instance`: can `π` be extended to a
     /// homomorphism from `B ∪ H` to `instance`?
+    ///
+    /// Precondition: `self` is a trigger for `instance`
+    /// ([`Trigger::is_trigger_for`]), so only the head is searched.
+    /// Every caller holds one: discovery's output, or a trigger carried
+    /// through Definition 2 trace maps, which are homomorphisms. Debug
+    /// builds assert it.
     pub fn is_satisfied_in(&self, rules: &RuleSet, instance: &AtomSet) -> bool {
         self.is_satisfied_in_counted(rules, instance, &mut MatchTally::default())
     }
@@ -72,10 +79,11 @@ impl Trigger {
         instance: &AtomSet,
         tally: &mut MatchTally,
     ) -> bool {
+        debug_assert!(
+            self.is_trigger_for(rules, instance),
+            "only a trigger for the instance can be satisfied in it"
+        );
         let rule = rules.get(self.rule);
-        if !self.is_trigger_for(rules, instance) {
-            return false;
-        }
         // Seed with π unrestricted: bindings for universal variables
         // outside the head are inert (they never conflict with the
         // head's frontier or existential variables), and only existence
@@ -181,17 +189,19 @@ pub fn all_triggers(rules: &RuleSet, instance: &AtomSet) -> Vec<Trigger> {
             ControlFlow::Continue(())
         });
     }
-    // Matcher order depends on dynamic candidate counts; sort for a stable
-    // cross-run order.
-    out.sort_by(|a, b| {
-        a.rule.cmp(&b.rule).then_with(|| {
-            let ka: Vec<_> = a.pi.iter().collect();
-            let kb: Vec<_> = b.pi.iter().collect();
-            ka.cmp(&kb)
-        })
-    });
+    out.sort_by(trigger_order);
     out.dedup();
     out
+}
+
+/// The order trigger discovery returns: rule-major, then by `π`'s
+/// bindings in variable order. Matcher order depends on dynamic
+/// candidate counts, so discovery sorts by this for a stable cross-run
+/// order.
+fn trigger_order(a: &Trigger, b: &Trigger) -> Ordering {
+    a.rule
+        .cmp(&b.rule)
+        .then_with(|| a.pi.iter().cmp(b.pi.iter()))
 }
 
 /// Enumerates the triggers for `instance` whose body image uses at least
@@ -201,14 +211,9 @@ pub fn all_triggers(rules: &RuleSet, instance: &AtomSet) -> Vec<Trigger> {
 /// satisfaction survives both extension and retraction (DESIGN §7).
 /// A `delta` atom that `instance` no longer contains seeds nothing.
 ///
-/// The result is deduplicated and sorted like [`all_triggers`].
-pub fn triggers_using_delta(rules: &RuleSet, instance: &AtomSet, delta: &[Atom]) -> Vec<Trigger> {
-    triggers_using_delta_counted(rules, instance, delta, &mut MatchTally::default())
-}
-
-/// [`triggers_using_delta`], recording every seeded body search in
-/// `tally`.
-pub fn triggers_using_delta_counted(
+/// The result is deduplicated and sorted like [`all_triggers`]; every
+/// seeded body search is recorded in `tally`.
+pub fn triggers_using_delta(
     rules: &RuleSet,
     instance: &AtomSet,
     delta: &[Atom],
@@ -269,15 +274,8 @@ pub fn triggers_using_delta_counted(
             }
         }
     }
-    // `seen` already guarantees uniqueness; sort for a stable cross-run
-    // order like `all_triggers`.
-    out.sort_by(|a, b| {
-        a.rule.cmp(&b.rule).then_with(|| {
-            let ka: Vec<_> = a.pi.iter().collect();
-            let kb: Vec<_> = b.pi.iter().collect();
-            ka.cmp(&kb)
-        })
-    });
+    // `seen` already guarantees uniqueness.
+    out.sort_by(trigger_order);
     out
 }
 
@@ -432,9 +430,56 @@ mod tests {
         .collect();
         let inst = set(&[atom(0, &[v(10), v(11)]), atom(0, &[v(11), v(12)])]);
         let delta: Vec<Atom> = inst.iter().cloned().collect();
-        let from_delta = triggers_using_delta(&rules, &inst, &delta);
+        let from_delta = triggers_using_delta(&rules, &inst, &delta, &mut MatchTally::default());
         assert_eq!(from_delta.len(), 1, "one distinct trigger");
         assert_eq!(from_delta, all_triggers(&rules, &inst));
+    }
+
+    #[test]
+    fn trigger_order_matches_the_allocating_comparator() {
+        // The comparator discovery used to sort by, kept as the reference.
+        fn reference(a: &Trigger, b: &Trigger) -> Ordering {
+            a.rule.cmp(&b.rule).then_with(|| {
+                let ka: Vec<_> = a.pi.iter().collect();
+                let kb: Vec<_> = b.pi.iter().collect();
+                ka.cmp(&kb)
+            })
+        }
+        let mut rng = crate::prng::SplitMix64::new(0x5eed);
+        for _ in 0..300 {
+            let mut triggers: Vec<Trigger> = Vec::new();
+            for _ in 0..rng.gen_range(12) {
+                // A small rule and term range makes equal rules and
+                // equal bindings common.
+                let pi = Substitution::from_pairs((0..rng.gen_range(4)).map(|_| {
+                    let var = VarId::from_raw(rng.gen_range(4) as u32);
+                    let term = if rng.gen_bool() {
+                        v(rng.gen_range(3) as u32)
+                    } else {
+                        Term::Const(chase_atoms::ConstId::from_raw(rng.gen_range(3) as u32))
+                    };
+                    (var, term)
+                }));
+                let rule = rng.gen_range(3);
+                // Half the time, also push a prefix of this π under the
+                // same rule: the shorter binding list sorts first.
+                if rng.gen_bool() && !pi.is_empty() {
+                    let keep = rng.gen_range(pi.len());
+                    let prefix = Substitution::from_pairs(pi.iter().take(keep));
+                    triggers.push(Trigger { rule, pi: prefix });
+                }
+                triggers.push(Trigger { rule, pi });
+            }
+            for a in &triggers {
+                for b in &triggers {
+                    assert_eq!(trigger_order(a, b), reference(a, b));
+                }
+            }
+            let mut expected = triggers.clone();
+            expected.sort_by(reference);
+            triggers.sort_by(trigger_order);
+            assert_eq!(triggers, expected);
+        }
     }
 
     #[test]

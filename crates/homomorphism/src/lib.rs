@@ -52,6 +52,6 @@ pub use core_impl::{
 pub use incremental::{incremental_core, pivot_certificate};
 pub use iso::{hom_equivalent, isomorphism};
 pub use matcher::{
-    all_homomorphisms, find_homomorphism, find_homomorphism_extending, for_each_homomorphism,
+    find_homomorphism, find_homomorphism_extending, for_each_homomorphism,
     for_each_homomorphism_budgeted, maps_to, MatchConfig,
 };

@@ -216,24 +216,6 @@ pub fn maps_to(a: &AtomSet, b: &AtomSet) -> bool {
     find_homomorphism(a, b).is_some()
 }
 
-/// Collects *all* homomorphisms from `pattern` to `target`. Intended for
-/// tests and small instances — the number of homomorphisms can be
-/// exponential.
-pub fn all_homomorphisms(pattern: &AtomSet, target: &AtomSet) -> Vec<Substitution> {
-    let mut out = Vec::new();
-    for_each_homomorphism(
-        pattern,
-        target,
-        &Substitution::new(),
-        &MatchConfig::default(),
-        |sub| {
-            out.push(sub);
-            ControlFlow::Continue(())
-        },
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,20 +292,6 @@ mod tests {
 
         let bad_seed = Substitution::from_pairs([(VarId::from_raw(0), c(7))]);
         assert!(find_homomorphism_extending(&pattern, &target, &bad_seed).is_none());
-    }
-
-    #[test]
-    fn counts_all_homomorphisms() {
-        // r(X, Y) into a 2-clique-with-loops has 4 homomorphisms... use
-        // target {r(a,a), r(a,b), r(b,a), r(b,b)}: 4 homs.
-        let pattern = set(&[atom(0, &[v(0), v(1)])]);
-        let target = set(&[
-            atom(0, &[c(0), c(0)]),
-            atom(0, &[c(0), c(1)]),
-            atom(0, &[c(1), c(0)]),
-            atom(0, &[c(1), c(1)]),
-        ]);
-        assert_eq!(all_homomorphisms(&pattern, &target).len(), 4);
     }
 
     #[test]

@@ -34,14 +34,6 @@ pub enum GridSearch {
 }
 
 impl GridSearch {
-    /// The labeling, if a grid was found.
-    pub fn into_found(self) -> Option<GridLabeling> {
-        match self {
-            GridSearch::Found(lab) => Some(lab),
-            _ => None,
-        }
-    }
-
     /// Was the search cut short without a hit?
     pub fn is_inconclusive(&self) -> bool {
         matches!(self, GridSearch::Inconclusive)
@@ -145,9 +137,9 @@ mod tests {
         assert!(contains_grid(&set, &lab));
         let h = vocab.pred("h", 2);
         let v = vocab.pred("v", 2);
-        let found = find_grid(&set, 4, h, v)
-            .into_found()
-            .expect("grid must be found");
+        let GridSearch::Found(found) = find_grid(&set, 4, h, v) else {
+            panic!("grid must be found");
+        };
         assert!(contains_grid(&set, &found));
         assert!(matches!(find_grid(&set, 5, h, v), GridSearch::Absent));
         assert_eq!(

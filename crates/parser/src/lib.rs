@@ -34,9 +34,8 @@
 //! [`parse_program`] parses a whole source text into a [`Program`]
 //! (vocabulary + facts + rules + named queries);
 //! [`parse_program_trusted`] also accepts the printer's reserved null
-//! spelling, for checkpoint programs. [`parse_atoms_with`] and
-//! [`parse_rule_with`] parse fragments into an existing vocabulary,
-//! interning new symbols. [`parse_query`] lowers an answer query
+//! spelling, for checkpoint programs. [`parse_atoms_with`] parses an
+//! atom list into an existing vocabulary, interning new symbols. [`parse_query`] lowers an answer query
 //! against a vocabulary it only borrows, so a reader never copies the
 //! symbol table. [`program_to_text`] prints a program back;
 //! [`program_parts_to_text`] prints one from borrowed parts.
@@ -52,7 +51,7 @@ mod printer;
 pub use lexer::{Lexer, Token, TokenKind};
 pub use lower::{
     is_reserved_null_name, parse_atoms_with, parse_program, parse_program_trusted, parse_query,
-    parse_rule_with, ParsedQuery, Program,
+    ParsedQuery, Program,
 };
 pub use parser_impl::{AtomAst, ParseError, QueryAst, RuleAst, Span, StmtAst, TermAst};
 pub use printer::{program_parts_to_text, program_to_text, rule_to_text};

@@ -274,21 +274,6 @@ pub fn parse_atoms_with(
     Scope::new(vocab, format!("{prefix}.")).lower_atoms(atoms)
 }
 
-/// Parses a single rule (`body -> head`) against an existing vocabulary.
-pub fn parse_rule_with(vocab: &mut Vocabulary, name: &str, src: &str) -> Result<Rule, ParseError> {
-    let stmts = parse_stmts(&format!("{src}."))?;
-    let [StmtAst::Rule(rule)] = &stmts[..] else {
-        return Err(ParseError::new(
-            crate::parser_impl::Span { line: 1, col: 1 },
-            "expected a single rule",
-        ));
-    };
-    let mut scope = Scope::new(vocab, format!("{name}."));
-    let body = scope.lower_atoms(&rule.body)?;
-    let head = scope.lower_atoms(&rule.head)?;
-    Rule::new(name, body, head).map_err(|e| ParseError::new(rule.span, e.to_string()))
-}
-
 /// A lowered answer query: named answer variables plus one or more
 /// disjuncts, each carrying its own binding of the answer variables
 /// (variables are scoped per disjunct, so the "same" `X` is a distinct
@@ -432,13 +417,11 @@ mod tests {
     }
 
     #[test]
-    fn fragment_parsers() {
+    fn fragment_parser() {
         let mut vocab = Vocabulary::new();
         let atoms = parse_atoms_with(&mut vocab, "q", "r(X, Y), r(Y, X)").unwrap();
         assert_eq!(atoms.len(), 2);
         assert_eq!(atoms.vars().len(), 2);
-        let rule = parse_rule_with(&mut vocab, "R", "r(X, Y) -> r(Y, Z)").unwrap();
-        assert_eq!(rule.existential_vars().len(), 1);
     }
 
     #[test]

@@ -1353,13 +1353,15 @@ fn worker_loop(inner: &Inner) {
         });
 
         // Supervision loop: a panicking slice is retried from the last
-        // checkpoint until the retry budget runs out.
+        // checkpoint until the retry budget runs out. Only a retry from a
+        // checkpoint needs a spec of its own.
         let mut attempt = 0usize;
-        let mut spec = original.clone();
+        let mut respawned: Option<JobSpec> = None;
         let result = loop {
+            let spec = respawned.as_ref().unwrap_or(&original);
             let started = Instant::now();
             let run = catch_unwind(AssertUnwindSafe(|| {
-                execute(inner, id, &name, &spec, &cancel, started)
+                execute(inner, id, &name, spec, &cancel, started)
             }));
             match run {
                 Ok(result) => break result,
@@ -1392,16 +1394,16 @@ fn worker_loop(inner: &Inner) {
                         let st = inner.state.lock().expect("state lock poisoned");
                         st.jobs.get(&id).and_then(|e| e.last_checkpoint.clone())
                     };
-                    spec = match last {
+                    respawned = match last {
                         Some(ck) => match respawn_spec(&original, &ck) {
-                            Ok(spec) => spec,
+                            Ok(spec) => Some(spec),
                             Err(e) => {
                                 break Err(format!("cannot rebuild job from its checkpoint: {e}"))
                             }
                         },
                         // Crashed before any checkpoint: retry the whole
                         // slice from scratch.
-                        None => original.clone(),
+                        None => None,
                     };
                 }
             }
@@ -1456,7 +1458,8 @@ fn worker_loop(inner: &Inner) {
         };
         inner.cv.notify_all();
         match store_op {
-            StoreOp::Save(ck) => inner.persist_checkpoint(id, &name, &spec, &ck),
+            // A respawned spec shares `original`'s fault plan.
+            StoreOp::Save(ck) => inner.persist_checkpoint(id, &name, &original, &ck),
             StoreOp::Remove => {
                 if let Some(store) = inner.store.as_ref() {
                     let _ = store.remove(id);

@@ -207,6 +207,44 @@ mod chase_properties {
         }
     }
 
+    /// Every variant under a random scheduler. Debug builds assert, at
+    /// each dequeue and each satisfaction check, that a trigger carried
+    /// through the round's simplifications (Def. 2) is still a trigger;
+    /// the variants that check satisfaction record Definition 1
+    /// derivations.
+    #[test]
+    fn every_variant_chases_random_rulesets() {
+        let mut rng = SplitMix64::new(10);
+        for case in 0..24u64 {
+            let facts = random_atomset(&mut rng, 6);
+            let ruleset = random_ruleset(&mut rng);
+            for variant in [
+                ChaseVariant::Oblivious,
+                ChaseVariant::SemiOblivious,
+                ChaseVariant::Restricted,
+                ChaseVariant::Frugal,
+                ChaseVariant::Core,
+            ] {
+                let mut vocab = Vocabulary::new();
+                let cfg = ChaseConfig::variant(variant)
+                    .with_scheduler(SchedulerKind::Random(case))
+                    .with_max_applications(40)
+                    .with_max_atoms(500);
+                let res = run_chase(&mut vocab, &facts, &ruleset, &cfg);
+                if !matches!(
+                    variant,
+                    ChaseVariant::Oblivious | ChaseVariant::SemiOblivious
+                ) {
+                    assert_eq!(
+                        res.derivation.validate(),
+                        Ok(()),
+                        "{variant:?}, case {case}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Restricted and core chase entail the same CQs on whatever
     /// horizon both reach (they share the universal aggregation).
     #[test]
